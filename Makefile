@@ -30,17 +30,19 @@ bench-smoke:
 	dune build @bench-smoke
 
 # Perf-regression gate: fresh micro timings diffed against the
-# committed BENCH_sched.json.  Micro and sim-speed rows outside ±25%
-# are advisory (timing noise can't fail the build), but the "sweeps"
-# section is hard-gated: any parallel sweep at <1x over serial, or a
-# >25% speedup regression, exits non-zero.  Re-run `make bench` to
+# committed BENCH_sched.json.  Micro and sim-speed timings outside ±25%
+# are advisory (timing noise can't fail the build), but sim-speed
+# minor words/event (deterministic per profile) and the "sweeps"
+# section are hard-gated: words/event moving, any parallel sweep at <1x
+# over serial, or a >25% speedup regression, exits non-zero.  Re-run `make bench` to
 # refresh the baseline when a change is real.
 bench-diff:
 	dune build @bench-diff
 
 # End-to-end throughput sanity: shrunk sim-speed workloads through the
-# full dispatch path, asserting events fire and the steady-state
-# minor-words/event budget holds (the zero-alloc dispatch contract).
+# full dispatch path, asserting events fire and each scenario stays
+# under its minor-words/event ceiling (the zero-alloc dispatch
+# contract).
 sim-speed-smoke:
 	dune build @sim-speed-smoke
 

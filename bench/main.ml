@@ -511,11 +511,9 @@ type sim_speed_row = {
   ss_minor_gcs : int;
 }
 
-(* Steady-state allocation ceiling asserted by --sim-speed-smoke: the
-   zero-alloc dispatch contract, in minor words per fired event.  The
-   residual words are the workload thunks themselves (each fired event
-   schedules its successor), not the dispatch path. *)
-let sim_speed_words_budget = 48.
+(* Allocation ceiling asserted by --smp-smoke, in minor words per fired
+   event. *)
+let smp_words_budget = 48.
 
 let interactive_thread (sys : E.Common.sys) ~leaf ~sfq ~name ~mean_think ~burst
     ~seed =
@@ -604,20 +602,30 @@ let ss_churn ~slice_ms () =
 
 (* Per-scenario slice sizes chosen so ten measured slices run long
    enough (~10^5 events each) for a stable events/sec estimate; the
-   [scale] divisor shrinks them for the smoke pass. *)
+   [scale] divisor shrinks them for the smoke pass.
+
+   The third field is the --sim-speed-smoke ceiling in minor words per
+   fired event: about 1.2x the value the smoke measures in the default
+   (dev, -opaque) profile, where it is 11.49 / 5.12 / 9.09.  Minor-word
+   counts are deterministic for a given build, so the ceiling can be
+   tight: per-wake closures in the kernel cycle (+7 words/event on
+   timer-churn) fail it.  What remains is the workloads' own actions
+   and samples, float boxing at -opaque call boundaries, and sample
+   series growth that a smoke-sized run does not amortize.  The release
+   profile measures lower and passes the same ceilings. *)
 let sim_speed_scenarios ~scale =
   let ms base = Int.max 1 (base / scale) in
   [
-    ("mpeg+interactive", ss_mpeg ~slice_ms:(ms 60_000));
-    ("svr4-ts+irq", ss_ts ~slice_ms:(ms 12_000));
-    ("timer-churn", ss_churn ~slice_ms:(ms 3_000));
+    ("mpeg+interactive", ss_mpeg ~slice_ms:(ms 60_000), 13.8);
+    ("svr4-ts+irq", ss_ts ~slice_ms:(ms 12_000), 6.2);
+    ("timer-churn", ss_churn ~slice_ms:(ms 3_000), 10.9);
   ]
 
 (* Simulated event counts are deterministic (seeded workloads), so only
    the wall clock is noisy.  The first slice warms the system (arrays
    grown, free lists filled, workload state reached) and is excluded;
    the measured region is [slices] further slices of simulated time. *)
-let measure_sim_speed ~slices (name, setup) =
+let measure_sim_speed ~slices (name, setup, _) =
   let run = setup () in
   let e0 = run () in
   Gc.full_major ();
@@ -654,7 +662,7 @@ let print_sim_speed rows =
           string_of_int r.events;
           Printf.sprintf "%.3f" r.ss_wall_s;
           Printf.sprintf "%.0f" r.events_per_sec;
-          Printf.sprintf "%.2f" r.words_per_event;
+          Printf.sprintf "%.3f" r.words_per_event;
           string_of_int r.ss_minor_gcs;
         ])
     rows;
@@ -675,21 +683,20 @@ let run_sim_speed () =
    Part of `make check`, so a regression that reintroduces per-event
    allocation fails CI rather than only drifting a number. *)
 let run_sim_speed_smoke () =
-  let rows =
-    List.map (measure_sim_speed ~slices:2) (sim_speed_scenarios ~scale:100)
-  in
+  let scenarios = sim_speed_scenarios ~scale:100 in
+  let rows = List.map (measure_sim_speed ~slices:2) scenarios in
   print_sim_speed rows;
-  List.iter
-    (fun r ->
+  List.iter2
+    (fun (_, _, ceiling) r ->
       if r.events <= 0 || not (r.events_per_sec > 0.) then
         failwith (Printf.sprintf "sim-speed smoke: %s fired no events" r.ss_name);
-      if r.words_per_event > sim_speed_words_budget then
+      if r.words_per_event > ceiling then
         failwith
           (Printf.sprintf
-             "sim-speed smoke: %s allocates %.1f minor words/event, over the \
-              %.0f-word steady-state budget"
-             r.ss_name r.words_per_event sim_speed_words_budget))
-    rows;
+             "sim-speed smoke: %s allocates %.2f minor words/event, over its \
+              %.1f-word ceiling"
+             r.ss_name r.words_per_event ceiling))
+    scenarios rows;
   print_endline "sim-speed smoke PASSED."
 
 (* ------------------------------------------------------------------ *)
@@ -1134,12 +1141,12 @@ let run_smp_smoke () =
           (Printf.sprintf
              "smp smoke: %s never migrated — the idle-claim path is dead"
              r.smp_name);
-      if r.smp_words_per_event > sim_speed_words_budget then
+      if r.smp_words_per_event > smp_words_budget then
         failwith
           (Printf.sprintf
              "smp smoke: %s allocates %.1f minor words/event, over the \
               %.0f-word budget"
-             r.smp_name r.smp_words_per_event sim_speed_words_budget);
+             r.smp_name r.smp_words_per_event smp_words_budget);
       (* Machine-relative: P-CPU bookkeeping may not multiply the
          per-event dispatch cost.  3x leaves headroom for the extra
          per-CPU accounting while catching an accidental O(P) scan. *)

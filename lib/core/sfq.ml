@@ -369,12 +369,14 @@ let register t ~id =
   t.nrun <- t.nrun + 1;
   enqueue t slot
 
-(* Shared blocked -> runnable transition (rule 1: S = max(v, F)). *)
-let rewake t slot weight =
+(* Shared blocked -> runnable transition (rule 1: S = max(v, F)). The
+   weight is read from [fstage] like its callers': passed as a float
+   argument it would box on every wake. *)
+let rewake t slot =
   (* A blocked client may return with a different share (e.g. its class
      weight was re-administered while it slept): the new weight governs
      the quantum it is about to request. *)
-  t.weightv.(slot) <- weight;
+  t.weightv.(slot) <- t.fstage.(0);
   t.startv.(slot) <- fmax t.clock.vt t.finishv.(slot);
   Bytes.set t.statev slot st_runnable;
   t.nrun <- t.nrun + 1;
@@ -386,8 +388,7 @@ let arrive_staged t ~id =
   if id < 0 then invalid_arg "Sfq.arrive: negative client id";
   let slot = slot_lookup t id in
   if slot < 0 then register t ~id
-  else if Char.equal (Bytes.get t.statev slot) st_blocked then
-    rewake t slot weight
+  else if Char.equal (Bytes.get t.statev slot) st_blocked then rewake t slot
 (* already runnable: idempotent, the weight argument is ignored *)
 
 let arrive_slot_staged t ~slot =
@@ -395,7 +396,7 @@ let arrive_slot_staged t ~slot =
     invalid_arg "Sfq.arrive_slot_staged: no client at slot";
   let weight = t.fstage.(0) in
   if weight <= 0. then invalid_arg "Sfq.arrive: weight <= 0";
-  if Char.equal (Bytes.get t.statev slot) st_blocked then rewake t slot weight
+  if Char.equal (Bytes.get t.statev slot) st_blocked then rewake t slot
 
 let arrive t ~id ~weight =
   t.fstage.(0) <- weight;

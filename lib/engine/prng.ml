@@ -48,8 +48,10 @@ let int_in t lo hi =
    boxed [int64] return plus the extra [float] wrapper cost ~5 minor
    words per draw; with the state step and finalizer inlined here, the
    intermediates stay unboxed and a draw's only allocations are the
-   state store and the [float] result. Same output sequence. *)
-let unit_float t =
+   state store and the [float] result. Same output sequence.  Inlined
+   (release profile), so a caller doing float arithmetic on the draw
+   never boxes the result. *)
+let[@inline] unit_float t =
   let s = Int64.add t.state golden in
   t.state <- s;
   let z = Int64.(mul (logxor s (shift_right_logical s 30)) 0xBF58476D1CE4E5B9L) in
@@ -78,7 +80,7 @@ let bool t = Int64.logand (next_int64 t) 1L = 1L
 
 let bernoulli t p = unit_float t < p
 
-let exponential t ~mean =
+let[@inline] exponential t ~mean =
   if not (mean > 0.0) then invalid_arg "Prng.exponential: mean must be positive";
   let u = 1.0 -. unit_float t in
   -.mean *. log u

@@ -9,16 +9,19 @@ let create ?(name = "") () = { name; ts = [||]; vs = [||]; n = 0 }
 
 let name t = t.name
 
-let add t time v =
+let grow t =
   let cap = Array.length t.ts in
-  if t.n >= cap then begin
-    let ncap = if cap = 0 then 64 else cap * 2 in
-    let nts = Array.make ncap Time.zero and nvs = Array.make ncap 0. in
-    Array.blit t.ts 0 nts 0 t.n;
-    Array.blit t.vs 0 nvs 0 t.n;
-    t.ts <- nts;
-    t.vs <- nvs
-  end;
+  let ncap = if cap = 0 then 64 else cap * 2 in
+  let nts = Array.make ncap Time.zero and nvs = Array.make ncap 0. in
+  Array.blit t.ts 0 nts 0 t.n;
+  Array.blit t.vs 0 nvs 0 t.n;
+  t.ts <- nts;
+  t.vs <- nvs
+
+(* Inlined (in the release profile) so a caller's [float_of_int x] goes
+   straight into [vs] unboxed; the growth path stays out of line. *)
+let[@inline] add t time v =
+  if t.n >= Array.length t.ts then grow t;
   t.ts.(t.n) <- time;
   t.vs.(t.n) <- v;
   t.n <- t.n + 1

@@ -35,6 +35,9 @@ type thread = {
   mutable work_left : Time.span; (* of the current Compute segment *)
   mutable waiting_mutex : int option; (* blocked on this mutex *)
   mutable wake_handle : Event_queue.handle; (* Event_queue.null = none *)
+  (* Wake instant of the pending [`Sleep]/[Block_until]: kept here so
+     neither pseudo-action carries a boxed payload. *)
+  mutable sleep_at : Time.t;
   (* Lazily-built [fun () -> do_wake t tid], reused for every sleep so
      steady-state blocking allocates no closure. *)
   mutable wake_thunk : (unit -> unit) option;
@@ -75,10 +78,6 @@ type dispatch = {
   mutable completion : Event_queue.handle; (* Event_queue.null = none *)
 }
 
-(* A simulated blocking mutex. Ownership is granted FIFO; while a
-   thread waits, its weight is donated to the holder when both belong to
-   the same weighted leaf class (the paper's §4 priority-inversion
-   avoidance). *)
 (* One simulated CPU: its dispatch slot, its interrupt context, and its
    share of the time accounting. All CPUs dispatch from the one shared
    hierarchical structure — there are no per-CPU run queues; mutual
@@ -95,13 +94,21 @@ type cpu_state = {
   mutable interrupt_done : Event_queue.handle; (* Event_queue.null = none *)
   (* Lazily-built [interrupts_done t c], reused by every interrupt. *)
   mutable irq_thunk : (unit -> unit) option;
-  mutable idle_since : Time.t option;
+  (* Start of the current idle period; [not_idle] (simulated time is
+     never negative) while the CPU runs a thread or an interrupt. *)
+  mutable idle_since : Time.t;
   mutable idle_total : Time.span;
   mutable interrupt_total : Time.span;
   mutable overhead_total : Time.span;
   mutable migrations : int; (* dispatches that moved a thread here *)
 }
 
+let not_idle = -1
+
+(* A simulated blocking mutex. Ownership is granted FIFO; while a
+   thread waits, its weight is donated to the holder when both belong to
+   the same weighted leaf class (the paper's §4 priority-inversion
+   avoidance). *)
 type mutex = { mutable holder : tid option; waiters : tid Queue.t }
 
 type device_model =
@@ -171,7 +178,7 @@ let make_cpu cid =
     interrupt_done = Event_queue.null;
     irq_thunk = None;
     (* Each CPU is idle until its first dispatch or interrupt. *)
-    idle_since = Some Time.zero;
+    idle_since = Time.zero;
     idle_total = 0;
     interrupt_total = 0;
     overhead_total = 0;
@@ -347,6 +354,7 @@ let spawn t ~name ~leaf workload =
       work_left = 0;
       waiting_mutex = None;
       wake_handle = Event_queue.null;
+      sleep_at = Time.zero;
       wake_thunk = None;
       suspended = false;
       wake_pending = false;
@@ -371,12 +379,17 @@ let spawn t ~name ~leaf workload =
 
 let interrupt_active c = not (Event_queue.is_null c.interrupt_done)
 
+(* Neither running a thread nor servicing an interrupt. *)
+let cpu_free c =
+  match c.current with
+  | None -> not (interrupt_active c)
+  | Some _ -> false
+
 let close_idle c now =
-  match c.idle_since with
-  | None -> ()
-  | Some t0 ->
-    c.idle_total <- c.idle_total + Time.diff now t0;
-    c.idle_since <- None
+  if c.idle_since <> not_idle then begin
+    c.idle_total <- c.idle_total + Time.diff now c.idle_since;
+    c.idle_since <- not_idle
+  end
 
 let trace_slice t th ~start ~stop =
   match t.trace with
@@ -408,9 +421,35 @@ let pause_dispatch t d now =
   end;
   d.paused <- true
 
+(* The CPU scans of [make_runnable], from CPU [i] up; -1 when none
+   qualifies. Top-level with explicit arguments: as local [let rec]s
+   they would capture [t]/[th]/[lf] and allocate three closures per
+   wake. *)
+let rec find_within t th (lf : Leaf_sched.t) i =
+  if i >= Array.length t.cpu_set then -1
+  else
+    match t.cpu_set.(i).current with
+    | Some d
+      when d.d_tid <> th.tid
+           && (thread t d.d_tid).leaf = th.leaf
+           && lf.preempts ~waker:th.tid ~running:d.d_tid -> i
+    | Some _ | None -> find_within t th lf (i + 1)
+
+let rec find_free t i =
+  if i >= Array.length t.cpu_set then -1
+  else if cpu_free t.cpu_set.(i) then i
+  else find_free t (i + 1)
+
+let rec find_busy t tid i =
+  if i >= Array.length t.cpu_set then -1
+  else
+    match t.cpu_set.(i).current with
+    | Some d when d.d_tid <> tid -> i
+    | Some _ | None -> find_busy t tid (i + 1)
+
 type disposition =
   | Requeue (* quantum expired / preempted: thread stays runnable *)
-  | Block_until of Time.t (* sleeping with a wakeup timer *)
+  | Block_until (* sleeping with a wakeup timer at [sleep_at] *)
   | Block_external (* suspended; no timer *)
   | Die
 
@@ -428,20 +467,17 @@ let rec end_dispatch t c d now disposition =
          nothing left to run. *)
       (match next_effective_action t th now with
       | `Work -> Requeue
-      | `Sleep at -> Block_until at
-      | `Lock_wait m ->
-        enqueue_mutex_waiter t th m;
-        Block_external
-      | `Io (dev, units) ->
-        submit_io t th dev units;
-        Block_external
+      | `Sleep -> Block_until
+      | `Lock_wait | `Io -> Block_external
       | `Exit -> Die)
     | other -> other
   in
   let service = d.used in
   let runnable = match disposition with Requeue -> true | _ -> false in
   lf.charge ~now d.d_tid ~service ~runnable;
-  if disposition = Die then lf.detach d.d_tid;
+  (match disposition with
+  | Die -> lf.detach d.d_tid
+  | Requeue | Block_until | Block_external -> ());
   let leaf_runnable = lf.backlogged () > 0 in
   Hierarchy.update_ns t.hier ~leaf:d.d_leaf ~service_ns:service ~leaf_runnable;
   th.total_cpu <- th.total_cpu + service;
@@ -454,7 +490,7 @@ let rec end_dispatch t c d now disposition =
     ~d:
       (match disposition with
       | Requeue -> 0
-      | Block_until _ -> 1
+      | Block_until -> 1
       | Block_external -> 2
       | Die -> 3);
   if Array.length t.cpu_set > 1 then
@@ -464,9 +500,9 @@ let rec end_dispatch t c d now disposition =
   th.running_on <- -1;
   (match disposition with
   | Requeue -> th.state <- Runnable
-  | Block_until at ->
+  | Block_until ->
     th.state <- Blocked;
-    th.wake_handle <- Sim.at t.sim at (wake_thunk_of t th)
+    th.wake_handle <- Sim.at t.sim th.sleep_at (wake_thunk_of t th)
   | Block_external -> th.state <- Blocked
   | Die ->
     th.state <- Exited;
@@ -498,9 +534,12 @@ and completion_thunk t c =
     f
 
 (* Fetch workload actions until one takes effect. Returns the resulting
-   pseudo-action: [`Work] (work_left set), [`Sleep at], [`Lock_wait m]
-   (must block on the mutex), or [`Exit]. Free-mutex acquisition and
-   unlocking are zero-cost and the loop continues past them. *)
+   pseudo-action, an immediate whose payload lives in the thread:
+   [`Work] (work_left set), [`Sleep] (sleep_at set), [`Lock_wait]
+   (queued on a held mutex), [`Io] (request submitted) or [`Exit]; the
+   caller blocks the thread for [`Lock_wait]/[`Io]. Free-mutex
+   acquisition and unlocking are zero-cost and the loop continues past
+   them. *)
 and next_effective_action t th now =
   action_loop t th now max_consecutive_null_actions
 
@@ -516,25 +555,41 @@ and action_loop t th now budget =
       th.work_left <- w;
       `Work
     | Workload_intf.Compute _ -> action_loop t th now (budget - 1)
-    | Workload_intf.Sleep_for d when d > 0 -> `Sleep (Time.add now d)
+    | Workload_intf.Sleep_for d when d > 0 ->
+      th.sleep_at <- Time.add now d;
+      `Sleep
     | Workload_intf.Sleep_for _ -> action_loop t th now (budget - 1)
-    | Workload_intf.Sleep_until at when Time.compare at now > 0 -> `Sleep at
+    | Workload_intf.Sleep_until at when Time.compare at now > 0 ->
+      th.sleep_at <- at;
+      `Sleep
     | Workload_intf.Sleep_until _ -> action_loop t th now (budget - 1)
     | Workload_intf.Lock m ->
-      let mu = mutex t m in
-      (match mu.holder with
-      | None ->
-        mu.holder <- Some th.tid;
-        action_loop t th now (budget - 1)
-      | Some h when h = th.tid ->
-        invalid_arg (Printf.sprintf "Kernel: recursive lock of mutex %d" m)
-      | Some _ -> `Lock_wait m)
+      if acquire_or_wait t th m then action_loop t th now (budget - 1)
+      else `Lock_wait
     | Workload_intf.Unlock m ->
       unlock_mutex t th m;
       action_loop t th now (budget - 1)
     | Workload_intf.Io (d, units) ->
-      if units <= 0 then action_loop t th now (budget - 1) else `Io (d, units)
+      if units <= 0 then action_loop t th now (budget - 1)
+      else begin
+        submit_io t th d units;
+        `Io
+      end
     | Workload_intf.Exit -> `Exit
+
+(* Take mutex [m] if it is free ([true]); otherwise queue [th] on it
+   ([false]). *)
+and acquire_or_wait t th m =
+  let mu = mutex t m in
+  match mu.holder with
+  | None ->
+    mu.holder <- Some th.tid;
+    true
+  | Some h when h = th.tid ->
+    invalid_arg (Printf.sprintf "Kernel: recursive lock of mutex %d" m)
+  | Some _ ->
+    enqueue_mutex_waiter t th m;
+    false
 
 (* Submit an I/O request: start service now if the device is idle, else
    queue FIFO. The caller blocks the thread. *)
@@ -629,7 +684,12 @@ and release_mutex_links t th =
     Queue.transfer keep mu.waiters;
     (leaf_sched t th.leaf).revoke ~blocked:th.tid;
     th.waiting_mutex <- None);
-  Hashtbl.iter (fun _ mu -> if mu.holder = Some th.tid then hand_off t mu) t.mutexes
+  Hashtbl.iter
+    (fun _ mu ->
+      match mu.holder with
+      | Some h when h = th.tid -> hand_off t mu
+      | Some _ | None -> ())
+    t.mutexes
 
 and grant_wake t w =
   (* The grantee may have been killed or suspended between grant and
@@ -669,23 +729,18 @@ and complete_slice t c () =
         d.completion <- Sim.after t.sim d.seg_left (completion_thunk t c)
       end
       else end_dispatch t c d now Requeue
-    | `Sleep at -> end_dispatch t c d now (Block_until at)
-    | `Lock_wait m ->
-      enqueue_mutex_waiter t th m;
-      end_dispatch t c d now Block_external
-    | `Io (dev, units) ->
-      submit_io t th dev units;
-      end_dispatch t c d now Block_external
+    | `Sleep -> end_dispatch t c d now Block_until
+    | `Lock_wait | `Io -> end_dispatch t c d now Block_external
     | `Exit -> end_dispatch t c d now Die
   end
 
 and dispatch_cpu t c =
-  if c.current = None && not (interrupt_active c) then begin
+  if cpu_free c then begin
     let now = Sim.now t.sim in
     obs_stamp t;
     let leaf = Hierarchy.schedule_id t.hier in
     if leaf < 0 then begin
-      if c.idle_since = None then c.idle_since <- Some now
+      if c.idle_since = not_idle then c.idle_since <- now
     end
     else begin
       close_idle c now;
@@ -796,36 +851,14 @@ and make_runnable t th now =
      path. Cross-class preemption ([Preempt_on_wake]) fires only when no
      CPU is free to take the waker; the lowest-numbered busy CPU yields
      (on one CPU this is the classic immediate preemption). *)
-  let ncpu = Array.length t.cpu_set in
-  let rec find_within i =
-    if i >= ncpu then -1
-    else
-      match t.cpu_set.(i).current with
-      | Some d
-        when d.d_tid <> th.tid
-             && (thread t d.d_tid).leaf = th.leaf
-             && lf.preempts ~waker:th.tid ~running:d.d_tid -> i
-      | _ -> find_within (i + 1)
-  in
-  let rec find_free i =
-    if i >= ncpu then -1
-    else if
-      t.cpu_set.(i).current = None && not (interrupt_active t.cpu_set.(i))
-    then i
-    else find_free (i + 1)
-  in
-  let rec find_busy i =
-    if i >= ncpu then -1
-    else
-      match t.cpu_set.(i).current with
-      | Some d when d.d_tid <> th.tid -> i
-      | _ -> find_busy (i + 1)
-  in
-  let within = find_within 0 in
+  let within = find_within t th lf 0 in
   if within >= 0 then preempt_cpu t t.cpu_set.(within)
-  else if t.cfg.preemption = Preempt_on_wake && find_free 0 < 0 then begin
-    let victim = find_busy 0 in
-    if victim >= 0 then preempt_cpu t t.cpu_set.(victim)
+  else begin
+    match t.cfg.preemption with
+    | Preempt_on_wake when find_free t 0 < 0 ->
+      let victim = find_busy t th.tid 0 in
+      if victim >= 0 then preempt_cpu t t.cpu_set.(victim)
+    | Preempt_on_wake | Quantum_boundary -> ()
   end;
   dispatch_idle t ~prefer:th.last_cpu
 
@@ -834,16 +867,14 @@ and activate t th now =
   else begin
     match next_effective_action t th now with
     | `Work -> make_runnable t th now
-    | `Sleep at ->
+    | `Sleep ->
       th.state <- Blocked;
       obs_emit t ~code:Hsfq_obs.Trace.ev_sleep ~a:th.tid ~b:th.leaf ~c:0 ~d:0;
-      th.wake_handle <- Sim.at t.sim at (wake_thunk_of t th)
-    | `Lock_wait m ->
-      enqueue_mutex_waiter t th m;
+      th.wake_handle <- Sim.at t.sim th.sleep_at (wake_thunk_of t th)
+    | `Lock_wait ->
       th.state <- Blocked;
       obs_emit t ~code:Hsfq_obs.Trace.ev_sleep ~a:th.tid ~b:th.leaf ~c:1 ~d:0
-    | `Io (dev, units) ->
-      submit_io t th dev units;
+    | `Io ->
       th.state <- Blocked;
       obs_emit t ~code:Hsfq_obs.Trace.ev_sleep ~a:th.tid ~b:th.leaf ~c:2 ~d:0
     | `Exit ->
@@ -919,14 +950,16 @@ let retarget_leaf th ~to_leaf = th.leaf <- to_leaf
 let refresh_held_donations t th =
   Hashtbl.iter
     (fun _ mu ->
-      if mu.holder = Some th.tid then
+      match mu.holder with
+      | Some h when h = th.tid ->
         Queue.iter
           (fun w ->
             let wth = thread t w in
             let lf = leaf_sched t wth.leaf in
             lf.revoke ~blocked:w;
             if wth.leaf = th.leaf then lf.donate ~blocked:w ~recipient:th.tid)
-          mu.waiters)
+          mu.waiters
+      | Some _ | None -> ())
     t.mutexes
 
 let move t tid ~to_leaf =
@@ -1085,7 +1118,7 @@ let latency_series t tid = (thread t tid).lat_series
 let cpu_idle_time t c =
   let c = nth_cpu t c in
   c.idle_total
-  + (match c.idle_since with Some t0 -> Time.diff (Sim.now t.sim) t0 | None -> 0)
+  + if c.idle_since = not_idle then 0 else Time.diff (Sim.now t.sim) c.idle_since
 
 let sum_cpus t f = Array.fold_left (fun acc c -> acc + f c) 0 t.cpu_set
 let idle_time t = sum_cpus t (fun c -> 0 + cpu_idle_time t c.cid)

@@ -83,6 +83,23 @@ let default_configs =
         ];
       cold = [ "grow"; "compact"; "recycle"; "new_handle"; "shrink_if_sparse" ];
     };
+    (* The simulation driver on top of it: scheduling and the per-event
+       drain loop. *)
+    { source = "lib/engine/sim.ml"; roots = [ "at"; "after"; "drain_until" ]; cold = [] };
+    (* The steady-state kernel cycle: wake -> dispatch -> interrupt
+       pause/resume -> slice completion -> sleep. Cold: the mutex and
+       I/O paths (once per lock/request, not per event) and the
+       first-use thunk builders, which allocate once per thread or CPU. *)
+    {
+      source = "lib/kernel/kernel.ml";
+      roots =
+        [ "dispatch_cpu"; "make_runnable"; "activate"; "do_wake"; "end_dispatch";
+          "complete_slice"; "pause_dispatch"; "do_interrupt"; "interrupts_done" ];
+      cold =
+        [ "acquire_or_wait"; "enqueue_mutex_waiter"; "unlock_mutex"; "hand_off";
+          "grant_wake"; "release_mutex_links"; "submit_io"; "io_complete";
+          "wake_thunk_of"; "completion_thunk"; "irq_thunk_of" ];
+    };
     (* The boxed leaf disciplines ported to SoA layouts: their decision
        paths must hold the measured words/decision in BENCH_sched.json
        (eevdf ~2, lottery ~7, svr4-ts ~0). The [Some id] of the generic
@@ -167,6 +184,16 @@ let rec bodies acc (e : Typedtree.expression) =
       acc cases
   | _ -> e :: acc
 
+(* Parameter count of a top-level function's lambda spine; [None] once
+   an optional parameter makes the spine's shape unreliable. *)
+let rec spine_arity (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Texp_function { arg_label = Optional _; _ } -> None
+  | Texp_function { cases = [ c ]; _ } ->
+    Option.map succ (spine_arity c.c_rhs)
+  | Texp_function _ -> Some 1
+  | _ -> Some 0
+
 (* Module-local references out of an expression, for the call graph:
    any [Pident] whose name is one of the module's top-level bindings. *)
 let local_refs ~defined e =
@@ -188,10 +215,10 @@ let head_name (e : Typedtree.expression) =
   | Texp_ident (p, _, vd) -> Some (p, vd, Mutability.normalize (Path.name p))
   | _ -> None
 
-let scan_body ~unit_name ~file ~fname body =
+let scan_body ~unit_name ~file ~fname ~arity_of body =
   let findings = ref [] in
-  let flag rule (loc : Location.t) msg =
-    if not loc.loc_ghost then
+  let flag ?(ghost_too = false) rule (loc : Location.t) msg =
+    if ghost_too || not loc.loc_ghost then
       findings :=
         Finding.make ~rule ~file ~line:loc.loc_start.pos_lnum
           ~msg:(Printf.sprintf "%s (in hot function [%s])" msg fname)
@@ -206,16 +233,20 @@ let scan_body ~unit_name ~file ~fname body =
       | Some (_, _, name) when error_path_head name ->
         () (* dying is allowed to allocate: skip the whole subtree *)
       | head_info ->
-        let prim_arity = ref None in
+        let known_arity = ref None in
         (match head_info with
         | Some (p, vd, name) ->
           let is_prim =
             match vd.val_kind with
             | Val_prim prim ->
-              prim_arity := Some prim.prim_arity;
+              known_arity := Some prim.prim_arity;
               true
             | _ -> false
           in
+          (match p with
+          | Path.Pident id when not is_prim ->
+            known_arity := arity_of (Ident.name id)
+          | _ -> ());
           if banned_head name then
             alloc e.exp_loc (Printf.sprintf "call to [%s]" name);
           if not is_prim then begin
@@ -253,16 +284,21 @@ let scan_body ~unit_name ~file ~fname body =
           ||
           (* An application whose result is still an arrow is a partial
              application — except a fully-applied primitive (e.g.
-             [Array.get] fetching a stored closure), which just returns
-             the existing value. *)
-          match (Types.get_desc e.exp_type, !prim_arity) with
+             [Array.get] fetching a stored closure) or module-local
+             function (a getter of a cached thunk), which just returns
+             an existing value. *)
+          match (Types.get_desc e.exp_type, !known_arity) with
           | Tarrow _, Some arity -> List.length args < arity
           | Tarrow _, None -> true
           | _ -> false
         in
         if partial then alloc e.exp_loc "partial application (closure)";
         recurse ())
-    | Texp_function _ -> alloc e.exp_loc "closure"; recurse ()
+    | Texp_function _ ->
+      (* A local [let f x = ...] gives its [fun] a ghost location; the
+         closure is real all the same. *)
+      flag ~ghost_too:true "tl-hot-alloc" e.exp_loc "allocates: closure";
+      recurse ()
     | Texp_tuple _ -> alloc e.exp_loc "tuple"; recurse ()
     | Texp_record _ -> alloc e.exp_loc "record"; recurse ()
     | Texp_construct (lid, _, args) ->
@@ -351,7 +387,9 @@ let scan_unit config (u : Cmt_index.unit_info) =
         in
         if Hashtbl.mem reachable n && is_function then
           List.concat_map
-            (scan_body ~unit_name:u.modname ~file:u.source ~fname:n)
+            (scan_body ~unit_name:u.modname ~file:u.source ~fname:n
+               ~arity_of:(fun f ->
+                 Option.bind (Hashtbl.find_opt defined f) spine_arity))
             (bodies [] e)
         else [])
       binds

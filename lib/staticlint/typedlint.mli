@@ -6,9 +6,9 @@
     inventory and the sorted findings. *)
 val analyze : Cmt_index.t -> Inventory.entry list * Finding.t list
 
-(** (benchmark name, max minor_words_per_decision) budgets implied by
-    the hot-path allocation contract. *)
-val bench_budgets : (string * float) list
+(** (benchmark name, measured key, max value) minor-words budgets
+    implied by the hot-path allocation contract. *)
+val bench_budgets : (string * string * float) list
 
 (** Extract ["key": <number>] following ["benchmark"] in a JSON blob
     (exposed for tests). *)

@@ -6,6 +6,7 @@ let make ~loop_cost () =
   if loop_cost <= 0 then invalid_arg "Dhrystone.make: loop_cost <= 0";
   let c = { count = 0; samples = Series.create ~name:"dhrystone" () } in
   let started = ref false in
+  let compute = Hsfq_kernel.Workload_intf.Compute loop_cost in
   let next ~now =
     (* Each call after the first marks the completion of a loop. *)
     if !started then begin
@@ -13,7 +14,7 @@ let make ~loop_cost () =
       Series.add c.samples now 1.0
     end
     else started := true;
-    Hsfq_kernel.Workload_intf.Compute loop_cost
+    compute
   in
   (next, c)
 

@@ -9,13 +9,15 @@ let make ~mean_think ~burst ?(seed = 11) ?requests () =
   let requested_at = ref Time.zero in
   let state = ref `Thinking in
   let done_ () = match requests with Some n -> c.n >= n | None -> false in
+  (* Every burst is the same action: built once, not per wake. *)
+  let compute = Hsfq_kernel.Workload_intf.Compute burst in
   let next ~now =
     match !state with
     | `Thinking ->
       (* Woke up: issue the burst. *)
       requested_at := now;
       state := `Bursting;
-      Hsfq_kernel.Workload_intf.Compute burst
+      compute
     | `Bursting ->
       (* Burst complete: record response time, think again. *)
       let resp = Time.diff now !requested_at in

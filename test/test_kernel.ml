@@ -1435,6 +1435,45 @@ let test_mp_interrupt_on_cpu () =
     (2 * Time.seconds 1) (total + Kernel.interrupt_time k);
   audit_clean "per-CPU interrupt" k
 
+(* ------------------------- allocation ------------------------------- *)
+
+(* The steady-state P=1 cycle (wake -> dispatch -> interrupt pause/resume
+   -> slice completion -> sleep) allocates nothing of its own. The
+   workloads here return preallocated actions, so the only words left
+   are the float samples the kernel records per dispatch (boxed at the
+   [Series]/[Stats] call under [-opaque], unboxed where inlined).
+   Per-wake closures or boxed sleep targets push it past the ceiling. *)
+let kernel_cycle_words_ceiling = 4.0
+
+let test_cycle_minor_words () =
+  let k, leaf, sfq = make ~config:Kernel.default_config () in
+  for i = 0 to 31 do
+    let burst = W.Compute (Time.microseconds 300) in
+    let think = W.Sleep_for (Time.microseconds (2_000 + (37 * i))) in
+    let thinking = ref true in
+    let wl ~now:_ =
+      thinking := not !thinking;
+      if !thinking then think else burst
+    in
+    ignore (spawn_started k leaf sfq ~name:(Printf.sprintf "i%d" i) wl)
+  done;
+  ignore
+    (Kernel.add_interrupt_source k
+       (Interrupt_source.Periodic
+          { period = Time.milliseconds 1; cost = Time.microseconds 20 }));
+  let sim = Kernel.sim k in
+  (* Warm up until the per-thread sample series outgrow the minor heap
+     (their doubling is amortized, not per event). *)
+  Kernel.run_until k (Time.seconds 5);
+  let e0 = Sim.steps sim and w0 = Gc.minor_words () in
+  Kernel.run_until k (Time.seconds 8);
+  let words = Gc.minor_words () -. w0 and events = Sim.steps sim - e0 in
+  check_bool "events fired" true (events > 10_000);
+  let per_event = words /. float_of_int events in
+  if per_event > kernel_cycle_words_ceiling then
+    Alcotest.failf "kernel cycle allocates %.2f minor words/event (ceiling %.1f)"
+      per_event kernel_cycle_words_ceiling
+
 let () =
   Alcotest.run "kernel"
     [
@@ -1560,6 +1599,11 @@ let () =
             test_mp_cross_cpu_suspend_kill;
           Alcotest.test_case "per-CPU interrupt" `Quick
             test_mp_interrupt_on_cpu;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "steady P=1 cycle minor words" `Quick
+            test_cycle_minor_words;
         ] );
       ( "properties",
         [

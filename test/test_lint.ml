@@ -438,6 +438,45 @@ let test_allocpass_float_box () =
   check_bool "fully-applied float primitive doesn't box" false
     (has_rule "tl-float-box" fs)
 
+(* A CPU scan written as a local [let rec] inside a hot root captures the
+   root's arguments, so every call builds a closure; hoisted to the top
+   level with explicit arguments it allocates nothing, and calling a
+   module-local getter of a cached thunk with its full arity is not a
+   partial application. *)
+let test_allocpass_local_rec () =
+  let fs =
+    alloc_findings
+      "let hot cpus tid =\n\
+      \  let rec find i =\n\
+      \    if i >= Array.length cpus then -1\n\
+      \    else if cpus.(i) = tid then i\n\
+      \    else find (i + 1)\n\
+      \  in\n\
+      \  find 0\n"
+  in
+  check_bool "capturing local let rec flagged" true
+    (List.exists
+       (fun (f : Finding.t) -> String.equal f.rule "tl-hot-alloc" && f.line = 2)
+       fs);
+  let fs =
+    alloc_findings
+      "let rec find cpus tid i =\n\
+      \  if i >= Array.length cpus then -1\n\
+      \  else if cpus.(i) = tid then i\n\
+      \  else find cpus tid (i + 1)\n\
+       let thunk (cell : (unit -> unit) array) _i = cell.(0)\n\
+       let hot cpus tid cell = if find cpus tid 0 >= 0 then (thunk cell tid) ()\n"
+  in
+  check_int "hoisted scan and full-arity thunk getter are clean" 0
+    (List.length fs);
+  let fs =
+    alloc_findings
+      "let step a b () = ignore (a + b)\n\
+       let hot a = step a 1\n"
+  in
+  check_bool "local function under-applied is still a closure" true
+    (has_rule "tl-hot-alloc" fs)
+
 let test_allocpass_missing_root () =
   let fs = alloc_findings ~roots:[ "nonexistent" ] "let hot x = x\n" in
   check_bool "unknown root reported" true (has_rule "tl-hot-missing" fs)
@@ -521,6 +560,8 @@ let () =
           Alcotest.test_case "cold helpers and error paths" `Quick
             test_allocpass_cold_and_errors;
           Alcotest.test_case "float boxing" `Quick test_allocpass_float_box;
+          Alcotest.test_case "local let rec in a root" `Quick
+            test_allocpass_local_rec;
           Alcotest.test_case "missing root" `Quick test_allocpass_missing_root;
         ] );
       ( "bench-check",
