@@ -69,8 +69,8 @@ torture-smoke:
 	dune build @torture-smoke
 
 # Parallel-sweep smoke: a tiny jobs=2 torture sweep on the domain pool
-# and on the fork-based process backend (with a worker --minor-heap),
-# so both fan-out substrates stay wired from the CLI down.
+# with a worker --minor-heap, so the fan-out stays wired from the CLI
+# down.
 sweep-smoke:
 	dune build @sweep-smoke
 

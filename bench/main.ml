@@ -12,16 +12,15 @@
    and minor-heap words allocated — because the flat-array hot path
    claims *both* a small constant and steady-state allocation freedom.
 
-   Part 3 times the parallel sweep (Par.sweep, domain-pool and
-   fork-based process backends) against the serial run on two
-   multi-second fan-outs — a 10k-seed torture sweep and the full
-   experiment suite — and records serial/parallel wall-clock under the
-   JSON's "sweeps" section.  The verdicts of every run are compared on
+   Part 3 times the parallel sweep (Par.sweep on the domain pool)
+   against the serial run on multi-second fan-outs — two torture seed
+   sweeps and the full experiment suite — and records serial/parallel
+   wall-clock under the JSON's "sweeps" section.  The verdicts of every run are compared on
    the spot: a speedup that changed the answer is a bug, not a result.
    Only rows with a measured speedup above 1.0x are written to the JSON
    (hsfq_bench_diff hard-gates the sweeps section, higher-is-better);
-   losing configurations are printed and dropped, and the full
-   both-backend story lives in doc/PERFORMANCE.md.
+   losing configurations are printed and dropped, and the full story
+   lives in doc/PERFORMANCE.md.
 
    Results are emitted to BENCH_sched.json (override with --json PATH)
    so the performance trajectory is recorded across PRs; the before/after
@@ -333,8 +332,7 @@ let all_micros () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Part 3: serial vs parallel wall-clock on the big fan-outs, on both   *)
-(* the domain-pool and the fork-based process backend.                  *)
+(* Part 3: serial vs domain-pool wall-clock on the big fan-outs.        *)
 (* ------------------------------------------------------------------ *)
 
 type sweep_row = {
@@ -355,58 +353,42 @@ type sweep_row = {
    the comparison the sweeps gate defends. *)
 let sweep_minor_heap = 4_000_000
 
-(* The PR-4 parallel inversion was stop-the-world minor GC, so the
+(* The historical parallel inversion was stop-the-world minor GC, so the
    sweeps section records GC pressure next to the timings.  The count
-   must ride back with each task result: a forked worker's collections
-   are invisible to the parent's own [Gc] counters (separate process),
-   and a domain's are only partially visible (shared global counters).
-   [counted f] works identically in the calling domain, a pool domain
-   and a forked worker. *)
+   rides back with each task result: a worker domain's collections are
+   only partially visible to the caller's [Gc] counters (shared global
+   counters), while [counted f] works identically in the calling domain
+   and a pool domain. *)
 let counted f x =
   let c0 = (Gc.quick_stat ()).Gc.minor_collections in
   let r = f x in
   (r, (Gc.quick_stat ()).Gc.minor_collections - c0)
 
-let measure ?backend ?minor_heap ~jobs ~tasks f =
+let measure ?minor_heap ~jobs ~tasks f =
   let t0 = Unix.gettimeofday () in
-  let out = Par.sweep ?backend ?minor_heap ~jobs ~tasks (counted f) in
+  let out = Par.sweep ?minor_heap ~jobs ~tasks (counted f) in
   let dt = Unix.gettimeofday () -. t0 in
   let gcs = Array.fold_left (fun acc (_, c) -> acc + c) 0 out in
   (Array.map fst out, dt, gcs)
 
 (* Measure [f] over [tasks] once serially (runtime-default nursery, no
-   pool, no fork) and return a closure measuring one parallel backend at
-   [jobs] workers with [sweep_minor_heap]-word worker nurseries against
-   that shared baseline, comparing results with [equal].
-
-   The two phases are split because backend ORDER is load-bearing: OCaml
-   5 permanently forbids Unix.fork once any domain has ever been spawned
-   in the process, so every process-backend measurement must run before
-   the first domain-pool one.  A closure lets run_sweeps make that a
-   global property across all sweeps (all fork rows, then all domain
-   rows) rather than a per-sweep accident — a fallback row silently
-   labeled "processes" would defend the wrong numbers. *)
-let make_sweep ~name ~jobs ~tasks ~equal f =
-  let serial, serial_s, serial_minor_gcs =
-    measure ~backend:Par.Serial ~jobs:1 ~tasks f
+   pool) and once on the domain pool at [jobs] workers with
+   [sweep_minor_heap]-word nurseries, comparing results with [equal]. *)
+let measure_sweep ~name ~jobs ~tasks ~equal f =
+  let serial, serial_s, serial_minor_gcs = measure ~jobs:1 ~tasks f in
+  let par, parallel_s, parallel_minor_gcs =
+    measure ~minor_heap:sweep_minor_heap ~jobs ~tasks f
   in
-  fun backend ->
-    let par, parallel_s, parallel_minor_gcs =
-      measure ~backend ~minor_heap:sweep_minor_heap ~jobs ~tasks f
-    in
-    if not (equal serial par) then
-      failwith
-        (Printf.sprintf "bench: %s verdicts differ on the %s backend" name
-           (Par.backend_to_string backend));
-    {
-      sweep_name =
-        Printf.sprintf "%s backend=%s" name (Par.backend_to_string backend);
-      jobs;
-      serial_s;
-      parallel_s;
-      serial_minor_gcs;
-      parallel_minor_gcs;
-    }
+  if not (equal serial par) then
+    failwith (Printf.sprintf "bench: %s verdicts differ on the domain pool" name);
+  {
+    sweep_name = name;
+    jobs;
+    serial_s;
+    parallel_s;
+    serial_minor_gcs;
+    parallel_minor_gcs;
+  }
 
 (* Torture seed sweep: [seeds] independent lifecycle-stress runs.  Many
    short seeds rather than a few long ones: fan-out wins come from
@@ -422,7 +404,7 @@ let torture_sweep ~jobs ~seeds ~ops =
         && Bool.equal (T.failed x) (T.failed y))
       a b
   in
-  make_sweep
+  measure_sweep
     ~name:(Printf.sprintf "torture/seeds=%d ops=%d" seeds ops)
     ~jobs ~tasks:seed_arr ~equal
     (fun seed -> T.run { cfg with T.seed })
@@ -430,7 +412,7 @@ let torture_sweep ~jobs ~seeds ~ops =
 (* Full experiment suite: every figure computed once. *)
 let experiments_sweep ~jobs =
   let tasks = Array.of_list E.Registry.all in
-  make_sweep ~name:"experiments/all" ~jobs ~tasks
+  measure_sweep ~name:"experiments/all" ~jobs ~tasks
     ~equal:(Array.for_all2 Bool.equal)
     (fun (e : E.Registry.entry) -> E.Common.all_ok (e.compute ()).checks)
 
@@ -455,40 +437,19 @@ let print_sweeps rows =
 
 let run_sweeps () =
   print_endline "\n==================================================================";
-  print_endline " Part 3: parallel sweeps, serial vs domains vs processes";
+  print_endline " Part 3: parallel sweeps, serial vs the domain pool";
   print_endline "==================================================================";
   (* At least two workers, even on a single-core box: a 1-vs-1 "sweep"
-     would measure nothing.  On one core the domain pool is expected to
-     lose (oversubscription + stop-the-world rendezvous) while the
-     process backend can still win on worker-side GC tuning; the JSON
-     keeps only configurations that actually beat serial. *)
+     would measure nothing.  On one core the pool is expected to lose
+     (oversubscription + stop-the-world rendezvous); the JSON keeps only
+     configurations that actually beat serial. *)
   let jobs = Int.max 2 (Par.default_jobs ()) in
   (* Two torture shapes: breadth (10k+ short seeds, the scale ROADMAP
-     asks the rig to sustain — fork/marshal overhead dominates) and
-     depth (few long seeds, where per-worker nursery sizing pays; this
-     is the configuration the committed speedup defends). *)
-  let sweeps =
-    [
-      torture_sweep ~jobs ~seeds:10_240 ~ops:120;
-      torture_sweep ~jobs ~seeds:16 ~ops:20_000;
-      experiments_sweep ~jobs;
-    ]
-  in
-  (* Fork rows first, across ALL sweeps, then domain rows: once a domain
-     has been spawned Unix.fork is off the table for the rest of the
-     process, and Par.sweep would silently substitute the domain pool
-     under the "processes" label. *)
-  let proc_rows =
-    if Par.processes_available () then
-      List.map (fun sweep -> sweep Par.Processes) sweeps
-    else begin
-      print_endline
-        "note: process backend unavailable (non-Unix, or a domain was \
-         already spawned); skipping its rows";
-      []
-    end
-  in
-  let rows = proc_rows @ List.map (fun sweep -> sweep Par.Domains) sweeps in
+     asks the rig to sustain) and depth (few long seeds, where
+     per-worker nursery sizing pays). *)
+  let torture_breadth = torture_sweep ~jobs ~seeds:10_240 ~ops:120 in
+  let torture_depth = torture_sweep ~jobs ~seeds:16 ~ops:20_000 in
+  let rows = [ torture_breadth; torture_depth; experiments_sweep ~jobs ] in
   print_sweeps rows;
   rows
 
@@ -1396,13 +1357,9 @@ let run_smoke () =
       Printf.printf "  ok %s/%s\n" m.group m.name)
     (all_micros ());
   (* One cheap pass through the Par.sweep path: 2 torture seeds, serial
-     vs 2 forked processes vs 2 domains, verdicts compared inside.
-     Processes before domains — forking is forbidden after the first
-     Domain.spawn. *)
-  let sweep = torture_sweep ~jobs:2 ~seeds:2 ~ops:1_000 in
-  if Par.processes_available () then ignore (sweep Par.Processes);
-  ignore (sweep Par.Domains);
-  print_endline "  ok sweep/torture determinism (serial vs processes vs domains)";
+     vs 2 domains, verdicts compared inside. *)
+  ignore (torture_sweep ~jobs:2 ~seeds:2 ~ops:1_000);
+  print_endline "  ok sweep/torture determinism (serial vs domain pool)";
   print_endline "bench smoke PASSED."
 
 let () =

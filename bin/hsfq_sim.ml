@@ -16,8 +16,8 @@ module Par = Hsfq_par.Par
    cmdliner so it applies uniformly to every subcommand. The size is
    applied twice: to the calling domain here (covering serial runs), and
    inside every sweep worker at startup via Par.sweep's ?minor_heap — a
-   fresh domain or forked process starts from the runtime default, not
-   from this domain's setting, so the worker-side application is the one
+   fresh domain starts from the runtime default, not from this domain's
+   setting, so the worker-side application is the one
    that matters for parallel runs. *)
 let filtered_argv, cli_minor_heap =
   let argv = Sys.argv in
@@ -69,16 +69,6 @@ let jobs_arg =
   in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-(* Shared --backend flag: execution substrate for the sweep workers. *)
-let backend_arg =
-  let doc =
-    "Parallel backend for the sweep: $(b,domains) (shared-heap OCaml 5 \
-     domain pool), $(b,processes) (fork-based worker pool, no GC \
-     synchronization) or $(b,serial). Results are byte-identical across \
-     backends; only wall-clock differs (see doc/PERFORMANCE.md)."
-  in
-  Arg.(value & opt (enum Par.all_backends) Par.Domains & info [ "backend" ] ~docv:"BACKEND" ~doc)
-
 let list_cmd =
   let doc = "List the reproduction experiments." in
   let run () =
@@ -91,7 +81,7 @@ let list_cmd =
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 
-let run_experiments ids all quiet metrics jobs backend =
+let run_experiments ids all quiet metrics jobs =
   let entries =
     if all then E.Registry.all
     else
@@ -114,7 +104,7 @@ let run_experiments ids all quiet metrics jobs backend =
      (Domain.DLS keeps them independent) and ships back the rendered
      per-node table. *)
   let computed =
-    Par.sweep ~backend ?minor_heap:cli_minor_heap ~jobs
+    Par.sweep ?minor_heap:cli_minor_heap ~jobs
       ~tasks:(Array.of_list entries)
       (fun (e : E.Registry.entry) ->
         if metrics then begin
@@ -158,8 +148,7 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run_experiments $ ids $ all $ quiet $ metrics $ jobs_arg
-      $ backend_arg)
+      const run_experiments $ ids $ all $ quiet $ metrics $ jobs_arg)
 
 (* A small live demo: the Figure 2 classes with a handful of threads,
    rendered as an ASCII Gantt chart. *)
@@ -302,7 +291,7 @@ let tree_cmd =
   let doc = "Print the paper's Figure 2 scheduling structure and its shares." in
   Cmd.v (Cmd.info "tree" ~doc) Term.(const tree_demo $ const ())
 
-let csv_export ids all dir jobs backend =
+let csv_export ids all dir jobs =
   let ids = if all then E.Csv_export.exportable () else ids in
   if ids = [] then begin
     Printf.eprintf "nothing to export; give figure ids or --all\n";
@@ -312,7 +301,7 @@ let csv_export ids all dir jobs backend =
   (* Simulations run on the sweep; all file writes happen at the join,
      in figure order, so the CSV bytes on disk match a serial export. *)
   let exported =
-    Par.sweep ~backend ?minor_heap:cli_minor_heap ~jobs
+    Par.sweep ?minor_heap:cli_minor_heap ~jobs
       ~tasks:(Array.of_list ids) E.Csv_export.export
   in
   Array.iter
@@ -340,12 +329,12 @@ let csv_cmd =
     Arg.(value & opt string "figures" & info [ "dir"; "d" ] ~docv:"DIR" ~doc:"Output directory.")
   in
   Cmd.v (Cmd.info "csv" ~doc)
-    Term.(const csv_export $ ids $ all $ dir $ jobs_arg $ backend_arg)
+    Term.(const csv_export $ ids $ all $ dir $ jobs_arg)
 
 (* Lifecycle torture: run the seeded stress driver, report, and shrink
    failing traces to a minimal reproducer. *)
 let torture_run seed seeds ops audit_period max_leaves max_spawns prepopulate
-    cpus do_shrink quiet jobs backend =
+    cpus do_shrink quiet jobs =
   let module T = Hsfq_torture.Torture in
   let failures = ref 0 in
   let last = seed + Int.max 0 (seeds - 1) in
@@ -357,7 +346,7 @@ let torture_run seed seeds ops audit_period max_leaves max_spawns prepopulate
      itself seed-deterministic) happens at the join in seed order, so
      the transcript is byte-identical for every --jobs value. *)
   let outcomes =
-    T.sweep ~jobs ~backend ?minor_heap:cli_minor_heap cfg ~seeds:seed_array
+    T.sweep ~jobs ?minor_heap:cli_minor_heap cfg ~seeds:seed_array
   in
   Array.iteri
     (fun i (o : T.outcome) ->
@@ -425,8 +414,7 @@ let torture_cmd =
   Cmd.v (Cmd.info "torture" ~doc)
     Term.(
       const torture_run $ seed $ seeds $ ops $ audit_period $ max_leaves
-      $ max_spawns $ prepopulate $ cpus $ do_shrink $ quiet $ jobs_arg
-      $ backend_arg)
+      $ max_spawns $ prepopulate $ cpus $ do_shrink $ quiet $ jobs_arg)
 
 let main =
   let doc =

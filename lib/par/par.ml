@@ -1,33 +1,4 @@
-type backend = Serial | Domains | Processes
-
-let backend_to_string = function
-  | Serial -> "serial"
-  | Domains -> "domains"
-  | Processes -> "processes"
-
-let all_backends =
-  [ ("serial", Serial); ("domains", Domains); ("processes", Processes) ]
-
-let backend_of_string s =
-  match String.lowercase_ascii s with
-  | "serial" -> Ok Serial
-  | "domains" | "d" -> Ok Domains
-  | "processes" | "p" -> Ok Processes
-  | _ ->
-    Error
-      (Printf.sprintf "unknown backend %S (expected serial|domains|processes)" s)
-
 let available_cores () = Int.max 1 (Domain.recommended_domain_count ())
-
-(* OCaml 5's [Unix.fork] refuses to run once any domain has ever been
-   spawned in the process (a forked child of a multi-domain runtime is
-   unsound: the other domains' threads don't survive the fork).  The
-   spawn is a one-way door — joining the domains does not re-enable
-   fork — so track it and let the Processes backend degrade to the
-   domain pool, which honors the identical sweep contract. *)
-let domains_ever_spawned = Atomic.make false
-
-let processes_available () = Sys.unix && not (Atomic.get domains_ever_spawned)
 
 (* The one jobs-resolution policy (bin/hsfq_sim, Torture.sweep and the
    bench all used to roll their own, divergently): <= 0 means "auto",
@@ -39,475 +10,100 @@ let resolve_jobs jobs = if jobs <= 0 then available_cores () else jobs
 
 let default_jobs () = resolve_jobs 0
 
-exception Worker_failure of { index : int option; message : string }
-
-let () =
-  Printexc.register_printer (function
-    | Worker_failure { index; message } ->
-      Some
-        (Printf.sprintf "Par.Worker_failure(%s: %s)"
-           (match index with
-           | Some i -> Printf.sprintf "task %d" i
-           | None -> "task unknown")
-           message)
-    | _ -> None)
-
 let set_minor_heap = function
   | None -> ()
   | Some words ->
     if words > 0 then Gc.set { (Gc.get ()) with Gc.minor_heap_size = words }
 
-module Pool = struct
-  (* Workers block on [work] until the submitter publishes a new epoch's
-     job (a self-scheduling chunk loop over an Atomic index — the
-     "deque" is a bump counter, which is all a sweep of independent
-     tasks needs). The submitting domain runs the same job itself, then
-     waits on [done_] until every worker has retired the epoch. *)
-  type t = {
-    lock : Mutex.t;
-    work : Condition.t;
-    done_ : Condition.t;
-    mutable epoch : int;
-    mutable job : (unit -> unit) option; (* never raises *)
-    mutable left : int; (* workers still inside the current epoch *)
-    mutable stop : bool;
-    mutable domains : unit Domain.t array;
-    minor_heap : int option;
-  }
+(* Spawn up to [workers] domains running [job].  The runtime caps the
+   number of live domains (and [Domain.spawn] raises [Failure] once the
+   cap is reached); the workers already running keep their place, so a
+   [jobs] above the cap just means a smaller pool, and a refused first
+   spawn means the caller does all the work alone. *)
+let spawn_workers ~minor_heap ~workers job =
+  let rec go k acc =
+    if k = workers then acc
+    else
+      match
+        Domain.spawn (fun () ->
+            (* A fresh domain starts on the runtime-default nursery
+               whatever the main domain set, so per-worker sizing must
+               happen here. *)
+            set_minor_heap minor_heap;
+            job ())
+      with
+      | d -> go (k + 1) (d :: acc)
+      | exception Failure _ -> acc
+  in
+  go 0 []
 
-  let worker ~minor_heap t =
-    (* A fresh domain starts on the runtime-default nursery whatever the
-       main domain set, so per-worker sizing must happen here. *)
-    set_minor_heap minor_heap;
-    let my_epoch = ref 0 in
-    let running = ref true in
-    while !running do
-      Mutex.lock t.lock;
-      while (not t.stop) && t.epoch = !my_epoch do
-        Condition.wait t.work t.lock
-      done;
-      if t.stop then begin
-        Mutex.unlock t.lock;
-        running := false
-      end
-      else begin
-        my_epoch := t.epoch;
-        let job = t.job in
-        Mutex.unlock t.lock;
-        (match job with Some f -> f () | None -> ());
-        Mutex.lock t.lock;
-        t.left <- t.left - 1;
-        if t.left = 0 then Condition.broadcast t.done_;
-        Mutex.unlock t.lock
-      end
-    done
-
-  let create ?minor_heap ~workers () =
-    if workers < 0 then invalid_arg "Par.Pool.create: negative workers";
-    let t =
-      {
-        lock = Mutex.create ();
-        work = Condition.create ();
-        done_ = Condition.create ();
-        epoch = 0;
-        job = None;
-        left = 0;
-        stop = false;
-        domains = [||];
-        minor_heap;
-      }
+(* One sweep on [workers] extra domains plus the calling one: every
+   domain runs the same self-scheduling chunk loop over an atomic index
+   (the "deque" is a bump counter, which is all a sweep of independent
+   tasks needs), and the join publishes their result stores. *)
+let pool_sweep ~minor_heap ~workers ~tasks f =
+  let n = Array.length tasks in
+  let chunk = Int.max 1 (n / (4 * (workers + 1))) in
+  let next = Atomic.make 0 in
+  (* Option slots keep ['b] boxed, so concurrent stores to distinct
+     indices are plain pointer writes (no float-array flattening). *)
+  let results = Array.make n None in
+  let exns = Array.make n None in
+  let first_failed = Atomic.make max_int in
+  let record_failure i =
+    let rec go () =
+      let cur = Atomic.get first_failed in
+      if i < cur && not (Atomic.compare_and_set first_failed cur i) then go ()
     in
-    if workers > 0 then Atomic.set domains_ever_spawned true;
-    t.domains <-
-      Array.init workers (fun _ -> Domain.spawn (fun () -> worker ~minor_heap t));
-    t
-
-  let workers t = Array.length t.domains
-
-  let run_job t job =
-    Mutex.lock t.lock;
-    t.job <- Some job;
-    t.epoch <- t.epoch + 1;
-    t.left <- Array.length t.domains;
-    Condition.broadcast t.work;
-    Mutex.unlock t.lock;
-    job ();
-    Mutex.lock t.lock;
-    while t.left > 0 do
-      Condition.wait t.done_ t.lock
-    done;
-    t.job <- None;
-    Mutex.unlock t.lock
-
-  let shutdown t =
-    Mutex.lock t.lock;
-    t.stop <- true;
-    Condition.broadcast t.work;
-    Mutex.unlock t.lock;
-    Array.iter Domain.join t.domains;
-    t.domains <- [||]
-
-  let with_pool ?minor_heap ~workers f =
-    let t = create ?minor_heap ~workers () in
-    Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-
-  let serial tasks f = Array.map f tasks
-
-  let sweep ?chunk t ~tasks ~f =
-    let n = Array.length tasks in
-    if n <= 1 || workers t = 0 then serial tasks f
-    else begin
-      let parallelism = workers t + 1 in
-      let chunk =
-        match chunk with
-        | Some c ->
-          if c < 1 then invalid_arg "Par.Pool.sweep: chunk < 1";
-          c
-        | None -> Int.max 1 (n / (4 * parallelism))
-      in
-      let next = Atomic.make 0 in
-      (* Option slots keep ['b] boxed, so concurrent stores to distinct
-         indices are plain pointer writes (no float-array flattening),
-         and the mutex hand-off at epoch end publishes them. *)
-      let results = Array.make n None in
-      let exns = Array.make n None in
-      let first_failed = Atomic.make max_int in
-      let record_failure i =
-        let rec go () =
-          let cur = Atomic.get first_failed in
-          if i < cur && not (Atomic.compare_and_set first_failed cur i) then
-            go ()
-        in
-        go ()
-      in
-      let job () =
-        let continue = ref true in
-        while !continue do
-          let start = Atomic.fetch_and_add next chunk in
-          if start >= n || Atomic.get first_failed < max_int then
-            continue := false
-          else
-            for i = start to Int.min n (start + chunk) - 1 do
-              match f tasks.(i) with
-              | r -> results.(i) <- Some r
-              | exception e ->
-                exns.(i) <- Some (e, Printexc.get_raw_backtrace ());
-                record_failure i
-            done
-        done
-      in
-      (* The submitting domain does task work too, so it adopts the
-         pool's worker nursery for the duration of the sweep (restored
-         after): every task of a ~minor_heap sweep sees the requested
-         nursery, whichever domain claims its chunk. *)
-      let saved = (Gc.get ()).Gc.minor_heap_size in
-      Fun.protect
-        ~finally:(fun () ->
-          if t.minor_heap <> None then
-            Gc.set { (Gc.get ()) with Gc.minor_heap_size = saved })
-        (fun () ->
-          set_minor_heap t.minor_heap;
-          run_job t job);
-      match Atomic.get first_failed with
-      | i when i = max_int ->
-        Array.map
-          (function Some r -> r | None -> assert false (* all tasks ran *))
-          results
-      | i -> (
-        match exns.(i) with
-        | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-        | None -> assert false (* first_failed only set with exns.(i) *))
-    end
-end
-
-(* ------------------------------------------------------------------ *)
-(* Process fan-out: fork workers, feed them chunk descriptors over a   *)
-(* shared pipe, marshal results back per chunk.                        *)
-(* ------------------------------------------------------------------ *)
-
-module Proc = struct
-  (* Chunk descriptors are 16-byte records (start, len as int64 LE) on
-     one pipe shared by every worker.  Writes of 16 bytes are atomic
-     (far below PIPE_BUF), so the competing readers self-schedule
-     exactly like the domain pool's atomic counter: whichever worker is
-     idle wins the next chunk.  The descriptor count is capped so the
-     whole batch fits the pipe's buffer and the submitter can pre-write
-     every record and close — no descriptor-side select loop, and no
-     deadlock even if every worker dies without reading a byte. *)
-  let record_bytes = 16
-  let max_chunks = 2048 (* 2048 * 16 B = 32 KiB, under any pipe buffer *)
-
-  let rec write_all fd buf ofs len =
-    if len > 0 then begin
-      match Unix.write fd buf ofs len with
-      | w -> write_all fd buf (ofs + w) (len - w)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd buf ofs len
-    end
-
-  (* Read exactly [len] bytes; [`Eof] only at a record boundary (pipe
-     writes are atomic, so a clean EOF cannot split a record). *)
-  let rec really_read fd buf ofs len =
-    if len = 0 then `Ok
-    else begin
-      match Unix.read fd buf ofs len with
-      | 0 -> if len = record_bytes then `Eof else `Truncated
-      | r -> really_read fd buf (ofs + r) (len - r)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-        really_read fd buf ofs len
-    end
-
-  (* Worker-to-submitter chunk report: the results of tasks
-     [start .. start+len-1], or the lowest in-chunk failure.  Reports
-     are marshalled with [Closures] — parent and child share one
-     executable image under fork, which is exactly the case that flag
-     supports. *)
-  type 'b report = Done of 'b list | Failed of int * string
-
-  let worker_loop ~minor_heap ~task_r ~out_fd ~tasks ~f =
-    set_minor_heap minor_heap;
-    let oc = Unix.out_channel_of_descr out_fd in
-    let buf = Bytes.create record_bytes in
-    let running = ref true in
-    while !running do
-      match really_read task_r buf 0 record_bytes with
-      | `Eof | `Truncated -> running := false
-      | `Ok ->
-        let start = Int64.to_int (Bytes.get_int64_le buf 0) in
-        let len = Int64.to_int (Bytes.get_int64_le buf 8) in
-        let rec collect k acc =
-          if k = len then Done (List.rev acc)
-          else begin
-            match f tasks.(start + k) with
-            | r -> collect (k + 1) (r :: acc)
-            | exception e -> Failed (start + k, Printexc.to_string e)
-          end
-        in
-        let report = collect 0 [] in
-        let msg =
-          (* Serialize before touching the pipe: a mid-stream marshal
-             failure would corrupt the framing for the submitter. *)
-          match Marshal.to_string (start, report) [ Marshal.Closures ] with
-          | m -> m
+    go ()
+  in
+  let job () =
+    let continue = ref true in
+    while !continue do
+      let start = Atomic.fetch_and_add next chunk in
+      if start >= n || Atomic.get first_failed < max_int then
+        continue := false
+      else
+        for i = start to Int.min n (start + chunk) - 1 do
+          match f tasks.(i) with
+          | r -> results.(i) <- Some r
           | exception e ->
-            Marshal.to_string
-              (start, Failed (start, "unmarshallable result: " ^ Printexc.to_string e))
-              []
-        in
-        output_string oc msg;
-        flush oc
-    done;
-    close_out_noerr oc
+            exns.(i) <- Some (e, Printexc.get_raw_backtrace ());
+            record_failure i
+        done
+    done
+  in
+  (* The calling domain does task work too, so it adopts the workers'
+     nursery for the duration of the sweep (restored after): every task
+     of a ~minor_heap sweep sees the requested nursery, whichever domain
+     claims its chunk. *)
+  let saved = (Gc.get ()).Gc.minor_heap_size in
+  let domains = spawn_workers ~minor_heap ~workers job in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter Domain.join domains;
+      if minor_heap <> None then
+        Gc.set { (Gc.get ()) with Gc.minor_heap_size = saved })
+    (fun () ->
+      set_minor_heap minor_heap;
+      job ());
+  match Atomic.get first_failed with
+  | i when i = max_int ->
+    Array.map
+      (function Some r -> r | None -> assert false (* all tasks ran *))
+      results
+  | i -> (
+    match exns.(i) with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> assert false (* first_failed only set with exns.(i) *))
 
-  type child = { pid : int; result_r : Unix.file_descr }
-
-  (* Raised (internally) when the very first fork is refused — e.g. the
-     runtime's domains-were-created restriction; the caller falls back
-     to the domain pool. *)
-  exception Fork_unavailable of string
-
-  let sweep ?chunk ?minor_heap ~jobs ~tasks f =
-    let n = Array.length tasks in
-    let workers = Int.min jobs n in
-    let chunk =
-      match chunk with
-      | Some c ->
-        if c < 1 then invalid_arg "Par.sweep: chunk < 1";
-        c
-      | None -> Int.max 1 (n / (4 * workers))
-    in
-    let chunk = Int.max chunk ((n + max_chunks - 1) / max_chunks) in
-    let task_r, task_w = Unix.pipe () in
-    (* Fork the pool.  Each child closes every parent-side descriptor it
-       inherited: the task-pipe write end (so EOF reaches workers once
-       the submitter is done writing) and the result-pipe read ends of
-       earlier siblings.  The parent closes each child's result write
-       end immediately, so a child's exit — clean or not — is an EOF on
-       its result pipe, never a hang. *)
-    let children =
-      let acc = ref [] in
-      (try
-         for _ = 1 to workers do
-           let result_r, result_w = Unix.pipe () in
-           match Unix.fork () with
-           | 0 ->
-             Unix.close task_w;
-             Unix.close result_r;
-             List.iter (fun c -> try Unix.close c.result_r with Unix.Unix_error _ -> ()) !acc;
-             (try worker_loop ~minor_heap ~task_r ~out_fd:result_w ~tasks ~f
-              with _ -> ());
-             (* _exit: never run the parent's at_exit hooks or flush its
-                inherited stdio buffers from the child. *)
-             Unix._exit 0
-           | pid ->
-             Unix.close result_w;
-             acc := { pid; result_r } :: !acc
-           | exception e ->
-             (try Unix.close result_r with Unix.Unix_error _ -> ());
-             (try Unix.close result_w with Unix.Unix_error _ -> ());
-             raise e
-         done
-       with e when !acc = [] ->
-         (* not a single worker forked: report up so the caller can run
-            the sweep on the domain pool instead.  (If at least one
-            worker exists, a later fork failure just means a smaller
-            pool: the shared descriptor pipe lets the survivors finish
-            every chunk.) *)
-         (try Unix.close task_r with Unix.Unix_error _ -> ());
-         (try Unix.close task_w with Unix.Unix_error _ -> ());
-         raise (Fork_unavailable (Printexc.to_string e)));
-      List.rev !acc
-    in
-    (* Pre-write every chunk descriptor and close: the cap above keeps
-       the batch within the pipe buffer, so this cannot block, and a
-       fully-dead pool surfaces as EPIPE (ignored — the drain below
-       reports the real failure), not SIGPIPE. *)
-    let old_sigpipe =
-      try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> None
-    in
-    let results = Array.make n None in
-    let failures = ref [] in
-    let crashes = ref [] in
-    let task_closed = ref false in
-    let close_task () =
-      (* flag, not double-close: fd numbers are reused, so a second
-         [Unix.close] by number could hit an unrelated descriptor *)
-      if not !task_closed then begin
-        task_closed := true;
-        (try Unix.close task_w with Unix.Unix_error _ -> ());
-        (try Unix.close task_r with Unix.Unix_error _ -> ())
-      end
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        close_task ();
-        match old_sigpipe with
-        | Some h -> Sys.set_signal Sys.sigpipe h
-        | None -> ())
-      (fun () ->
-        (try
-           let buf = Bytes.create record_bytes in
-           let start = ref 0 in
-           while !start < n do
-             let len = Int.min chunk (n - !start) in
-             Bytes.set_int64_le buf 0 (Int64.of_int !start);
-             Bytes.set_int64_le buf 8 (Int64.of_int len);
-             write_all task_w buf 0 record_bytes;
-             start := !start + len
-           done
-         with Unix.Unix_error (Unix.EPIPE, _, _) -> ());
-        close_task ();
-        (* Drain workers one by one.  A worker blocked writing a large
-           report only needs its own reader, and every worker can always
-           finish its remaining chunks (the descriptor pipe is fully
-           written), so a sequential drain cannot deadlock. *)
-        List.iter
-          (fun c ->
-            let ic = Unix.in_channel_of_descr c.result_r in
-            let draining = ref true in
-            while !draining do
-              match (Marshal.from_channel ic : int * _ report) with
-              | start, Done rs ->
-                List.iteri (fun k r -> results.(start + k) <- Some r) rs
-              | _, Failed (i, msg) -> failures := (i, msg) :: !failures
-              | exception End_of_file -> draining := false
-              | exception Failure msg ->
-                (* torn marshal stream: the worker died mid-report *)
-                crashes := Printf.sprintf "truncated result stream (%s)" msg :: !crashes;
-                draining := false
-            done;
-            close_in_noerr ic;
-            let rec reap () =
-              match Unix.waitpid [] c.pid with
-              | _, Unix.WEXITED 0 -> ()
-              | _, Unix.WEXITED code ->
-                crashes :=
-                  Printf.sprintf "worker pid %d exited with code %d" c.pid code
-                  :: !crashes
-              | _, Unix.WSIGNALED sg | _, Unix.WSTOPPED sg ->
-                crashes :=
-                  Printf.sprintf "worker pid %d killed by signal %d" c.pid sg
-                  :: !crashes
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap ()
-              | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
-            in
-            reap ())
-          children);
-    (* Join, mirroring the domain pool's determinism rule: the lowest
-       failing task index wins.  Marshalling cannot preserve exception
-       identity across the process boundary, so re-run that single task
-       here to re-raise the genuine exception — equivalent for the
-       deterministic tasks the sweep contract assumes. *)
-    match
-      List.sort (fun (i, _) (j, _) -> Int.compare i j) !failures
-    with
-    | (i, msg) :: _ ->
-      ignore (f tasks.(i));
-      raise
-        (Worker_failure
-           {
-             index = Some i;
-             message =
-               Printf.sprintf
-                 "task raised %s in the worker but not when re-run" msg;
-           })
-    | [] ->
-      let missing = ref None in
-      for i = n - 1 downto 0 do
-        match results.(i) with None -> missing := Some i | Some _ -> ()
-      done;
-      (match !missing with
-      | Some i ->
-        let detail =
-          match !crashes with
-          | [] -> "worker delivered no result"
-          | l -> String.concat "; " l
-        in
-        raise (Worker_failure { index = Some i; message = detail })
-      | None ->
-        Array.map
-          (function Some r -> r | None -> assert false)
-          results)
-end
-
-let warned_fork_unavailable = Atomic.make false
-
-let sweep ?(backend = Domains) ?minor_heap ?chunk ~jobs ~tasks f =
+let sweep ?minor_heap ~jobs ~tasks f =
   let n = Array.length tasks in
   let jobs = resolve_jobs jobs in
-  let on_domains () =
-    Pool.with_pool ?minor_heap
-      ~workers:(Int.min (jobs - 1) (n - 1))
-      (fun pool -> Pool.sweep ?chunk pool ~tasks ~f)
-  in
-  if jobs <= 1 || n <= 1 then Pool.serial tasks f
-  else begin
-    match backend with
-    | Serial -> Pool.serial tasks f
-    | Processes when processes_available () -> (
-      try Proc.sweep ?chunk ?minor_heap ~jobs ~tasks f
-      with Proc.Fork_unavailable reason ->
-        (* e.g. a domain spawned by code outside this module, which the
-           [processes_available] flag cannot see *)
-        if not (Atomic.exchange warned_fork_unavailable true) then
-          Printf.eprintf
-            "Par.sweep: fork unavailable (%s); running the processes \
-             sweep on the domain pool\n%!"
-            reason;
-        on_domains ())
-    | Processes ->
-      (* No fork on this platform, or domains already spawned in this
-         process (OCaml forbids fork after the first Domain.spawn,
-         permanently).  The domain pool honors the identical contract —
-         results are byte-for-byte the same, only wall-clock differs. *)
-      if Sys.unix && not (Atomic.exchange warned_fork_unavailable true) then
-        Printf.eprintf
-          "Par.sweep: processes backend requested after domains were \
-           spawned in this process; running on the domain pool\n%!";
-      on_domains ()
-    | Domains -> on_domains ()
-  end
+  if jobs <= 1 || n <= 1 then Array.map f tasks
+  else pool_sweep ~minor_heap ~workers:(Int.min (jobs - 1) (n - 1)) ~tasks f
 
-let sweep_seeded ?backend ?minor_heap ?chunk ~jobs ~rng ~tasks f =
+let sweep_seeded ?minor_heap ~jobs ~rng ~tasks f =
   let tasks = Array.mapi (fun i task -> (i, task)) tasks in
-  sweep ?backend ?minor_heap ?chunk ~jobs ~tasks (fun (i, task) ->
+  sweep ?minor_heap ~jobs ~tasks (fun (i, task) ->
       f ~rng:(Hsfq_engine.Prng.stream rng i) task)

@@ -1,4 +1,4 @@
-(** Parallel backends for whole-simulation sweeps.
+(** Parallel whole-simulation sweeps on a pool of OCaml 5 domains.
 
     Everything this repository fans out — torture seed sweeps, figure
     regeneration, CSV export, differential-oracle batches, benchmark
@@ -12,25 +12,12 @@
     output a task would print must instead be returned as data and
     rendered at the join point, in index order, by the caller.
 
-    Two parallel backends implement that contract (plus a trivial
-    {!Serial} one):
-
-    - {!Domains} — a fixed pool of OCaml 5 domains pulling task-index
-      chunks off an atomic counter ({!Pool}). Shared heap, cheap
-      spawn, but every minor collection is a stop-the-world rendezvous
-      across the pool, so allocation-heavy sweeps on few cores pay a
-      synchronization tax.
-    - {!Processes} — a [Unix.fork]-based worker pool. Each worker is a
-      full process with its own heap and GC; chunk indices travel to
-      workers over a shared pipe (16-byte records, atomic well below
-      [PIPE_BUF]) and results come back marshalled per chunk. No
-      shared heap at all: independent seeds/experiments need none, so
-      GC never synchronizes, and each worker can size its own nursery
-      ({!sweep}'s [?minor_heap]). Tasks and [f] reach workers through
-      fork's memory image — only {e results} are marshalled
-      ([Marshal.Closures], same executable image), so a task's result
-      must survive a marshal round-trip (everything this repo sweeps —
-      strings, outcome records, computed figures — does).
+    A parallel sweep spawns its worker domains, which — together with
+    the calling domain — pull task-index chunks off an atomic counter,
+    and joins them before returning. The heap is shared, so every minor
+    collection is a stop-the-world rendezvous across the pool;
+    [?minor_heap] trades memory for fewer of them on allocation-heavy
+    sweeps.
 
     Domain-safety rules for task functions (enforced by convention and
     by the [toplevel-mutable] lint on [lib/engine] / [lib/torture],
@@ -39,41 +26,10 @@
     share simulator objects with any other task. All of [lib/engine],
     [lib/core], [lib/kernel] and [lib/torture] keep their state inside
     instances created per run, so a task that builds its own world is
-    safe by construction. The same rules keep the {!Processes} backend
-    correct: a forked worker that only reads the pre-fork image and
-    returns data cannot diverge from the serial run. *)
-
-type backend =
-  | Serial  (** plain [Array.map] in the caller — no pool, no fork *)
-  | Domains  (** shared-heap OCaml 5 domain pool ({!Pool}) *)
-  | Processes
-      (** [Unix.fork] worker pool, marshalled results; falls back to
-          {!Domains} on platforms without [fork] and in processes where
-          fork is no longer allowed (see {!processes_available}) *)
-
-val backend_to_string : backend -> string
-
-val backend_of_string : string -> (backend, string) result
-(** Accepts ["serial"], ["domains"], ["processes"] (and the short forms
-    ["d"] / ["p"]). *)
-
-val all_backends : (string * backend) list
-(** Assoc list for CLI enums, in [serial; domains; processes] order. *)
+    safe by construction. *)
 
 val available_cores : unit -> int
 (** [Domain.recommended_domain_count ()], clamped to at least 1. *)
-
-val processes_available : unit -> bool
-(** Whether {!Processes} would actually fork: true on Unix until the
-    first worker domain is spawned in this process.  OCaml 5 forbids
-    [Unix.fork] once any domain has {e ever} been created (joining them
-    does not lift the ban), so a process that has used the {!Domains}
-    backend — or spawned a domain any other way — can no longer fork;
-    {!sweep} then runs a [Processes] request on the domain pool instead
-    (same results byte for byte, different wall-clock) after a one-time
-    [stderr] note.  Measurement harnesses that label numbers by backend
-    should check this first and order process-backend runs before any
-    domain use. *)
 
 val resolve_jobs : int -> int
 (** The one jobs-resolution policy, used by every fan-out surface
@@ -87,97 +43,32 @@ val resolve_jobs : int -> int
 val default_jobs : unit -> int
 (** [resolve_jobs 0] — what [--jobs 0] resolves to. *)
 
-exception
-  Worker_failure of {
-    index : int option;
-        (** lowest task index known incomplete, when identifiable *)
-    message : string;
-  }
-(** Raised by the {!Processes} backend when a worker process dies
-    without reporting its results (killed, [_exit] mid-chunk, truncated
-    marshal stream): EOF on a result pipe surfaces as this error, never
-    as a hang or a silent gap in the result array. Ordinary task
-    exceptions do {e not} raise this — see {!sweep}. *)
-
-module Pool : sig
-  (** A fixed pool of worker domains fed from a chunked task queue.
-
-      One pool may be reused across many {!sweep} calls (the benchmark
-      harness does), amortizing domain spawn cost. Sweeps on a single
-      pool must not overlap: one submitter at a time. *)
-
-  type t
-
-  val create : ?minor_heap:int -> workers:int -> unit -> t
-  (** Spawn [workers] (>= 0) worker domains. [workers = 0] is a valid
-      degenerate pool: every sweep on it runs serially in the caller.
-      [minor_heap] (words) is applied by each worker domain to its own
-      nursery at startup — a freshly spawned domain gets the runtime
-      default, {e not} the main domain's current setting, so resizing
-      must happen inside the worker.  The submitting domain also does
-      task work, so {!sweep} applies the same size to it for the
-      duration of each sweep and restores its nursery afterwards:
-      every task of a sized pool observes the requested nursery. *)
-
-  val workers : t -> int
-
-  val sweep : ?chunk:int -> t -> tasks:'a array -> f:('a -> 'b) -> 'b array
-  (** Apply [f] to every task, on the pool's workers plus the calling
-      domain, and return the results in task order. [chunk] (default
-      [max 1 (n / (4 * parallelism))]) is the number of consecutive
-      task indices a worker claims per fetch. If any [f tasks.(i)]
-      raises, the whole sweep raises — after all in-flight work has
-      drained — the exception of the {e lowest} failing task index
-      (with its backtrace), so failure is as deterministic as success. *)
-
-  val shutdown : t -> unit
-  (** Stop and join the workers. Idempotent. Sweeps after shutdown run
-      serially in the caller. *)
-
-  val with_pool : ?minor_heap:int -> workers:int -> (t -> 'a) -> 'a
-  (** [create], run, and always [shutdown] (even on exceptions). *)
-end
-
-val sweep :
-  ?backend:backend ->
-  ?minor_heap:int ->
-  ?chunk:int ->
-  jobs:int ->
-  tasks:'a array ->
-  ('a -> 'b) ->
-  'b array
-(** One-shot sweep at a parallelism of [jobs] workers doing task work
+val sweep : ?minor_heap:int -> jobs:int -> tasks:'a array -> ('a -> 'b) -> 'b array
+(** One-shot sweep at a parallelism of [jobs] domains doing task work
     ([jobs <= 0] resolves via {!resolve_jobs}; a resolved value below 2
     — and task counts below 2 — takes the plain serial path, with no
-    domains, forks, atomics or pool involved). The contract is the one
-    that matters everywhere in this repo: for a task-pure [f],
+    domains, atomics or pool involved). The contract is the one that
+    matters everywhere in this repo: for a task-pure [f],
 
-    {[ sweep ~backend ~jobs ~tasks f = Array.map f tasks ]}
+    {[ sweep ~jobs ~tasks f = Array.map f tasks ]}
 
-    byte for byte, whatever [backend] and [jobs] are.
+    byte for byte, whatever [jobs] is. A [jobs] above the runtime's
+    domain limit runs on as many domains as the runtime grants (serially
+    in the caller if it grants none).
 
-    [backend] (default {!Domains}) picks the execution substrate.
     [minor_heap] (words) sizes the nursery every task runs under —
-    worker domains and forked processes at startup, and the calling
-    domain for the duration of the sweep when it does task work itself
-    (restored afterwards) — trading memory for fewer minor collections
-    on allocation-heavy sweeps (see [--minor-heap] in
-    doc/PERFORMANCE.md). [chunk] is the number of consecutive task
-    indices a worker claims at a time.
+    worker domains at startup, and the calling domain for the duration
+    of the sweep (restored afterwards) — trading memory for fewer minor
+    collections on allocation-heavy sweeps (see [--minor-heap] in
+    doc/PERFORMANCE.md).
 
-    Exceptions: if one or more tasks raise, the sweep raises the
-    exception of the lowest failing task index. The {!Domains} backend
-    re-raises the original with its backtrace; the {!Processes} backend
-    re-runs that one task in the caller to recover the {e genuine}
-    exception (marshalling cannot preserve exception identity), which
-    is equivalent for the deterministic tasks this contract assumes —
-    if the re-run refuses to raise, {!Worker_failure} carries the
-    worker-side message. *)
+    Exceptions: if one or more tasks raise, the sweep raises — after all
+    in-flight work has drained — the exception of the {e lowest} failing
+    task index, with its backtrace, so failure is as deterministic as
+    success. *)
 
 val sweep_seeded :
-  ?backend:backend ->
   ?minor_heap:int ->
-  ?chunk:int ->
   jobs:int ->
   rng:Hsfq_engine.Prng.t ->
   tasks:'a array ->
@@ -187,4 +78,4 @@ val sweep_seeded :
     [Prng.stream rng i], the [i]-th independent substream of [rng]
     (derived without advancing [rng]), so the randomness each task sees
     depends only on [(rng, i)] — never on how tasks were interleaved
-    across domains or processes. *)
+    across domains. *)

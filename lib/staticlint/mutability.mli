@@ -7,7 +7,7 @@ type protection =
   | Domain_local  (** [Domain.DLS.key] — per-domain by construction *)
   | Lock_bearing
       (** mutable state co-located with a [Mutex.t]/[Condition.t] in the
-          same type: presumed lock-protected (e.g. [Par.Pool.t]) *)
+          same type: presumed lock-protected *)
 
 type verdict =
   | Immutable

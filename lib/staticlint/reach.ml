@@ -1,19 +1,11 @@
 (* Pass 2 support: which compilation units can run on sweep workers?
 
-   [Par.sweep] executes caller-supplied closures on pooled domains
-   (Domains backend) or in forked worker processes (Processes backend),
-   so any unit that imports Hsfq_par is a potential worker entrypoint,
-   and everything *it* transitively imports can execute there too.  Both
-   backends reach their closures through the same import edge, so the
-   seeding covers process-backend entrypoints by construction — there is
-   no separate fork API to whitelist.  (A forked worker additionally
-   cannot *race* on OCaml globals — it only shares the pre-fork memory
-   image — but the same no-toplevel-mutable-state discipline is what
-   keeps its results byte-identical to the serial run, so the pass
-   deliberately treats both backends alike.)  The import lists come
-   straight from the .cmt headers; the closure is restricted to loaded
-   (project) units — stdlib imports have no cmt in our tree and carry no
-   project globals. *)
+   [Par.sweep] executes caller-supplied closures on worker domains, so
+   any unit that imports Hsfq_par is a potential worker entrypoint, and
+   everything *it* transitively imports can execute there too.  The
+   import lists come straight from the .cmt headers; the closure is
+   restricted to loaded (project) units — stdlib imports have no cmt in
+   our tree and carry no project globals. *)
 
 let imports_par (u : Cmt_index.unit_info) =
   let is_par name =

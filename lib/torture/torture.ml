@@ -465,8 +465,8 @@ let run cfg =
 (* A torture run touches no state outside its [sys] (built from the seed
    alone), so a seed sweep is embarrassingly parallel; Par.sweep merges
    outcomes in seed order, keeping the result independent of [jobs]. *)
-let sweep ?(jobs = 1) ?backend ?minor_heap cfg ~seeds =
-  Hsfq_par.Par.sweep ?backend ?minor_heap ~jobs ~tasks:seeds (fun seed ->
+let sweep ?(jobs = 1) ?minor_heap cfg ~seeds =
+  Hsfq_par.Par.sweep ?minor_heap ~jobs ~tasks:seeds (fun seed ->
       run { cfg with seed })
 
 let replay cfg ops =

@@ -92,7 +92,6 @@ val run : config -> outcome
 
 val sweep :
   ?jobs:int ->
-  ?backend:Hsfq_par.Par.backend ->
   ?minor_heap:int ->
   config ->
   seeds:int array ->
@@ -100,11 +99,11 @@ val sweep :
 (** {!run} for every seed in [seeds] (each with [cfg]'s ops/audit
     settings; [cfg.seed] is ignored), fanned out over [jobs] workers via
     {!Hsfq_par.Par.sweep} ([jobs] defaults to 1; values [<= 0] resolve
-    via {!Hsfq_par.Par.resolve_jobs}, the one jobs policy). [backend]
-    and [minor_heap] are passed through to {!Hsfq_par.Par.sweep}. Every
-    run builds its own simulator, kernel and invariant sink from its
-    seed alone, so the returned outcomes — verdicts, violation lists,
-    traces — are identical whatever [jobs] or [backend] is. *)
+    via {!Hsfq_par.Par.resolve_jobs}, the one jobs policy). [minor_heap]
+    is passed through to {!Hsfq_par.Par.sweep}. Every run builds its own
+    simulator, kernel and invariant sink from its seed alone, so the
+    returned outcomes — verdicts, violation lists, traces — are
+    identical whatever [jobs] is. *)
 
 val replay : config -> op list -> outcome
 (** Re-execute an explicit op list against the same seed-derived system

@@ -296,16 +296,19 @@ let test_reach_worker_seeds () =
   let reachable = Reach.from_workers index in
   check_bool "imports pull units in" true (Hashtbl.mem reachable "Util");
   check_bool "non-importing unit stays out" false (Hashtbl.mem reachable "Island");
-  (* The process backend has no separate entrypoint surface: forked
-     workers run closures from the same Hsfq_par-importing units, and
-     Hsfq_par's own worker loops (Pool and Proc) seed themselves. *)
+  (* Hsfq_par's own worker loop runs task closures on spawned domains,
+     so the library seeds itself alongside every unit that calls it. *)
   let index =
     Cmt_index.of_units
-      [ mk "Hsfq_par" [ "Unix" ]; mk "Proc_driver" [ "Hsfq_par"; "Core" ]; mk "Core" [] ]
+      [
+        mk "Hsfq_par" [ "Hsfq_engine" ];
+        mk "Sweep_driver" [ "Hsfq_par"; "Core" ];
+        mk "Core" [];
+      ]
   in
   Alcotest.(check (list string))
-    "Hsfq_par itself and process-sweep callers both seed the walk"
-    [ "Hsfq_par"; "Proc_driver" ]
+    "Hsfq_par itself and sweep callers both seed the walk"
+    [ "Hsfq_par"; "Sweep_driver" ]
     (Reach.worker_seeds index)
 
 let test_domain_race_end_to_end () =

@@ -489,7 +489,7 @@ let traced_dump seed =
 
 let test_trace_bytes_jobs_independent () =
   let tasks = Array.init 8 (fun i -> i) in
-  let run ?backend jobs = Par.sweep ?backend ~jobs ~tasks traced_dump in
+  let run jobs = Par.sweep ~jobs ~tasks traced_dump in
   let serial = run 1 in
   Array.iteri
     (fun i d ->
@@ -498,11 +498,7 @@ let test_trace_bytes_jobs_independent () =
         true
         (String.length d > 200))
     serial;
-  (* processes before domains: fork is forbidden once a domain has been
-     spawned in this executable *)
-  Alcotest.(check (array string))
-    "jobs 1 = processes jobs 4" serial
-    (run ~backend:Par.Processes 4);
+  Alcotest.(check (array string)) "jobs 1 = jobs 2" serial (run 2);
   Alcotest.(check (array string)) "jobs 1 = jobs 4" serial (run 4)
 
 (* ------------------------------- main ------------------------------- *)

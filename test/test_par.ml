@@ -1,10 +1,9 @@
-(* Tests for lib/par: the domain pool, the fork-based process backend
-   and the deterministic-sweep contract — [Par.sweep ~jobs ~tasks f]
-   must equal [Array.map f tasks] for every [jobs] and every [backend],
-   including exception behaviour (a worker process dying mid-chunk must
-   surface as an error, never a hang), and the real fan-out surfaces
-   built on it (torture seed sweeps, figure CSV export) must produce
-   identical bytes whatever the parallelism. *)
+(* Tests for lib/par: the domain pool and the deterministic-sweep
+   contract — [Par.sweep ~jobs ~tasks f] must equal [Array.map f tasks]
+   for every [jobs], including exception behaviour and a [jobs] beyond
+   the runtime's domain limit — and the real fan-out surfaces built on
+   it (torture seed sweeps, figure CSV export) must produce identical
+   bytes whatever the parallelism. *)
 
 module Par = Hsfq_par.Par
 module T = Hsfq_torture.Torture
@@ -13,125 +12,70 @@ module Prng = Hsfq_engine.Prng
 
 let check_int = Alcotest.(check int)
 
-(* Both parallel backends, for tests that must hold on each.  Processes
-   first: OCaml forbids [Unix.fork] once any domain has ever been
-   spawned, so process-backend runs must precede domain runs (both
-   within a test and across the suite — see the registration order at
-   the bottom) to genuinely exercise the fork path rather than the
-   documented domain-pool fallback. *)
-let par_backends = [ Par.Processes; Par.Domains ]
-
-let backend_name = Par.backend_to_string
-
-(* Assert the suite ordering still guarantees a real fork: if a domain
-   was spawned before this point, the process-backend assertions below
-   would silently exercise the fallback instead. *)
-let require_fork () =
-  Alcotest.(check bool)
-    "processes backend still forks (no domain spawned yet)" true
-    (Par.processes_available ())
-
 (* ------------------------- sweep basics ----------------------------- *)
 
 let test_sweep_matches_serial_map () =
-  (* First mixed test: its Processes pass must still see a forkable
-     process (par_backends runs Processes before Domains). *)
-  require_fork ();
   let tasks = Array.init 100 (fun i -> i) in
   let f x = (x * x) + 1 in
   let serial = Array.map f tasks in
   List.iter
-    (fun backend ->
-      List.iter
-        (fun jobs ->
-          Alcotest.(check (array int))
-            (Printf.sprintf "%s jobs=%d" (backend_name backend) jobs)
-            serial
-            (Par.sweep ~backend ~jobs ~tasks f))
-        [ 1; 2; 3; 4; 8; 200 (* more jobs than tasks *) ])
-    par_backends
+    (fun jobs ->
+      Alcotest.(check (array int))
+        (Printf.sprintf "jobs=%d" jobs)
+        serial
+        (Par.sweep ~jobs ~tasks f))
+    [ 1; 2; 3; 4; 8; 200 (* more jobs than tasks *) ]
+
+let test_sweep_above_domain_limit () =
+  (* More workers than the runtime will spawn domains for: the sweep
+     must run on the domains it was granted, not fail. *)
+  let tasks = Array.init 300 (fun i -> i) in
+  let f x = (3 * x) + 1 in
+  Alcotest.(check (array int))
+    "jobs=300 over 300 tasks" (Array.map f tasks)
+    (Par.sweep ~jobs:300 ~tasks f)
 
 let test_sweep_empty_and_single () =
-  List.iter
-    (fun backend ->
-      Alcotest.(check (array int))
-        "empty" [||]
-        (Par.sweep ~backend ~jobs:4 ~tasks:[||] (fun x -> x));
-      Alcotest.(check (array int))
-        "single" [| 7 |]
-        (Par.sweep ~backend ~jobs:4 ~tasks:[| 6 |] succ))
-    par_backends
+  Alcotest.(check (array int))
+    "empty" [||]
+    (Par.sweep ~jobs:4 ~tasks:[||] (fun x -> x));
+  Alcotest.(check (array int))
+    "single" [| 7 |]
+    (Par.sweep ~jobs:4 ~tasks:[| 6 |] succ)
 
 exception Boom of int
 
 let test_sweep_reraises_lowest_failure () =
   (* Several tasks raise; the join must deterministically re-raise the
-     one with the lowest task index, whatever the interleaving — with
-     the genuine exception (the process backend re-runs the failing
-     task in the caller: marshalling can't carry exception identity). *)
-  List.iter
-    (fun backend ->
-      for _attempt = 1 to 5 do
-        match
-          Par.sweep ~backend ~jobs:4
-            ~tasks:(Array.init 64 (fun i -> i))
-            (fun i -> if i mod 10 = 3 then raise (Boom i) else i)
-        with
-        | _ -> Alcotest.fail "expected Boom"
-        | exception Boom i ->
-          check_int
-            (Printf.sprintf "%s lowest failing index" (backend_name backend))
-            3 i
-      done)
-    par_backends
-
-let test_process_worker_death_is_an_error () =
-  require_fork ();
-  (* A worker that exits mid-chunk closes its result pipe; the EOF must
-     surface as Worker_failure naming an unfinished index — not hang
-     the join, not leave a silent gap in the results. *)
-  match
-    Par.sweep ~backend:Par.Processes ~jobs:2
-      ~tasks:(Array.init 24 (fun i -> i))
-      (fun i -> if i = 5 then Unix._exit 3 else i)
-  with
-  | _ -> Alcotest.fail "expected Worker_failure"
-  | exception Par.Worker_failure { index = Some _; message } ->
-    Alcotest.(check bool)
-      "message names the worker exit"
-      true
-      (String.length message > 0)
-  | exception Par.Worker_failure { index = None; _ } ->
-    Alcotest.fail "expected a failing index with the worker death"
+     one with the lowest task index, whatever the interleaving. *)
+  for _attempt = 1 to 5 do
+    match
+      Par.sweep ~jobs:4
+        ~tasks:(Array.init 64 (fun i -> i))
+        (fun i -> if i mod 10 = 3 then raise (Boom i) else i)
+    with
+    | _ -> Alcotest.fail "expected Boom"
+    | exception Boom i -> check_int "lowest failing index" 3 i
+  done
 
 let test_workers_observe_minor_heap () =
   (* --minor-heap must resize each worker's own nursery: a fresh domain
-     or forked process starts from the runtime default, not from the
-     caller's setting, so the resize has to happen worker-side.  (By
-     this point earlier tests have spawned domains, so the Processes
-     pass may run on the documented domain-pool fallback — which must
-     uphold the same worker-side guarantee.) *)
+     starts from the runtime default, not from the caller's setting, so
+     the resize has to happen worker-side. *)
   let want = 2_000_000 in
-  List.iter
-    (fun backend ->
-      let own = (Gc.get ()).Gc.minor_heap_size in
-      let heaps =
-        Par.sweep ~backend ~jobs:2 ~minor_heap:want
-          ~tasks:(Array.init 8 (fun i -> i))
-          (fun _ -> (Gc.get ()).Gc.minor_heap_size)
-      in
-      Array.iter
-        (fun h ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s worker nursery >= %d" (backend_name backend)
-               want)
-            true (h >= want))
-        heaps;
-      check_int
-        (Printf.sprintf "%s caller nursery untouched" (backend_name backend))
-        own
-        ((Gc.get ()).Gc.minor_heap_size))
-    par_backends
+  let own = (Gc.get ()).Gc.minor_heap_size in
+  let heaps =
+    Par.sweep ~jobs:2 ~minor_heap:want
+      ~tasks:(Array.init 8 (fun i -> i))
+      (fun _ -> (Gc.get ()).Gc.minor_heap_size)
+  in
+  Array.iter
+    (fun h ->
+      Alcotest.(check bool)
+        (Printf.sprintf "worker nursery >= %d" want)
+        true (h >= want))
+    heaps;
+  check_int "caller nursery untouched" own (Gc.get ()).Gc.minor_heap_size
 
 let test_resolve_jobs_policy () =
   (* The one jobs policy: explicit values pass through, <= 0 means one
@@ -145,57 +89,26 @@ let test_resolve_jobs_policy () =
   check_int "default_jobs = auto" (Par.resolve_jobs 0) (Par.default_jobs ());
   Alcotest.(check bool) "auto >= 1" true (Par.resolve_jobs 0 >= 1)
 
-let test_backend_of_string () =
-  List.iter
-    (fun (name, b) ->
-      (match Par.backend_of_string name with
-      | Ok b' -> Alcotest.(check bool) name true (b = b')
-      | Error e -> Alcotest.fail e);
-      Alcotest.(check string) "round-trip" name (Par.backend_to_string b))
-    Par.all_backends;
-  match Par.backend_of_string "threads" with
-  | Ok _ -> Alcotest.fail "expected an error for unknown backend"
-  | Error _ -> ()
-
-let test_pool_reuse () =
-  Par.Pool.with_pool ~workers:3 (fun pool ->
-      check_int "workers" 3 (Par.Pool.workers pool);
-      for round = 1 to 4 do
-        let out =
-          Par.Pool.sweep pool
-            ~tasks:(Array.init 33 (fun i -> i))
-            ~f:(fun i -> i * round)
-        in
-        Alcotest.(check (array int))
-          (Printf.sprintf "round %d" round)
-          (Array.init 33 (fun i -> i * round))
-          out
-      done)
-
 let test_sweep_seeded_jobs_invariant () =
   (* Each task draws from its own Prng substream, so the drawn values
      must not depend on which domain ran the task. *)
   let tasks = Array.init 40 (fun i -> i) in
   let f ~rng i = (i, Prng.int rng 1_000_000, Prng.float rng 1.) in
-  let run ?backend jobs =
-    Par.sweep_seeded ?backend ~jobs ~rng:(Prng.create 9) ~tasks f
+  let run jobs = Par.sweep_seeded ~jobs ~rng:(Prng.create 9) ~tasks f
   in
   let serial = run 1 in
   Alcotest.(check (array (triple int int (float 0.))))
     "jobs 1 = jobs 4" serial (run 4);
   Alcotest.(check (array (triple int int (float 0.))))
-    "jobs 1 = jobs 7" serial (run 7);
-  Alcotest.(check (array (triple int int (float 0.))))
-    "jobs 1 = processes jobs 4" serial
-    (run ~backend:Par.Processes 4)
+    "jobs 1 = jobs 7" serial (run 7)
 
 (* Per-task Invariant sinks: each task collects violations locally and
    returns them; the merged arrays must line up with task order, not
    completion order. *)
 let test_per_task_sinks_merge_in_order () =
   let module I = Hsfq_check.Invariant in
-  let run ?backend jobs =
-    Par.sweep ?backend ~jobs
+  let run jobs =
+    Par.sweep ~jobs
       ~tasks:(Array.init 16 (fun i -> i))
       (fun i ->
         let sink = I.create ~policy:I.Collect () in
@@ -214,10 +127,8 @@ let test_per_task_sinks_merge_in_order () =
   Array.iteri
     (fun i vs -> check_int (Printf.sprintf "task %d count" i) (i + 1) (List.length vs))
     serial;
-  Alcotest.(check (array (list string))) "jobs 1 = jobs 4" serial (run 4);
-  Alcotest.(check (array (list string)))
-    "jobs 1 = processes jobs 4" serial
-    (run ~backend:Par.Processes 4)
+  Alcotest.(check (array (list string))) "jobs 1 = jobs 2" serial (run 2);
+  Alcotest.(check (array (list string))) "jobs 1 = jobs 4" serial (run 4)
 
 (* -------------------- real fan-out surfaces ------------------------- *)
 
@@ -234,18 +145,11 @@ let outcome_repr (o : T.outcome) =
 let test_torture_sweep_determinism () =
   let seeds = Array.init 6 (fun i -> 100 + i) in
   let cfg = T.config ~ops:1_500 ~audit_period:2 0 in
-  let run ?backend jobs =
-    Array.map outcome_repr (T.sweep ?backend ~jobs cfg ~seeds)
-  in
+  let run jobs = Array.map outcome_repr (T.sweep ~jobs cfg ~seeds) in
   let serial = run 1 in
+  Alcotest.(check (array string)) "jobs 1 = jobs 2" serial (run 2);
   Alcotest.(check (array string)) "jobs 1 = jobs 4" serial (run 4);
-  Alcotest.(check (array string)) "jobs 1 = jobs 0 (auto)" serial (run 0);
-  Alcotest.(check (array string))
-    "jobs 1 = processes jobs 4" serial
-    (run ~backend:Par.Processes 4);
-  Alcotest.(check (array string))
-    "jobs 1 = serial backend" serial
-    (run ~backend:Par.Serial 4)
+  Alcotest.(check (array string)) "jobs 1 = jobs 0 (auto)" serial (run 0)
 
 let test_csv_sweep_determinism () =
   (* Byte equality of exported figure CSVs across parallelism. A subset
@@ -254,8 +158,8 @@ let test_csv_sweep_determinism () =
     Array.of_list
       (List.filteri (fun i _ -> i < 5) (E.Csv_export.exportable ()))
   in
-  let run ?backend jobs =
-    Par.sweep ?backend ~jobs ~tasks:ids (fun id ->
+  let run jobs =
+    Par.sweep ~jobs ~tasks:ids (fun id ->
         match E.Csv_export.export id with
         | Ok files ->
           String.concat "\x00"
@@ -263,38 +167,28 @@ let test_csv_sweep_determinism () =
         | Error e -> "error: " ^ e)
   in
   let serial = run 1 in
+  Alcotest.(check (array string)) "figure CSV bytes, jobs 1 = jobs 2" serial
+    (run 2);
   Alcotest.(check (array string)) "figure CSV bytes, jobs 1 = jobs 4" serial
-    (run 4);
-  Alcotest.(check (array string))
-    "figure CSV bytes, jobs 1 = processes jobs 4" serial
-    (run ~backend:Par.Processes 4)
+    (run 4)
 
 let () =
-  (* Registration order is load-bearing: every test whose process-backend
-     half must genuinely fork runs before the first domain spawn.  Tests
-     iterating [par_backends] run Processes before Domains internally,
-     and the first of them is also the first domain use of the suite. *)
   Alcotest.run "par"
     [
-      ( "processes-first",
-        [
-          Alcotest.test_case "process worker death is an error" `Quick
-            test_process_worker_death_is_an_error;
-          Alcotest.test_case "resolve_jobs policy" `Quick
-            test_resolve_jobs_policy;
-          Alcotest.test_case "backend names" `Quick test_backend_of_string;
-        ] );
       ( "sweep",
         [
+          Alcotest.test_case "resolve_jobs policy" `Quick
+            test_resolve_jobs_policy;
           Alcotest.test_case "matches serial map" `Quick
             test_sweep_matches_serial_map;
+          Alcotest.test_case "jobs above the domain limit" `Quick
+            test_sweep_above_domain_limit;
           Alcotest.test_case "empty and single" `Quick
             test_sweep_empty_and_single;
           Alcotest.test_case "re-raises lowest failure" `Quick
             test_sweep_reraises_lowest_failure;
           Alcotest.test_case "workers observe --minor-heap" `Quick
             test_workers_observe_minor_heap;
-          Alcotest.test_case "pool reuse" `Quick test_pool_reuse;
           Alcotest.test_case "seeded substreams" `Quick
             test_sweep_seeded_jobs_invariant;
           Alcotest.test_case "sink merge order" `Quick

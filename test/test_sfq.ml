@@ -684,8 +684,8 @@ let test_differential_parallel_batch () =
     let n = 1 + Prng.int rng 150 in
     List.init n (fun _ -> (Prng.int rng 6, Prng.int rng 7))
   in
-  let run ?backend jobs =
-    Hsfq_par.Par.sweep_seeded ?backend ~jobs ~rng:(Prng.create 2026)
+  let run jobs =
+    Hsfq_par.Par.sweep_seeded ~jobs ~rng:(Prng.create 2026)
       ~tasks:(Array.init 64 (fun i -> i))
       (fun ~rng _i -> differential_agrees (gen_ops rng))
   in
@@ -694,11 +694,7 @@ let test_differential_parallel_batch () =
     (fun i ok ->
       Alcotest.(check bool) (Printf.sprintf "sequence %d agrees" i) true ok)
     serial;
-  (* processes before domains: fork is forbidden once a domain has been
-     spawned in this executable *)
-  Alcotest.(check (array bool))
-    "jobs 1 = processes jobs 4" serial
-    (run ~backend:Hsfq_par.Par.Processes 4);
+  Alcotest.(check (array bool)) "jobs 1 = jobs 2" serial (run 2);
   Alcotest.(check (array bool)) "jobs 1 = jobs 4" serial (run 4)
 
 (* ---------------- churn, compaction and slot remapping ----------------- *)
