@@ -22,7 +22,9 @@ val create : unit -> t
 
 val schedule : t -> at:Time.t -> (unit -> unit) -> handle
 (** Enqueue a thunk to fire at the given time. Scheduling in the past is
-    the caller's responsibility to avoid; the queue itself only orders. *)
+    the caller's responsibility to avoid; the queue itself only orders.
+    @raise Invalid_argument if [at < 0]: simulated time starts at zero,
+    and [take_until] reserves [-1] for "no event". *)
 
 val cancel : handle -> unit
 (** A cancelled event never fires. Cancelling a fired handle is a no-op;
@@ -85,6 +87,6 @@ val retained_handles : t -> int
     recycling every handle. *)
 
 val footprint_words : t -> int
-(** Approximate retained heap words of the queue — columns, free stack,
-    and parked records. Deterministic (array lengths, not GC sampling),
-    for the scale benches' footprint accounting. *)
+(** Approximate retained heap words of the queue — heap columns, slot
+    pool, free stack, and parked records. Deterministic (array lengths,
+    not GC sampling), for the scale benches' footprint accounting. *)

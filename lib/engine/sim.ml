@@ -17,7 +17,7 @@ let at t time f =
 
 let after t d f =
   if d < 0 then invalid_arg "Sim.after: negative delay";
-  at t (Time.add t.clock d) f
+  at t (Time.saturating_add t.clock d) f
 
 let cancel = Event_queue.cancel
 

@@ -14,7 +14,8 @@ val at : t -> Time.t -> (unit -> unit) -> Event_queue.handle
 (** [at t time f] schedules [f] for absolute [time] (>= [now t]). *)
 
 val after : t -> Time.span -> (unit -> unit) -> Event_queue.handle
-(** [after t d f] schedules [f] at [now t + d] ([d >= 0]). *)
+(** [after t d f] schedules [f] at [now t + d] ([d >= 0]), saturating
+    at [max_int]: a delay that would overflow means "never". *)
 
 val cancel : Event_queue.handle -> unit
 

@@ -14,6 +14,7 @@ let to_seconds_float t = float_of_int t /. 1e9
 let to_milliseconds_float t = float_of_int t /. 1e6
 
 let add t d = t + d
+let saturating_add t d = if d > max_int - t then max_int else t + d
 let diff later earlier = later - earlier
 let scale d f = int_of_float (Float.round (float_of_int d *. f))
 

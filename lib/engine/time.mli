@@ -28,6 +28,12 @@ val to_seconds_float : t -> float
 val to_milliseconds_float : t -> float
 
 val add : t -> span -> t
+
+val saturating_add : t -> span -> t
+(** [add] clamped at [max_int] instead of wrapping, for [t >= 0]: the
+    instant of a wait "forever" (a span near [max_int]) never arrives
+    rather than landing in the past. *)
+
 val diff : t -> t -> span
 (** [diff later earlier] is [later - earlier]. *)
 

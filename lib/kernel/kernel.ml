@@ -556,7 +556,7 @@ and action_loop t th now budget =
       `Work
     | Workload_intf.Compute _ -> action_loop t th now (budget - 1)
     | Workload_intf.Sleep_for d when d > 0 ->
-      th.sleep_at <- Time.add now d;
+      th.sleep_at <- Time.saturating_add now d;
       `Sleep
     | Workload_intf.Sleep_for _ -> action_loop t th now (budget - 1)
     | Workload_intf.Sleep_until at when Time.compare at now > 0 ->

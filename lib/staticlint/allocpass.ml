@@ -20,12 +20,19 @@
    allocation while dying is fine.  Everything found is a [tl-hot-alloc]
    or [tl-float-box] finding that must be fixed or whitelisted with a
    justification — the whitelist entries double as the repo's documented
-   allocation budget, cross-checked against BENCH_sched.json. *)
+   allocation budget, cross-checked against BENCH_sched.json.
+
+   A config may also name barrier-free functions: bodies that must store
+   no value that may be a pointer, into a record field, an array element
+   or a ref. Such a store compiles to [caml_modify], OCaml's write
+   barrier; in a heap sift it runs once per level. Each one is a
+   [tl-hot-barrier] finding. *)
 
 type config = {
   source : string; (* repo-relative .ml *)
   roots : string list; (* per-decision entrypoints *)
   cold : string list; (* out-of-line slow paths excluded from the walk *)
+  barrier_free : string list; (* bodies that store immediates only *)
 }
 
 let default_configs =
@@ -43,6 +50,7 @@ let default_configs =
       source = "lib/core/sfq.ml";
       roots = [ "select_id"; "charge"; "charge_staged"; "arrive_staged" ];
       cold = [ "grow"; "slot_lookup"; "register"; "compact"; "free_slot" ];
+      barrier_free = [];
     };
     (* Same shape one level up: [schedule]'s Some wrapper is the
        option-returning convenience; the kernel dispatch loop runs on
@@ -51,6 +59,7 @@ let default_configs =
       source = "lib/core/hierarchy.ml";
       roots = [ "schedule_id"; "update"; "update_ns"; "setrun"; "sleep" ];
       cold = [];
+      barrier_free = [];
     };
     {
       source = "lib/sched/keyed_heap.ml";
@@ -64,11 +73,15 @@ let default_configs =
           "last_key";
         ];
       cold = [ "grow"; "compact"; "shrink_if_sparse" ];
+      barrier_free = [];
     };
     (* [pop]/[next_time] deliberately absent: their option/tuple results
        are the compat shape; the simulation driver's per-event path is
-       [take_until]/[taken]. [new_handle] is the free-list-dry slow
-       path of [alloc_handle]. *)
+       [take_until]/[taken]. [new_slot] is the free-stack-dry slow path
+       of [schedule]; [repool]/[resized] are the pool and column
+       growth/shrink copies. The heap moves immediates only: its
+       sifts, [place], [remove_top], [settle] and [compact] never run
+       the write barrier. *)
     {
       source = "lib/engine/event_queue.ml";
       roots =
@@ -81,11 +94,21 @@ let default_configs =
           "handle_id";
           "pending";
         ];
-      cold = [ "grow"; "compact"; "recycle"; "new_handle"; "shrink_if_sparse" ];
+      cold =
+        [ "grow_heap"; "compact"; "new_slot"; "repool"; "resized";
+          "shrink_if_sparse" ];
+      barrier_free =
+        [ "place"; "sift_up_from"; "sift_down_from"; "remove_top"; "settle";
+          "compact" ];
     };
     (* The simulation driver on top of it: scheduling and the per-event
        drain loop. *)
-    { source = "lib/engine/sim.ml"; roots = [ "at"; "after"; "drain_until" ]; cold = [] };
+    {
+      source = "lib/engine/sim.ml";
+      roots = [ "at"; "after"; "drain_until" ];
+      cold = [];
+      barrier_free = [];
+    };
     (* The steady-state kernel cycle: wake -> dispatch -> interrupt
        pause/resume -> slice completion -> sleep. Cold: the mutex and
        I/O paths (once per lock/request, not per event) and the
@@ -99,6 +122,7 @@ let default_configs =
         [ "acquire_or_wait"; "enqueue_mutex_waiter"; "unlock_mutex"; "hand_off";
           "grant_wake"; "release_mutex_links"; "submit_io"; "io_complete";
           "wake_thunk_of"; "completion_thunk"; "irq_thunk_of" ];
+      barrier_free = [];
     };
     (* The boxed leaf disciplines ported to SoA layouts: their decision
        paths must hold the measured words/decision in BENCH_sched.json
@@ -109,23 +133,32 @@ let default_configs =
       source = "lib/sched/eevdf.ml";
       roots = [ "select"; "charge" ];
       cold = [ "create" ];
+      barrier_free = [];
     };
     {
       source = "lib/sched/lottery.ml";
       roots = [ "select"; "charge" ];
       cold = [ "ready_add" ];
+      barrier_free = [];
     };
     {
       source = "lib/sched/svr4.ml";
       roots = [ "select_id"; "charge"; "quantum_of" ];
       cold = [ "rt_queue"; "second_tick" ];
+      barrier_free = [];
     };
-    { source = "lib/obs/ring.ml"; roots = [ "emit" ]; cold = [] };
+    {
+      source = "lib/obs/ring.ml";
+      roots = [ "emit" ];
+      cold = [];
+      barrier_free = [];
+    };
     {
       source = "lib/obs/trace.ml";
       roots =
         [ "emitf"; "emit0"; "on"; "on_cell"; "stage"; "set_now"; "sys_set_now" ];
       cold = [];
+      barrier_free = [];
     };
     {
       source = "lib/obs/metrics.ml";
@@ -139,6 +172,7 @@ let default_configs =
           "ensure";
         ];
       cold = [ "grow" ];
+      barrier_free = [];
     };
   ]
 
@@ -334,6 +368,61 @@ let scan_body ~unit_name ~file ~fname ~arity_of body =
   iter.expr iter body;
   !findings
 
+(* Types whose values are never pointers, recognised syntactically (like
+   [is_float_type]): an abstract alias of [int] counts as a pointer. *)
+let is_immediate_type ty =
+  match Types.get_desc ty with
+  | Tconstr (p, [], _) -> (
+    match Path.name p with
+    | "int" | "char" | "bool" | "unit" -> true
+    | _ -> false)
+  | _ -> false
+
+(* Stores in a barrier-free body. A float is stored unboxed into a float
+   array or a flat float record, so only those float stores pass. *)
+let scan_barrier ~file ~fname body =
+  let findings = ref [] in
+  let flag (loc : Location.t) what =
+    findings :=
+      Finding.make ~rule:"tl-hot-barrier" ~file ~line:loc.loc_start.pos_lnum
+        ~msg:
+          (Printf.sprintf
+             "stores a possible pointer into %s: a write barrier \
+              (caml_modify) in barrier-free function [%s]"
+             what fname)
+      :: !findings
+  in
+  let stored_arg args n =
+    match List.nth_opt args n with
+    | Some (_, Some (a : Typedtree.expression)) -> Some a
+    | _ -> None
+  in
+  let expr sub (e : Typedtree.expression) =
+    (match e.exp_desc with
+    | Texp_setfield (_, _, lbl, v) ->
+      if lbl.lbl_repres <> Record_float && not (is_immediate_type v.exp_type)
+      then flag e.exp_loc (Printf.sprintf "field [%s]" lbl.lbl_name)
+    | Texp_apply
+        ( { exp_desc = Texp_ident (_, _, { val_kind = Val_prim prim; _ }); _ },
+          args ) -> (
+      let stored =
+        match prim.prim_name with
+        | "%array_safe_set" | "%array_unsafe_set" -> stored_arg args 2
+        | "%setfield0" -> stored_arg args 1
+        | _ -> None
+      in
+      match stored with
+      | Some v
+        when not (is_immediate_type v.exp_type || is_float_type v.exp_type) ->
+        flag e.exp_loc "an array element or ref"
+      | _ -> ())
+    | _ -> ());
+    Tast_iterator.default_iterator.expr sub e
+  in
+  let iter = { Tast_iterator.default_iterator with expr } in
+  iter.expr iter body;
+  !findings
+
 (* ------------------------------------------------------------------ *)
 
 let top_level_bindings (str : Typedtree.structure) =
@@ -355,7 +444,9 @@ let scan_unit config (u : Cmt_index.unit_info) =
   let defined = Hashtbl.create 32 in
   List.iter (fun (n, e) -> Hashtbl.replace defined n e) binds;
   let missing_roots =
-    List.filter (fun r -> not (Hashtbl.mem defined r)) config.roots
+    List.filter
+      (fun r -> not (Hashtbl.mem defined r))
+      (config.roots @ config.barrier_free)
   in
   let cold = Hashtbl.create 8 in
   List.iter (fun c -> Hashtbl.replace cold c ()) config.cold;
@@ -394,6 +485,15 @@ let scan_unit config (u : Cmt_index.unit_info) =
         else [])
       binds
   in
+  let barriers =
+    List.concat_map
+      (fun n ->
+        match Hashtbl.find_opt defined n with
+        | Some e ->
+          List.concat_map (scan_barrier ~file:u.source ~fname:n) (bodies [] e)
+        | None -> [])
+      config.barrier_free
+  in
   let missing =
     List.map
       (fun r ->
@@ -405,7 +505,7 @@ let scan_unit config (u : Cmt_index.unit_info) =
                r))
       missing_roots
   in
-  missing @ findings
+  missing @ findings @ barriers
 
 let scan ?(configs = default_configs) index =
   let by_source = Hashtbl.create 16 in

@@ -371,6 +371,148 @@ let test_event_queue_burst_releases_memory () =
   ignore (Event_queue.schedule q ~at:0 (fun () -> ()));
   check_int "usable after release" 1 (Event_queue.pending q)
 
+(* Simulated time starts at zero: an event at a negative time used to
+   be accepted and then lost, since [take_until] answers -1 (its miss
+   sentinel) for it. [schedule] now rejects it up front. *)
+let test_event_queue_rejects_negative_time () =
+  let q = Event_queue.create () in
+  Alcotest.check_raises "negative time"
+    (Invalid_argument "Event_queue.schedule: negative time") (fun () ->
+      ignore (Event_queue.schedule q ~at:(-1) (fun () -> ())));
+  check_int "nothing pending" 0 (Event_queue.pending q);
+  ignore (Event_queue.schedule q ~at:0 (fun () -> ()));
+  check_int "time zero is fine" 0 (Event_queue.take_until q ~horizon:10)
+
+(* Naive-oracle differential: random schedule/cancel/take/next/drain
+   sequences run in lockstep against a sorted list of (time, id), where
+   ids count schedules and so order ties FIFO. Bursts reach past the
+   1024-slot shrink floor and fractional cancels build stale majorities
+   above 64 entries, so compaction, pool regrowth and release all run
+   under the comparison. Dead handles are cancelled again (double
+   cancels, cancels after firing) only before the next [schedule], the
+   window in which the contract makes that a no-op. *)
+type eq_op =
+  | Sched of int
+  | Burst of int * int (* n events, time salt *)
+  | Cancel_live of int
+  | Cancel_dead of int
+  | Cancel_frac of int (* cancel live ids not divisible by k *)
+  | Take of int (* horizon *)
+  | Next
+  | Drain
+
+let show_eq_op = function
+  | Sched at -> Printf.sprintf "Sched %d" at
+  | Burst (n, salt) -> Printf.sprintf "Burst (%d, %d)" n salt
+  | Cancel_live k -> Printf.sprintf "Cancel_live %d" k
+  | Cancel_dead k -> Printf.sprintf "Cancel_dead %d" k
+  | Cancel_frac k -> Printf.sprintf "Cancel_frac %d" k
+  | Take h -> Printf.sprintf "Take %d" h
+  | Next -> "Next"
+  | Drain -> "Drain"
+
+let gen_eq_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun at -> Sched at) (int_bound 4095));
+        (2, map2 (fun n salt -> Burst (n, salt)) (int_range 1 5000) (int_bound 4095));
+        (4, map (fun k -> Cancel_live k) nat);
+        (2, map (fun k -> Cancel_dead k) nat);
+        (2, map (fun k -> Cancel_frac k) (int_range 2 4));
+        (5, map (fun h -> Take h) (int_bound 4095));
+        (1, return Next);
+        (1, return Drain);
+      ])
+
+let prop_event_queue_matches_oracle =
+  QCheck.Test.make ~name:"event queue matches a sorted-list oracle" ~count:150
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_eq_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) gen_eq_op))
+    (fun ops ->
+      let q = Event_queue.create () in
+      (* Live events as (time, id, handle), sorted on (time, id). *)
+      let model = ref [] and next_id = ref 0 in
+      let dead = ref [] and last = ref (-1) in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let order (a, i, _) (b, j, _) =
+        if a <> b then Int.compare a b else Int.compare i j
+      in
+      let schedule at =
+        let id = !next_id in
+        incr next_id;
+        (at, id, Event_queue.schedule q ~at (fun () -> last := id))
+      in
+      let cancel_where p =
+        model :=
+          List.filter
+            (fun (_, id, h) ->
+              if p id then begin
+                Event_queue.cancel h;
+                dead := h :: !dead;
+                false
+              end
+              else true)
+            !model
+      in
+      let take horizon =
+        let got = Event_queue.take_until q ~horizon in
+        match !model with
+        | (at, id, h) :: rest when at <= horizon ->
+          if got <> at then fail "take_until %d: got %d, oracle %d" horizon got at;
+          Event_queue.taken q ();
+          if !last <> id then fail "fired event %d, oracle %d" !last id;
+          model := rest;
+          dead := h :: !dead
+        | _ -> if got <> -1 then fail "take_until %d: got %d, oracle miss" horizon got
+      in
+      let rec drain () =
+        take max_int;
+        if !model <> [] then drain ()
+      in
+      let step op =
+        match op with
+        | Sched at ->
+          dead := [];
+          model := List.merge order !model [ schedule at ]
+        | Burst (n, salt) ->
+          dead := [];
+          let evs = List.init n (fun i -> schedule ((salt + (i * 7919)) mod 4096)) in
+          model := List.merge order !model (List.sort order evs)
+        | Cancel_live k -> (
+          match !model with
+          | [] -> ()
+          | m ->
+            let _, victim, _ = List.nth m (k mod List.length m) in
+            cancel_where (fun id -> id = victim))
+        | Cancel_dead k -> (
+          match !dead with
+          | [] -> ()
+          | d -> Event_queue.cancel (List.nth d (k mod List.length d)))
+        | Cancel_frac k -> cancel_where (fun id -> id mod k <> 0)
+        | Take h -> take h
+        | Next ->
+          let want = match !model with [] -> None | (at, _, _) :: _ -> Some at in
+          if Event_queue.next_time q <> want then fail "next_time differs"
+        | Drain ->
+          drain ();
+          take max_int;
+          if Event_queue.capacity q > 1024 then
+            fail "drained capacity %d > 1024" (Event_queue.capacity q);
+          if Event_queue.retained_handles q > 1024 then
+            fail "drained queue parks %d records" (Event_queue.retained_handles q)
+      in
+      List.iter
+        (fun op ->
+          step op;
+          let n = List.length !model in
+          if Event_queue.pending q <> n then
+            fail "after %s: pending %d, oracle %d" (show_eq_op op)
+              (Event_queue.pending q) n)
+        ops;
+      true)
+
 (* ----------------------------- Sim ---------------------------------- *)
 
 let test_sim_ordering_and_clock () =
@@ -413,6 +555,19 @@ let test_sim_rejects_past () =
   Alcotest.check_raises "scheduling in the past"
     (Invalid_argument "Sim.at: scheduling in the past (5ns < 10ns)") (fun () ->
       ignore (Sim.at sim 5 (fun () -> ())))
+
+(* A delay that overflows the clock means "never", not a wrapped time in
+   the past: [after] saturates at [max_int]. *)
+let test_sim_after_saturates () =
+  let sim = Sim.create () in
+  ignore (Sim.at sim 10 (fun () -> ()));
+  Sim.run sim;
+  let fired = ref false in
+  ignore (Sim.after sim (max_int - 5) (fun () -> fired := true));
+  ignore (Sim.after sim max_int (fun () -> fired := true));
+  Sim.run_until sim (Time.seconds 1);
+  check_bool "never fires" false !fired;
+  check_int "clock at horizon" (Time.seconds 1) (Sim.now sim)
 
 let test_sim_cancel_pending () =
   let sim = Sim.create () in
@@ -640,7 +795,10 @@ let () =
             test_event_queue_steady_state_churn;
           Alcotest.test_case "burst releases memory" `Quick
             test_event_queue_burst_releases_memory;
+          Alcotest.test_case "rejects negative time" `Quick
+            test_event_queue_rejects_negative_time;
           qc prop_event_queue_total_order;
+          qc prop_event_queue_matches_oracle;
         ] );
       ( "sim",
         [
@@ -648,6 +806,7 @@ let () =
           Alcotest.test_case "run_until horizon" `Quick test_sim_run_until;
           Alcotest.test_case "cascading events" `Quick test_sim_cascade;
           Alcotest.test_case "rejects past scheduling" `Quick test_sim_rejects_past;
+          Alcotest.test_case "after saturates" `Quick test_sim_after_saturates;
           Alcotest.test_case "cancel pending" `Quick test_sim_cancel_pending;
           Alcotest.test_case "cancel from handler" `Quick test_sim_cancel_from_handler;
         ] );

@@ -118,6 +118,19 @@ let test_started_blocked_workload () =
   Kernel.run_until k (Time.milliseconds 100);
   check_bool "ran after its sleep" true (Kernel.state k tid = Kernel.Exited)
 
+(* "Sleep forever" once the clock is past zero: the wake instant
+   saturates at [max_int] instead of wrapping into the past. *)
+let test_sleep_forever () =
+  let k, leaf, sfq = make () in
+  let tid =
+    spawn_started k leaf sfq ~name:"t"
+      (W.of_list [ W.Compute (Time.milliseconds 1); W.Sleep_for max_int ])
+  in
+  Kernel.run_until k (Time.seconds 1);
+  check_bool "asleep" true (Kernel.state k tid = Kernel.Blocked);
+  check_int "ran its compute" (Time.milliseconds 1) (Kernel.cpu_time k tid);
+  check_int "idle the rest" (Time.milliseconds 999) (Kernel.idle_time k)
+
 (* --------------------------- latency --------------------------------- *)
 
 let test_wake_latency_quantum_boundary () =
@@ -1487,6 +1500,7 @@ let () =
             test_sleep_until_past_is_skipped;
           Alcotest.test_case "workload starting blocked" `Quick
             test_started_blocked_workload;
+          Alcotest.test_case "sleep forever" `Quick test_sleep_forever;
         ] );
       ( "latency & preemption",
         [

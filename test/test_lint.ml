@@ -363,9 +363,9 @@ let test_hotrules_fixture () =
   check_bool "cold module has no hot findings" false
     (has_rule "tl-hot-hashtbl" (Hotrules.scan_unit cold))
 
-let alloc_findings ?(roots = [ "hot" ]) ?(cold = []) src =
+let alloc_findings ?(roots = [ "hot" ]) ?(cold = []) ?(barrier_free = []) src =
   let u = fixture ~source:"lib/fixture/fixture.ml" src in
-  Allocpass.scan_unit { source = u.source; roots; cold } u
+  Allocpass.scan_unit { source = u.source; roots; cold; barrier_free } u
 
 let test_allocpass_flags () =
   let fs =
@@ -480,6 +480,34 @@ let test_allocpass_local_rec () =
   check_bool "local function under-applied is still a closure" true
     (has_rule "tl-hot-alloc" fs)
 
+(* A barrier-free function may store ints, and floats into a float
+   array; a closure or record stored into an array element, a mixed
+   record field or a ref is a [caml_modify]. *)
+let test_allocpass_barrier () =
+  let src =
+    "type h = { mutable n : int; mutable f : unit -> unit }\n\
+     let sift (a : int array) (fa : float array) i x y = a.(i) <- x; fa.(i) <- y\n\
+     let slot (hs : h array) i h = hs.(i) <- h\n\
+     let set (h : h) g = h.n <- 0; h.f <- g\n\
+     let keep (c : h ref) h = c := h\n\
+     let hot x = x\n"
+  in
+  let barrier_lines fs =
+    List.filter_map
+      (fun (f : Finding.t) ->
+        if String.equal f.rule "tl-hot-barrier" then Some f.line else None)
+      fs
+  in
+  Alcotest.(check (list int))
+    "pointer stores flagged, immediate stores clean" [ 3; 4; 5 ]
+    (List.sort Int.compare
+       (barrier_lines
+          (alloc_findings ~barrier_free:[ "sift"; "slot"; "set"; "keep" ] src)));
+  check_int "undeclared functions are not checked" 0
+    (List.length (barrier_lines (alloc_findings src)));
+  check_bool "unknown barrier-free function reported" true
+    (has_rule "tl-hot-missing" (alloc_findings ~barrier_free:[ "absent" ] src))
+
 let test_allocpass_missing_root () =
   let fs = alloc_findings ~roots:[ "nonexistent" ] "let hot x = x\n" in
   check_bool "unknown root reported" true (has_rule "tl-hot-missing" fs)
@@ -565,6 +593,7 @@ let () =
           Alcotest.test_case "float boxing" `Quick test_allocpass_float_box;
           Alcotest.test_case "local let rec in a root" `Quick
             test_allocpass_local_rec;
+          Alcotest.test_case "barrier-free stores" `Quick test_allocpass_barrier;
           Alcotest.test_case "missing root" `Quick test_allocpass_missing_root;
         ] );
       ( "bench-check",
