@@ -109,9 +109,16 @@ let sfq_decision_micro ~q =
   }
 
 (* A full hierarchical scheduling decision (schedule + update) through a
-   chain of [depth] intermediate nodes with a fan-out of 4 leaves. *)
-let hierarchy_decision_micro ~depth =
+   chain of [depth] intermediate nodes with a fan-out of 4 leaves.
+   [~audited] attaches the always-on invariant audit
+   (Hsfq_check.Hierarchy_audit), so that row prices the audit's
+   per-decision cost on the same structure. *)
+let hierarchy_decision_micro ?(audited = false) ~depth () =
   let h = Core.Hierarchy.create () in
+  if audited then
+    Hsfq_check.Hierarchy_audit.attach
+      (Hsfq_check.Invariant.create ~policy:Raise ())
+      h;
   let parent = ref Core.Hierarchy.root in
   for i = 1 to depth do
     match
@@ -133,7 +140,10 @@ let hierarchy_decision_micro ~depth =
   List.iter (fun leaf -> Core.Hierarchy.setrun h leaf) leaves;
   {
     group = "hierarchy";
-    name = Printf.sprintf "hierarchy/depth=%d" depth;
+    name =
+      Printf.sprintf "hierarchy%s/depth=%d"
+        (if audited then "-audited" else "")
+        depth;
     fn =
       (* The sentinel-id protocol the kernel dispatch loop actually uses
          (schedule_id/update_ns), so the figure reflects the hot path. *)
@@ -319,7 +329,8 @@ let all_micros () =
           (module Sched.Lottery);
           (module Sched.Round_robin);
         ];
-      List.map (fun d -> hierarchy_decision_micro ~depth:d) [ 1; 4; 16; 32 ];
+      List.map (fun d -> hierarchy_decision_micro ~depth:d ()) [ 1; 4; 16; 32 ];
+      [ hierarchy_decision_micro ~audited:true ~depth:4 () ];
       [
         obs_sfq_micro ~q:512 ~enabled:false;
         obs_sfq_micro ~q:512 ~enabled:true;

@@ -31,68 +31,70 @@ module Make (F : Scheduler_intf.FAIR) = struct
   let inner t = t.f
   let sink t = t.sink
 
-  let post t ~event =
-    let chk inv = Invariant.check t.sink ~invariant:inv ~node:t.node ~event in
+  (* [event ()] labels a report; it is built only when a rule fails. *)
+  let fail t event invariant fmt =
+    Invariant.fail t.sink ~invariant ~node:t.node ~event:(event ()) fmt
+
+  let post t event =
     let vt = F.virtual_time t.f in
-    chk "vt-monotone" (vt >= t.last_vt) "v(t) went backwards: %g -> %g"
-      t.last_vt vt;
+    if not (vt >= t.last_vt) then
+      fail t event "vt-monotone" "v(t) went backwards: %g -> %g" t.last_vt vt;
     t.last_vt <- vt;
     let n = Hashtbl.length t.ready in
-    chk "nrun-consistent"
-      (F.backlogged t.f = n)
-      "backlogged=%d but the call protocol implies %d runnable clients"
-      (F.backlogged t.f) n
+    if F.backlogged t.f <> n then
+      fail t event "nrun-consistent"
+        "backlogged=%d but the call protocol implies %d runnable clients"
+        (F.backlogged t.f) n
 
   let arrive t ~id ~weight =
     F.arrive t.f ~id ~weight;
     Hashtbl.replace t.ready id ();
-    post t ~event:(Printf.sprintf "arrive id=%d w=%g" id weight)
+    post t (fun () -> Printf.sprintf "arrive id=%d w=%g" id weight)
 
   let depart t ~id =
     F.depart t.f ~id;
     Hashtbl.remove t.ready id;
     if t.pending = Some id then t.pending <- None;
-    post t ~event:(Printf.sprintf "depart id=%d" id)
+    post t (fun () -> Printf.sprintf "depart id=%d" id)
 
   let set_weight t ~id ~weight =
     F.set_weight t.f ~id ~weight;
-    post t ~event:(Printf.sprintf "set_weight id=%d w=%g" id weight)
+    post t (fun () -> Printf.sprintf "set_weight id=%d w=%g" id weight)
 
   let select t =
     let r = F.select t.f in
-    let event =
+    let event () =
       match r with
       | None -> "select -> none"
       | Some id -> Printf.sprintf "select -> id=%d" id
     in
-    let chk inv = Invariant.check t.sink ~invariant:inv ~node:t.node ~event in
-    chk "work-conserving" (t.pending = None)
-      "select with a selection already pending";
+    if t.pending <> None then
+      fail t event "work-conserving" "select with a selection already pending";
     (match r with
     | None ->
-      chk "work-conserving"
-        (Hashtbl.length t.ready = 0)
-        "select returned none with %d clients runnable"
-        (Hashtbl.length t.ready)
+      if Hashtbl.length t.ready <> 0 then
+        fail t event "work-conserving"
+          "select returned none with %d clients runnable"
+          (Hashtbl.length t.ready)
     | Some id ->
-      chk "work-conserving" (Hashtbl.mem t.ready id)
-        "selected client %d is not runnable" id;
+      if not (Hashtbl.mem t.ready id) then
+        fail t event "work-conserving" "selected client %d is not runnable" id;
       t.pending <- Some id);
-    post t ~event;
+    post t event;
     r
 
   let charge t ~id ~service ~runnable =
     F.charge t.f ~id ~service ~runnable;
-    let event =
+    let event () =
       Printf.sprintf "charge id=%d l=%g runnable=%b" id service runnable
     in
-    Invariant.check t.sink ~invariant:"work-conserving" ~node:t.node ~event
-      (t.pending = Some id)
-      "charge of client %d but the pending selection is %s" id
-      (match t.pending with None -> "none" | Some s -> string_of_int s);
+    if t.pending <> Some id then
+      fail t event "work-conserving"
+        "charge of client %d but the pending selection is %s" id
+        (match t.pending with None -> "none" | Some s -> string_of_int s);
     t.pending <- None;
     if not runnable then Hashtbl.remove t.ready id;
-    post t ~event
+    post t event
 
   let backlogged t = F.backlogged t.f
   let virtual_time t = F.virtual_time t.f
@@ -101,12 +103,19 @@ end
 module Sfq = struct
   module S = Hsfq_core.Sfq
 
-  type t = { s : S.t; node : string; sink : Invariant.sink }
+  (* [pre] is the pre-state buffer every guarded call refills. *)
+  type t = {
+    s : S.t;
+    node : string;
+    sink : Invariant.sink;
+    pre : Sfq_rules.snapshot;
+  }
 
   let wrap ?(node = "sfq") ?sink s =
     {
       s;
       node;
+      pre = Sfq_rules.snapshot s;
       sink =
         (match sink with
         | Some k -> k
@@ -118,7 +127,7 @@ module Sfq = struct
   let sink t = t.sink
 
   let guarded t ev f =
-    let pre = Sfq_rules.snapshot t.s in
+    let pre = Sfq_rules.snapshot ~into:t.pre t.s in
     let r = f t.s in
     Sfq_rules.check_transition ~node:t.node t.sink ~pre t.s (ev r);
     r

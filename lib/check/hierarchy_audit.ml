@@ -9,34 +9,39 @@ let path hier nid =
    flags are always updated before the parent's SFQ transition
    (setrun/sleep/update all write the child first), so this holds at
    every hook firing — unlike the node's *own* flag, which is written by
-   the *next* step of the walk and is only checked in {!check_all}. *)
+   the *next* step of the walk and is only checked in {!check_all}.
+   Paths are built only for a report. *)
 let check_children sink hier nid ~event sfq =
-  let node = path hier nid in
-  List.iter
-    (fun child ->
-      let chk inv = Invariant.check sink ~invariant:inv ~node ~event in
+  let fail invariant =
+    Invariant.fail sink ~invariant ~node:(path hier nid) ~event
+  in
+  Hierarchy.iter_children hier nid (fun child ->
       if not (Sfq.mem sfq ~id:child) then
-        chk "weight-conservation" false "child %s not registered in the SFQ"
+        fail "weight-conservation" "child %s not registered in the SFQ"
           (path hier child)
       else begin
         let administered = Hierarchy.weight hier child in
-        let registered = Sfq.weight sfq ~id:child in
-        chk "weight-conservation"
-          (Float.abs (administered -. registered)
-          <= 1e-9 *. (1. +. Float.abs administered))
-          "child %s administered weight %g but registered %g"
-          (path hier child) administered registered;
-        chk "runnability"
-          (Hierarchy.is_runnable hier child = Sfq.is_runnable sfq ~id:child)
-          "child %s flag %b but SFQ says %b" (path hier child)
-          (Hierarchy.is_runnable hier child)
-          (Sfq.is_runnable sfq ~id:child)
+        let registered =
+          Sfq.slot_weight sfq ~slot:(Sfq.slot_of_id sfq ~id:child)
+        in
+        if
+          not
+            (Float.abs (administered -. registered)
+            <= 1e-9 *. (1. +. Float.abs administered))
+        then
+          fail "weight-conservation"
+            "child %s administered weight %g but registered %g"
+            (path hier child) administered registered;
+        let flag = Hierarchy.is_runnable hier child in
+        if flag <> Sfq.is_runnable sfq ~id:child then
+          fail "runnability" "child %s flag %b but SFQ says %b"
+            (path hier child) flag
+            (Sfq.is_runnable sfq ~id:child)
       end)
-    (Hierarchy.children_of hier nid)
 
 let check_node sink hier nid ~event =
   let sfq = Hierarchy.internal_sfq hier nid in
-  Sfq_rules.check_state ~node:(path hier nid) ~event sink sfq;
+  Sfq_rules.check_state sink ~where:(fun () -> (path hier nid, event)) sfq;
   check_children sink hier nid ~event sfq
 
 let attach sink hier =

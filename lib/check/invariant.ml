@@ -13,11 +13,12 @@ type sink = {
   policy : policy;
   limit : int;
   mutable stored : violation list; (* newest first *)
+  mutable nstored : int; (* List.length stored, kept so [report] is O(1) *)
   mutable count : int;
 }
 
 let create ?(policy = Collect) ?(limit = 1000) () =
-  { policy; limit; stored = []; count = 0 }
+  { policy; limit; stored = []; nstored = 0; count = 0 }
 
 let violation_to_string v =
   Printf.sprintf "[%s] %s during %s: %s" v.invariant v.node v.event v.detail
@@ -31,20 +32,26 @@ let report sink v =
   match sink.policy with
   | Raise -> raise (Violation v)
   | Collect ->
-    if List.length sink.stored < sink.limit then sink.stored <- v :: sink.stored
+    if sink.nstored < sink.limit then begin
+      sink.stored <- v :: sink.stored;
+      sink.nstored <- sink.nstored + 1
+    end
+
+let fail sink ~invariant ~node ~event fmt =
+  Printf.ksprintf
+    (fun detail -> report sink { invariant; event; node; detail })
+    fmt
 
 let check sink ~invariant ~node ~event ok fmt =
   if ok then Printf.ikfprintf (fun () -> ()) () fmt
-  else
-    Printf.ksprintf
-      (fun detail -> report sink { invariant; event; node; detail })
-      fmt
+  else fail sink ~invariant ~node ~event fmt
 
 let count sink = sink.count
 let violations sink = List.rev sink.stored
 
 let clear sink =
   sink.stored <- [];
+  sink.nstored <- 0;
   sink.count <- 0
 
 let summary sink =

@@ -35,6 +35,18 @@ val create : ?policy:policy -> ?limit:int -> unit -> sink
 
 val report : sink -> violation -> unit
 
+val fail :
+  sink ->
+  invariant:string ->
+  node:string ->
+  event:string ->
+  ('a, unit, string, unit) format4 ->
+  'a
+(** [fail sink ~invariant ~node ~event fmt ...] reports a violation with
+    the formatted detail. Per-transition checkers guard it as
+    [if not ok then fail ...], so the location, the detail arguments and
+    the formatting are all paid only when the rule breaks. *)
+
 val check :
   sink ->
   invariant:string ->
@@ -43,10 +55,11 @@ val check :
   bool ->
   ('a, unit, string, unit) format4 ->
   'a
-(** [check sink ~invariant ~node ~event ok fmt ...] reports a violation
-    with the formatted detail when [ok] is false, and does nothing
-    otherwise. Formatting is skipped when [ok] holds, so per-transition
-    checks stay cheap on the hot path. *)
+(** [check sink ~invariant ~node ~event ok fmt ...] is {!fail} when [ok]
+    is false and does nothing otherwise. The arguments are still
+    evaluated (boxing floats, building strings) and the format is still
+    walked when [ok] holds, so this suits cold sweeps; hot paths use the
+    [if not ok then fail ...] pattern instead. *)
 
 val count : sink -> int
 (** Total violations reported (including any dropped past [limit]). *)

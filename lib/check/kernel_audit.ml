@@ -174,7 +174,7 @@ let check_leaf ctx ~event v lookup expected lv =
   match lv.sfq with
   | None -> ()
   | Some sfq ->
-    Sfq_rules.check_state ~node ~event sink sfq;
+    Sfq_rules.check_state sink ~where:(fun () -> (node, event)) sfq;
     let vt = Sfq.virtual_time sfq in
     (match Hashtbl.find_opt ctx.last_vt node with
     | Some prev ->

@@ -9,6 +9,12 @@
       single [arrive]/[select]/[charge]/[block]/[depart]/[donate]/[revoke]
       against the pre-state captured with {!snapshot}.
 
+    Both scan the SFQ's flat slot columns ({!Hsfq_core.Sfq.slot_bound}
+    and the slot probes) and build no list or view per client, so with
+    cross-module inlining (release) a passing check allocates a bounded
+    handful of words whatever the client count. A violation's location,
+    event label and evidence are built only when a rule fails.
+
     Rule identifiers reported to the sink (see [doc/INVARIANTS.md]):
     ["vt-monotone"], ["tag-discipline"], ["select-min-start"],
     ["nrun-consistent"], ["donation-conservation"], ["work-conserving"],
@@ -17,11 +23,15 @@
 open Hsfq_core
 
 type snapshot
-(** Cheap capture of the observable SFQ state: virtual time, ready count,
-    in-service client, and per-client (weight, start, finish, runnable). *)
+(** The observable SFQ state a transition is judged against: virtual
+    time, max finish tag, ready count, in-service client, donations, and
+    per slot the client's id, tags, effective weight and runnable flag. *)
 
-val snapshot : Sfq.t -> snapshot
-val snapshot_vt : snapshot -> float
+val snapshot : ?into:snapshot -> Sfq.t -> snapshot
+(** Capture the state. With [into], refill that buffer (growing its
+    columns only when the SFQ's slot bound outgrows them) and return it,
+    so a guard that keeps one buffer snapshots every operation without
+    allocating. *)
 
 (** The transition just performed, for {!check_transition}. *)
 type event =
@@ -37,12 +47,14 @@ type event =
 val event_to_string : event -> string
 
 val check_state :
-  ?node:string -> ?event:string -> Invariant.sink -> Sfq.t -> unit
-(** Verify all snapshot invariants of [t], reporting into the sink with
-    [node] (default ["sfq"]) as the location and [event] (default
-    ["state"]) as the transition label. *)
+  Invariant.sink -> where:(unit -> string * string) -> Sfq.t -> unit
+(** Verify all snapshot invariants of the SFQ, reporting into the sink.
+    [where ()] gives the [(node, event)] labels of a report; it is called
+    only when a rule fails, so a caller can pass a thunk that builds a
+    node path or an event label without paying for it on every check. *)
 
 val check_transition :
   ?node:string -> Invariant.sink -> pre:snapshot -> Sfq.t -> event -> unit
 (** Verify the step semantics of [event] given the pre-state, then run
-    {!check_state} on the post-state. *)
+    {!check_state} on the post-state, labelling reports with [node]
+    (default ["sfq"]) and the event's {!event_to_string}. *)

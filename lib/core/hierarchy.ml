@@ -388,6 +388,13 @@ let parent_of t id =
 
 let children_of t id = List.rev (node t id).children
 
+let iter_children t id f =
+  let rec creation_order = function
+    | [] -> ()
+    | c :: older -> creation_order older; f c
+  in
+  creation_order (node t id).children
+
 let depth t id =
   let rec up n acc =
     match n.parent with None -> acc | Some p -> up p (acc + 1)

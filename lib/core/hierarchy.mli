@@ -65,6 +65,10 @@ val parent_of : t -> id -> id option
 val children_of : t -> id -> id list
 (** In creation order. *)
 
+val iter_children : t -> id -> (id -> unit) -> unit
+(** [List.iter f (children_of t id)] without building the list (the
+    per-transition audit's walk). *)
+
 val depth : t -> id -> int
 (** Root has depth 0. *)
 

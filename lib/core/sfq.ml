@@ -608,6 +608,15 @@ let clients t =
   done;
   List.sort Int.compare !acc
 
+(* Slot probes for the audit's scan. [@inline] lets the release build
+   inline them across modules, so the float reads are not boxed. *)
+let slot_bound t = t.top
+let[@inline] slot_weight t ~slot = t.weightv.(slot)
+let[@inline] slot_effective_weight t ~slot = effective_weight t slot
+let[@inline] slot_start t ~slot = t.startv.(slot)
+let[@inline] slot_finish t ~slot = t.finishv.(slot)
+let[@inline] slot_runnable t ~slot = Char.equal (Bytes.get t.statev slot) st_runnable
+
 let weight t ~id =
   let slot = slot_checked t id in
   t.weightv.(slot)

@@ -151,7 +151,20 @@ val mem : t -> id:int -> bool
     properties these make checkable. *)
 
 val clients : t -> int list
-(** All known clients (runnable or blocked), in no particular order. *)
+(** All known clients (runnable or blocked), in ascending id order
+    (allocates). *)
+
+(** Slot probes: the audit scans the flat client table through these,
+    with no list, sort or hash. Slots [0, slot_bound) hold every known
+    client; {!id_of_slot} is [-1] on a free slot, and the probes below
+    read a live slot's columns (out-of-range slots raise). *)
+
+val slot_bound : t -> int
+val slot_weight : t -> slot:int -> float
+val slot_effective_weight : t -> slot:int -> float
+val slot_start : t -> slot:int -> float
+val slot_finish : t -> slot:int -> float
+val slot_runnable : t -> slot:int -> bool
 
 val weight : t -> id:int -> float
 (** The client's own (administered) weight, excluding donations. *)

@@ -30,7 +30,10 @@ module Sfq_leaf = struct
     sfq : Hsfq_core.Sfq.t;
     weights : (int, float) Hashtbl.t;
     quantum : Time.span option;
-    audit : (Hsfq_check.Invariant.sink * string) option;
+    audit :
+      (Hsfq_check.Invariant.sink * string * Hsfq_check.Sfq_rules.snapshot) option;
+        (* sink, node label, and the pre-state buffer every guarded
+           operation refills *)
   }
 
   (* [Hashtbl.find] rather than [find_opt]: enqueue runs once per wake
@@ -45,19 +48,23 @@ module Sfq_leaf = struct
   let guarded h ev f =
     match h.audit with
     | None -> f h.sfq
-    | Some (sink, node) ->
-      let pre = Hsfq_check.Sfq_rules.snapshot h.sfq in
+    | Some (sink, node, into) ->
+      let pre = Hsfq_check.Sfq_rules.snapshot ~into h.sfq in
       let r = f h.sfq in
       Hsfq_check.Sfq_rules.check_transition ~node sink ~pre h.sfq (ev r);
       r
 
   let make ?quantum ?audit ?(audit_label = "sfq-leaf") () =
+    let sfq = Hsfq_core.Sfq.create () in
     let h =
       {
-        sfq = Hsfq_core.Sfq.create ();
+        sfq;
         weights = Hashtbl.create 8;
         quantum;
-        audit = Option.map (fun sink -> (sink, audit_label)) audit;
+        audit =
+          Option.map
+            (fun sink -> (sink, audit_label, Hsfq_check.Sfq_rules.snapshot sfq))
+            audit;
       }
     in
     let module R = Hsfq_check.Sfq_rules in

@@ -44,7 +44,24 @@ let test_limit_caps_storage () =
     Invariant.check sink ~invariant:"r" ~node:"n" ~event:"e" false "v%d" i
   done;
   check_int "count keeps counting" 5 (Invariant.count sink);
-  check_int "storage capped" 2 (List.length (Invariant.violations sink))
+  check_int "storage capped" 2 (List.length (Invariant.violations sink));
+  (* A flood (a broken rule in a long run) at the default limit: each
+     report past the cap is O(1), and the first [limit] reports stay. *)
+  let sink = Invariant.create () in
+  for i = 1 to 100_000 do
+    Invariant.report sink
+      {
+        Invariant.invariant = "r";
+        node = "n";
+        event = "e";
+        detail = string_of_int i;
+      }
+  done;
+  check_int "flood counted" 100_000 (Invariant.count sink);
+  let stored = Invariant.violations sink in
+  check_int "flood storage capped" 1000 (List.length stored);
+  check_string "oldest first" "1" (List.hd stored).Invariant.detail;
+  check_string "newest stored" "1000" (List.nth stored 999).Invariant.detail
 
 let test_raise_sink () =
   let sink = Invariant.create ~policy:Raise () in
@@ -203,6 +220,389 @@ let test_hierarchy_audit_catches_tampering () =
     check_string "rule" "weight-conservation" v.Invariant.invariant
   | [] -> Alcotest.fail "expected a stored violation"
 
+(* ----------------------- golden violations ------------------------- *)
+
+(* Every rule id the SFQ and hierarchy audits report, provoked through
+   the public API, with the full violation record asserted: rule, node
+   path, event label and detail string, in report order. These pin the
+   audit's observable output, so a rewrite of the checkers must keep
+   every record byte-identical. *)
+
+let violation = Alcotest.testable Invariant.pp_violation ( = )
+
+let v invariant node event detail =
+  { Invariant.invariant; node; event; detail }
+
+let check_violations what expected sink =
+  Alcotest.(check (list violation)) what expected (Invariant.violations sink)
+
+(* One client charged [service] and then blocked: v(t) and the max
+   finish tag both sit at [service]. *)
+let drained_sfq ~service =
+  let s = Sfq.create () in
+  Sfq.arrive s ~id:1 ~weight:1.;
+  (match Sfq.select s with
+  | Some id -> Sfq.charge s ~id ~service ~runnable:false
+  | None -> Alcotest.fail "selection expected");
+  s
+
+let fabricate ev ~pre s =
+  let sink = Invariant.create () in
+  Sfq_rules.check_transition ~node:"t" sink ~pre:(Sfq_rules.snapshot pre) s ev;
+  sink
+
+let test_golden_clock_rules () =
+  (* vt-monotone + max-finish-bound: a pre-state from a busier SFQ. *)
+  let sink =
+    fabricate (Sfq_rules.Block 7) ~pre:(drained_sfq ~service:10.)
+      (Sfq.create ())
+  in
+  check_violations "clock went backwards"
+    [
+      v "vt-monotone" "t" "block id=7"
+        "v(t) went backwards: 10 -> 0";
+      v "max-finish-bound" "t" "block id=7"
+        "max finish tag went backwards: 10 -> 0";
+    ]
+    sink;
+  (* A first arrival judged against that pre-state's clock. *)
+  let s = Sfq.create () in
+  Sfq.arrive s ~id:2 ~weight:2.;
+  let sink =
+    fabricate (Sfq_rules.Arrive { id = 2; weight = 2. })
+      ~pre:(drained_sfq ~service:10.) s
+  in
+  check_violations "first start tag below the clock"
+    [
+      v "vt-monotone" "t" "arrive id=2 w=2"
+        "v(t) went backwards: 10 -> 0";
+      v "max-finish-bound" "t" "arrive id=2 w=2"
+        "max finish tag went backwards: 10 -> 0";
+      v "tag-discipline" "t" "arrive id=2 w=2"
+        "first start tag 0, expected max(v=10, 0)";
+    ]
+    sink
+
+let test_golden_arrive_block () =
+  let s = Sfq.create () in
+  Sfq.arrive s ~id:1 ~weight:1.;
+  Sfq.arrive s ~id:2 ~weight:1.;
+  Sfq.block s ~id:2;
+  (* An arrival that never happened. *)
+  check_violations "arrive not applied"
+    [
+      v "tag-discipline" "t" "arrive id=2 w=3"
+        "arrived client 2 not runnable";
+      v "tag-discipline" "t" "arrive id=2 w=3"
+        "wake did not apply weight 3 (has 1)";
+    ]
+    (fabricate (Sfq_rules.Arrive { id = 2; weight = 3. }) ~pre:s s);
+  (* A block that never happened. *)
+  check_violations "block not applied"
+    [
+      v "tag-discipline" "t" "block id=1"
+        "client 1 runnable after block";
+    ]
+    (fabricate (Sfq_rules.Block 1) ~pre:s s);
+  (* A weight change that never happened. *)
+  check_violations "set_weight not applied"
+    [
+      v "tag-discipline" "t" "set_weight id=1 w=3"
+        "set_weight did not apply 3 (has 1)";
+    ]
+    (fabricate (Sfq_rules.Set_weight { id = 1; weight = 3. }) ~pre:s s)
+
+let test_golden_select () =
+  (* Client 1 has been served once (S=10), client 2 not at all (S=0). *)
+  let served_pair () =
+    let s = Sfq.create () in
+    Sfq.arrive s ~id:1 ~weight:1.;
+    (match Sfq.select s with
+    | Some id -> Sfq.charge s ~id ~service:10. ~runnable:true
+    | None -> Alcotest.fail "selection expected");
+    Sfq.arrive s ~id:2 ~weight:1.;
+    s
+  in
+  let pre = served_pair () and s = served_pair () in
+  ignore (Sfq.select s);
+  check_violations "selected a larger start tag"
+    [
+      v "select-min-start" "t" "select -> id=1"
+        "selected client 1 with S=10, but min ready S=0";
+      v "vt-monotone" "t" "select -> id=1"
+        "v(t)=0 after select, expected selected start tag 10";
+    ]
+    (fabricate (Sfq_rules.Select (Some 1)) ~pre s);
+  check_violations "selected an unknown client"
+    [
+      v "select-min-start" "t" "select -> id=99"
+        "selected unknown client 99";
+    ]
+    (fabricate (Sfq_rules.Select (Some 99)) ~pre s);
+  check_violations "refused to select with a backlog"
+    [
+      v "work-conserving" "t" "select -> none"
+        "select returned none with 2 clients backlogged";
+    ]
+    (fabricate (Sfq_rules.Select None) ~pre s);
+  (* A second selection while one is pending. *)
+  check_violations "selection already pending"
+    [
+      v "work-conserving" "t" "select -> id=2"
+        "select with a selection already pending";
+    ]
+    (fabricate (Sfq_rules.Select (Some 2)) ~pre:s s)
+
+let test_golden_charge () =
+  let pre = Sfq.create () in
+  Sfq.arrive pre ~id:1 ~weight:2.;
+  ignore (Sfq.select pre);
+  let s = Sfq.create () in
+  Sfq.arrive s ~id:1 ~weight:2.;
+  ignore (Sfq.select s);
+  Sfq.charge s ~id:1 ~service:10. ~runnable:true;
+  (* Claimed 20 ns of service, charged 10. *)
+  check_violations "finish tag off the charged service"
+    [
+      v "charge-finish-tag" "t" "charge id=1 l=20 runnable=true"
+        "F=5, expected S + l/w = 0 + 20/2 = 10";
+    ]
+    (fabricate
+       (Sfq_rules.Charge { id = 1; service = 20.; runnable = true })
+       ~pre s);
+  (* Claimed a blocking charge, but the client was requeued. *)
+  check_violations "blocking charge left the client runnable"
+    [
+      v "tag-discipline" "t" "charge id=1 l=10 runnable=false"
+        "client 1 still runnable after blocking charge";
+    ]
+    (fabricate
+       (Sfq_rules.Charge { id = 1; service = 10.; runnable = false })
+       ~pre s);
+  (* A charge with nothing in service. *)
+  check_violations "charge without a selection"
+    [
+      v "work-conserving" "t" "charge id=1 l=10 runnable=true"
+        "charge of client 1 but in-service was none";
+      v "charge-finish-tag" "t" "charge id=1 l=10 runnable=true"
+        "F=5, expected S + l/w = 5 + 10/2 = 10";
+    ]
+    (fabricate
+       (Sfq_rules.Charge { id = 1; service = 10.; runnable = true })
+       ~pre:s s);
+  check_violations "charge of an unknown client"
+    [
+      v "work-conserving" "t" "charge id=9 l=10 runnable=true"
+        "charge of client 9 but in-service was 1";
+      v "charge-finish-tag" "t" "charge id=9 l=10 runnable=true"
+        "charged unknown client 9";
+    ]
+    (fabricate
+       (Sfq_rules.Charge { id = 9; service = 10.; runnable = true })
+       ~pre s)
+
+let test_golden_donations () =
+  let s = Sfq.create () in
+  List.iter (fun id -> Sfq.arrive s ~id ~weight:(float_of_int id)) [ 2; 3; 4 ];
+  Sfq.donate s ~blocked:4 ~recipient:3;
+  let pre = Sfq.create () in
+  List.iter (fun id -> Sfq.arrive pre ~id ~weight:(float_of_int id)) [ 2; 3; 4 ];
+  Sfq.donate pre ~blocked:2 ~recipient:3;
+  Sfq.donate pre ~blocked:4 ~recipient:3;
+  check_violations "donate not recorded"
+    [
+      v "donation-conservation" "t" "donate blocked=2 recipient=4"
+        "no donation record 2->4 after donate";
+    ]
+    (fabricate (Sfq_rules.Donate { blocked = 2; recipient = 4 }) ~pre s);
+  (* s kept 4->3 but the pre-state also had 2->3: revoking 4 should
+     have dropped 4->3 and kept 2->3. *)
+  check_violations "revoke dropped the wrong donation"
+    [
+      v "donation-conservation" "t" "revoke blocked=4"
+        "donation from 4 still recorded after revoke";
+      v "donation-conservation" "t" "revoke blocked=4"
+        "revoke of 4 dropped unrelated donation 2->3 (2)";
+    ]
+    (fabricate (Sfq_rules.Revoke 4) ~pre s)
+
+let test_golden_state_rules () =
+  (* The state rules run after every transition; a block of an unknown
+     client (id 0) adds no step rule of its own. *)
+  let state_only s = fabricate (Sfq_rules.Block 0) ~pre:s s in
+  (* A NaN weight passes [weight <= 0.]: both clients break the weight
+     rules, reported in ascending id order whatever their slots. *)
+  let s = Sfq.create () in
+  Sfq.arrive s ~id:5 ~weight:Float.nan;
+  Sfq.arrive s ~id:2 ~weight:Float.nan;
+  check_violations "non-positive weights"
+    [
+      v "tag-discipline" "t" "block id=0"
+        "client 2 has non-positive weight w=nan eff=nan";
+      v "tag-discipline" "t" "block id=0"
+        "client 5 has non-positive weight w=nan eff=nan";
+      v "donation-conservation" "t" "block id=0"
+        "client 2: eff=nan but weight=nan + received=0";
+      v "donation-conservation" "t" "block id=0"
+        "client 5: eff=nan but weight=nan + received=0";
+    ]
+    (state_only s);
+  (* An infinite charge: non-finite tags, then a non-finite clock. *)
+  let s = Sfq.create () in
+  Sfq.arrive s ~id:1 ~weight:1.;
+  ignore (Sfq.select s);
+  Sfq.charge s ~id:1 ~service:Float.infinity ~runnable:true;
+  check_violations "non-finite tags"
+    [
+      v "tag-discipline" "t" "block id=0"
+        "client 1 has non-finite tags S=inf F=inf";
+    ]
+    (state_only s);
+  check_violations "non-finite clock"
+    [
+      v "vt-monotone" "t" "block id=0"
+        "v(t)=inf not a finite nonnegative value";
+      v "tag-discipline" "t" "block id=0"
+        "client 1 has non-finite tags S=0 F=inf";
+    ]
+    (state_only (drained_sfq ~service:Float.infinity))
+
+(* /a/b/c: tamper with the SFQs of the two nested internal nodes behind
+   the hierarchy's back, then let a structure operation fire the hook. *)
+let nested () =
+  let sink = Invariant.create () in
+  let h = Hierarchy.create () in
+  let a = mknod_exn h ~name:"a" ~parent:Hierarchy.root ~weight:1. Hierarchy.Internal in
+  let b = mknod_exn h ~name:"b" ~parent:a ~weight:2. Hierarchy.Internal in
+  let c = mknod_exn h ~name:"c" ~parent:b ~weight:3. Hierarchy.Leaf in
+  let d = mknod_exn h ~name:"d" ~parent:b ~weight:4. Hierarchy.Leaf in
+  Hierarchy.setrun h c;
+  Hierarchy.setrun h d;
+  Hierarchy_audit.attach sink h;
+  (sink, h, a, b, c, d)
+
+let test_golden_hierarchy_weights () =
+  let sink, h, a, b, c, d = nested () in
+  Sfq.set_weight (Hierarchy.internal_sfq h Hierarchy.root) ~id:a ~weight:5.;
+  Sfq.set_weight (Hierarchy.internal_sfq h a) ~id:b ~weight:9.;
+  Sfq.set_weight (Hierarchy.internal_sfq h b) ~id:c ~weight:7.;
+  (* Each operation audits only the parent it touched. *)
+  Hierarchy.set_weight h d 4.;
+  check_violations "tampered child, hook at /a/b"
+    [
+      v "weight-conservation" "/a/b" "set_weight"
+        "child /a/b/c administered weight 3 but registered 7";
+    ]
+    sink;
+  Invariant.clear sink;
+  ignore (mknod_exn h ~name:"e" ~parent:a ~weight:1. Hierarchy.Leaf);
+  check_violations "tampered child, hook at /a"
+    [
+      v "weight-conservation" "/a" "mknod"
+        "child /a/b administered weight 2 but registered 9";
+    ]
+    sink;
+  Invariant.clear sink;
+  ignore (mknod_exn h ~name:"f" ~parent:Hierarchy.root ~weight:1. Hierarchy.Leaf);
+  check_violations "tampered child, hook at the root"
+    [
+      v "weight-conservation" "/" "mknod"
+        "child /a administered weight 1 but registered 5";
+    ]
+    sink
+
+let test_golden_hierarchy_runnability () =
+  let sink, h, _, b, c, d = nested () in
+  Sfq.block (Hierarchy.internal_sfq h b) ~id:c;
+  Sfq.depart (Hierarchy.internal_sfq h b) ~id:d;
+  Hierarchy.set_weight h c 5.;
+  check_violations "flag vs SFQ, unregistered child"
+    [
+      v "runnability" "/a/b" "set_weight"
+        "child /a/b/c flag true but SFQ says false";
+      v "weight-conservation" "/a/b" "set_weight"
+        "child /a/b/d not registered in the SFQ";
+    ]
+    sink;
+  Invariant.clear sink;
+  Hierarchy_audit.check_all sink h;
+  check_violations "sweep"
+    [
+      v "runnability" "/a/b" "sweep"
+        "child /a/b/c flag true but SFQ says false";
+      v "weight-conservation" "/a/b" "sweep"
+        "child /a/b/d not registered in the SFQ";
+      v "runnability" "/a/b" "sweep"
+        "node flag true but SFQ backlog is 0";
+    ]
+    sink
+
+(* ------------------- audited steady-state allocation ------------------ *)
+
+(* An audited transition scans the SFQ's flat columns into a reused
+   buffer and formats nothing unless a rule fails. In the dev profile
+   each float probe call still boxes its result (no cross-module
+   inlining under -opaque), so these figures grow with the clients
+   scanned; the ceilings are 1.5x the dev figures measured on these
+   shapes (358 and 695 words). Checkers that build a client list, a
+   view record per client or an event label per transition allocate
+   7752 and 12667 words per decision here and fail them. *)
+let words_per_decision ~decisions step =
+  for _ = 1 to 1_000 do
+    step ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to decisions do
+    step ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int decisions
+
+let audited_hierarchy_words_ceiling = 537.
+let audited_leaf_words_ceiling = 1042.5
+
+let test_audited_hierarchy_words () =
+  let sink = Invariant.create ~policy:Raise () in
+  let h = Hierarchy.create () in
+  Hierarchy_audit.attach sink h;
+  for i = 0 to 3 do
+    let mid =
+      mknod_exn h ~name:(Printf.sprintf "m%d" i) ~parent:Hierarchy.root
+        ~weight:(float_of_int (i + 1)) Hierarchy.Internal
+    in
+    for j = 0 to 3 do
+      Hierarchy.setrun h
+        (mknod_exn h ~name:(Printf.sprintf "l%d" j) ~parent:mid
+           ~weight:(float_of_int (j + 1)) Hierarchy.Leaf)
+    done
+  done;
+  let per_decision =
+    words_per_decision ~decisions:10_000 (fun () ->
+        let leaf = Hierarchy.schedule_id h in
+        Hierarchy.update_ns h ~leaf ~service_ns:1_000_000 ~leaf_runnable:true)
+  in
+  if per_decision > audited_hierarchy_words_ceiling then
+    Alcotest.failf
+      "audited hierarchy decision allocates %.2f minor words (ceiling %.1f)"
+      per_decision audited_hierarchy_words_ceiling
+
+let test_audited_leaf_words () =
+  let module Leaf = Hsfq_kernel.Leaf_sched in
+  let sink = Invariant.create ~policy:Raise () in
+  let lf, h = Leaf.Sfq_leaf.make ~audit:sink () in
+  for tid = 0 to 15 do
+    Leaf.Sfq_leaf.add h ~tid ~weight:(float_of_int (1 + (tid mod 4)));
+    lf.Leaf.enqueue ~now:0 tid
+  done;
+  let per_decision =
+    words_per_decision ~decisions:10_000 (fun () ->
+        let tid = lf.Leaf.select_id ~now:0 in
+        lf.Leaf.charge ~now:0 tid ~service:1_000_000 ~runnable:true)
+  in
+  if per_decision > audited_leaf_words_ceiling then
+    Alcotest.failf
+      "audited SFQ leaf decision allocates %.2f minor words (ceiling %.1f)"
+      per_decision audited_leaf_words_ceiling
+
 let () =
   Alcotest.run "check"
     [
@@ -236,5 +636,26 @@ let () =
             test_hierarchy_audit_clean;
           Alcotest.test_case "catches out-of-band tampering" `Quick
             test_hierarchy_audit_catches_tampering;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "clock rules" `Quick test_golden_clock_rules;
+          Alcotest.test_case "arrive, block, set_weight" `Quick
+            test_golden_arrive_block;
+          Alcotest.test_case "select" `Quick test_golden_select;
+          Alcotest.test_case "charge" `Quick test_golden_charge;
+          Alcotest.test_case "donations" `Quick test_golden_donations;
+          Alcotest.test_case "state rules" `Quick test_golden_state_rules;
+          Alcotest.test_case "hierarchy weights" `Quick
+            test_golden_hierarchy_weights;
+          Alcotest.test_case "hierarchy runnability" `Quick
+            test_golden_hierarchy_runnability;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "audited hierarchy decision" `Quick
+            test_audited_hierarchy_words;
+          Alcotest.test_case "audited SFQ leaf decision" `Quick
+            test_audited_leaf_words;
         ] );
     ]
