@@ -292,25 +292,28 @@ let keyed_heap_micro ~n =
         done);
   }
 
-(* Event-queue churn: schedule, cancel half, drain — the simulation
-   substrate every experiment runs on.  The queue persists across
-   iterations so the steady state (warm arrays, handle free list) is
-   what gets measured, mirroring a long-running simulation. *)
+(* Event-queue churn: arm n timers, disarm half, drain — the simulation
+   substrate every experiment runs on.  The queue and its timers persist
+   across iterations so the steady state (warm arrays) is what gets
+   measured, mirroring a long-running simulation.  The drain loop is
+   top-level: a local one would allocate its closure per iteration. *)
+let rec drain_queue q =
+  if Engine.Event_queue.take_until q ~horizon:max_int >= 0 then drain_queue q
+
 let event_queue_micro ~n =
   let q = Engine.Event_queue.create () in
+  let timers = Array.init n (fun _ -> Engine.Event_queue.timer q ignore) in
   {
     group = "substrate";
     name = Printf.sprintf "event-queue/churn n=%d" n;
     fn =
       (fun () ->
         for i = 0 to n - 1 do
-          let h = Engine.Event_queue.schedule q ~at:((i * 7919) mod n) ignore in
-          if i mod 2 = 0 then Engine.Event_queue.cancel h
+          let tm = timers.(i) in
+          Engine.Event_queue.arm q tm ~at:((i * 7919) mod n);
+          if i mod 2 = 0 then Engine.Event_queue.disarm q tm
         done;
-        let rec drain () =
-          if Engine.Event_queue.take_until q ~horizon:max_int >= 0 then drain ()
-        in
-        drain ());
+        drain_queue q);
   }
 
 let all_micros () =

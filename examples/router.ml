@@ -39,16 +39,15 @@ let () =
   (* traffic: generators target the hierarchical link via closures *)
   let rec cbr ~flow ~gap ~bits () =
     Hlink.enqueue hl ~flow ~bits;
-    ignore (Sim.after sim gap (cbr ~flow ~gap ~bits))
+    Sim.after sim gap (cbr ~flow ~gap ~bits)
   in
   let rng = Prng.create 99 in
   let rec poisson ~flow ~mean_gap ~mean_bits () =
     Hlink.enqueue hl ~flow
       ~bits:(Int.max 64 (int_of_float (Prng.exponential rng ~mean:mean_bits)));
-    ignore
-      (Sim.after sim
-         (Int.max 1 (Time.of_seconds_float (Prng.exponential rng ~mean:mean_gap)))
-         (poisson ~flow ~mean_gap ~mean_bits))
+    Sim.after sim
+      (Int.max 1 (Time.of_seconds_float (Prng.exponential rng ~mean:mean_gap)))
+      (poisson ~flow ~mean_gap ~mean_bits)
   in
   cbr ~flow:voice ~gap:(Time.milliseconds 20) ~bits:1280 ();
   cbr ~flow:video ~gap:(Time.of_seconds_float (1. /. 30.)) ~bits:66_000 ();

@@ -15,7 +15,7 @@ type thread_view = {
   leaf : int;
   state : thread_state;
   waiting_mutex : int option;
-  has_wake_handle : bool;
+  wake_armed : bool;
   suspended : bool;
   wake_pending : bool;
 }
@@ -47,7 +47,7 @@ let check_threads sink ~event v lookup =
     (fun tv ->
       let chk inv = Invariant.check sink ~invariant:inv ~node:"kernel" ~event in
       chk "wake-handle"
-        ((not tv.has_wake_handle) || (tv.state = Blocked && not tv.suspended))
+        ((not tv.wake_armed) || (tv.state = Blocked && not tv.suspended))
         "thread %d (%s) holds a wake timer in state %s%s" tv.tid tv.tname
         (state_to_string tv.state)
         (if tv.suspended then " while suspended" else "");

@@ -42,7 +42,7 @@ type thread_view = {
   leaf : int;  (** hierarchy node id of the thread's leaf class *)
   state : thread_state;
   waiting_mutex : int option;
-  has_wake_handle : bool;  (** an armed sleep timer *)
+  wake_armed : bool;  (** the sleep timer is armed *)
   suspended : bool;
   wake_pending : bool;  (** a wake arrived while suspended; banked *)
 }

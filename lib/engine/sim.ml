@@ -8,21 +8,43 @@ let create () = { q = Event_queue.create (); clock = Time.zero; fired = 0 }
 
 let now t = t.clock
 
+let in_the_past fn time clock =
+  invalid_arg
+    (Printf.sprintf "Sim.%s: scheduling in the past (%s < %s)" fn
+       (Time.to_string time) (Time.to_string clock))
+
+let negative_delay fn = invalid_arg ("Sim." ^ fn ^ ": negative delay")
+
 let at t time f =
-  if Time.compare time t.clock < 0 then
-    invalid_arg
-      (Printf.sprintf "Sim.at: scheduling in the past (%s < %s)"
-         (Time.to_string time) (Time.to_string t.clock));
+  if time < t.clock then in_the_past "at" time t.clock;
   Event_queue.schedule t.q ~at:time f
 
 let after t d f =
-  if d < 0 then invalid_arg "Sim.after: negative delay";
-  at t (Time.saturating_add t.clock d) f
+  if d < 0 then negative_delay "after";
+  Event_queue.schedule t.q ~at:(Time.saturating_add t.clock d) f
 
-let cancel = Event_queue.cancel
+let timer t f = Event_queue.timer t.q f
+
+let arm t tm time =
+  if time < t.clock then in_the_past "arm" time t.clock;
+  Event_queue.arm t.q tm ~at:time
+
+let arm_after t tm d =
+  if d < 0 then negative_delay "arm_after";
+  Event_queue.arm t.q tm ~at:(Time.saturating_add t.clock d)
+
+let disarm t tm = Event_queue.disarm t.q tm
+let armed t tm = Event_queue.armed t.q tm
+
+(* One timer re-armed from its own thunk; the [lazy] ties the thunk to
+   the timer it creates. *)
+let repeat t d f =
+  let rec fire () = arm_after t (Lazy.force tm) (f ())
+  and tm = lazy (timer t fire) in
+  arm_after t (Lazy.force tm) d
 
 (* The per-event loop: one [take_until] (single settle pass, no option,
-   no tuple) per event, thunk read through [taken]. Top-level so no
+   no tuple) per event, its thunk read through [taken]. Top-level so no
    closure is allocated per call. *)
 let rec drain_until t horizon =
   let at = Event_queue.take_until t.q ~horizon in

@@ -2,7 +2,13 @@
 
     Owns the clock and the event queue. Event thunks run with the clock
     already advanced to their timestamp and may schedule further events.
-    Time never goes backwards: scheduling strictly in the past raises. *)
+    Time never goes backwards: scheduling strictly in the past raises.
+
+    Two kinds of event: a one-shot ({!at}, {!after}) fires once and
+    cannot be cancelled; a persistent {!timer} is created once with its
+    thunk and then armed and disarmed as often as needed, storing only
+    integers each time. Code that may cancel an event, or fires the
+    same thunk repeatedly, holds a timer. *)
 
 type t
 
@@ -10,14 +16,34 @@ val create : unit -> t
 
 val now : t -> Time.t
 
-val at : t -> Time.t -> (unit -> unit) -> Event_queue.handle
-(** [at t time f] schedules [f] for absolute [time] (>= [now t]). *)
+val at : t -> Time.t -> (unit -> unit) -> unit
+(** [at t time f] runs [f] once at absolute [time] (>= [now t]). *)
 
-val after : t -> Time.span -> (unit -> unit) -> Event_queue.handle
-(** [after t d f] schedules [f] at [now t + d] ([d >= 0]), saturating
+val after : t -> Time.span -> (unit -> unit) -> unit
+(** [after t d f] runs [f] once at [now t + d] ([d >= 0]), saturating
     at [max_int]: a delay that would overflow means "never". *)
 
-val cancel : Event_queue.handle -> unit
+val timer : t -> (unit -> unit) -> Event_queue.timer
+(** A new, disarmed timer running the thunk each time it fires. *)
+
+val arm : t -> Event_queue.timer -> Time.t -> unit
+(** [arm t tm time] arms [tm] for absolute [time] (>= [now t]),
+    replacing any pending arming. A timer is disarmed as it fires, so
+    its thunk may re-arm it. *)
+
+val arm_after : t -> Event_queue.timer -> Time.span -> unit
+(** [arm_after t tm d] arms [tm] for [now t + d] ([d >= 0]), saturating
+    like {!after}. *)
+
+val disarm : t -> Event_queue.timer -> unit
+(** The timer will not fire until armed again; a no-op if not armed. *)
+
+val armed : t -> Event_queue.timer -> bool
+
+val repeat : t -> Time.span -> (unit -> Time.span) -> unit
+(** [repeat t d f] runs [f] at [now t + d], then again each time the
+    delay [f] returns has elapsed, for the rest of the run: one timer,
+    re-armed after each call. *)
 
 val run_until : t -> Time.t -> unit
 (** Fire all events with timestamp <= the horizon, advancing the clock; on

@@ -26,7 +26,7 @@ let run () =
     dhrystone_thread sys ~leaf ~sfq ~name:"thread2" ~weight:4. ~loop_cost
   in
   (* The paper's schedule of weight changes and sleep/resume. *)
-  let at s f = ignore (Sim.at sys.sim (Time.seconds s) f) in
+  let at s f = Sim.at sys.sim (Time.seconds s) f in
   at 4 (fun () -> Leaf_sched.Sfq_leaf.set_weight sfq ~tid:t2 ~weight:2.);
   at 6 (fun () -> Kernel.suspend sys.k t1);
   at 9 (fun () -> Kernel.resume sys.k t1);

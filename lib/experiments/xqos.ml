@@ -78,24 +78,23 @@ let run ?(seconds = 30) () =
   in
   for i = 1 to 6 do
     let at_s = 2 * i in
-    ignore
-      (Sim.at sys.sim (Time.seconds at_s) (fun () ->
-           let name = Printf.sprintf "dec%d" i in
-           let request () = Manager.request_soft m ~name ~mean ~sigma ~period in
-           match request () with
-           | Ok _ ->
-             spawn_decoder i at_s;
-             events := { at_s; decoder = i; outcome = `Admitted } :: !events
-           | Error _ ->
-             (* The paper's policy: grow the soft class and retry. *)
-             Manager.grow_soft_for_demand m;
-             (match request () with
-             | Ok _ ->
-               spawn_decoder i at_s;
-               events :=
-                 { at_s; decoder = i; outcome = `Rejected_then_grown } :: !events
-             | Error _ ->
-               events := { at_s; decoder = i; outcome = `Rejected } :: !events)))
+    Sim.at sys.sim (Time.seconds at_s) (fun () ->
+      let name = Printf.sprintf "dec%d" i in
+      let request () = Manager.request_soft m ~name ~mean ~sigma ~period in
+      match request () with
+      | Ok _ ->
+        spawn_decoder i at_s;
+        events := { at_s; decoder = i; outcome = `Admitted } :: !events
+      | Error _ ->
+        (* The paper's policy: grow the soft class and retry. *)
+        Manager.grow_soft_for_demand m;
+        (match request () with
+        | Ok _ ->
+          spawn_decoder i at_s;
+          events :=
+            { at_s; decoder = i; outcome = `Rejected_then_grown } :: !events
+        | Error _ ->
+          events := { at_s; decoder = i; outcome = `Rejected } :: !events))
   done;
   let until = Time.seconds seconds in
   Kernel.run_until sys.k until;

@@ -22,24 +22,20 @@ let start spec ~sim ~fire =
   match spec with
   | Periodic { period; cost } ->
     if period <= 0 || cost < 0 then invalid_arg "Interrupt_source: bad periodic spec";
-    let rec tick () =
-      fire ~duration:cost;
-      ignore (Sim.after sim period tick)
-    in
-    ignore (Sim.after sim period tick)
+    Sim.repeat sim period (fun () ->
+        fire ~duration:cost;
+        period)
   | Poisson { rate_hz; mean_cost; seed } ->
     if rate_hz <= 0. || mean_cost <= 0 then
       invalid_arg "Interrupt_source: bad poisson spec";
     let rng = Prng.create seed in
     let next_gap () =
-      Time.of_seconds_float (Prng.exponential rng ~mean:(1. /. rate_hz))
+      Int.max 1 (Time.of_seconds_float (Prng.exponential rng ~mean:(1. /. rate_hz)))
     in
-    let rec arrival () =
-      let cost =
-        Int.max 1
-          (int_of_float (Prng.exponential rng ~mean:(float_of_int mean_cost)))
-      in
-      fire ~duration:cost;
-      ignore (Sim.after sim (Int.max 1 (next_gap ())) arrival)
-    in
-    ignore (Sim.after sim (Int.max 1 (next_gap ())) arrival)
+    Sim.repeat sim (next_gap ()) (fun () ->
+        let cost =
+          Int.max 1
+            (int_of_float (Prng.exponential rng ~mean:(float_of_int mean_cost)))
+        in
+        fire ~duration:cost;
+        next_gap ())

@@ -34,13 +34,12 @@ type thread = {
   mutable state : thread_state;
   mutable work_left : Time.span; (* of the current Compute segment *)
   mutable waiting_mutex : int option; (* blocked on this mutex *)
-  mutable wake_handle : Event_queue.handle; (* Event_queue.null = none *)
+  (* The sleep timer ([do_wake]), armed while a [`Sleep]/[Block_until]
+     is pending; created with the thread. *)
+  wake : Event_queue.timer;
   (* Wake instant of the pending [`Sleep]/[Block_until]: kept here so
      neither pseudo-action carries a boxed payload. *)
   mutable sleep_at : Time.t;
-  (* Lazily-built [fun () -> do_wake t tid], reused for every sleep so
-     steady-state blocking allocates no closure. *)
-  mutable wake_thunk : (unit -> unit) option;
   mutable suspended : bool;
   (* A wake (timer, mutex grant, I/O completion) arrived while suspended:
      banked, delivered by [resume]. Implies [suspended]. *)
@@ -61,11 +60,11 @@ type thread = {
 }
 
 (* The dispatch record is pooled: each CPU owns a single [spare]
-   record that every dispatch on that CPU reuses ([current] is
-   [Some spare] while a thread runs, [None] otherwise), so the quantum
-   loop allocates no per-dispatch state. Safe because at most one
-   dispatch exists per CPU at a time and [end_dispatch] never reads the
-   record after handing the CPU back to the dispatch loop. *)
+   record that every dispatch on that CPU reuses (it describes a
+   dispatch while the CPU's [busy] flag is set), so the quantum loop
+   allocates no per-dispatch state. Safe because at most one dispatch
+   exists per CPU at a time and [end_dispatch] never reads the record
+   after handing the CPU back to the dispatch loop. *)
 type dispatch = {
   mutable d_tid : tid;
   mutable d_leaf : Hierarchy.id;
@@ -75,25 +74,21 @@ type dispatch = {
   mutable used : Time.span; (* work completed so far in this dispatch *)
   mutable resume_at : Time.t;
   mutable paused : bool;
-  mutable completion : Event_queue.handle; (* Event_queue.null = none *)
 }
 
 (* One simulated CPU: its dispatch slot, its interrupt context, and its
    share of the time accounting. All CPUs dispatch from the one shared
    hierarchical structure — there are no per-CPU run queues; mutual
    exclusion between concurrent decisions is the hierarchy's root claim
-   set (see [Hierarchy.set_servers]). *)
+   set (see [Hierarchy.set_servers]). Its two timers are created with
+   it and re-armed for every slice and interrupt. *)
 type cpu_state = {
   cid : int;
   spare : dispatch; (* the pooled dispatch record (see above) *)
-  cur_some : dispatch option; (* [Some spare], preallocated *)
-  mutable current : dispatch option;
-  (* Lazily-built [complete_slice t c], reused by every slice. *)
-  mutable complete_thunk : (unit -> unit) option;
+  mutable busy : bool; (* [spare] describes a running dispatch *)
+  completion : Event_queue.timer; (* [complete_slice]: the slice ends *)
+  irq : Event_queue.timer; (* [interrupts_done]; armed = in an interrupt *)
   mutable interrupt_until : Time.t;
-  mutable interrupt_done : Event_queue.handle; (* Event_queue.null = none *)
-  (* Lazily-built [interrupts_done t c], reused by every interrupt. *)
-  mutable irq_thunk : (unit -> unit) option;
   (* Start of the current idle period; [not_idle] (simulated time is
      never negative) while the CPU runs a thread or an interrupt. *)
   mutable idle_since : Time.t;
@@ -142,7 +137,9 @@ type t = {
   devices : (int, device) Hashtbl.t;
   mutable next_device : int;
   mutable next_tid : tid;
-  cpu_set : cpu_state array; (* the simulated CPUs, indexed by cid *)
+  (* The simulated CPUs, indexed by cid. Set once by [create], right
+     after the record: their timers' thunks close over it. *)
+  mutable cpu_set : cpu_state array;
   wseries : Series.t;
   mutable trace : Tracelog.t option;
   mutable obs : Hsfq_obs.Trace.sys option;
@@ -153,71 +150,6 @@ type t = {
 (* A runaway workload returning only zero-length/past actions would
    otherwise spin the activation loop forever. *)
 let max_consecutive_null_actions = 1_000_000
-
-let make_cpu cid =
-  let spare =
-    {
-      d_tid = -1;
-      d_leaf = -1;
-      d_quantum = 0;
-      overhead_left = 0;
-      seg_left = 0;
-      used = 0;
-      resume_at = Time.zero;
-      paused = false;
-      completion = Event_queue.null;
-    }
-  in
-  {
-    cid;
-    spare;
-    cur_some = Some spare;
-    current = None;
-    complete_thunk = None;
-    interrupt_until = Time.zero;
-    interrupt_done = Event_queue.null;
-    irq_thunk = None;
-    (* Each CPU is idle until its first dispatch or interrupt. *)
-    idle_since = Time.zero;
-    idle_total = 0;
-    interrupt_total = 0;
-    overhead_total = 0;
-    migrations = 0;
-  }
-
-let create ?(config = default_config) ?(cpus = 1) sim hier =
-  if cpus < 1 then invalid_arg "Kernel.create: cpus < 1";
-  (* Concurrent root->leaf decisions need one root claim per CPU; at
-     [cpus = 1] the hierarchy keeps the paper's single-server protocol
-     untouched. *)
-  if cpus > 1 then Hierarchy.set_servers hier cpus;
-  let t =
-    {
-      sim;
-      hier;
-      cfg = config;
-      leaves = Hashtbl.create 8;
-      threads = Hashtbl.create 32;
-      leaf_cache = [||];
-      thread_cache = [||];
-      mutexes = Hashtbl.create 4;
-      next_mutex = 1;
-      devices = Hashtbl.create 4;
-      next_device = 1;
-      next_tid = 1;
-      cpu_set = Array.init cpus make_cpu;
-      wseries = Series.create ~name:"kernel-work" ();
-      trace = None;
-      obs = None;
-    }
-  in
-  (* Periodic housekeeping (SVR4 starvation boosts). *)
-  let rec housekeeping () =
-    Hashtbl.iter (fun _ (lf : Leaf_sched.t) -> lf.second_tick ()) t.leaves;
-    ignore (Sim.after t.sim t.cfg.housekeeping_period housekeeping)
-  in
-  ignore (Sim.after t.sim t.cfg.housekeeping_period housekeeping);
-  t
 
 let config t = t.cfg
 let sim t = t.sim
@@ -340,50 +272,10 @@ let install_leaf t leaf lf =
   Hashtbl.replace t.leaves leaf lf;
   t.leaf_cache <- cache_set t.leaf_cache leaf lf
 
-let spawn t ~name ~leaf workload =
-  ignore (leaf_sched t leaf);
-  let tid = t.next_tid in
-  t.next_tid <- t.next_tid + 1;
-  let th =
-    {
-      tid;
-      tname = name;
-      leaf;
-      workload;
-      state = Created;
-      work_left = 0;
-      waiting_mutex = None;
-      wake_handle = Event_queue.null;
-      sleep_at = Time.zero;
-      wake_thunk = None;
-      suspended = false;
-      wake_pending = false;
-      last_wake = Time.zero;
-      awaiting_dispatch = false;
-      last_cpu = -1;
-      running_on = -1;
-      total_cpu = 0;
-      dispatches = 0;
-      cpu = Series.create ~name ();
-      latency = Stats.create ();
-      lat_series = Series.create ~name:(name ^ "-latency") ();
-    }
-  in
-  Hashtbl.replace t.threads tid th;
-  t.thread_cache <- cache_set t.thread_cache tid th;
-  (match t.obs with
-  | None -> ()
-  | Some s -> Hsfq_obs.Trace.name_lane s ~lane:tid ~name);
-  obs_emit t ~code:Hsfq_obs.Trace.ev_spawn ~a:tid ~b:leaf ~c:0 ~d:0;
-  tid
-
-let interrupt_active c = not (Event_queue.is_null c.interrupt_done)
+let interrupt_active t c = Sim.armed t.sim c.irq
 
 (* Neither running a thread nor servicing an interrupt. *)
-let cpu_free c =
-  match c.current with
-  | None -> not (interrupt_active c)
-  | Some _ -> false
+let cpu_free t c = (not c.busy) && not (interrupt_active t c)
 
 let close_idle c now =
   if c.idle_since <> not_idle then begin
@@ -398,14 +290,13 @@ let trace_slice t th ~start ~stop =
     if stop > start then
       Tracelog.segment tr ~lane:th.tname ~start ~stop ~label:"run"
 
-(* Stop the clock on a running dispatch: split the elapsed wall time into
-   scheduler overhead and thread work, and cancel its completion event. *)
-let pause_dispatch t d now =
+(* Stop the clock on CPU [c]'s running dispatch: split the elapsed wall
+   time into scheduler overhead and thread work, and disarm its
+   completion timer. *)
+let pause_dispatch t c now =
+  let d = c.spare in
   assert (not d.paused);
-  if not (Event_queue.is_null d.completion) then begin
-    Sim.cancel d.completion;
-    d.completion <- Event_queue.null
-  end;
+  Sim.disarm t.sim c.completion;
   let elapsed = Time.diff now d.resume_at in
   if elapsed <= d.overhead_left then d.overhead_left <- d.overhead_left - elapsed
   else begin
@@ -428,24 +319,25 @@ let pause_dispatch t d now =
 let rec find_within t th (lf : Leaf_sched.t) i =
   if i >= Array.length t.cpu_set then -1
   else
-    match t.cpu_set.(i).current with
-    | Some d
-      when d.d_tid <> th.tid
-           && (thread t d.d_tid).leaf = th.leaf
-           && lf.preempts ~waker:th.tid ~running:d.d_tid -> i
-    | Some _ | None -> find_within t th lf (i + 1)
+    let c = t.cpu_set.(i) in
+    let r = c.spare.d_tid in
+    if
+      c.busy && r <> th.tid
+      && (thread t r).leaf = th.leaf
+      && lf.preempts ~waker:th.tid ~running:r
+    then i
+    else find_within t th lf (i + 1)
 
 let rec find_free t i =
   if i >= Array.length t.cpu_set then -1
-  else if cpu_free t.cpu_set.(i) then i
+  else if cpu_free t t.cpu_set.(i) then i
   else find_free t (i + 1)
 
 let rec find_busy t tid i =
   if i >= Array.length t.cpu_set then -1
   else
-    match t.cpu_set.(i).current with
-    | Some d when d.d_tid <> tid -> i
-    | Some _ | None -> find_busy t tid (i + 1)
+    let c = t.cpu_set.(i) in
+    if c.busy && c.spare.d_tid <> tid then i else find_busy t tid (i + 1)
 
 type disposition =
   | Requeue (* quantum expired / preempted: thread stays runnable *)
@@ -496,13 +388,13 @@ let rec end_dispatch t c d now disposition =
   if Array.length t.cpu_set > 1 then
     obs_emit t ~code:Hsfq_obs.Trace.ev_cpu_idle ~a:c.cid ~b:d.d_tid ~c:service
       ~d:0;
-  c.current <- None;
+  c.busy <- false;
   th.running_on <- -1;
   (match disposition with
   | Requeue -> th.state <- Runnable
   | Block_until ->
     th.state <- Blocked;
-    th.wake_handle <- Sim.at t.sim th.sleep_at (wake_thunk_of t th)
+    Sim.arm t.sim th.wake th.sleep_at
   | Block_external -> th.state <- Blocked
   | Die ->
     th.state <- Exited;
@@ -511,27 +403,6 @@ let rec end_dispatch t c d now disposition =
      found every runnable subtree claimed, so offer the dispatch to every
      idle CPU, this one first. *)
   dispatch_idle t ~prefer:c.cid
-
-(* The cached per-thread wake closure and the kernel-wide completion
-   closure: built on first use, then reused for the simulation's
-   lifetime, so the steady-state block/dispatch cycle closes over
-   nothing. *)
-and wake_thunk_of t th =
-  match th.wake_thunk with
-  | Some f -> f
-  | None ->
-    let tid = th.tid in
-    let f () = do_wake t tid in
-    th.wake_thunk <- Some f;
-    f
-
-and completion_thunk t c =
-  match c.complete_thunk with
-  | Some f -> f
-  | None ->
-    let f = complete_slice t c in
-    c.complete_thunk <- Some f;
-    f
 
 (* Fetch workload actions until one takes effect. Returns the resulting
    pseudo-action, an immediate whose payload lives in the thread:
@@ -599,7 +470,7 @@ and submit_io t th d units =
   if dev.dbusy then Queue.push (th.tid, dur) dev.dqueue
   else begin
     dev.dbusy <- true;
-    ignore (Sim.after t.sim dur (fun () -> io_complete t d th.tid dur))
+    Sim.after t.sim dur (fun () -> io_complete t d th.tid dur)
   end
 
 and io_complete t d tid dur =
@@ -608,7 +479,7 @@ and io_complete t d tid dur =
   dev.busy_time <- dev.busy_time + dur;
   (match Queue.take_opt dev.dqueue with
   | Some (next_tid, next_dur) ->
-    ignore (Sim.after t.sim next_dur (fun () -> io_complete t d next_tid next_dur))
+    Sim.after t.sim next_dur (fun () -> io_complete t d next_tid next_dur)
   | None -> dev.dbusy <- false);
   let th = thread t tid in
   match th.state with
@@ -660,7 +531,7 @@ and hand_off t mu =
         lf.revoke ~blocked:x;
         if xth.leaf = wth.leaf then lf.donate ~blocked:x ~recipient:w)
       mu.waiters;
-    ignore (Sim.after t.sim 0 (fun () -> grant_wake t w))
+    Sim.after t.sim 0 (fun () -> grant_wake t w)
 
 and unlock_mutex t th m =
   let mu = mutex t m in
@@ -701,16 +572,13 @@ and grant_wake t w =
     else activate t th (Sim.now t.sim)
   | Created | Runnable | Running | Exited -> ()
 
-(* The completion event: the current slice's overhead+work has fully
-   executed. Either the quantum is exhausted, or the workload segment
-   finished and we pull the next action. *)
-and complete_slice t c () =
+(* The completion timer fired: the current slice's overhead+work has
+   fully executed. Either the quantum is exhausted, or the workload
+   segment finished and we pull the next action. *)
+and complete_slice t c =
   let d = c.spare in
   let now = Sim.now t.sim in
   let th = thread t d.d_tid in
-  (* Clear before anything can recycle the fired handle (it is dead as
-     of this event; holding on to it would alias a future event). *)
-  d.completion <- Event_queue.null;
   trace_slice t th ~start:(Time.add d.resume_at d.overhead_left) ~stop:now;
   d.used <- d.used + d.seg_left;
   th.work_left <- th.work_left - d.seg_left;
@@ -726,7 +594,7 @@ and complete_slice t c () =
       if budget > 0 then begin
         d.seg_left <- Int.min budget th.work_left;
         d.resume_at <- now;
-        d.completion <- Sim.after t.sim d.seg_left (completion_thunk t c)
+        Sim.arm_after t.sim c.completion d.seg_left
       end
       else end_dispatch t c d now Requeue
     | `Sleep -> end_dispatch t c d now Block_until
@@ -735,7 +603,7 @@ and complete_slice t c () =
   end
 
 and dispatch_cpu t c =
-  if cpu_free c then begin
+  if cpu_free t c then begin
     let now = Sim.now t.sim in
     obs_stamp t;
     let leaf = Hierarchy.schedule_id t.hier in
@@ -799,8 +667,8 @@ and dispatch_cpu t c =
       d.used <- 0;
       d.resume_at <- now;
       d.paused <- false;
-      d.completion <- Sim.after t.sim (overhead + seg) (completion_thunk t c);
-      c.current <- c.cur_some;
+      Sim.arm_after t.sim c.completion (overhead + seg);
+      c.busy <- true;
       th.state <- Running;
       th.dispatches <- th.dispatches + 1;
       obs_emit t ~code:Hsfq_obs.Trace.ev_dispatch ~a:tid ~b:leaf ~c:quantum
@@ -826,17 +694,17 @@ and dispatch_idle t ~prefer =
   end
 
 and preempt_cpu t c =
-  match c.current with
-  | None -> ()
-  | Some d ->
+  if c.busy then begin
+    let d = c.spare in
     let now = Sim.now t.sim in
     obs_emit t ~code:Hsfq_obs.Trace.ev_preempt ~a:d.d_tid ~b:d.d_leaf ~c:0 ~d:0;
     (match t.obs with
     | Some s when Hsfq_obs.Trace.on s ->
       Hsfq_obs.Metrics.incr_preempt (Hsfq_obs.Trace.metrics s) ~node:d.d_leaf
     | Some _ | None -> ());
-    if not d.paused then pause_dispatch t d now;
+    if not d.paused then pause_dispatch t c now;
     end_dispatch t c d now Requeue
+  end
 
 and make_runnable t th now =
   th.state <- Runnable;
@@ -870,7 +738,7 @@ and activate t th now =
     | `Sleep ->
       th.state <- Blocked;
       obs_emit t ~code:Hsfq_obs.Trace.ev_sleep ~a:th.tid ~b:th.leaf ~c:0 ~d:0;
-      th.wake_handle <- Sim.at t.sim th.sleep_at (wake_thunk_of t th)
+      Sim.arm t.sim th.wake th.sleep_at
     | `Lock_wait ->
       th.state <- Blocked;
       obs_emit t ~code:Hsfq_obs.Trace.ev_sleep ~a:th.tid ~b:th.leaf ~c:1 ~d:0
@@ -886,9 +754,6 @@ and activate t th now =
 
 and do_wake t tid =
   let th = thread t tid in
-  (* Clear first: the fired handle is dead and may be recycled by any
-     event this wake schedules. *)
-  th.wake_handle <- Event_queue.null;
   match th.state with
   | Blocked ->
     if th.suspended then th.wake_pending <- true
@@ -906,12 +771,6 @@ let start t tid =
   end
   else activate t th (Sim.now t.sim)
 
-let cancel_wake th =
-  if not (Event_queue.is_null th.wake_handle) then begin
-    Sim.cancel th.wake_handle;
-    th.wake_handle <- Event_queue.null
-  end
-
 let detach_runnable t th =
   (* Remove a Runnable (not Running) thread from its leaf's ready set and
      propagate leaf sleep if it was the last one. *)
@@ -926,7 +785,7 @@ let kill t tid =
   (match th.state with
   | Running -> invalid_arg "Kernel.kill: cannot kill the running thread"
   | Runnable -> detach_runnable t th
-  | Blocked -> cancel_wake th
+  | Blocked -> Sim.disarm t.sim th.wake
   | Created | Exited -> ());
   if th.state <> Exited then begin
     obs_emit t ~code:Hsfq_obs.Trace.ev_kill ~a:tid ~b:th.leaf ~c:0 ~d:0;
@@ -1009,11 +868,10 @@ let suspend t tid =
   | Created -> th.suspended <- true
   | Blocked ->
     th.suspended <- true;
-    (* A sleeper's timer is cancelled and the wake banked for [resume];
+    (* A sleeper's timer is disarmed and the wake banked for [resume];
        mutex grants and I/O completions bank theirs on arrival. *)
-    if not (Event_queue.is_null th.wake_handle) then begin
-      Sim.cancel th.wake_handle;
-      th.wake_handle <- Event_queue.null;
+    if Sim.armed t.sim th.wake then begin
+      Sim.disarm t.sim th.wake;
       th.wake_pending <- true
     end
   | Runnable ->
@@ -1023,14 +881,13 @@ let suspend t tid =
     th.wake_pending <- true
   | Running ->
     let c = nth_cpu t th.running_on in
-    (match c.current with
-    | Some d when d.d_tid = tid ->
-      th.suspended <- true;
-      th.wake_pending <- true;
-      let now = Sim.now t.sim in
-      if not d.paused then pause_dispatch t d now;
-      end_dispatch t c d now Block_external
-    | _ -> assert false)
+    let d = c.spare in
+    assert (c.busy && d.d_tid = tid);
+    th.suspended <- true;
+    th.wake_pending <- true;
+    let now = Sim.now t.sim in
+    if not d.paused then pause_dispatch t c now;
+    end_dispatch t c d now Block_external
 
 let resume t tid =
   let th = thread t tid in
@@ -1051,31 +908,22 @@ let is_suspended t tid = (thread t tid).suspended
    pause that CPU's running thread (whose quantum does not advance) and
    extend any interrupt processing already in progress there. Other CPUs
    keep dispatching. *)
-let rec interrupts_done t c () =
+let interrupts_done t c =
   let now = Sim.now t.sim in
-  if Time.compare now c.interrupt_until < 0 then
+  if now < c.interrupt_until then
     (* Extended while we were queued; re-arm. *)
-    c.interrupt_done <- Sim.at t.sim c.interrupt_until (irq_thunk_of t c)
+    Sim.arm t.sim c.irq c.interrupt_until
   else begin
-    c.interrupt_done <- Event_queue.null;
     obs_emit t ~code:Hsfq_obs.Trace.ev_irq_end ~a:c.cid ~b:0 ~c:0 ~d:0;
-    match c.current with
-    | Some d ->
+    if c.busy then begin
+      let d = c.spare in
       assert d.paused;
       d.paused <- false;
       d.resume_at <- now;
-      d.completion <-
-        Sim.after t.sim (d.overhead_left + d.seg_left) (completion_thunk t c)
-    | None -> dispatch_cpu t c
+      Sim.arm_after t.sim c.completion (d.overhead_left + d.seg_left)
+    end
+    else dispatch_cpu t c
   end
-
-and irq_thunk_of t c =
-  match c.irq_thunk with
-  | Some f -> f
-  | None ->
-    let f = interrupts_done t c in
-    c.irq_thunk <- Some f;
-    f
 
 let do_interrupt t c ~duration =
   if duration <= 0 then ()
@@ -1083,18 +931,112 @@ let do_interrupt t c ~duration =
     let now = Sim.now t.sim in
     c.interrupt_total <- c.interrupt_total + duration;
     obs_emit t ~code:Hsfq_obs.Trace.ev_irq_begin
-      ~a:(if interrupt_active c then 1 else 0)
+      ~a:(if interrupt_active t c then 1 else 0)
       ~b:c.cid ~c:duration ~d:0;
-    if interrupt_active c then c.interrupt_until <- c.interrupt_until + duration
+    if interrupt_active t c then
+      c.interrupt_until <- c.interrupt_until + duration
     else begin
       close_idle c now;
-      (match c.current with
-      | Some d when not d.paused -> pause_dispatch t d now
-      | _ -> ());
+      if c.busy && not c.spare.paused then pause_dispatch t c now;
       c.interrupt_until <- Time.add now duration;
-      c.interrupt_done <- Sim.at t.sim c.interrupt_until (irq_thunk_of t c)
+      Sim.arm t.sim c.irq c.interrupt_until
     end
   end
+
+let make_cpu t cid =
+  {
+    cid;
+    spare =
+      {
+        d_tid = -1;
+        d_leaf = -1;
+        d_quantum = 0;
+        overhead_left = 0;
+        seg_left = 0;
+        used = 0;
+        resume_at = Time.zero;
+        paused = false;
+      };
+    busy = false;
+    completion = Sim.timer t.sim (fun () -> complete_slice t t.cpu_set.(cid));
+    irq = Sim.timer t.sim (fun () -> interrupts_done t t.cpu_set.(cid));
+    interrupt_until = Time.zero;
+    (* Each CPU is idle until its first dispatch or interrupt. *)
+    idle_since = Time.zero;
+    idle_total = 0;
+    interrupt_total = 0;
+    overhead_total = 0;
+    migrations = 0;
+  }
+
+let create ?(config = default_config) ?(cpus = 1) sim hier =
+  if cpus < 1 then invalid_arg "Kernel.create: cpus < 1";
+  (* Concurrent root->leaf decisions need one root claim per CPU; at
+     [cpus = 1] the hierarchy keeps the paper's single-server protocol
+     untouched. *)
+  if cpus > 1 then Hierarchy.set_servers hier cpus;
+  let t =
+    {
+      sim;
+      hier;
+      cfg = config;
+      leaves = Hashtbl.create 8;
+      threads = Hashtbl.create 32;
+      leaf_cache = [||];
+      thread_cache = [||];
+      mutexes = Hashtbl.create 4;
+      next_mutex = 1;
+      devices = Hashtbl.create 4;
+      next_device = 1;
+      next_tid = 1;
+      cpu_set = [||];
+      wseries = Series.create ~name:"kernel-work" ();
+      trace = None;
+      obs = None;
+    }
+  in
+  t.cpu_set <- Array.init cpus (make_cpu t);
+  (* Periodic housekeeping (SVR4 starvation boosts). *)
+  Sim.repeat t.sim t.cfg.housekeeping_period (fun () ->
+      Hashtbl.iter (fun _ (lf : Leaf_sched.t) -> lf.second_tick ()) t.leaves;
+      t.cfg.housekeeping_period);
+  t
+
+let spawn t ~name ~leaf workload =
+  ignore (leaf_sched t leaf);
+  let tid = t.next_tid in
+  t.next_tid <- t.next_tid + 1;
+  let th =
+    {
+      tid;
+      tname = name;
+      leaf;
+      workload;
+      state = Created;
+      work_left = 0;
+      waiting_mutex = None;
+      wake = Sim.timer t.sim (fun () -> do_wake t tid);
+      sleep_at = Time.zero;
+      suspended = false;
+      wake_pending = false;
+      last_wake = Time.zero;
+      awaiting_dispatch = false;
+      last_cpu = -1;
+      running_on = -1;
+      total_cpu = 0;
+      dispatches = 0;
+      cpu = Series.create ~name ();
+      latency = Stats.create ();
+      lat_series = Series.create ~name:(name ^ "-latency") ();
+    }
+  in
+  Hashtbl.replace t.threads tid th;
+  t.thread_cache <- cache_set t.thread_cache tid th;
+  (match t.obs with
+  | None -> ()
+  | Some s -> Hsfq_obs.Trace.name_lane s ~lane:tid ~name);
+  obs_emit t ~code:Hsfq_obs.Trace.ev_spawn ~a:tid ~b:leaf ~c:0 ~d:0;
+  tid
 
 let interrupt t ~duration = do_interrupt t t.cpu_set.(0) ~duration
 let interrupt_on t ~cpu ~duration = do_interrupt t (nth_cpu t cpu) ~duration
@@ -1134,7 +1076,8 @@ let running_on t tid =
   if th.running_on >= 0 then Some th.running_on else None
 
 let running_tid t ~cpu =
-  match (nth_cpu t cpu).current with Some d -> Some d.d_tid | None -> None
+  let c = nth_cpu t cpu in
+  if c.busy then Some c.spare.d_tid else None
 
 let last_cpu_of t tid =
   let th = thread t tid in
@@ -1193,7 +1136,7 @@ let dump t =
           leaf = th.leaf;
           state = conv th.state;
           waiting_mutex = th.waiting_mutex;
-          has_wake_handle = not (Event_queue.is_null th.wake_handle);
+          wake_armed = Sim.armed t.sim th.wake;
           suspended = th.suspended;
           wake_pending = th.wake_pending;
         })
@@ -1224,9 +1167,7 @@ let dump t =
   let running =
     Array.to_list t.cpu_set
     |> List.filter_map (fun c ->
-           match c.current with
-           | Some d -> Some (c.cid, d.d_tid)
-           | None -> None)
+           if c.busy then Some (c.cid, c.spare.d_tid) else None)
   in
   { V.threads; mutexes; leaves; running }
 

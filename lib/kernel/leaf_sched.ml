@@ -556,9 +556,9 @@ module Reserve_leaf = struct
         | None -> ()
         | Some m ->
           m.budget <- m.capacity;
-          ignore (Sim.after h.sim period replenish)
+          Sim.after h.sim period replenish
       in
-      ignore (Sim.after h.sim period replenish)
+      Sim.after h.sim period replenish
 
   let budget_left h ~tid = (get h tid).budget
 end

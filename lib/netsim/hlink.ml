@@ -83,17 +83,16 @@ let rec start_transmission t =
     let duration =
       Int.max 1 (int_of_float (Float.round (float_of_int pkt.bits /. t.rate)))
     in
-    ignore
-      (Sim.after t.sim duration (fun () ->
-           let now = Sim.now t.sim in
-           let bits = float_of_int pkt.bits in
-           Sfq.charge sched ~id:flow ~service:bits
-             ~runnable:(not (Queue.is_empty f.queue));
-           Hierarchy.update t.hier ~leaf ~service:bits
-             ~leaf_runnable:(Sfq.backlogged sched > 0);
-           Series.add f.delivered now bits;
-           Stats.add f.delay (float_of_int (Time.diff now pkt.arrived));
-           start_transmission t))
+    Sim.after t.sim duration (fun () ->
+      let now = Sim.now t.sim in
+      let bits = float_of_int pkt.bits in
+      Sfq.charge sched ~id:flow ~service:bits
+        ~runnable:(not (Queue.is_empty f.queue));
+      Hierarchy.update t.hier ~leaf ~service:bits
+        ~leaf_runnable:(Sfq.backlogged sched > 0);
+      Series.add f.delivered now bits;
+      Stats.add f.delay (float_of_int (Time.diff now pkt.arrived));
+      start_transmission t)
 
 let enqueue t ~flow ~bits =
   if bits <= 0 then invalid_arg "Hlink.enqueue: bits <= 0";

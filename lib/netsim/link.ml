@@ -89,19 +89,18 @@ let rec start_transmission t =
     let duration =
       Int.max 1 (int_of_float (Float.round (float_of_int pkt.bits /. t.rate)))
     in
-    ignore
-      (Sim.after t.sim duration (fun () ->
-           let now = Sim.now t.sim in
-           t.sched.s_charge ~id ~service:(float_of_int pkt.bits)
-             ~runnable:(not (Queue.is_empty f.queue));
-           Series.add f.delivered now (float_of_int pkt.bits);
-           let d = float_of_int (Time.diff now pkt.arrived) in
-           Stats.add f.delay d;
-           f.delay_list <- d :: f.delay_list;
-           f.completion_list <-
-             (float_of_int pkt.arrived, float_of_int now, float_of_int pkt.bits)
-             :: f.completion_list;
-           start_transmission t))
+    Sim.after t.sim duration (fun () ->
+      let now = Sim.now t.sim in
+      t.sched.s_charge ~id ~service:(float_of_int pkt.bits)
+        ~runnable:(not (Queue.is_empty f.queue));
+      Series.add f.delivered now (float_of_int pkt.bits);
+      let d = float_of_int (Time.diff now pkt.arrived) in
+      Stats.add f.delay d;
+      f.delay_list <- d :: f.delay_list;
+      f.completion_list <-
+        (float_of_int pkt.arrived, float_of_int now, float_of_int pkt.bits)
+        :: f.completion_list;
+      start_transmission t)
 
 let enqueue t ~flow ~bits =
   if bits <= 0 then invalid_arg "Link.enqueue: bits <= 0";

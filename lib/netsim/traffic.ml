@@ -1,15 +1,17 @@
 open Hsfq_engine
 
+(* A source sends its first packet at [start] (or now, if that has
+   passed), then again after each gap its sender returns: one timer. *)
+let every sim ~start send = Sim.repeat sim (Int.max 0 (start - Sim.now sim)) send
+
 let cbr link ~sim ~flow ~rate_bps ~packet_bits ?(start = Time.zero) () =
   if rate_bps <= 0. || packet_bits <= 0 then invalid_arg "Traffic.cbr: bad parameters";
   let gap =
     Int.max 1 (int_of_float (Float.round (float_of_int packet_bits /. rate_bps *. 1e9)))
   in
-  let rec send () =
-    Link.enqueue link ~flow ~bits:packet_bits;
-    ignore (Sim.after sim gap send)
-  in
-  ignore (Sim.at sim (Time.max start (Sim.now sim)) send)
+  every sim ~start (fun () ->
+      Link.enqueue link ~flow ~bits:packet_bits;
+      gap)
 
 let poisson link ~sim ~flow ~rate_bps ~mean_packet_bits ~seed ?(start = Time.zero) () =
   if rate_bps <= 0. || mean_packet_bits <= 0 then
@@ -23,11 +25,9 @@ let poisson link ~sim ~flow ~rate_bps ~mean_packet_bits ~seed ?(start = Time.zer
     Int.max 64
       (int_of_float (Prng.exponential rng ~mean:(float_of_int mean_packet_bits)))
   in
-  let rec send () =
-    Link.enqueue link ~flow ~bits:(next_size ());
-    ignore (Sim.after sim (next_gap ()) send)
-  in
-  ignore (Sim.at sim (Time.max start (Sim.now sim)) send)
+  every sim ~start (fun () ->
+      Link.enqueue link ~flow ~bits:(next_size ());
+      next_gap ())
 
 let video link ~sim ~flow ~params ~bits_per_cost_ms ?(start = Time.zero) () =
   if bits_per_cost_ms <= 0. then invalid_arg "Traffic.video: bad parameters";
@@ -52,10 +52,8 @@ let video link ~sim ~flow ~params ~bits_per_cost_ms ?(start = Time.zero) () =
       c
     | [] -> assert false
   in
-  let rec send () =
-    let cost_ms = Time.to_milliseconds_float (next_cost ()) in
-    let bits = Int.max 64 (int_of_float (cost_ms *. bits_per_cost_ms)) in
-    Link.enqueue link ~flow ~bits;
-    ignore (Sim.after sim frame_gap send)
-  in
-  ignore (Sim.at sim (Time.max start (Sim.now sim)) send)
+  every sim ~start (fun () ->
+      let cost_ms = Time.to_milliseconds_float (next_cost ()) in
+      let bits = Int.max 64 (int_of_float (cost_ms *. bits_per_cost_ms)) in
+      Link.enqueue link ~flow ~bits;
+      frame_gap)

@@ -77,42 +77,37 @@ let default_configs =
     };
     (* [pop]/[next_time] deliberately absent: their option/tuple results
        are the compat shape; the simulation driver's per-event path is
-       [take_until]/[taken]. [new_slot] is the free-stack-dry slow path
-       of [schedule]; [repool]/[resized] are the pool and column
-       growth/shrink copies. The heap moves immediates only: its
-       sifts, [place], [remove_top], [settle] and [compact] never run
-       the write barrier. *)
+       [take_until]/[taken]. [timer] runs once per timer, not per event.
+       [new_slot] is the free-stack-dry slow path of [schedule];
+       [repool]/[resized] are the slot-table and column growth/shrink
+       copies. Timers and the heap move immediates only: arming,
+       disarming, firing, the sifts, [place], [remove_top], [settle]
+       and [compact] never run the write barrier. [schedule] stores its
+       one-shot thunk, the one pointer store per one-shot. *)
     {
       source = "lib/engine/event_queue.ml";
       roots =
-        [
-          "schedule";
-          "cancel";
-          "take_until";
-          "taken";
-          "is_cancelled";
-          "handle_id";
-          "pending";
-        ];
+        [ "arm"; "disarm"; "armed"; "schedule"; "take_until"; "taken";
+          "pending" ];
       cold =
         [ "grow_heap"; "compact"; "new_slot"; "repool"; "resized";
           "shrink_if_sparse" ];
       barrier_free =
-        [ "place"; "sift_up_from"; "sift_down_from"; "remove_top"; "settle";
-          "compact" ];
+        [ "arm"; "disarm"; "push"; "take_until"; "fire_top"; "place";
+          "sift_up_from"; "sift_down_from"; "remove_top"; "settle"; "compact" ];
     };
-    (* The simulation driver on top of it: scheduling and the per-event
-       drain loop. *)
+    (* The simulation driver on top of it: scheduling, timers and the
+       per-event drain loop. *)
     {
       source = "lib/engine/sim.ml";
-      roots = [ "at"; "after"; "drain_until" ];
+      roots = [ "at"; "after"; "arm"; "arm_after"; "disarm"; "drain_until" ];
       cold = [];
-      barrier_free = [];
+      barrier_free = [ "arm"; "arm_after"; "disarm"; "drain_until" ];
     };
     (* The steady-state kernel cycle: wake -> dispatch -> interrupt
        pause/resume -> slice completion -> sleep. Cold: the mutex and
-       I/O paths (once per lock/request, not per event) and the
-       first-use thunk builders, which allocate once per thread or CPU. *)
+       I/O paths (once per lock/request, not per event). The interrupt
+       path re-arms the CPU's timers and stores immediates only. *)
     {
       source = "lib/kernel/kernel.ml";
       roots =
@@ -120,9 +115,8 @@ let default_configs =
           "complete_slice"; "pause_dispatch"; "do_interrupt"; "interrupts_done" ];
       cold =
         [ "acquire_or_wait"; "enqueue_mutex_waiter"; "unlock_mutex"; "hand_off";
-          "grant_wake"; "release_mutex_links"; "submit_io"; "io_complete";
-          "wake_thunk_of"; "completion_thunk"; "irq_thunk_of" ];
-      barrier_free = [];
+          "grant_wake"; "release_mutex_links"; "submit_io"; "io_complete" ];
+      barrier_free = [ "pause_dispatch"; "do_interrupt"; "interrupts_done" ];
     };
     (* The boxed leaf disciplines ported to SoA layouts: their decision
        paths must hold the measured words/decision in BENCH_sched.json
@@ -369,13 +363,31 @@ let scan_body ~unit_name ~file ~fname ~arity_of body =
   !findings
 
 (* Types whose values are never pointers, recognised syntactically (like
-   [is_float_type]): an abstract alias of [int] counts as a pointer. *)
+   [is_float_type]): the immediate base types, plus the repo's named
+   immediates — simulated time ([Time.t = int], [Time.span = int]) and
+   [Event_queue.timer] ([@@immediate]) — matched on their last two path
+   components, so [Hsfq_engine.Time.t] and a library-local [Time.t]
+   both count. Any other alias of [int] counts as a pointer. *)
 let is_immediate_type ty =
   match Types.get_desc ty with
   | Tconstr (p, [], _) -> (
     match Path.name p with
     | "int" | "char" | "bool" | "unit" -> true
-    | _ -> false)
+    | name -> (
+      let parts = String.split_on_char '.' name in
+      match List.rev parts with
+      | ty :: m :: _ -> (
+        let m =
+          (* dune's wrapped-library mangling: [Lib__Time] is [Time] *)
+          match String.rindex_opt m '_' with
+          | Some i when i > 0 && m.[i - 1] = '_' ->
+            String.sub m (i + 1) (String.length m - i - 1)
+          | _ -> m
+        in
+        match (m, ty) with
+        | "Time", ("t" | "span") | "Event_queue", "timer" -> true
+        | _ -> false)
+      | _ -> false))
   | _ -> false
 
 (* Stores in a barrier-free body. A float is stored unboxed into a float

@@ -53,7 +53,7 @@ let bench_budgets =
     ("sfq/Q=512", per_decision, 4.0); (* Some-wrapper in [select]: ~2 words measured *)
     ("hierarchy/depth=16", per_decision, 2.0); (* schedule_id/update_ns: ~0 measured *)
     ("keyed-heap/push+pop n=256", per_decision, 1.0); (* zero-alloc contract *)
-    ("event-queue/churn n=256", per_decision, 64.0); (* fired-handle recycling keeps ~4 *)
+    ("event-queue/churn n=256", per_decision, 1.0); (* timers store ints only: ~0 measured *)
     ("eevdf/Q=8", per_decision, 4.0); (* SoA cells: ~2 (the Some of FAIR select) *)
     ("lottery/Q=8", per_decision, 6.0); (* staged draw cell: ~5 (down from ~7 boxed) *)
     ("svr4-ts/Q=8", per_decision, 2.0); (* ring deques + select_id: ~0 measured *)

@@ -149,64 +149,69 @@ let test_prng_stream_preserves_parent () =
 
 (* ------------------------- Event queue ------------------------------ *)
 
+let drain_pops q =
+  let rec go () =
+    match Event_queue.pop q with
+    | None -> ()
+    | Some (_, f) ->
+      f ();
+      go ()
+  in
+  go ()
+
 let test_event_queue_order () =
   let q = Event_queue.create () in
   let out = ref [] in
   let ev tag = fun () -> out := tag :: !out in
-  ignore (Event_queue.schedule q ~at:30 (ev "c"));
-  ignore (Event_queue.schedule q ~at:10 (ev "a"));
-  ignore (Event_queue.schedule q ~at:20 (ev "b"));
+  Event_queue.schedule q ~at:30 (ev "c");
+  Event_queue.schedule q ~at:10 (ev "a");
+  let b = Event_queue.timer q (ev "b") in
+  Event_queue.arm q b ~at:20;
   Alcotest.(check (option int)) "next_time" (Some 10) (Event_queue.next_time q);
-  let rec drain () =
-    match Event_queue.pop q with
-    | None -> ()
-    | Some (_, f) ->
-      f ();
-      drain ()
-  in
-  drain ();
+  drain_pops q;
   Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] (List.rev !out)
 
+(* Timers and one-shots share one FIFO among equal times: arming order. *)
 let test_event_queue_fifo_ties () =
   let q = Event_queue.create () in
   let out = ref [] in
-  List.iter
-    (fun tag -> ignore (Event_queue.schedule q ~at:5 (fun () -> out := tag :: !out)))
-    [ "first"; "second"; "third" ];
-  let rec drain () =
-    match Event_queue.pop q with
-    | None -> ()
-    | Some (_, f) ->
-      f ();
-      drain ()
-  in
-  drain ();
+  let ev tag = fun () -> out := tag :: !out in
+  Event_queue.schedule q ~at:5 (ev "first");
+  Event_queue.arm q (Event_queue.timer q (ev "second")) ~at:5;
+  Event_queue.schedule q ~at:5 (ev "third");
+  drain_pops q;
   Alcotest.(check (list string)) "FIFO among equal times"
     [ "first"; "second"; "third" ] (List.rev !out)
 
 let test_event_queue_cancel () =
   let q = Event_queue.create () in
   let fired = ref false in
-  let h = Event_queue.schedule q ~at:1 (fun () -> fired := true) in
-  Event_queue.cancel h;
-  check_bool "is_cancelled" true (Event_queue.is_cancelled h);
+  let tm = Event_queue.timer q (fun () -> fired := true) in
+  check_bool "created disarmed" false (Event_queue.armed q tm);
+  Event_queue.arm q tm ~at:1;
+  check_bool "armed" true (Event_queue.armed q tm);
+  Event_queue.disarm q tm;
+  check_bool "disarmed" false (Event_queue.armed q tm);
   Alcotest.(check (option int)) "no next" None (Event_queue.next_time q);
   check_bool "nothing fires" true (Event_queue.pop q = None && not !fired);
   check_int "pending" 0 (Event_queue.pending q)
 
 (* [pending] is O(1) bookkeeping, not a heap walk: it must track
-   schedule/cancel/pop exactly, including cancellations deep in the heap,
-   double cancels, and cancels after the event already fired. *)
+   arm/disarm/pop exactly, including disarms deep in the heap, double
+   disarms, re-arms of pending timers and disarms after the timer
+   already fired. *)
 let test_event_queue_live_accounting () =
   let q = Event_queue.create () in
-  let hs =
-    Array.init 100 (fun i -> Event_queue.schedule q ~at:i (fun () -> ()))
-  in
+  let tms = Array.init 100 (fun _ -> Event_queue.timer q (fun () -> ())) in
+  Array.iteri (fun i tm -> Event_queue.arm q tm ~at:i) tms;
   check_int "all live" 100 (Event_queue.pending q);
-  Array.iteri (fun i h -> if i mod 2 = 1 then Event_queue.cancel h) hs;
-  check_int "half live after deep cancels" 50 (Event_queue.pending q);
-  Event_queue.cancel hs.(1);
-  check_int "cancel is idempotent" 50 (Event_queue.pending q);
+  Array.iteri (fun i tm -> if i mod 2 = 1 then Event_queue.disarm q tm) tms;
+  check_int "half live after deep disarms" 50 (Event_queue.pending q);
+  Event_queue.disarm q tms.(1);
+  check_int "disarm is idempotent" 50 (Event_queue.pending q);
+  Event_queue.arm q tms.(0) ~at:200;
+  check_int "re-arming a pending timer keeps one entry" 50
+    (Event_queue.pending q);
   let fired = ref 0 in
   let rec drain () =
     match Event_queue.pop q with
@@ -218,141 +223,171 @@ let test_event_queue_live_accounting () =
   in
   drain ();
   check_int "every live event fired" 50 !fired;
-  let h = Event_queue.schedule q ~at:0 (fun () -> ()) in
+  let tm = tms.(2) in
+  Event_queue.arm q tm ~at:300;
   check_bool "fires" true (Event_queue.pop q <> None);
-  Event_queue.cancel h;
-  check_int "cancel after firing is a no-op" 0 (Event_queue.pending q);
-  check_bool "handle not reported cancelled" false (Event_queue.is_cancelled h)
+  check_bool "disarmed as it fires" false (Event_queue.armed q tm);
+  Event_queue.disarm q tm;
+  check_int "disarm after firing is a no-op" 0 (Event_queue.pending q)
 
-(* The queue recycles handle records of settled-out cancellations; the
-   observable contract must survive many schedule/cancel/drain rounds
-   (no event lost, none fired twice, accounting exact) whether the
-   cancelled entries leave via the top of the heap or via compaction. *)
-let test_event_queue_handle_recycling () =
+(* One-shot slots are parked on firing and reused; timers are re-armed
+   round after round. The observable contract must survive many
+   arm/disarm/schedule/drain rounds (no event lost, none fired twice,
+   accounting exact) whether the stale entries leave via the top of the
+   heap or via compaction. *)
+let test_event_queue_slot_recycling () =
   let q = Event_queue.create () in
-  for round = 0 to 9 do
-    let n = 200 in
-    let fired = Array.make n false in
-    let hs =
-      Array.init n (fun i ->
-          Event_queue.schedule q ~at:((i * 7919) mod n) (fun () ->
-              fired.(i) <- true))
-    in
-    Array.iteri (fun i h -> if i mod 2 = 0 then Event_queue.cancel h) hs;
+  let n = 200 in
+  let fired = Array.make n 0 and once_fired = ref 0 in
+  let tms = Array.init n (fun i -> Event_queue.timer q (fun () -> fired.(i) <- fired.(i) + 1)) in
+  for round = 1 to 10 do
+    Array.iteri (fun i tm -> Event_queue.arm q tm ~at:((i * 7919) mod n)) tms;
+    for i = 0 to n - 1 do
+      Event_queue.schedule q ~at:((i * 104729) mod n) (fun () -> incr once_fired)
+    done;
+    Array.iteri (fun i tm -> if i mod 2 = 0 then Event_queue.disarm q tm) tms;
     check_int
-      (Printf.sprintf "round %d: live after cancels" round)
-      (n / 2) (Event_queue.pending q);
-    let pops = ref 0 in
-    let rec drain () =
-      match Event_queue.pop q with
-      | Some (_, f) ->
-        f ();
-        incr pops;
-        drain ()
-      | None -> ()
-    in
-    drain ();
-    check_int (Printf.sprintf "round %d: pops" round) (n / 2) !pops;
+      (Printf.sprintf "round %d: live after disarms" round)
+      (n + (n / 2)) (Event_queue.pending q);
+    drain_pops q;
+    check_int (Printf.sprintf "round %d: one-shots" round) (round * n) !once_fired;
     Array.iteri
       (fun i f ->
-        check_bool
-          (Printf.sprintf "round %d: event %d %s" round i
-             (if i mod 2 = 0 then "cancelled" else "fired"))
-          (i mod 2 <> 0) f)
+        check_int
+          (Printf.sprintf "round %d: timer %d" round i)
+          (if i mod 2 = 0 then 0 else round) f)
       fired;
     check_int (Printf.sprintf "round %d: drained" round) 0 (Event_queue.pending q)
   done;
-  (* Compaction path: enough deep cancels that the next [schedule]
-     compacts (recycling the skipped entries) instead of settling. *)
-  let m = 100 in
-  let hs = Array.init m (fun i -> Event_queue.schedule q ~at:i (fun () -> ())) in
-  Array.iteri (fun i h -> if i < 60 then Event_queue.cancel h) hs;
-  let h = Event_queue.schedule q ~at:0 (fun () -> ()) in
-  check_int "live through compaction" 41 (Event_queue.pending q);
-  Event_queue.cancel h;
-  let rec count acc =
-    match Event_queue.pop q with Some _ -> count (acc + 1) | None -> acc
-  in
-  check_int "survivors fire after compaction" 40 (count 0)
+  (* Compaction path: enough re-arms that stale entries outnumber live
+     ones and the next arm compacts instead of settling. *)
+  let count = ref 0 in
+  let tm = Event_queue.timer q (fun () -> incr count) in
+  for i = 1 to 100 do
+    Event_queue.arm q tm ~at:i
+  done;
+  Event_queue.schedule q ~at:0 (fun () -> incr count);
+  check_int "live through compaction" 2 (Event_queue.pending q);
+  drain_pops q;
+  check_int "survivors fire after compaction" 2 !count
 
-(* Fired handles go back on the free list just like cancelled ones, and
-   a pending handle's id is stable until its event fires or is
-   cancelled. The id-reuse observation is the documented signal that a
-   record was recycled. *)
-let test_event_queue_handle_reuse () =
+(* Timer ids are permanent: a slot-table grow and shrink (driven by a
+   burst of one-shots) never renumbers them, so every timer keeps firing
+   its own thunk. *)
+let test_event_queue_timer_ids_stable () =
   let q = Event_queue.create () in
-  let h0 = Event_queue.schedule q ~at:5 (fun () -> ()) in
-  let id0 = Event_queue.handle_id h0 in
-  check_bool "fresh handle is live" false (Event_queue.is_null h0);
-  (* Stable while pending: other queue traffic must not renumber it. *)
-  let h1 = Event_queue.schedule q ~at:1 (fun () -> ()) in
-  Event_queue.cancel h1;
-  check_int "id stable while pending" id0 (Event_queue.handle_id h0);
-  (* Fire h0 through the driver path; its record must be parked... *)
-  check_int "event fires" 5 (Event_queue.take_until q ~horizon:10);
+  let last = ref (-1) in
+  let tms = Array.init 8 (fun i -> Event_queue.timer q (fun () -> last := i)) in
+  let burst = 5000 in
+  for i = 0 to burst - 1 do
+    Event_queue.schedule q ~at:i (fun () -> ())
+  done;
+  let extra = Event_queue.timer q (fun () -> last := 8) in
+  drain_pops q;
+  for round = 0 to 1 do
+    Array.iteri (fun i tm -> Event_queue.arm q tm ~at:(burst + (10 * i))) tms;
+    Event_queue.arm q extra ~at:(burst + 5);
+    List.iter
+      (fun want ->
+        check_bool "fires" true (Event_queue.take_until q ~horizon:max_int >= 0);
+        Event_queue.taken q ();
+        check_int (Printf.sprintf "round %d: timer fires its own thunk" round) want !last)
+      [ 0; 8; 1; 2; 3; 4; 5; 6; 7 ]
+  done
+
+(* Re-arming a pending timer is a disarm plus a fresh arm: it fires
+   once, at the new time, ordered after entries armed before it. *)
+let test_event_queue_rearm_pending () =
+  let q = Event_queue.create () in
+  let out = ref [] in
+  let a = Event_queue.timer q (fun () -> out := "a" :: !out) in
+  Event_queue.arm q a ~at:5;
+  Event_queue.schedule q ~at:10 (fun () -> out := "b" :: !out);
+  Event_queue.arm q a ~at:10;
+  check_int "one pending entry per timer" 2 (Event_queue.pending q);
+  drain_pops q;
+  Alcotest.(check (list string)) "moved, fired once, FIFO by re-arm" [ "b"; "a" ]
+    (List.rev !out)
+
+(* The handle-aliasing hazard: with recycled handle records, cancelling
+   event A after it fired could cancel an unrelated event B that had
+   taken over A's record. A fired one-shot leaves nothing to cancel, and
+   a stale [disarm] (of a timer that already fired or was disarmed)
+   touches nothing but its own timer. *)
+let test_event_queue_stale_disarm () =
+  let q = Event_queue.create () in
+  let out = ref [] in
+  let a = Event_queue.timer q (fun () -> out := "a" :: !out) in
+  Event_queue.arm q a ~at:1;
+  check_int "A fires" 1 (Event_queue.take_until q ~horizon:10);
   Event_queue.taken q ();
-  check_int "queue drained" 0 (Event_queue.pending q);
-  (* ...and the very next schedule reuses a recycled record (the free
-     list is LIFO, so the id comes from {h0, h1}, not a fresh one). *)
-  let h2 = Event_queue.schedule q ~at:7 (fun () -> ()) in
-  let id2 = Event_queue.handle_id h2 in
-  check_bool "fired/cancelled record reused"
-    true
-    (id2 = id0 || id2 = Event_queue.handle_id h1);
-  Event_queue.cancel h2
+  Event_queue.schedule q ~at:2 (fun () -> out := "b" :: !out);
+  let c = Event_queue.timer q (fun () -> out := "c" :: !out) in
+  Event_queue.arm q c ~at:3;
+  Event_queue.disarm q a;
+  Event_queue.disarm q a;
+  check_int "stale disarms are no-ops" 2 (Event_queue.pending q);
+  check_bool "C still armed" true (Event_queue.armed q c);
+  drain_pops q;
+  Alcotest.(check (list string)) "B and C survive" [ "a"; "b"; "c" ] (List.rev !out)
 
 (* The zero-allocation contract of the churn path: once the queue's
-   arrays and free list are warm, a schedule/cancel/fire cycle driven
-   through [take_until]/[taken] allocates nothing. 10k cycles would
-   show ~60k words if even one box crept back in, so the tolerance
-   below is orders of magnitude away from a real regression. *)
+   arrays are warm, an arm/disarm/fire cycle driven through
+   [take_until]/[taken], and a one-shot with a preallocated thunk,
+   allocate nothing. 10k cycles would show ~60k words if even one box
+   crept back in, so the tolerance below is orders of magnitude away
+   from a real regression. *)
 let test_event_queue_steady_state_churn () =
   let q = Event_queue.create () in
   let nop = (fun () -> ()) in
-  (* Warm-up: grow the heap arrays and populate the handle free list. *)
-  for i = 0 to 255 do
-    ignore (Event_queue.schedule q ~at:i nop)
-  done;
-  let rec drain t = if Event_queue.take_until q ~horizon:1_000_000 >= 0 then begin
-      Event_queue.taken q (); drain t end
+  let tms = Array.init 256 (fun _ -> Event_queue.timer q nop) in
+  let rec drain () =
+    if Event_queue.take_until q ~horizon:max_int >= 0 then begin
+      Event_queue.taken q ();
+      drain ()
+    end
   in
+  (* Warm-up: grow the heap arrays and the one-shot slot table. *)
+  Array.iteri (fun i tm -> Event_queue.arm q tm ~at:i) tms;
+  for i = 0 to 255 do
+    Event_queue.schedule q ~at:i nop
+  done;
   drain ();
-  let keep = ref Event_queue.null in
   let w0 = Gc.minor_words () in
   for i = 0 to 9_999 do
-    let h = Event_queue.schedule q ~at:i nop in
-    if i land 1 = 0 then Event_queue.cancel h
+    let tm = tms.(i land 255) in
+    Event_queue.arm q tm ~at:i;
+    if i land 1 = 0 then Event_queue.disarm q tm
     else begin
-      keep := h;
+      Event_queue.schedule q ~at:i nop;
       let t = Event_queue.take_until q ~horizon:max_int in
       if t >= 0 then Event_queue.taken q ()
     end
   done;
   let words = Gc.minor_words () -. w0 in
-  ignore !keep;
   check_bool
     (Printf.sprintf "steady-state churn allocates (%.0f minor words for 10k cycles)" words)
     true (words < 512.)
 
 (* Memory follows the load back down: after a burst of 32768 in-flight
-   events (half cancelled deep in the heap) fully drains, the heap
-   arrays must shrink from their high-water capacity and the parked
-   handle arena must fall to its floor (1024 records) instead of
-   retaining one record per burst event. The burst is sized well above
-   the shrink floors so the 4x release assertion has room: a drained
-   queue keeps at most 1024-slot arrays and 1024 parked records by
-   design. *)
+   one-shots plus 16384 stale entries (one timer re-armed over and
+   over) fully drains, the heap arrays and the one-shot slot table must
+   shrink from their high-water capacity instead of retaining one cell
+   per burst event. The burst is sized well above the shrink floors so
+   the 4x release assertion has room: a drained queue keeps at most
+   1024-entry arrays by design. *)
 let test_event_queue_burst_releases_memory () =
   let q = Event_queue.create () in
   let n = 32768 in
   let fired = ref 0 in
-  let hs =
-    Array.init n (fun i -> Event_queue.schedule q ~at:i (fun () -> incr fired))
-  in
-  Array.iteri (fun i h -> if i mod 2 = 0 then Event_queue.cancel h) hs;
+  let tm = Event_queue.timer q (fun () -> incr fired) in
+  for i = 0 to n - 1 do
+    Event_queue.schedule q ~at:i (fun () -> incr fired);
+    if i mod 2 = 0 then Event_queue.arm q tm ~at:(n + i)
+  done;
   let cap_peak = Event_queue.capacity q in
   let fp_peak = Event_queue.footprint_words q in
-  check_bool "capacity covers the burst" true (cap_peak >= n / 2);
+  check_bool "capacity covers the burst" true (cap_peak >= n);
   let rec drain () =
     if Event_queue.take_until q ~horizon:max_int >= 0 then begin
       Event_queue.taken q ();
@@ -360,53 +395,61 @@ let test_event_queue_burst_releases_memory () =
     end
   in
   drain ();
-  check_int "survivors fired" (n / 2) !fired;
+  check_int "one-shots and the timer fired" (n + 1) !fired;
   check_int "empty" 0 (Event_queue.pending q);
-  check_bool "arena capped at the floor" true
-    (Event_queue.retained_handles q <= 1024);
-  check_bool "heap arrays released" true (Event_queue.capacity q < cap_peak);
+  check_bool "heap arrays released" true (Event_queue.capacity q <= 1024);
   check_bool "footprint released" true
     (4 * Event_queue.footprint_words q < fp_peak);
-  (* The shrunk queue still works. *)
-  ignore (Event_queue.schedule q ~at:0 (fun () -> ()));
-  check_int "usable after release" 1 (Event_queue.pending q)
+  (* The shrunk queue still works, timer included. *)
+  Event_queue.schedule q ~at:0 (fun () -> ());
+  Event_queue.arm q tm ~at:1;
+  check_int "usable after release" 2 (Event_queue.pending q);
+  drain ();
+  check_int "timer survives the shrink" (n + 2) !fired
 
 (* Simulated time starts at zero: an event at a negative time used to
    be accepted and then lost, since [take_until] answers -1 (its miss
-   sentinel) for it. [schedule] now rejects it up front. *)
+   sentinel) for it. [schedule] and [arm] reject it up front. *)
 let test_event_queue_rejects_negative_time () =
   let q = Event_queue.create () in
   Alcotest.check_raises "negative time"
     (Invalid_argument "Event_queue.schedule: negative time") (fun () ->
-      ignore (Event_queue.schedule q ~at:(-1) (fun () -> ())));
+      Event_queue.schedule q ~at:(-1) (fun () -> ()));
+  let tm = Event_queue.timer q (fun () -> ()) in
+  Alcotest.check_raises "negative arm"
+    (Invalid_argument "Event_queue.arm: negative time") (fun () ->
+      Event_queue.arm q tm ~at:(-1));
   check_int "nothing pending" 0 (Event_queue.pending q);
-  ignore (Event_queue.schedule q ~at:0 (fun () -> ()));
+  Event_queue.schedule q ~at:0 (fun () -> ());
   check_int "time zero is fine" 0 (Event_queue.take_until q ~horizon:10)
 
-(* Naive-oracle differential: random schedule/cancel/take/next/drain
-   sequences run in lockstep against a sorted list of (time, id), where
-   ids count schedules and so order ties FIFO. Bursts reach past the
-   1024-slot shrink floor and fractional cancels build stale majorities
-   above 64 entries, so compaction, pool regrowth and release all run
-   under the comparison. Dead handles are cancelled again (double
-   cancels, cancels after firing) only before the next [schedule], the
-   window in which the contract makes that a no-op. *)
+(* Naive-oracle differential: random arm/re-arm/disarm/one-shot/take/
+   next/drain sequences run in lockstep against a sorted list of
+   (time, seq, tag), where seq counts arms and one-shots and so orders
+   ties FIFO. Eight persistent timers are re-armed while pending and
+   disarmed live, dead (already fired or disarmed) and twice. Bursts of
+   one-shots reach past the 1024-entry shrink floor and re-arm storms
+   build stale majorities above 64 entries, so compaction, slot-table
+   regrowth and release all run under the comparison. [pending] and
+   every timer's [armed] are compared after every op. *)
 type eq_op =
-  | Sched of int
-  | Burst of int * int (* n events, time salt *)
-  | Cancel_live of int
-  | Cancel_dead of int
-  | Cancel_frac of int (* cancel live ids not divisible by k *)
+  | Arm of int * int (* timer, time *)
+  | Disarm of int
+  | Once of int
+  | Burst of int * int (* n one-shots, time salt *)
+  | Storm of int * int (* n re-arms spread over the timers, time salt *)
   | Take of int (* horizon *)
   | Next
   | Drain
 
+let n_timers = 8
+
 let show_eq_op = function
-  | Sched at -> Printf.sprintf "Sched %d" at
+  | Arm (k, at) -> Printf.sprintf "Arm (%d, %d)" k at
+  | Disarm k -> Printf.sprintf "Disarm %d" k
+  | Once at -> Printf.sprintf "Once %d" at
   | Burst (n, salt) -> Printf.sprintf "Burst (%d, %d)" n salt
-  | Cancel_live k -> Printf.sprintf "Cancel_live %d" k
-  | Cancel_dead k -> Printf.sprintf "Cancel_dead %d" k
-  | Cancel_frac k -> Printf.sprintf "Cancel_frac %d" k
+  | Storm (n, salt) -> Printf.sprintf "Storm (%d, %d)" n salt
   | Take h -> Printf.sprintf "Take %d" h
   | Next -> "Next"
   | Drain -> "Drain"
@@ -415,11 +458,11 @@ let gen_eq_op =
   QCheck.Gen.(
     frequency
       [
-        (6, map (fun at -> Sched at) (int_bound 4095));
+        (6, map2 (fun k at -> Arm (k, at)) (int_bound (n_timers - 1)) (int_bound 4095));
+        (4, map (fun k -> Disarm k) (int_bound (n_timers - 1)));
+        (4, map (fun at -> Once at) (int_bound 4095));
         (2, map2 (fun n salt -> Burst (n, salt)) (int_range 1 5000) (int_bound 4095));
-        (4, map (fun k -> Cancel_live k) nat);
-        (2, map (fun k -> Cancel_dead k) nat);
-        (2, map (fun k -> Cancel_frac k) (int_range 2 4));
+        (1, map2 (fun n salt -> Storm (n, salt)) (int_range 1 300) (int_bound 4095));
         (5, map (fun h -> Take h) (int_bound 4095));
         (1, return Next);
         (1, return Drain);
@@ -432,84 +475,107 @@ let prop_event_queue_matches_oracle =
        QCheck.Gen.(list_size (int_range 1 60) gen_eq_op))
     (fun ops ->
       let q = Event_queue.create () in
-      (* Live events as (time, id, handle), sorted on (time, id). *)
-      let model = ref [] and next_id = ref 0 in
-      let dead = ref [] and last = ref (-1) in
+      (* Tags: timer [k] fires as [-(k + 1)], one-shot [id] as [id]. *)
+      let last = ref 0 in
+      let tms =
+        Array.init n_timers (fun k ->
+            Event_queue.timer q (fun () -> last := -(k + 1)))
+      in
+      (* The oracle: pending one-shots as (time, seq, id) sorted on
+         (time, seq), and each timer's pending (time, seq) if armed. *)
+      let onces = ref [] and armed = Array.make n_timers None in
+      let seq = ref 0 and next_id = ref 0 in
+      let fresh () =
+        let sq = !seq in
+        incr seq;
+        sq
+      in
       let fail fmt = QCheck.Test.fail_reportf fmt in
       let order (a, i, _) (b, j, _) =
         if a <> b then Int.compare a b else Int.compare i j
       in
-      let schedule at =
-        let id = !next_id in
-        incr next_id;
-        (at, id, Event_queue.schedule q ~at (fun () -> last := id))
+      let pending () =
+        List.length !onces
+        + Array.fold_left (fun n a -> if a = None then n else n + 1) 0 armed
       in
-      let cancel_where p =
-        model :=
-          List.filter
-            (fun (_, id, h) ->
-              if p id then begin
-                Event_queue.cancel h;
-                dead := h :: !dead;
-                false
-              end
-              else true)
-            !model
+      (* The earliest pending entry as (time, seq, tag). *)
+      let earliest () =
+        let best = ref (match !onces with e :: _ -> Some e | [] -> None) in
+        Array.iteri
+          (fun k a ->
+            match (a, !best) with
+            | Some (at, sq), Some b when order (at, sq, 0) b >= 0 -> ()
+            | Some (at, sq), _ -> best := Some (at, sq, -(k + 1))
+            | None, _ -> ())
+          armed;
+        !best
+      in
+      let arm k at =
+        Event_queue.arm q tms.(k) ~at;
+        armed.(k) <- Some (at, fresh ())
+      in
+      let once_list ats =
+        let evs =
+          List.map
+            (fun at ->
+              let id = !next_id in
+              incr next_id;
+              Event_queue.schedule q ~at (fun () -> last := id);
+              (at, fresh (), id))
+            ats
+        in
+        onces := List.merge order !onces (List.sort order evs)
       in
       let take horizon =
         let got = Event_queue.take_until q ~horizon in
-        match !model with
-        | (at, id, h) :: rest when at <= horizon ->
+        match earliest () with
+        | Some (at, _, tag) when at <= horizon ->
           if got <> at then fail "take_until %d: got %d, oracle %d" horizon got at;
           Event_queue.taken q ();
-          if !last <> id then fail "fired event %d, oracle %d" !last id;
-          model := rest;
-          dead := h :: !dead
+          if !last <> tag then fail "fired %d, oracle %d" !last tag;
+          if tag < 0 then armed.(-tag - 1) <- None else onces := List.tl !onces
         | _ -> if got <> -1 then fail "take_until %d: got %d, oracle miss" horizon got
       in
       let rec drain () =
         take max_int;
-        if !model <> [] then drain ()
+        if pending () > 0 then drain ()
       in
       let step op =
         match op with
-        | Sched at ->
-          dead := [];
-          model := List.merge order !model [ schedule at ]
+        | Arm (k, at) -> arm k at
+        | Disarm k ->
+          Event_queue.disarm q tms.(k);
+          armed.(k) <- None
+        | Once at -> once_list [ at ]
         | Burst (n, salt) ->
-          dead := [];
-          let evs = List.init n (fun i -> schedule ((salt + (i * 7919)) mod 4096)) in
-          model := List.merge order !model (List.sort order evs)
-        | Cancel_live k -> (
-          match !model with
-          | [] -> ()
-          | m ->
-            let _, victim, _ = List.nth m (k mod List.length m) in
-            cancel_where (fun id -> id = victim))
-        | Cancel_dead k -> (
-          match !dead with
-          | [] -> ()
-          | d -> Event_queue.cancel (List.nth d (k mod List.length d)))
-        | Cancel_frac k -> cancel_where (fun id -> id mod k <> 0)
+          once_list (List.init n (fun i -> (salt + (i * 7919)) mod 4096))
+        | Storm (n, salt) ->
+          for i = 0 to n - 1 do
+            arm (i mod n_timers) ((salt + (i * 104729)) mod 4096)
+          done
         | Take h -> take h
         | Next ->
-          let want = match !model with [] -> None | (at, _, _) :: _ -> Some at in
+          let want = Option.map (fun (at, _, _) -> at) (earliest ()) in
           if Event_queue.next_time q <> want then fail "next_time differs"
         | Drain ->
           drain ();
           take max_int;
           if Event_queue.capacity q > 1024 then
-            fail "drained capacity %d > 1024" (Event_queue.capacity q);
-          if Event_queue.retained_handles q > 1024 then
-            fail "drained queue parks %d records" (Event_queue.retained_handles q)
+            fail "drained capacity %d > 1024" (Event_queue.capacity q)
       in
       List.iter
         (fun op ->
           step op;
-          let n = List.length !model in
-          if Event_queue.pending q <> n then
+          if Event_queue.pending q <> pending () then
             fail "after %s: pending %d, oracle %d" (show_eq_op op)
-              (Event_queue.pending q) n)
+              (Event_queue.pending q) (pending ());
+          Array.iteri
+            (fun k tm ->
+              let want = armed.(k) <> None in
+              if Event_queue.armed q tm <> want then
+                fail "after %s: timer %d armed %b, oracle %b" (show_eq_op op) k
+                  (Event_queue.armed q tm) want)
+            tms)
         ops;
       true)
 
@@ -518,8 +584,8 @@ let prop_event_queue_matches_oracle =
 let test_sim_ordering_and_clock () =
   let sim = Sim.create () in
   let log = ref [] in
-  ignore (Sim.at sim 100 (fun () -> log := (100, Sim.now sim) :: !log));
-  ignore (Sim.at sim 50 (fun () -> log := (50, Sim.now sim) :: !log));
+  Sim.at sim 100 (fun () -> log := (100, Sim.now sim) :: !log);
+  Sim.at sim 50 (fun () -> log := (50, Sim.now sim) :: !log);
   Sim.run sim;
   Alcotest.(check (list (pair int int)))
     "events run at their times" [ (50, 50); (100, 100) ] (List.rev !log)
@@ -527,8 +593,8 @@ let test_sim_ordering_and_clock () =
 let test_sim_run_until () =
   let sim = Sim.create () in
   let fired = ref [] in
-  ignore (Sim.at sim 10 (fun () -> fired := 10 :: !fired));
-  ignore (Sim.at sim 20 (fun () -> fired := 20 :: !fired));
+  Sim.at sim 10 (fun () -> fired := 10 :: !fired);
+  Sim.at sim 20 (fun () -> fired := 20 :: !fired);
   Sim.run_until sim 15;
   Alcotest.(check (list int)) "only up to horizon" [ 10 ] (List.rev !fired);
   check_int "clock at horizon" 15 (Sim.now sim);
@@ -540,9 +606,9 @@ let test_sim_cascade () =
   let count = ref 0 in
   let rec chain n () =
     incr count;
-    if n > 0 then ignore (Sim.after sim 5 (chain (n - 1)))
+    if n > 0 then Sim.after sim 5 (chain (n - 1))
   in
-  ignore (Sim.after sim 5 (chain 9));
+  Sim.after sim 5 (chain 9);
   Sim.run sim;
   check_int "cascaded events" 10 !count;
   check_int "clock" 50 (Sim.now sim);
@@ -550,21 +616,21 @@ let test_sim_cascade () =
 
 let test_sim_rejects_past () =
   let sim = Sim.create () in
-  ignore (Sim.at sim 10 (fun () -> ()));
+  Sim.at sim 10 (fun () -> ());
   Sim.run sim;
   Alcotest.check_raises "scheduling in the past"
     (Invalid_argument "Sim.at: scheduling in the past (5ns < 10ns)") (fun () ->
-      ignore (Sim.at sim 5 (fun () -> ())))
+      Sim.at sim 5 (fun () -> ()))
 
 (* A delay that overflows the clock means "never", not a wrapped time in
    the past: [after] saturates at [max_int]. *)
 let test_sim_after_saturates () =
   let sim = Sim.create () in
-  ignore (Sim.at sim 10 (fun () -> ()));
+  Sim.at sim 10 (fun () -> ());
   Sim.run sim;
   let fired = ref false in
-  ignore (Sim.after sim (max_int - 5) (fun () -> fired := true));
-  ignore (Sim.after sim max_int (fun () -> fired := true));
+  Sim.after sim (max_int - 5) (fun () -> fired := true);
+  Sim.after sim max_int (fun () -> fired := true);
   Sim.run_until sim (Time.seconds 1);
   check_bool "never fires" false !fired;
   check_int "clock at horizon" (Time.seconds 1) (Sim.now sim)
@@ -572,22 +638,53 @@ let test_sim_after_saturates () =
 let test_sim_cancel_pending () =
   let sim = Sim.create () in
   let fired = ref false in
-  let h = Sim.at sim 100 (fun () -> fired := true) in
-  Sim.cancel h;
+  let tm = Sim.timer sim (fun () -> fired := true) in
+  Sim.arm sim tm 100;
+  Sim.disarm sim tm;
   Sim.run sim;
-  check_bool "cancelled event never fires" false !fired;
+  check_bool "disarmed timer never fires" false !fired;
   check_int "clock unchanged without events" 0 (Sim.now sim)
 
 let test_sim_cancel_from_handler () =
-  (* An event cancels a later one while running. *)
+  (* An event disarms a later timer while running. *)
   let sim = Sim.create () in
   let fired = ref [] in
-  let h2 = Sim.at sim 20 (fun () -> fired := 2 :: !fired) in
-  ignore (Sim.at sim 10 (fun () ->
+  let t2 = Sim.timer sim (fun () -> fired := 2 :: !fired) in
+  Sim.arm sim t2 20;
+  Sim.at sim 10 (fun () ->
       fired := 1 :: !fired;
-      Sim.cancel h2));
+      Sim.disarm sim t2);
   Sim.run sim;
   Alcotest.(check (list int)) "only the first fires" [ 1 ] (List.rev !fired)
+
+(* A timer is disarmed as it fires, so its thunk can re-arm it: the
+   periodic-source pattern, which [Sim.repeat] packages. [arm] rejects
+   the past like [at]. *)
+let test_sim_timer_rearms_itself () =
+  let sim = Sim.create () in
+  let ticks = ref [] in
+  let rec tick () =
+    ticks := Sim.now sim :: !ticks;
+    if List.length !ticks < 4 then Sim.arm_after sim (Lazy.force tm) 10
+  and tm = lazy (Sim.timer sim tick) in
+  Sim.arm_after sim (Lazy.force tm) 10;
+  Sim.run sim;
+  Alcotest.(check (list int)) "re-armed from its thunk" [ 10; 20; 30; 40 ]
+    (List.rev !ticks);
+  check_bool "disarmed after the last fire" false (Sim.armed sim (Lazy.force tm));
+  Alcotest.check_raises "arm in the past"
+    (Invalid_argument "Sim.arm: scheduling in the past (5ns < 40ns)") (fun () ->
+      Sim.arm sim (Lazy.force tm) 5);
+  (* [repeat] is that pattern packaged: each run returns its next delay. *)
+  let sim = Sim.create () in
+  let runs = ref [] and gap = ref 0 in
+  Sim.repeat sim 5 (fun () ->
+      runs := Sim.now sim :: !runs;
+      incr gap;
+      !gap * 10);
+  Sim.run_until sim 100;
+  Alcotest.(check (list int)) "repeat re-arms by the returned delay"
+    [ 5; 15; 35; 65 ] (List.rev !runs)
 
 (* ---------------------------- Stats --------------------------------- *)
 
@@ -741,7 +838,7 @@ let prop_event_queue_total_order =
     QCheck.(list (int_bound 1000))
     (fun times ->
       let q = Event_queue.create () in
-      List.iteri (fun i at -> ignore (Event_queue.schedule q ~at (fun () -> ignore i))) times;
+      List.iteri (fun i at -> Event_queue.schedule q ~at (fun () -> ignore i)) times;
       let rec drain acc =
         match Event_queue.pop q with
         | None -> List.rev acc
@@ -787,10 +884,14 @@ let () =
           Alcotest.test_case "cancellation" `Quick test_event_queue_cancel;
           Alcotest.test_case "O(1) live accounting" `Quick
             test_event_queue_live_accounting;
-          Alcotest.test_case "handle recycling" `Quick
-            test_event_queue_handle_recycling;
-          Alcotest.test_case "handle reuse and stable ids" `Quick
-            test_event_queue_handle_reuse;
+          Alcotest.test_case "slot recycling" `Quick
+            test_event_queue_slot_recycling;
+          Alcotest.test_case "timer ids are stable" `Quick
+            test_event_queue_timer_ids_stable;
+          Alcotest.test_case "re-arm while pending" `Quick
+            test_event_queue_rearm_pending;
+          Alcotest.test_case "stale disarm spares later events" `Quick
+            test_event_queue_stale_disarm;
           Alcotest.test_case "steady-state churn is allocation-free" `Quick
             test_event_queue_steady_state_churn;
           Alcotest.test_case "burst releases memory" `Quick
@@ -809,6 +910,7 @@ let () =
           Alcotest.test_case "after saturates" `Quick test_sim_after_saturates;
           Alcotest.test_case "cancel pending" `Quick test_sim_cancel_pending;
           Alcotest.test_case "cancel from handler" `Quick test_sim_cancel_from_handler;
+          Alcotest.test_case "timer re-arms itself" `Quick test_sim_timer_rearms_itself;
         ] );
       ( "stats",
         [

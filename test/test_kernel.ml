@@ -210,8 +210,8 @@ let test_interrupt_steals_time () =
   let k, leaf, sfq = make () in
   let tid = spawn_started k leaf sfq ~name:"t" (W.forever_compute (Time.seconds 10)) in
   (* A 100 ms interrupt at t=50 ms. *)
-  ignore (Sim.at (Kernel.sim k) (Time.milliseconds 50) (fun () ->
-      Kernel.interrupt k ~duration:(Time.milliseconds 100)));
+  Sim.at (Kernel.sim k) (Time.milliseconds 50) (fun () ->
+      Kernel.interrupt k ~duration:(Time.milliseconds 100));
   Kernel.run_until k (Time.seconds 1);
   check_int "interrupt time accounted" (Time.milliseconds 100) (Kernel.interrupt_time k);
   check_int "thread lost exactly that time" (Time.milliseconds 900)
@@ -221,11 +221,11 @@ let test_overlapping_interrupts_extend () =
   let k, leaf, sfq = make () in
   let tid = spawn_started k leaf sfq ~name:"t" (W.forever_compute (Time.seconds 10)) in
   let sim = Kernel.sim k in
-  ignore (Sim.at sim (Time.milliseconds 10) (fun () ->
-      Kernel.interrupt k ~duration:(Time.milliseconds 30)));
+  Sim.at sim (Time.milliseconds 10) (fun () ->
+      Kernel.interrupt k ~duration:(Time.milliseconds 30));
   (* Arrives while the first is still processing: queues behind it. *)
-  ignore (Sim.at sim (Time.milliseconds 20) (fun () ->
-      Kernel.interrupt k ~duration:(Time.milliseconds 20)));
+  Sim.at sim (Time.milliseconds 20) (fun () ->
+      Kernel.interrupt k ~duration:(Time.milliseconds 20));
   Kernel.run_until k (Time.milliseconds 200);
   check_int "both interrupts billed" (Time.milliseconds 50) (Kernel.interrupt_time k);
   (* Interrupts busy [10, 60); quanta then complete at 70, 90, ..., 190;
@@ -234,8 +234,8 @@ let test_overlapping_interrupts_extend () =
 
 let test_interrupt_during_idle () =
   let k, _, _ = make () in
-  ignore (Sim.at (Kernel.sim k) (Time.milliseconds 10) (fun () ->
-      Kernel.interrupt k ~duration:(Time.milliseconds 5)));
+  Sim.at (Kernel.sim k) (Time.milliseconds 10) (fun () ->
+      Kernel.interrupt k ~duration:(Time.milliseconds 5));
   Kernel.run_until k (Time.milliseconds 100);
   check_int "interrupt billed" (Time.milliseconds 5) (Kernel.interrupt_time k);
   check_int "idle = rest" (Time.milliseconds 95) (Kernel.idle_time k)
@@ -921,6 +921,40 @@ let audit_clean what k =
   with C.Invariant.Violation v ->
     Alcotest.failf "%s: %s" what (C.Invariant.violation_to_string v)
 
+(* The [wake-handle] audit rule under timers: a sleeper's wake timer is
+   armed exactly while it sleeps unsuspended, so suspending or killing a
+   sleeper must leave the timer disarmed, and the timer must not fire
+   later. *)
+let test_sleeper_wake_timer_disarmed () =
+  let k, leaf, sfq = make () in
+  let sleeper () =
+    spawn_started k leaf sfq ~name:"s"
+      (W.of_list
+         [ W.Sleep_for (Time.milliseconds 20); W.Compute (Time.milliseconds 5); W.Exit ])
+  in
+  let wake_armed tid =
+    List.exists
+      (fun (tv : C.Kernel_audit.thread_view) -> tv.tid = tid && tv.wake_armed)
+      (Kernel.dump k).threads
+  in
+  let a = sleeper () and b = sleeper () in
+  Kernel.run_until k (Time.milliseconds 5);
+  check_bool "sleeping: timer armed" true (wake_armed a && wake_armed b);
+  Kernel.suspend k a;
+  check_bool "suspended: timer disarmed" false (wake_armed a);
+  Kernel.kill k b;
+  check_bool "killed: timer disarmed" false (wake_armed b);
+  audit_clean "suspend and kill of sleepers" k;
+  Kernel.run_until k (Time.milliseconds 100);
+  check_bool "suspended sleeper stays blocked" true (Kernel.state k a = Kernel.Blocked);
+  check_bool "killed sleeper stays exited" true (Kernel.state k b = Kernel.Exited);
+  check_int "neither ran" 0 (Kernel.cpu_time k a + Kernel.cpu_time k b);
+  Kernel.resume k a;
+  check_bool "resumed: runnable, timer still disarmed" false (wake_armed a);
+  Kernel.run_until k (Time.milliseconds 200);
+  check_bool "resumed sleeper finished" true (Kernel.state k a = Kernel.Exited);
+  audit_clean "after resume" k
+
 (* A two-leaf system for the move/donation tests. *)
 let make2 () =
   let sim = Sim.create () in
@@ -1431,9 +1465,8 @@ let test_mp_interrupt_on_cpu () =
           (W.forever_compute (Time.seconds 10)))
       leaves
   in
-  ignore
-    (Sim.at (Kernel.sim k) (Time.milliseconds 50) (fun () ->
-         Kernel.interrupt_on k ~cpu:1 ~duration:(Time.milliseconds 100)));
+  Sim.at (Kernel.sim k) (Time.milliseconds 50) (fun () ->
+         Kernel.interrupt_on k ~cpu:1 ~duration:(Time.milliseconds 100));
   Kernel.run_until k (Time.seconds 1);
   check_int "cpu 1 charged" (Time.milliseconds 100)
     (Kernel.cpu_interrupt_time k 1);
@@ -1447,6 +1480,102 @@ let test_mp_interrupt_on_cpu () =
   check_int "work conservation across the set"
     (2 * Time.seconds 1) (total + Kernel.interrupt_time k);
   audit_clean "per-CPU interrupt" k
+
+(* ----------------------- interrupt path golden ------------------------ *)
+
+(* The interrupt path end to end, pinned exactly: a long Compute thread
+   and an interactive thread, each in its own SFQ leaf (so at P=2 both
+   CPUs run threads), while a 10 ms periodic
+   source (CPU 0) and a 200 Hz Poisson source (the last CPU) pause
+   whatever runs. Dispatch overhead is inflated to 300 us + 50 us per
+   level so that interrupts often land inside it, where a pause must
+   carry the unspent overhead over to the resumed slice. Every number
+   below is a deterministic function of the event order, so any change
+   to how interrupts, slice completions or wakes are queued shows up
+   here. *)
+let interrupt_path_golden ~cpus =
+  let sim = Sim.create () in
+  let hier = Hierarchy.create () in
+  let config =
+    {
+      Kernel.default_config with
+      context_switch_cost = Time.microseconds 300;
+      sched_cost_per_level = Time.microseconds 50;
+    }
+  in
+  let k = Kernel.create ~config ~cpus sim hier in
+  let leaf name =
+    match
+      Hierarchy.mknod hier ~name ~parent:Hierarchy.root ~weight:1.
+        Hierarchy.Leaf
+    with
+    | Ok id ->
+      let lf, sfq = Leaf_sched.Sfq_leaf.make () in
+      Kernel.install_leaf k id lf;
+      (id, sfq)
+    | Error e -> failwith e
+  in
+  let batch, batch_sfq = leaf "batch" in
+  let hog =
+    spawn_started k batch batch_sfq ~name:"hog"
+      (W.forever_compute (Time.seconds 10))
+  in
+  let wl, _ =
+    Hsfq_workload.Interactive.make ~mean_think:(Time.milliseconds 15)
+      ~burst:(Time.milliseconds 2) ~seed:11 ()
+  in
+  let inter, inter_sfq = leaf "interactive" in
+  let ia = spawn_started k inter inter_sfq ~name:"interactive" wl in
+  Kernel.add_interrupt_source k
+    (Interrupt_source.Periodic
+       { period = Time.milliseconds 10; cost = Time.microseconds 50 });
+  Kernel.add_interrupt_source k ~cpu:(cpus - 1)
+    (Interrupt_source.Poisson
+       { rate_hz = 200.; mean_cost = Time.microseconds 30; seed = 5 });
+  Kernel.run_until k (Time.seconds 3);
+  audit_clean "interrupt path golden" k;
+  [
+    ("events", Sim.steps sim);
+    ("hog dispatches", Kernel.dispatch_count k hog);
+    ("interactive dispatches", Kernel.dispatch_count k ia);
+    ("hog cpu_time", Kernel.cpu_time k hog);
+    ("interactive cpu_time", Kernel.cpu_time k ia);
+    ("interrupt_time", Kernel.interrupt_time k);
+    ("overhead_time", Kernel.overhead_time k);
+    ("idle_time", Kernel.idle_time k);
+  ]
+
+let check_golden ~cpus expected =
+  let got = interrupt_path_golden ~cpus in
+  Alcotest.(check (list (pair string int)))
+    (Printf.sprintf "P=%d interrupt path" cpus)
+    expected got
+
+let test_interrupt_path_golden_p1 () =
+  check_golden ~cpus:1
+    [
+      ("events", 2_104);
+      ("hog dispatches", 136);
+      ("interactive dispatches", 87);
+      ("hog cpu_time", 2_700_000_000);
+      ("interactive cpu_time", 174_000_000);
+      ("interrupt_time", 33_130_148);
+      ("overhead_time", 78_050_000);
+      ("idle_time", 0);
+    ]
+
+let test_interrupt_path_golden_p2 () =
+  check_golden ~cpus:2
+    [
+      ("events", 2_253);
+      ("hog dispatches", 147);
+      ("interactive dispatches", 156);
+      ("hog cpu_time", 2_920_000_000);
+      ("interactive cpu_time", 312_000_000);
+      ("interrupt_time", 33_130_148);
+      ("overhead_time", 106_050_000);
+      ("idle_time", 2_615_269_852);
+    ]
 
 (* ------------------------- allocation ------------------------------- *)
 
@@ -1470,10 +1599,9 @@ let test_cycle_minor_words () =
     in
     ignore (spawn_started k leaf sfq ~name:(Printf.sprintf "i%d" i) wl)
   done;
-  ignore
-    (Kernel.add_interrupt_source k
+  Kernel.add_interrupt_source k
        (Interrupt_source.Periodic
-          { period = Time.milliseconds 1; cost = Time.microseconds 20 }));
+          { period = Time.milliseconds 1; cost = Time.microseconds 20 });
   let sim = Kernel.sim k in
   (* Warm up until the per-thread sample series outgrow the minor heap
      (their doubling is amortized, not per event). *)
@@ -1573,6 +1701,8 @@ let () =
           Alcotest.test_case "move blocked thread" `Quick test_move_blocked_thread;
           Alcotest.test_case "suspend cancels wake timer" `Quick
             test_suspend_blocked_cancels_wake;
+          Alcotest.test_case "sleeper wake timer disarmed" `Quick
+            test_sleeper_wake_timer_disarmed;
           Alcotest.test_case "accessors" `Quick test_accessors;
         ] );
       ( "capacity reserves",
@@ -1613,6 +1743,11 @@ let () =
             test_mp_cross_cpu_suspend_kill;
           Alcotest.test_case "per-CPU interrupt" `Quick
             test_mp_interrupt_on_cpu;
+        ] );
+      ( "interrupt path",
+        [
+          Alcotest.test_case "golden P=1" `Quick test_interrupt_path_golden_p1;
+          Alcotest.test_case "golden P=2" `Quick test_interrupt_path_golden_p2;
         ] );
       ( "allocation",
         [

@@ -508,6 +508,39 @@ let test_allocpass_barrier () =
   check_bool "unknown barrier-free function reported" true
     (has_rule "tl-hot-missing" (alloc_findings ~barrier_free:[ "absent" ] src))
 
+(* The kernel's old interrupt path stored a cancellable handle record
+   per slice ([d.completion <- Sim.after ...]): a [caml_modify] on every
+   resume. The barrier pass flags that store, while the timer form —
+   the time stored as a [Time.t], the timer re-armed by its int id — is
+   clean: simulated time and [Event_queue.timer] count as immediates. *)
+let test_allocpass_barrier_handle_store () =
+  let src =
+    "module Time = struct type t = int end\n\
+     module Event_queue = struct\n\
+    \  type handle = { mutable hstate : int }\n\
+    \  type timer = int\n\
+     end\n\
+     module Sim = struct\n\
+    \  let after (_ : int) (_ : unit -> unit) = { Event_queue.hstate = 0 }\n\
+    \  let arm_after (_ : Event_queue.timer) (_ : int) = ()\n\
+     end\n\
+     type dispatch = { mutable completion : Event_queue.handle; mutable resume_at : Time.t }\n\
+     let thunk () = ()\n\
+     let resume_handle d now = d.resume_at <- now; d.completion <- Sim.after 5 thunk\n\
+     let resume_timer d (tm : Event_queue.timer) now = d.resume_at <- now; Sim.arm_after tm 5\n\
+     let hot x = x\n"
+  in
+  let barrier_lines fs =
+    List.filter_map
+      (fun (f : Finding.t) ->
+        if String.equal f.rule "tl-hot-barrier" then Some f.line else None)
+      fs
+  in
+  Alcotest.(check (list int))
+    "handle store flagged, timer re-arm clean" [ 12 ]
+    (barrier_lines
+       (alloc_findings ~barrier_free:[ "resume_handle"; "resume_timer" ] src))
+
 let test_allocpass_missing_root () =
   let fs = alloc_findings ~roots:[ "nonexistent" ] "let hot x = x\n" in
   check_bool "unknown root reported" true (has_rule "tl-hot-missing" fs)
@@ -594,6 +627,8 @@ let () =
           Alcotest.test_case "local let rec in a root" `Quick
             test_allocpass_local_rec;
           Alcotest.test_case "barrier-free stores" `Quick test_allocpass_barrier;
+          Alcotest.test_case "handle store vs timer re-arm" `Quick
+            test_allocpass_barrier_handle_store;
           Alcotest.test_case "missing root" `Quick test_allocpass_missing_root;
         ] );
       ( "bench-check",
