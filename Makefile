@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test lint check bench bench-smoke bench-diff sim-speed-smoke scale-smoke smp-smoke torture-smoke sweep-smoke figures examples regen-golden clean
+.PHONY: all build test lint check bench bench-smoke bench-diff sim-speed-smoke scale-smoke smp-smoke torture-smoke sweep-smoke soak figures examples regen-golden clean
 
 all: build
 
@@ -73,6 +73,15 @@ torture-smoke:
 # down.
 sweep-smoke:
 	dune build @sweep-smoke
+
+# Long-horizon soak, outside tier-1: 10^9 SFQ quanta, 14 always-backlogged
+# clients with weights 1..999999 units and adversarial quantum lengths,
+# Theorem 1 checked exactly over every window (test/soak.ml; tier-1
+# runs the same code at 10^6 quanta). Prints PASS or the violating pair
+# and window.
+soak:
+	dune build test/soak.exe
+	./_build/default/test/soak.exe 1000000000
 
 # Regenerate the golden trace dumps (test/golden/*.trace) after an
 # intentional change to the event schema, the exporters or the traced

@@ -81,7 +81,7 @@ type micro = { group : string; name : string; fn : unit -> unit }
 let fair_decision_micro (module F : Sched.Scheduler_intf.FAIR) ~group ~q =
   let t = F.create ~rng:(Engine.Prng.create 5) () in
   for i = 0 to q - 1 do
-    F.arrive t ~id:i ~weight:(1. +. float_of_int (i mod 4))
+    F.arrive t ~id:i ~weight:((1 + (i mod 4)) * Sched.Vtime.unit)
   done;
   {
     group;
@@ -89,14 +89,14 @@ let fair_decision_micro (module F : Sched.Scheduler_intf.FAIR) ~group ~q =
     fn =
       (fun () ->
         match F.select t with
-        | Some id -> F.charge t ~id ~service:2e7 ~runnable:true
+        | Some id -> F.charge t ~id ~service:20_000_000 ~runnable:true
         | None -> invalid_arg "bench: empty ready set");
   }
 
 let sfq_decision_micro ~q =
   let t = Core.Sfq.create () in
   for i = 0 to q - 1 do
-    Core.Sfq.arrive t ~id:i ~weight:(1. +. float_of_int (i mod 4))
+    Core.Sfq.arrive t ~id:i ~weight:((1 + (i mod 4)) * Sched.Vtime.unit)
   done;
   {
     group = "sfq-scaling";
@@ -104,7 +104,7 @@ let sfq_decision_micro ~q =
     fn =
       (fun () ->
         match Core.Sfq.select t with
-        | Some id -> Core.Sfq.charge t ~id ~service:2e7 ~runnable:true
+        | Some id -> Core.Sfq.charge t ~id ~service:20_000_000 ~runnable:true
         | None -> invalid_arg "bench: empty ready set");
   }
 
@@ -164,7 +164,7 @@ let obs_sfq_micro ~q ~enabled =
   let s = Obs.Trace.register_sys tr ~label:"bench" in
   Core.Sfq.set_obs t (Some s) ~node:0;
   for i = 0 to q - 1 do
-    Core.Sfq.arrive t ~id:i ~weight:(1. +. float_of_int (i mod 4))
+    Core.Sfq.arrive t ~id:i ~weight:((1 + (i mod 4)) * Sched.Vtime.unit)
   done;
   {
     group = "obs";
@@ -173,7 +173,7 @@ let obs_sfq_micro ~q ~enabled =
     fn =
       (fun () ->
         match Core.Sfq.select t with
-        | Some id -> Core.Sfq.charge t ~id ~service:2e7 ~runnable:true
+        | Some id -> Core.Sfq.charge t ~id ~service:20_000_000 ~runnable:true
         | None -> invalid_arg "bench: empty ready set");
   }
 
@@ -209,10 +209,10 @@ let obs_hierarchy_micro ~depth ~enabled =
         depth;
     fn =
       (fun () ->
-        match Core.Hierarchy.schedule h with
-        | Some leaf ->
-          Core.Hierarchy.update h ~leaf ~service:2e7 ~leaf_runnable:true
-        | None -> invalid_arg "bench: no runnable leaf");
+        let leaf = Core.Hierarchy.schedule_id h in
+        if leaf < 0 then invalid_arg "bench: no runnable leaf";
+        Core.Hierarchy.update_ns h ~leaf ~service_ns:20_000_000
+          ~leaf_runnable:true);
   }
 
 (* SVR4 TS select+charge on a preloaded run queue. *)
@@ -264,28 +264,21 @@ let setrun_sleep_micro ~depth =
 
 (* The priority-queue substrate every scheduler runs on: push n keys
    into a persistent [Keyed_heap] and pop them all back out, via the
-   staged-key/installed-validator entry points the schedulers use on
-   their hot paths (the plain [push ~key] boxes its float argument
-   under dune's -opaque dev profile).  The heap's arrays are warm after
-   the first iteration, so this measures the steady-state flat-array
-   cost, not allocation. *)
+   installed-validator entry points the schedulers use on their hot
+   paths.  The heap's arrays are warm after the first iteration, so
+   this measures the steady-state flat-array cost, not allocation. *)
 let keyed_heap_micro ~n =
   let rng = Engine.Prng.create 3 in
-  let keys = Array.init n (fun _ -> Engine.Prng.float rng 1e9) in
+  let keys = Array.init n (fun _ -> Engine.Prng.int rng 1_000_000_000) in
   let h = Sched.Keyed_heap.create () in
   Sched.Keyed_heap.set_validator h (fun ~id:_ ~gen:_ -> true);
-  let stage = Sched.Keyed_heap.stage_cell h in
   {
     group = "substrate";
     name = Printf.sprintf "keyed-heap/push+pop n=%d" n;
     fn =
       (fun () ->
-        (* explicit loop: Array.iteri would box every float it hands
-           the polymorphic closure, charging 2 words per push to the
-           harness rather than the heap *)
         for i = 0 to n - 1 do
-          stage.(0) <- keys.(i);
-          Sched.Keyed_heap.push_staged h ~gen:0 ~id:i
+          Sched.Keyed_heap.push h ~key:keys.(i) ~gen:0 ~id:i
         done;
         while Sched.Keyed_heap.pop_valid h >= 0 do
           ()
@@ -726,7 +719,7 @@ let time_decisions ~n fn =
 let sfq_scale_row ~q ~decisions mix =
   let t = Core.Sfq.create () in
   let arrive i =
-    Core.Sfq.arrive t ~id:i ~weight:(1. +. float_of_int (i mod 4))
+    Core.Sfq.arrive t ~id:i ~weight:((1 + (i mod 4)) * Sched.Vtime.unit)
   in
   let peak = ref 0 in
   let sample () = peak := Int.max !peak (Core.Sfq.footprint_words t) in
@@ -765,7 +758,7 @@ let sfq_scale_row ~q ~decisions mix =
   let ns, words =
     time_decisions ~n:decisions (fun () ->
         match Core.Sfq.select t with
-        | Some id -> Core.Sfq.charge t ~id ~service:2e7 ~runnable:true
+        | Some id -> Core.Sfq.charge t ~id ~service:20_000_000 ~runnable:true
         | None -> invalid_arg "scale: empty ready set")
   in
   let end_words = Core.Sfq.footprint_words t in

@@ -9,7 +9,7 @@ module Make (F : Scheduler_intf.FAIR) = struct
        the wrapped algorithm must agree with it at every step. *)
     ready : (int, unit) Hashtbl.t;
     mutable pending : int option; (* selected, not yet charged *)
-    mutable last_vt : float;
+    mutable last_vt : int;
   }
 
   let algorithm_name = F.algorithm_name ^ "+audit"
@@ -38,7 +38,7 @@ module Make (F : Scheduler_intf.FAIR) = struct
   let post t event =
     let vt = F.virtual_time t.f in
     if not (vt >= t.last_vt) then
-      fail t event "vt-monotone" "v(t) went backwards: %g -> %g" t.last_vt vt;
+      fail t event "vt-monotone" "v(t) went backwards: %d -> %d" t.last_vt vt;
     t.last_vt <- vt;
     let n = Hashtbl.length t.ready in
     if F.backlogged t.f <> n then
@@ -49,7 +49,7 @@ module Make (F : Scheduler_intf.FAIR) = struct
   let arrive t ~id ~weight =
     F.arrive t.f ~id ~weight;
     Hashtbl.replace t.ready id ();
-    post t (fun () -> Printf.sprintf "arrive id=%d w=%g" id weight)
+    post t (fun () -> Printf.sprintf "arrive id=%d w=%d" id weight)
 
   let depart t ~id =
     F.depart t.f ~id;
@@ -59,7 +59,7 @@ module Make (F : Scheduler_intf.FAIR) = struct
 
   let set_weight t ~id ~weight =
     F.set_weight t.f ~id ~weight;
-    post t (fun () -> Printf.sprintf "set_weight id=%d w=%g" id weight)
+    post t (fun () -> Printf.sprintf "set_weight id=%d w=%d" id weight)
 
   let select t =
     let r = F.select t.f in
@@ -86,7 +86,7 @@ module Make (F : Scheduler_intf.FAIR) = struct
   let charge t ~id ~service ~runnable =
     F.charge t.f ~id ~service ~runnable;
     let event () =
-      Printf.sprintf "charge id=%d l=%g runnable=%b" id service runnable
+      Printf.sprintf "charge id=%d l=%d runnable=%b" id service runnable
     in
     if t.pending <> Some id then
       fail t event "work-conserving"

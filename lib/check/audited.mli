@@ -44,18 +44,18 @@ module Sfq : sig
   val inner : t -> Hsfq_core.Sfq.t
   val sink : t -> Invariant.sink
 
-  val arrive : t -> id:int -> weight:float -> unit
+  val arrive : t -> id:int -> weight:int -> unit
   val depart : t -> id:int -> unit
-  val set_weight : t -> id:int -> weight:float -> unit
+  val set_weight : t -> id:int -> weight:int -> unit
   val select : t -> int option
-  val charge : t -> id:int -> service:float -> runnable:bool -> unit
+  val charge : t -> id:int -> service:int -> runnable:bool -> unit
   val block : t -> id:int -> unit
   val donate : t -> blocked:int -> recipient:int -> unit
   val revoke : t -> blocked:int -> unit
   val backlogged : t -> int
-  val virtual_time : t -> float
-  val start_tag : t -> id:int -> float
-  val finish_tag : t -> id:int -> float
+  val virtual_time : t -> int
+  val start_tag : t -> id:int -> int
+  val finish_tag : t -> id:int -> int
   val is_runnable : t -> id:int -> bool
   val mem : t -> id:int -> bool
 end

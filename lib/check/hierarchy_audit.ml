@@ -24,13 +24,9 @@ let check_children sink hier nid ~event sfq =
         let registered =
           Sfq.slot_weight sfq ~slot:(Sfq.slot_of_id sfq ~id:child)
         in
-        if
-          not
-            (Float.abs (administered -. registered)
-            <= 1e-9 *. (1. +. Float.abs administered))
-        then
+        if administered <> registered then
           fail "weight-conservation"
-            "child %s administered weight %g but registered %g"
+            "child %s administered weight %d but registered %d"
             (path hier child) administered registered;
         let flag = Hierarchy.is_runnable hier child in
         if flag <> Sfq.is_runnable sfq ~id:child then

@@ -37,7 +37,7 @@ type view = {
   running : (int * int) list; (* (cpu, tid) of each live dispatch *)
 }
 
-type ctx = { sink : Invariant.sink; last_vt : (string, float) Hashtbl.t }
+type ctx = { sink : Invariant.sink; last_vt : (string, int) Hashtbl.t }
 
 let create sink = { sink; last_vt = Hashtbl.create 8 }
 let sink ctx = ctx.sink
@@ -179,7 +179,7 @@ let check_leaf ctx ~event v lookup expected lv =
     (match Hashtbl.find_opt ctx.last_vt node with
     | Some prev ->
       chk "vt-monotone" (vt >= prev)
-        "virtual time went backwards between audits: %g -> %g" prev vt
+        "virtual time went backwards between audits: %d -> %d" prev vt
     | None -> ());
     Hashtbl.replace ctx.last_vt node vt;
     List.iter
@@ -213,7 +213,7 @@ let check_leaf ctx ~event v lookup expected lv =
       (fun (b, r, amount) ->
         chk "donation-ledger"
           (List.exists (fun (w, h) -> w = b && h = r) expect)
-          "recorded donation %d -> %d (%g) has no backing mutex wait" b r amount)
+          "recorded donation %d -> %d (%d) has no backing mutex wait" b r amount)
       recorded;
     List.iter
       (fun (w, h) ->

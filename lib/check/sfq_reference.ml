@@ -7,19 +7,20 @@
    pins the optimized hot path to the specification. *)
 
 type client = {
-  mutable weight : float;
-  mutable donated : float;
-  mutable start : float;
-  mutable finish : float;
+  mutable weight : int;
+  mutable donated : int;
+  mutable start : int;
+  mutable finish : int;
+  mutable rem : int; (* carried from the last charge, reset when S = v *)
   mutable runnable : bool;
   mutable seq : int; (* enqueue order, for the FIFO tie-break *)
 }
 
 type t = {
   clients : (int, client) Hashtbl.t;
-  donations : (int, int * float) Hashtbl.t; (* blocked -> (recipient, amount) *)
-  mutable vt : float;
-  mutable max_finish : float;
+  donations : (int, int * int) Hashtbl.t; (* blocked -> (recipient, amount) *)
+  mutable vt : int;
+  mutable max_finish : int;
   mutable next_seq : int;
   mutable in_service : int option;
 }
@@ -28,8 +29,8 @@ let create () =
   {
     clients = Hashtbl.create 16;
     donations = Hashtbl.create 4;
-    vt = 0.;
-    max_finish = 0.;
+    vt = 0;
+    max_finish = 0;
     next_seq = 0;
     in_service = None;
   }
@@ -43,22 +44,23 @@ let backlogged t =
   Hashtbl.fold (fun _ c n -> if c.runnable then n + 1 else n) t.clients 0
 
 (* §3 rule 2, idle case: v(t) jumps to the maximum finish tag. *)
-let note_idle t = if backlogged t = 0 then t.vt <- Float.max t.vt t.max_finish
+let note_idle t = if backlogged t = 0 then t.vt <- Int.max t.vt t.max_finish
 
 let enqueue t c =
   c.seq <- t.next_seq;
   t.next_seq <- t.next_seq + 1
 
 let arrive t ~id ~weight =
-  if weight <= 0. then invalid_arg "Sfq_reference.arrive: weight <= 0";
+  if weight <= 0 then invalid_arg "Sfq_reference.arrive: weight <= 0";
   match Hashtbl.find_opt t.clients id with
   | None ->
     let c =
       {
         weight;
-        donated = 0.;
-        start = Float.max t.vt 0.;
-        finish = 0.;
+        donated = 0;
+        start = Int.max t.vt 0;
+        finish = 0;
+        rem = 0;
         runnable = true;
         seq = 0;
       }
@@ -68,7 +70,9 @@ let arrive t ~id ~weight =
   | Some c ->
     if not c.runnable then begin
       c.weight <- weight;
-      c.start <- Float.max t.vt c.finish;
+      (* A start tag taken from v(t) restarts the tag stream. *)
+      if t.vt > c.finish then c.rem <- 0;
+      c.start <- Int.max t.vt c.finish;
       c.runnable <- true;
       enqueue t c
     end
@@ -78,7 +82,7 @@ let revoke t ~blocked =
   | None -> ()
   | Some (recipient, amount) ->
     (match Hashtbl.find_opt t.clients recipient with
-    | Some c -> c.donated <- c.donated -. amount
+    | Some c -> c.donated <- c.donated - amount
     | None -> ());
     Hashtbl.remove t.donations blocked
 
@@ -97,7 +101,7 @@ let depart t ~id =
   end
 
 let set_weight t ~id ~weight =
-  if weight <= 0. then invalid_arg "Sfq_reference.set_weight: weight <= 0";
+  if weight <= 0 then invalid_arg "Sfq_reference.set_weight: weight <= 0";
   (get t id).weight <- weight
 
 (* Linear scan: the runnable client with the least (start tag, enqueue
@@ -129,13 +133,18 @@ let charge t ~id ~service ~runnable =
   (match t.in_service with
   | Some s when s = id -> ()
   | _ -> invalid_arg "Sfq_reference.charge: client not in service");
-  if service < 0. then invalid_arg "Sfq_reference.charge: negative service";
+  if service < 0 then invalid_arg "Sfq_reference.charge: negative service";
   t.in_service <- None;
   let c = get t id in
-  c.finish <- c.start +. (service /. (c.weight +. c.donated));
+  (* F = S + ⌊(l·unit + r)/w⌋, written out with plain integer division
+     (two of them) rather than through Vtime. *)
+  let w = c.weight + c.donated in
+  let scaled = (service * Hsfq_sched.Vtime.unit) + c.rem in
+  c.finish <- c.start + (scaled / w);
+  c.rem <- scaled mod w;
   if c.finish > t.max_finish then t.max_finish <- c.finish;
   if runnable then begin
-    c.start <- Float.max t.vt c.finish;
+    c.start <- Int.max t.vt c.finish;
     enqueue t c
   end
   else begin
@@ -159,7 +168,7 @@ let donate t ~blocked ~recipient =
   if blocked = recipient then invalid_arg "Sfq_reference.donate: self-donation";
   let b = get t blocked and r = get t recipient in
   revoke t ~blocked;
-  r.donated <- r.donated +. b.weight;
+  r.donated <- r.donated + b.weight;
   Hashtbl.replace t.donations blocked (recipient, b.weight)
 
 let mem t ~id = Hashtbl.mem t.clients id
@@ -171,4 +180,4 @@ let virtual_time t = t.vt
 let max_finish_tag t = t.max_finish
 let effective_weight_of t ~id =
   let c = get t id in
-  c.weight +. c.donated
+  c.weight + c.donated

@@ -11,9 +11,11 @@
 
     Both scan the SFQ's flat slot columns ({!Hsfq_core.Sfq.slot_bound}
     and the slot probes) and build no list or view per client, so with
-    cross-module inlining (release) a passing check allocates a bounded
-    handful of words whatever the client count. A violation's location,
-    event label and evidence are built only when a rule fails.
+    every probe an int read, a passing check allocates a bounded handful
+    of words whatever the client count, in dev and release alike. Every
+    comparison is exact ([=], [<=] on ints — no epsilon). A violation's
+    location, event label and evidence are built only when a rule
+    fails.
 
     Rule identifiers reported to the sink (see [doc/INVARIANTS.md]):
     ["vt-monotone"], ["tag-discipline"], ["select-min-start"],
@@ -35,12 +37,12 @@ val snapshot : ?into:snapshot -> Sfq.t -> snapshot
 
 (** The transition just performed, for {!check_transition}. *)
 type event =
-  | Arrive of { id : int; weight : float }
+  | Arrive of { id : int; weight : int }
   | Select of int option  (** the selection result *)
-  | Charge of { id : int; service : float; runnable : bool }
+  | Charge of { id : int; service : int; runnable : bool }
   | Block of int
   | Depart of int
-  | Set_weight of { id : int; weight : float }
+  | Set_weight of { id : int; weight : int }
   | Donate of { blocked : int; recipient : int }
   | Revoke of int
 
@@ -58,3 +60,17 @@ val check_transition :
 (** Verify the step semantics of [event] given the pre-state, then run
     {!check_state} on the post-state, labelling reports with [node]
     (default ["sfq"]) and the event's {!event_to_string}. *)
+
+(** {1 Theorem 1 in integers}
+
+    For any window in which clients [f] and [m] are both continuously
+    backlogged, with [W] the service each received in the window and
+    [l] its largest quantum (see [doc/INVARIANTS.md] for the
+    derivation):
+    {[ |⌊unit·W_f/w_f⌋ - ⌊unit·W_m/w_m⌋| <= ⌈unit·l_f/w_f⌉ + ⌈unit·l_m/w_m⌉ + 2 ]}
+    i.e. the paper's eq. 3 plus one virtual unit of quantisation per
+    client. Weights are {!Hsfq_sched.Vtime} units, service ns. *)
+
+val fair_window :
+  w_f:int -> work_f:int -> l_f:int -> w_m:int -> work_m:int -> l_m:int -> bool
+(** Whether one window's service satisfies the bound ([<=], exact). *)

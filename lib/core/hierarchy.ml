@@ -2,11 +2,11 @@ type id = int
 type kind = Leaf | Internal
 
 (* Nodes cache a direct reference to their parent (and every internal
-   node owns its SFQ directly), so the kernel entry points — [schedule],
-   [update], [setrun], [sleep] — walk the tree through pointers: no
-   hashing, and no allocation in steady state. The id -> node map is a
-   dense array indexed by id, used only where the API hands us a bare
-   id.
+   node owns its SFQ directly), so the kernel entry points —
+   [schedule_id], [update_ns], [setrun], [sleep] — walk the tree
+   through pointers: no hashing, and no allocation in steady state.
+   The id -> node map is a dense array indexed by id, used only where
+   the API hands us a bare id.
 
    Ids of removed nodes are recycled through a min-first pool: reuse
    concentrates live ids low, so under sustained mknod/rmnod churn the
@@ -19,7 +19,7 @@ type node = {
   comp : string; (* path component; "" for the root *)
   parent : node option; (* cached direct reference; [None] for the root *)
   kind : kind;
-  mutable weight : float;
+  mutable weight : int; (* Vtime units *)
   mutable runnable : bool;
   sfq : Sfq.t option; (* child scheduler; [Some] iff internal *)
   mutable pslot : int;
@@ -44,12 +44,6 @@ type t = {
   mutable next_id : id;
   pool : pool; (* freed ids below [next_id], smallest first *)
   mutable count : int;
-  fstage : float array;
-      (* 1 cell: the service being charged by [update]/[update_ns].  The
-         walk-up loop reads it per level and stores it into the parent
-         SFQ's stage cell — float-array loads/stores stay unboxed where a
-         float argument to a cross-module call would box under the dev
-         profile's [-opaque]. *)
   (* Observation point for the invariant audit (Hsfq_check): called after
      every transition of an internal node's SFQ, with that node's id.
      Must not mutate the hierarchy. *)
@@ -160,14 +154,15 @@ let install_remap t n =
 let create () =
   let nodes = Array.make 16 None in
   nodes.(root) <-
-    Some (make_node ~nid:root ~comp:"" ~parent:None ~weight:1.0 Internal);
+    Some
+      (make_node ~nid:root ~comp:"" ~parent:None ~weight:Hsfq_sched.Vtime.unit
+         Internal);
   let t =
     {
       nodes;
       next_id = 1;
       pool = { heap = [||]; n = 0 };
       count = 1;
-      fstage = Array.make 1 0.;
       audit_hook = None;
       obs = None;
     }
@@ -267,10 +262,11 @@ let rec rev_path n acc =
 let name_of t id = Path.join (rev_path (node t id) [])
 
 let mknod t ~name ~parent ~weight kind =
-  if not (Path.is_valid_component name) then
+  match Hsfq_sched.Vtime.weight_of_float weight with
+  | exception Invalid_argument msg -> Error msg
+  | _ when not (Path.is_valid_component name) ->
     Error (Printf.sprintf "invalid node name %S" name)
-  else if weight <= 0. then Error "weight must be positive"
-  else
+  | weight ->
     match node_opt t parent with
     | None -> Error (Printf.sprintf "unknown parent %d" parent)
     | Some p when p.kind = Leaf -> Error "parent is a leaf node"
@@ -374,6 +370,7 @@ let rmnod t id =
 let set_weight t id w =
   if w <= 0. then invalid_arg "Hierarchy.set_weight: weight <= 0";
   if id = root then invalid_arg "Hierarchy.set_weight: root has no weight";
+  let w = Hsfq_sched.Vtime.weight_of_float w in
   let n = node t id in
   n.weight <- w;
   let p = match n.parent with Some p -> p | None -> assert false in
@@ -411,7 +408,8 @@ let render_tree t =
     Buffer.add_string buf
       (Printf.sprintf "%s%-20s w=%-6g %-8s %s\n"
          (String.make (2 * depth) ' ')
-         name n.weight
+         name
+         (Hsfq_sched.Vtime.to_float n.weight)
          (match n.kind with Internal -> "internal" | Leaf -> "leaf")
          (if n.runnable then "runnable" else "idle"));
     List.iter (fun c -> walk c (depth + 1)) (List.rev n.children)
@@ -431,10 +429,8 @@ let start_tag_of t id =
 
 (* The kernel entry points below run once per scheduling decision, so
    their tree walks are top-level recursive functions — a [let rec]
-   local to the entry point would allocate a closure per call — and all
-   float traffic into [Sfq] goes through the staging cells ([_staged]
-   entry points) rather than float arguments, which box under the dev
-   profile's [-opaque]. *)
+   local to the entry point would allocate a closure per call. Weights,
+   tags and service are ints, so nothing they pass to [Sfq] boxes. *)
 
 (* Mark [n] runnable and walk up, stopping at the first ancestor that was
    already runnable (paper: hsfq_setrun). *)
@@ -445,8 +441,7 @@ let rec setrun_up t n =
     | None -> ()
     | Some p ->
       let psfq = sfq_of p in
-      (Sfq.stage_cell psfq).(0) <- n.weight;
-      Sfq.arrive_slot_staged psfq ~slot:n.pslot;
+      Sfq.arrive_slot psfq ~slot:n.pslot ~weight:n.weight;
       audited t ~node:p.nid ~event:"setrun";
       obs_emit t ~code:Hsfq_obs.Trace.ev_node_setrun ~a:p.nid ~b:n.nid ~c:0;
       setrun_up t p
@@ -512,33 +507,20 @@ let set_servers t p =
 
 let servers t = Sfq.servers (sfq_of (node t root))
 
-let schedule t =
-  let leaf = schedule_id t in
-  if leaf < 0 then None else Some leaf
-
-(* Charge the service staged in [t.fstage] up the tree.  Reading the
-   staged value per level and storing it into the parent SFQ's staging
-   cell keeps the float unboxed end to end. *)
-let rec update_up t n runnable_child =
+(* Charge [service] up the tree. *)
+let rec update_up t n ~service runnable_child =
   n.runnable <- runnable_child;
   match n.parent with
   | None -> ()
   | Some p ->
     let psfq = sfq_of p in
-    (Sfq.stage_cell psfq).(0) <- t.fstage.(0);
-    Sfq.charge_slot_staged psfq ~slot:n.pslot ~runnable:runnable_child;
+    Sfq.charge_slot psfq ~slot:n.pslot ~service ~runnable:runnable_child;
     audited t ~node:p.nid ~event:"charge";
-    update_up t p (Sfq.backlogged psfq > 0)
-
-let update t ~leaf ~service ~leaf_runnable =
-  if service < 0. then invalid_arg "Hierarchy.update: negative service";
-  t.fstage.(0) <- service;
-  update_up t (node t leaf) leaf_runnable
+    update_up t p ~service (Sfq.backlogged psfq > 0)
 
 let update_ns t ~leaf ~service_ns ~leaf_runnable =
   if service_ns < 0 then invalid_arg "Hierarchy.update_ns: negative service";
-  t.fstage.(0) <- float_of_int service_ns;
-  update_up t (node t leaf) leaf_runnable
+  update_up t (node t leaf) ~service:service_ns leaf_runnable
 
 let donate t ~blocked ~recipient =
   if blocked = recipient then Error "donate: self-donation"

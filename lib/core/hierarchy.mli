@@ -8,11 +8,20 @@
 
     The operations mirror the paper's system calls:
     [mknod]/[parse]/[rmnod]/weight administration ([hsfq_admin]), and the
-    kernel-side entry points [schedule] (paper: [hsfq_schedule]), [update]
-    ([hsfq_update]), [setrun] ([hsfq_setrun]) and [sleep] ([hsfq_sleep]).
+    kernel-side entry points [schedule_id] (paper: [hsfq_schedule]),
+    [update_ns] ([hsfq_update]), [setrun] ([hsfq_setrun]) and [sleep]
+    ([hsfq_sleep]).
+
+    Units: administered weights are floats at the admin calls ([mknod],
+    [set_weight]) and are converted once, by
+    {!Hsfq_sched.Vtime.weight_of_float}, to fixed-point units (1.0 =
+    [Vtime.unit]); {!weight} reports the units. Tags and virtual times are
+    exact integers on the {!Hsfq_sched.Vtime} scale and service is integer
+    ns, so the kernel entry points carry no float. The no-overflow
+    horizon is {!Sfq}'s, per node.
 
     Invariant: a node is runnable iff some leaf in its subtree is
-    runnable; [setrun]/[sleep]/[update] maintain this with the paper's
+    runnable; [setrun]/[sleep]/[update_ns] maintain this with the paper's
     walk-up-until-no-change optimization. *)
 
 type t
@@ -33,7 +42,8 @@ val mknod :
   t -> name:string -> parent:id -> weight:float -> kind -> (id, string) result
 (** [mknod t ~name ~parent ~weight kind] creates a child of [parent].
     [name] is a single path component, unique among siblings; [weight]
-    must be positive; [parent] must be an internal node. *)
+    must be accepted by {!Hsfq_sched.Vtime.weight_of_float} (positive,
+    finite, at least one unit); [parent] must be an internal node. *)
 
 val parse : t -> ?hint:id -> string -> (id, string) result
 (** Resolve an absolute name (["/best-effort/user1"]) or a name relative
@@ -45,7 +55,8 @@ val rmnod : t -> id -> (unit, string) result
 
 val set_weight : t -> id -> float -> unit
 (** Change a node's share of its parent ([hsfq_admin]). Takes effect from
-    the node's next quantum. *)
+    the node's next quantum. Raises [Invalid_argument] on a weight
+    {!Hsfq_sched.Vtime.weight_of_float} rejects. *)
 
 val reserve_children : t -> id -> int -> unit
 (** [reserve_children t id n] pre-sizes the internal node's name table
@@ -53,7 +64,8 @@ val reserve_children : t -> id -> int -> unit
     structures, scale benches) doesn't rehash it through a dozen
     doublings. Never shrinks; raises [Invalid_argument] on leaves. *)
 
-val weight : t -> id -> float
+val weight : t -> id -> int
+(** The node's administered weight in {!Hsfq_sched.Vtime} units. *)
 
 (** {1 Introspection} *)
 
@@ -88,7 +100,7 @@ val footprint_words : t -> int
     and bucket counts, not GC sampling), for the scale benches'
     footprint gate. *)
 
-val virtual_time_of : t -> id -> float
+val virtual_time_of : t -> id -> int
 (** Virtual time of an internal node's SFQ (diagnostics/tests). *)
 
 val internal_sfq : t -> id -> Sfq.t
@@ -117,7 +129,7 @@ val render_tree : t -> string
     depth, with weight, kind, and runnable flag — e.g.
     ["  best-effort  w=6  internal  runnable"]. *)
 
-val start_tag_of : t -> id -> float
+val start_tag_of : t -> id -> int
 (** The node's start tag within its parent's SFQ (diagnostics/tests).
     Root has no tags; raises [Invalid_argument]. *)
 
@@ -132,25 +144,19 @@ val sleep : t -> id -> unit
 (** The leaf's last thread stopped being runnable while the leaf was
     {e not} in service (e.g. its only thread was moved away). The common
     blocked-while-running case is handled by
-    [update ~leaf_runnable:false]. *)
-
-val schedule : t -> id option
-(** Select the leaf to serve next: from the root, repeatedly pick the
-    runnable child with the smallest start tag. [None] iff no leaf is
-    runnable. Each successful [schedule] must be followed by exactly one
-    [update] for the returned leaf. *)
+    [update_ns ~leaf_runnable:false]. *)
 
 val schedule_id : t -> id
-(** Allocation-free [schedule]: the selected leaf's id, or [-1] iff no
-    leaf is runnable {e and reachable} — with several decision paths
-    outstanding (see {!set_servers}), every runnable root subtree may
-    already be claimed. Same contract otherwise — each successful
-    [schedule_id] must be followed by exactly one update. The kernel
-    dispatch loop uses this together with {!update_ns} to keep a
-    hierarchical decision free of minor allocation. *)
+(** Select the leaf to serve next: from the root, repeatedly pick the
+    runnable child with the smallest start tag. Returns the leaf's id,
+    or [-1] iff no leaf is runnable {e and reachable} — with several
+    decision paths outstanding (see {!set_servers}), every runnable root
+    subtree may already be claimed. Each successful [schedule_id] must
+    be followed by exactly one {!update_ns} for the returned leaf.
+    Allocation-free. *)
 
 val set_servers : t -> int -> unit
-(** Allow up to [p] outstanding [schedule]/[update] decision pairs, for
+(** Allow up to [p] outstanding [schedule_id]/[update_ns] decision pairs, for
     multiprocessor dispatch. Only the root scheduler's claim capacity is
     raised: claims release bottom-up, so concurrent decision paths can
     contend only at the root, and each path owns its whole root subtree
@@ -162,17 +168,12 @@ val set_servers : t -> int -> unit
 val servers : t -> int
 (** Current root claim capacity (1 unless {!set_servers} raised it). *)
 
-val update : t -> leaf:id -> service:float -> leaf_runnable:bool -> unit
-(** Charge [service] (CPU nanoseconds) for the quantum just executed by a
-    thread of [leaf]: updates finish/start tags of the leaf and all its
-    ancestors, and propagates un-runnability upward when
-    [leaf_runnable = false]. *)
-
 val update_ns : t -> leaf:id -> service_ns:int -> leaf_runnable:bool -> unit
-(** [update] taking the service as integer nanoseconds ({!Time.span}).
-    The conversion to float happens inside, directly into a staging
-    cell, so callers holding an integer duration (the kernel) never
-    materialize a boxed float. *)
+(** Charge [service_ns] (CPU nanoseconds) for the quantum just executed
+    by a thread of [leaf]: updates finish/start tags of the leaf and all
+    its ancestors, and propagates un-runnability upward when
+    [leaf_runnable = false]. Raises [Invalid_argument] on a negative
+    service or a tag past the {!Sfq} horizon. *)
 
 (** {1 Priority-inversion support (§4)} *)
 

@@ -3,10 +3,9 @@ open Hsfq_sched
 let algorithm_name = "sfq"
 
 (* Client state lives in a dense table of parallel arrays, so a
-   scheduling decision (select + charge) touches only flat
-   float/int/byte arrays — no hashing, and no allocation, because
-   float-array writes store unboxed (a [mutable float] field in a mixed
-   record would box on every write).
+   scheduling decision (select + charge) touches only flat int/byte
+   arrays — no hashing, and no allocation: tags, weights and v(t) are
+   exact integers on the {!Vtime} scale, so every store is an immediate.
 
    The table is indexed by *slot*, not by the caller's client id: slots
    are allocated from a free list on arrive and recycled on depart, and
@@ -15,8 +14,8 @@ let algorithm_name = "sfq"
    clients) under sustained arrive/depart churn and frees the caller to
    use arbitrary non-negative ids (they no longer size the table). The
    id -> slot map is a hashtable touched only by the id-keyed entry
-   points; slot-keyed twins ([arrive_slot_staged], [block_slot],
-   [charge_slot_staged]) let callers that cache their slot — the
+   points; slot-keyed twins ([arrive_slot], [block_slot],
+   [charge_slot]) let callers that cache their slot — the
    hierarchy caches one per child node — keep every transition
    hash-free. Owners that hold slots across operations subscribe to
    compaction moves with [set_on_remap]. *)
@@ -30,18 +29,15 @@ let st_runnable = '\002'
    far beyond any simulated workload, and ids no longer size anything. *)
 let max_clients = 1 lsl 22
 
-(* Stdlib.Float.max handles NaN and, being a cross-module call, boxes
-   its arguments and result. Tags and weights are never NaN here
-   (weights > 0, service >= 0 are enforced), so a bare compare — which
-   inlines with no boxing — is equivalent on every reachable input. *)
-let[@inline always] fmax (a : float) (b : float) = if a < b then b else a
-
 type t = {
   mutable cap : int; (* length of every per-slot array *)
-  mutable weightv : float array; (* administered weight *)
-  mutable donatedv : float array; (* extra weight received via [donate] *)
-  mutable startv : float array; (* start tag of the pending quantum *)
-  mutable finishv : float array; (* finish tag of the last quantum *)
+  mutable weightv : int array; (* administered weight, Vtime units *)
+  mutable donatedv : int array; (* extra weight received via [donate] *)
+  mutable startv : int array; (* start tag of the pending quantum *)
+  mutable finishv : int array; (* finish tag of the last quantum *)
+  mutable remv : int array;
+      (* Vtime remainder carried from the last charge; reset to 0 when
+         the start tag is taken from v(t) *)
   mutable statev : Bytes.t; (* st_absent / st_blocked / st_runnable *)
   mutable genv : int array; (* generation of the queued heap entry *)
   mutable idv : int array; (* slot -> client id; -1 = free slot *)
@@ -53,23 +49,12 @@ type t = {
   mutable nfree : int;
   mutable nlive : int; (* known clients: runnable + blocked *)
   queue : Keyed_heap.t; (* runnable slots keyed by start tag *)
-  kstage : float array;
-      (* the queue's staging cell: enqueue writes the key here and calls
-         [push_staged] — passing the key as a float argument would box
-         it (no cross-module inlining under dune's dev -opaque) *)
-  klast : float array;
-      (* the queue's last-popped-key cell, read directly for the same
-         reason ([last_key]'s float return would box) *)
-  fstage : float array;
-      (* this scheduler's own staging cell: the weight for
-         [arrive_staged] / the service for [charge_staged] is written
-         here by the caller (an unboxed float-array store) instead of
-         being passed as a boxing float argument *)
-  donations : (int, int * float) Hashtbl.t;
+  donations : (int, int * int) Hashtbl.t;
       (* blocked -> (recipient, amount), keyed by client *ids* so
          compaction never touches it; cold path only (donate / revoke /
          depart), never touched by a scheduling decision *)
-  clock : clock;
+  mutable vt : int; (* v(t) *)
+  mutable max_finish : int; (* largest finish tag ever assigned *)
   mutable nrun : int;
   mutable servers : int;
       (* claim capacity: how many selections may be outstanding at once.
@@ -86,15 +71,9 @@ type t = {
          match branch *)
   mutable obs_on : bool ref;
       (* the tracer's live enabled cell (Trace.on_cell), cached so a
-         disabled tracepoint costs one load + branch — no stage stores,
-         no cross-module call *)
+         disabled tracepoint costs one load + branch, no cross-module
+         call *)
   mutable obs_node : int; (* hierarchy node id this SFQ serves, for events *)
-  mutable obs_stage : float array;
-      (* the tracer ring's float staging cells, cached so an enabled
-         emit stores payloads unboxed (same trick as kstage/klast) *)
-  mutable obs_mstage : float array;
-      (* the tracer's metrics staging cells (Metrics.stage_cell), cached
-         so charge samples cross the unit boundary without boxing *)
   mutable next_gen : int;
       (* global generation counter for heap entries: per-slot counters
          would restart at 0 when a freed slot is reused, making the new
@@ -103,11 +82,7 @@ type t = {
          drag v(t) backwards) *)
 }
 
-(* All-float record: flat representation, so [vt <- ...] writes unboxed. *)
-and clock = { mutable vt : float; mutable max_finish : float }
-
 let create ?rng:_ ?quantum_hint:_ () =
-  let queue = Keyed_heap.create () in
   let t =
     {
       cap = 0;
@@ -115,6 +90,7 @@ let create ?rng:_ ?quantum_hint:_ () =
       donatedv = [||];
       startv = [||];
       finishv = [||];
+      remv = [||];
       statev = Bytes.empty;
       genv = [||];
       idv = [||];
@@ -123,12 +99,10 @@ let create ?rng:_ ?quantum_hint:_ () =
       freev = [||];
       nfree = 0;
       nlive = 0;
-      queue;
-      kstage = Keyed_heap.stage_cell queue;
-      klast = Keyed_heap.last_key_cell queue;
-      fstage = Array.make 1 0.;
+      queue = Keyed_heap.create ();
       donations = Hashtbl.create 4;
-      clock = { vt = 0.; max_finish = 0. };
+      vt = 0;
+      max_finish = 0;
       nrun = 0;
       servers = 1;
       svc = Array.make 1 (-1);
@@ -137,8 +111,6 @@ let create ?rng:_ ?quantum_hint:_ () =
       obs = None;
       obs_on = ref false;
       obs_node = -1;
-      obs_stage = Array.make 2 0.;
-      obs_mstage = Array.make 3 0.;
       next_gen = 0;
     }
   in
@@ -158,14 +130,10 @@ let set_obs t sys ~node =
   t.obs <- sys;
   t.obs_node <- node;
   match sys with
-  | Some s ->
-    t.obs_stage <- Hsfq_obs.Trace.stage s;
-    t.obs_mstage <- Hsfq_obs.Metrics.stage_cell (Hsfq_obs.Trace.metrics s);
-    t.obs_on <- Hsfq_obs.Trace.on_cell s
+  | Some s -> t.obs_on <- Hsfq_obs.Trace.on_cell s
   | None -> t.obs_on <- ref false
 
 let set_on_remap t f = t.on_remap <- f
-let stage_cell t = t.fstage
 
 (* Index of [slot] in the outstanding-claim set, -1 if not claimed.
    [nsvc] is bounded by the server count (the CPU count in the
@@ -218,31 +186,27 @@ let rec pow2_above c n = if c >= n then c else pow2_above (2 * c) n
 
 let grow t slot =
   let ncap = pow2_above (Int.max 16 (2 * t.cap)) (slot + 1) in
-  let nw = Array.make ncap 0. in
-  Array.blit t.weightv 0 nw 0 t.cap;
-  t.weightv <- nw;
-  let nd = Array.make ncap 0. in
-  Array.blit t.donatedv 0 nd 0 t.cap;
-  t.donatedv <- nd;
-  let ns = Array.make ncap 0. in
-  Array.blit t.startv 0 ns 0 t.cap;
-  t.startv <- ns;
-  let nf = Array.make ncap 0. in
-  Array.blit t.finishv 0 nf 0 t.cap;
-  t.finishv <- nf;
+  let column a =
+    let n = Array.make ncap 0 in
+    Array.blit a 0 n 0 t.cap;
+    n
+  in
+  t.weightv <- column t.weightv;
+  t.donatedv <- column t.donatedv;
+  t.startv <- column t.startv;
+  t.finishv <- column t.finishv;
+  t.remv <- column t.remv;
+  t.genv <- column t.genv;
   let nst = Bytes.make ncap st_absent in
   Bytes.blit t.statev 0 nst 0 t.cap;
   t.statev <- nst;
-  let ng = Array.make ncap 0 in
-  Array.blit t.genv 0 ng 0 t.cap;
-  t.genv <- ng;
   let ni = Array.make ncap (-1) in
   Array.blit t.idv 0 ni 0 t.cap;
   t.idv <- ni;
   t.cap <- ncap
 
 let[@inline always] effective_weight t slot =
-  t.weightv.(slot) +. t.donatedv.(slot)
+  t.weightv.(slot) + t.donatedv.(slot)
 
 let fresh_gen t =
   let g = t.next_gen in
@@ -252,13 +216,12 @@ let fresh_gen t =
 let enqueue t slot =
   let g = fresh_gen t in
   t.genv.(slot) <- g;
-  t.kstage.(0) <- t.startv.(slot);
-  Keyed_heap.push_staged t.queue ~gen:g ~id:slot
+  Keyed_heap.push t.queue ~key:t.startv.(slot) ~gen:g ~id:slot
 
 (* Idle transition: "when the CPU is idle, v(t) is set to the maximum of
    finish tags assigned to any thread" (§3, rule 2). *)
 let note_idle t =
-  if t.nrun = 0 then t.clock.vt <- fmax t.clock.vt t.clock.max_finish
+  if t.nrun = 0 then t.vt <- Int.max t.vt t.max_finish
 
 let free_slot t slot =
   if t.nfree >= Array.length t.freev then begin
@@ -291,6 +254,7 @@ let compact t =
         t.donatedv.(d) <- t.donatedv.(s);
         t.startv.(d) <- t.startv.(s);
         t.finishv.(d) <- t.finishv.(s);
+        t.remv.(d) <- t.remv.(s);
         Bytes.set t.statev d (Bytes.get t.statev s);
         t.genv.(d) <- t.genv.(s);
         t.idv.(d) <- t.idv.(s)
@@ -311,6 +275,7 @@ let compact t =
     t.donatedv <- Array.sub t.donatedv 0 ncap;
     t.startv <- Array.sub t.startv 0 ncap;
     t.finishv <- Array.sub t.finishv 0 ncap;
+    t.remv <- Array.sub t.remv 0 ncap;
     t.statev <- Bytes.sub t.statev 0 ncap;
     t.genv <- Array.sub t.genv 0 ncap;
     t.idv <- Array.sub t.idv 0 ncap;
@@ -337,10 +302,9 @@ let maybe_compact t = if t.cap > 64 && 4 * t.nlive < t.cap then compact t
 
 (* First arrival of an unknown id: allocate a slot (recycling the free
    list before extending the high-water mark) and seed the client's
-   tags. Reads the weight from [fstage] like its caller — a float
-   argument would box under -opaque. Out-of-line: once per client
-   lifetime, keeping [arrive_staged]'s hot body hash- and alloc-free. *)
-let register t ~id =
+   tags. Out-of-line: once per client lifetime, keeping [arrive]'s hot
+   body hash- and alloc-free. *)
+let register t ~id ~weight =
   if t.nlive >= max_clients then
     invalid_arg
       (Printf.sprintf "Sfq.arrive: %d live clients exceeds the table limit"
@@ -360,54 +324,54 @@ let register t ~id =
   t.idv.(slot) <- id;
   Hashtbl.replace t.slot_of id slot;
   t.nlive <- t.nlive + 1;
-  t.weightv.(slot) <- t.fstage.(0);
-  t.donatedv.(slot) <- 0.;
-  (* F_0 = 0, so S_1 = max(v(t), 0) — rule 1 with j = 1. *)
-  t.startv.(slot) <- fmax t.clock.vt 0.;
-  t.finishv.(slot) <- 0.;
+  t.weightv.(slot) <- weight;
+  t.donatedv.(slot) <- 0;
+  (* F_0 = 0, so S_1 = max(v(t), 0) = v(t) — rule 1 with j = 1. *)
+  t.startv.(slot) <- t.vt;
+  t.finishv.(slot) <- 0;
+  t.remv.(slot) <- 0;
   Bytes.set t.statev slot st_runnable;
   t.nrun <- t.nrun + 1;
   enqueue t slot
 
-(* Shared blocked -> runnable transition (rule 1: S = max(v, F)). The
-   weight is read from [fstage] like its callers': passed as a float
-   argument it would box on every wake. *)
-let rewake t slot =
+(* Shared blocked -> runnable transition (rule 1: S = max(v, F)). A
+   start tag taken from v(t) restarts the client's tag stream, so its
+   remainder is dropped with the forgiven lag. *)
+let rewake t slot ~weight =
   (* A blocked client may return with a different share (e.g. its class
      weight was re-administered while it slept): the new weight governs
      the quantum it is about to request. *)
-  t.weightv.(slot) <- t.fstage.(0);
-  t.startv.(slot) <- fmax t.clock.vt t.finishv.(slot);
+  t.weightv.(slot) <- weight;
+  if t.vt > t.finishv.(slot) then begin
+    t.startv.(slot) <- t.vt;
+    t.remv.(slot) <- 0
+  end
+  else t.startv.(slot) <- t.finishv.(slot);
   Bytes.set t.statev slot st_runnable;
   t.nrun <- t.nrun + 1;
   enqueue t slot
 
-let arrive_staged t ~id =
-  let weight = t.fstage.(0) in
-  if weight <= 0. then invalid_arg "Sfq.arrive: weight <= 0";
+let arrive t ~id ~weight =
+  if weight <= 0 then invalid_arg "Sfq.arrive: weight <= 0";
   if id < 0 then invalid_arg "Sfq.arrive: negative client id";
   let slot = slot_lookup t id in
-  if slot < 0 then register t ~id
-  else if Char.equal (Bytes.get t.statev slot) st_blocked then rewake t slot
+  if slot < 0 then register t ~id ~weight
+  else if Char.equal (Bytes.get t.statev slot) st_blocked then
+    rewake t slot ~weight
 (* already runnable: idempotent, the weight argument is ignored *)
 
-let arrive_slot_staged t ~slot =
+let arrive_slot t ~slot ~weight =
   if slot < 0 || slot >= t.cap || t.idv.(slot) < 0 then
-    invalid_arg "Sfq.arrive_slot_staged: no client at slot";
-  let weight = t.fstage.(0) in
-  if weight <= 0. then invalid_arg "Sfq.arrive: weight <= 0";
-  if Char.equal (Bytes.get t.statev slot) st_blocked then rewake t slot
-
-let arrive t ~id ~weight =
-  t.fstage.(0) <- weight;
-  arrive_staged t ~id
+    invalid_arg "Sfq.arrive_slot: no client at slot";
+  if weight <= 0 then invalid_arg "Sfq.arrive: weight <= 0";
+  if Char.equal (Bytes.get t.statev slot) st_blocked then rewake t slot ~weight
 
 let revoke t ~blocked =
   match Hashtbl.find_opt t.donations blocked with
   | None -> ()
   | Some (recipient, amount) ->
     let rslot = slot_of_id t ~id:recipient in
-    if rslot >= 0 then t.donatedv.(rslot) <- t.donatedv.(rslot) -. amount;
+    if rslot >= 0 then t.donatedv.(rslot) <- t.donatedv.(rslot) - amount;
     Hashtbl.remove t.donations blocked
 
 let depart t ~id =
@@ -439,7 +403,7 @@ let depart t ~id =
   end
 
 let set_weight t ~id ~weight =
-  if weight <= 0. then invalid_arg "Sfq.set_weight: weight <= 0";
+  if weight <= 0 then invalid_arg "Sfq.set_weight: weight <= 0";
   let slot = slot_checked t id in
   t.weightv.(slot) <- weight
 
@@ -459,17 +423,15 @@ let select_id t =
        service/weight < the aggregate virtual rate), so a freshly
        popped tag can sit below the clock.  At servers = 1 select and
        charge strictly alternate, every enqueued tag is >= the vt it
-       was assigned under, and the fmax is inert. *)
-    t.clock.vt <- fmax t.clock.vt t.klast.(0);
+       was assigned under, and the max is inert. *)
+    t.vt <- Int.max t.vt (Keyed_heap.last_key t.queue);
     let id = t.idv.(slot) in
     (if !(t.obs_on) then
        match t.obs with
        | None -> ()
        | Some s ->
-         t.obs_stage.(0) <- t.clock.vt;
-         t.obs_stage.(1) <- 0.;
          Hsfq_obs.Trace.emitf s ~code:Hsfq_obs.Trace.ev_pick ~a:t.obs_node
-           ~b:id ~c:0 ~d:0);
+           ~b:id ~c:0 ~d:0 ~x:t.vt ~y:0);
     id
   end
 
@@ -479,35 +441,31 @@ let select t =
 
 (* Hot charge body, on an in-service slot. [ci] is the slot's index in
    the claim set (validated by the caller); swap-removal keeps the set
-   dense without disturbing the other outstanding claims. *)
-let do_charge t ~ci ~slot ~runnable =
-  let service = t.fstage.(0) in
-  if service < 0. then invalid_arg "Sfq.charge: negative service";
+   dense without disturbing the other outstanding claims. The tag rule
+   F = S + ⌊(l·unit + r)/w⌋ runs first, so an overflow raises before
+   any state moves. *)
+let do_charge t ~ci ~slot ~service ~runnable =
+  if service < 0 then invalid_arg "Sfq.charge: negative service";
+  let ew = effective_weight t slot and rem = t.remv.(slot) in
+  let step = Vtime.step ~service ~weight:ew ~rem in
+  let finish = Vtime.add t.startv.(slot) step in
+  t.remv.(slot) <- Vtime.carry ~service ~weight:ew ~rem ~step;
   t.nsvc <- t.nsvc - 1;
   t.svc.(ci) <- t.svc.(t.nsvc);
   t.svc.(t.nsvc) <- -1;
-  let ew = effective_weight t slot in
-  let finish = t.startv.(slot) +. (service /. ew) in
   t.finishv.(slot) <- finish;
-  if finish > t.clock.max_finish then t.clock.max_finish <- finish;
+  if finish > t.max_finish then t.max_finish <- finish;
   (if !(t.obs_on) then
      match t.obs with
      | None -> ()
      | Some s ->
        let id = t.idv.(slot) in
-       t.obs_stage.(0) <- service;
-       t.obs_stage.(1) <- finish;
        Hsfq_obs.Trace.emitf s ~code:Hsfq_obs.Trace.ev_tag_update ~a:t.obs_node
          ~b:id
          ~c:(if runnable then 1 else 0)
-         ~d:0;
-       (* Charge-sample payloads go through the metrics staging cells
-          (cached in [set_obs]) — float arguments would box. *)
-       t.obs_mstage.(0) <- service;
-       t.obs_mstage.(1) <- service /. ew;
-       t.obs_mstage.(2) <- t.clock.vt;
-       Hsfq_obs.Metrics.charge_sample_staged (Hsfq_obs.Trace.metrics s)
-         ~node:id);
+         ~d:0 ~x:service ~y:finish;
+       Hsfq_obs.Metrics.charge_sample (Hsfq_obs.Trace.metrics s) ~node:id
+         ~service ~norm:step ~vt:t.vt);
   if runnable then begin
     (* A continuously backlogged client keeps its own tag stream:
        start <- finish, NOT fmax vt finish.  Clamping to v(t) here
@@ -519,7 +477,7 @@ let do_charge t ~ci ~slot ~runnable =
        v(t) equals this slot's start tag while it is in service, so
        finish >= v(t) always.  Clients re-arriving from blocked still
        clamp to v(t) in [arrive], which is what forgives banked
-       credit. *)
+       credit.  The remainder carries over: the tag stream is exact. *)
     t.startv.(slot) <- finish;
     enqueue t slot
   end
@@ -535,21 +493,17 @@ let rec claim_of_id t ~id i =
   else if id >= 0 && t.idv.(t.svc.(i)) = id then i
   else claim_of_id t ~id (i + 1)
 
-let charge_staged t ~id ~runnable =
+let charge t ~id ~service ~runnable =
   (* The claimed slots know their ids, so the id-keyed charge needs no
      hash lookup: scan the (CPU-count-bounded) claim set. *)
   let ci = claim_of_id t ~id 0 in
   if ci < 0 then invalid_arg "Sfq.charge: client not in service";
-  do_charge t ~ci ~slot:t.svc.(ci) ~runnable
+  do_charge t ~ci ~slot:t.svc.(ci) ~service ~runnable
 
-let charge_slot_staged t ~slot ~runnable =
+let charge_slot t ~slot ~service ~runnable =
   let ci = if slot < 0 then -1 else claim_index t slot in
   if ci < 0 then invalid_arg "Sfq.charge: client not in service";
-  do_charge t ~ci ~slot ~runnable
-
-let charge t ~id ~service ~runnable =
-  t.fstage.(0) <- service;
-  charge_staged t ~id ~runnable
+  do_charge t ~ci ~slot ~service ~runnable
 
 let block_slot t ~slot =
   if slot >= 0 && slot < t.cap && t.idv.(slot) >= 0 then begin
@@ -579,7 +533,7 @@ let donate t ~blocked ~recipient =
   let rslot = slot_checked t recipient in
   revoke t ~blocked;
   let amount = t.weightv.(bslot) in
-  t.donatedv.(rslot) <- t.donatedv.(rslot) +. amount;
+  t.donatedv.(rslot) <- t.donatedv.(rslot) + amount;
   Hashtbl.replace t.donations blocked (recipient, amount)
 
 let mem t ~id = known t id
@@ -597,7 +551,7 @@ let is_runnable t ~id =
   Char.equal (Bytes.get t.statev slot) st_runnable
 
 let backlogged t = t.nrun
-let virtual_time t = t.clock.vt
+let virtual_time t = t.vt
 
 (* ------- diagnostics / audit probes (lib/check, doc/INVARIANTS.md) ------- *)
 
@@ -608,13 +562,14 @@ let clients t =
   done;
   List.sort Int.compare !acc
 
-(* Slot probes for the audit's scan. [@inline] lets the release build
-   inline them across modules, so the float reads are not boxed. *)
+(* Slot probes for the audit's scan: int reads, so they allocate
+   nothing in any profile. *)
 let slot_bound t = t.top
-let[@inline] slot_weight t ~slot = t.weightv.(slot)
-let[@inline] slot_effective_weight t ~slot = effective_weight t slot
-let[@inline] slot_start t ~slot = t.startv.(slot)
-let[@inline] slot_finish t ~slot = t.finishv.(slot)
+let slot_weight t ~slot = t.weightv.(slot)
+let slot_effective_weight t ~slot = effective_weight t slot
+let slot_start t ~slot = t.startv.(slot)
+let slot_finish t ~slot = t.finishv.(slot)
+let slot_remainder t ~slot = t.remv.(slot)
 let[@inline] slot_runnable t ~slot = Char.equal (Bytes.get t.statev slot) st_runnable
 
 let weight t ~id =
@@ -634,7 +589,7 @@ let in_service_ids t =
   done;
   !acc
 
-let max_finish_tag t = t.clock.max_finish
+let max_finish_tag t = t.max_finish
 
 let donations t =
   Hashtbl.fold
@@ -645,11 +600,11 @@ let capacity t = t.cap
 let live_clients t = t.nlive
 
 (* Deterministic retained-words accounting (array lengths and bucket
-   counts, not GC sampling): 4 float + 2 int columns, the state bytes,
+   counts, not GC sampling): 7 int columns, the state bytes,
    the free stack, the id map, and the ready queue. *)
 let footprint_words t =
   let stats = Hashtbl.stats t.slot_of in
-  (6 * t.cap)
+  (7 * t.cap)
   + ((t.cap + 7) / 8)
   + Array.length t.svc
   + Array.length t.freev

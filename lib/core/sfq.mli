@@ -7,6 +7,23 @@
     of the quantum in service while the server is busy, and the maximum
     finish tag assigned to any client while it is idle.
 
+    Units and exactness: tags and [v(t)] are exact integers on the
+    {!Hsfq_sched.Vtime} scale, weights are {!Hsfq_sched.Vtime} units
+    ([Vtime.unit] = weight 1.0) and service is integer ns.  The finish
+    tag is [F = S + ⌊(l·unit + r)/w⌋] with [r] the remainder the client
+    carried out of its previous charge ([r] is reset to 0 when [S] is
+    taken from [v(t)]), so a continuously backlogged client's tags
+    advance by exactly [⌊(unit·Σl + r_0)/w⌋] and a weight-1.0 client's by
+    exactly its service.
+
+    No-overflow horizon (63-bit ints): one charge's [l·unit] must stay at
+    or below [max_int], i.e. [l <= 4.6·10^12] ns; a tag reaches
+    [max_int] after [4.6·10^18 / unit] ns of service per unit of
+    weight — 4.6·10^18 ns (146 years) at weight 1.0, 4.6·10^12 ns
+    (77 minutes) at the smallest weight of 1 unit.  A charge that would
+    pass either limit raises [Invalid_argument] and leaves the state
+    untouched; nothing wraps.
+
     Key properties (all property-tested in [test/test_sfq.ml]):
     - quantum length is needed only {e after} execution ([charge]);
     - for any interval in which clients [f] and [m] are both continuously
@@ -25,7 +42,7 @@ include Hsfq_sched.Scheduler_intf.FAIR
     that wakes a {e blocked} client applies [~weight] as the client's new
     weight (it governs the quantum being requested). Only an arrive on an
     already-runnable client ignores the argument. [weight <= 0] is
-    rejected in every case.
+    rejected in every case. Weights are {!Hsfq_sched.Vtime} units.
 
     Client state lives in a dense flat table indexed by *slot* (ids are
     mapped to slots on arrival), so a scheduling decision performs no
@@ -49,7 +66,7 @@ val select_id : t -> int
 (** Allocation-free [select]: the selected client's id, or [-1] iff no
     client is runnable {e and unclaimed}. Same contract otherwise — each
     successful [select_id] must be followed by exactly one [charge]. Used
-    by {!Hierarchy.schedule} to keep hierarchical dispatch
+    by {!Hierarchy.schedule_id} to keep hierarchical dispatch
     allocation-free. *)
 
 val set_servers : t -> int -> unit
@@ -66,20 +83,6 @@ val set_servers : t -> int -> unit
 
 val servers : t -> int
 (** Current claim capacity (1 unless {!set_servers} raised it). *)
-
-val stage_cell : t -> float array
-(** One-cell float staging buffer for the [_staged] entry points below.
-    Under dune's dev profile ([-opaque], no cross-module inlining) a
-    [float] argument to a cross-module call is boxed; hot callers cache
-    this array once and write the payload to [.(0)] (an unboxed
-    float-array store) instead. *)
-
-val arrive_staged : t -> id:int -> unit
-(** [arrive] with the weight read from {!stage_cell}. *)
-
-val charge_staged : t -> id:int -> runnable:bool -> unit
-(** [charge] with the service read from {!stage_cell}. The id-keyed
-    charge needs no hash lookup (the in-service slot knows its id). *)
 
 (** {1 Slot-keyed entry points}
 
@@ -102,8 +105,8 @@ val set_on_remap : t -> (id:int -> slot:int -> unit) option -> unit
     compaction, reporting the client's (possibly unchanged) slot. Cold
     path — compaction is amortized O(1) per depart. *)
 
-val arrive_slot_staged : t -> slot:int -> unit
-(** {!arrive_staged} for a known client by slot (wake-from-blocked or
+val arrive_slot : t -> slot:int -> weight:int -> unit
+(** [arrive] for a known client by slot (wake-from-blocked or
     idempotent-runnable; raises if the slot is free — registration of a
     new id must go through [arrive]). *)
 
@@ -111,8 +114,9 @@ val block_slot : t -> slot:int -> unit
 (** {!block} by slot (no-op on a free slot or an already-blocked
     client). *)
 
-val charge_slot_staged : t -> slot:int -> runnable:bool -> unit
-(** {!charge_staged} by slot. *)
+val charge_slot : t -> slot:int -> service:int -> runnable:bool -> unit
+(** [charge] by slot. (The id-keyed [charge] needs no hash lookup
+    either: the in-service slot knows its id.) *)
 
 val block : t -> id:int -> unit
 (** Remove a client from the ready set without forgetting it; its finish
@@ -132,11 +136,11 @@ val donate : t -> blocked:int -> recipient:int -> unit
 val revoke : t -> blocked:int -> unit
 (** Undo [blocked]'s outstanding donation, if any. *)
 
-val start_tag : t -> id:int -> float
+val start_tag : t -> id:int -> int
 (** Start tag of the client's pending/in-service quantum (diagnostics,
     Figure 3). *)
 
-val finish_tag : t -> id:int -> float
+val finish_tag : t -> id:int -> int
 (** Finish tag of the client's last completed quantum. *)
 
 val is_runnable : t -> id:int -> bool
@@ -160,16 +164,21 @@ val clients : t -> int list
     read a live slot's columns (out-of-range slots raise). *)
 
 val slot_bound : t -> int
-val slot_weight : t -> slot:int -> float
-val slot_effective_weight : t -> slot:int -> float
-val slot_start : t -> slot:int -> float
-val slot_finish : t -> slot:int -> float
+val slot_weight : t -> slot:int -> int
+val slot_effective_weight : t -> slot:int -> int
+val slot_start : t -> slot:int -> int
+val slot_finish : t -> slot:int -> int
+
+val slot_remainder : t -> slot:int -> int
+(** The {!Hsfq_sched.Vtime} remainder the client's next charge starts
+    from. *)
+
 val slot_runnable : t -> slot:int -> bool
 
-val weight : t -> id:int -> float
+val weight : t -> id:int -> int
 (** The client's own (administered) weight, excluding donations. *)
 
-val effective_weight_of : t -> id:int -> float
+val effective_weight_of : t -> id:int -> int
 (** [weight + donated] — the divisor the next [charge] will use. *)
 
 val in_service : t -> int option
@@ -180,11 +189,11 @@ val in_service_ids : t -> int list
 (** Every client selected but not yet charged (at most {!servers};
     audit probe — allocates). *)
 
-val max_finish_tag : t -> float
+val max_finish_tag : t -> int
 (** Largest finish tag ever assigned (the idle-transition value of
     [v(t)], §3 rule 2). *)
 
-val donations : t -> (int * int * float) list
+val donations : t -> (int * int * int) list
 (** Outstanding donations as [(blocked, recipient, amount)] triples. *)
 
 val capacity : t -> int

@@ -32,11 +32,18 @@ let stream t i =
 
 let copy t = { state = t.state }
 
+(* Monolithic for the same reason as [unit_float] below: with the state
+   step and finalizer inlined, no intermediate [int64] is boxed, and the
+   result is an immediate. Same output sequence as drawing [next_int64]. *)
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
+  let s = Int64.add t.state golden in
+  t.state <- s;
+  let z = Int64.(mul (logxor s (shift_right_logical s 30)) 0xBF58476D1CE4E5B9L) in
+  let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
+  let z = Int64.(logxor z (shift_right_logical z 31)) in
   (* Keep 62 bits so the value fits OCaml's native int (63-bit, signed). *)
-  let r = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in
-  r mod bound
+  Int64.to_int (Int64.shift_right_logical z 2) mod bound
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Prng.int_in: hi < lo";
@@ -59,20 +66,6 @@ let[@inline] unit_float t =
   let z = Int64.(logxor z (shift_right_logical z 31)) in
   let bits = Int64.to_int (Int64.shift_right_logical z 11) in
   float_of_int bits *. (1.0 /. 9007199254740992.0)
-
-(* Staged twin of [unit_float]: the draw lands in [cell.(0)] (an
-   unboxed float-array store) instead of the return value, which under
-   the dev profile's [-opaque] would box at the unit boundary. Hot
-   callers (lottery's per-decision draw) keep a 1-cell array and pay
-   zero allocation. Same state step, same output sequence. *)
-let unit_float_into t cell =
-  let s = Int64.add t.state golden in
-  t.state <- s;
-  let z = Int64.(mul (logxor s (shift_right_logical s 30)) 0xBF58476D1CE4E5B9L) in
-  let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
-  let z = Int64.(logxor z (shift_right_logical z 31)) in
-  let bits = Int64.to_int (Int64.shift_right_logical z 11) in
-  cell.(0) <- float_of_int bits *. (1.0 /. 9007199254740992.0)
 
 let float t bound = unit_float t *. bound
 

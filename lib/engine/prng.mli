@@ -40,14 +40,6 @@ val unit_float : t -> float
     float draw (one state step, no scaling); [float] is
     [unit_float *. bound]. *)
 
-val unit_float_into : t -> float array -> unit
-(** [unit_float_into t cell] writes the same draw {!unit_float} would
-    return into [cell.(0)]. Under the dev profile's [-opaque] a
-    cross-module [float] return boxes; per-decision callers (the
-    lottery scheduler's draw) use this with a cached 1-cell array to
-    stay allocation-free. Consumes exactly one state step, identical to
-    {!unit_float}. *)
-
 val bool : t -> bool
 
 val bernoulli : t -> float -> bool

@@ -5,24 +5,25 @@ module Invariant = Hsfq_check.Invariant
 type step = {
   time_ms : int;
   thread : string;
-  start_tag : float;
-  finish_tag : float;
-  vt : float;
+  start_tag : int;
+  finish_tag : int;
+  vt : int;
 }
 
 type result = {
   steps : step list;
   work_a_60 : int;
   work_b_60 : int;
-  v_during_idle : float;
-  s_a_rearrival : float;
-  s_b_rearrival : float;
+  v_during_idle : int; (* -1 = never idle *)
+  s_a_rearrival : int; (* -1 = never re-arrived *)
+  s_b_rearrival : int;
   work_a_after : int;
   work_b_after : int;
   audit : Common.check;
 }
 
 let quantum = 10 (* ms; tags are then in "ms of work / weight" units *)
+let unit = Hsfq_sched.Vtime.unit
 let a = 1 and b = 2
 
 (* The §3 script: when each thread blocks (at the end of the quantum
@@ -33,7 +34,7 @@ let wakes = [ (110, a); (115, b) ]
 let horizon = 170
 
 let name = function 1 -> "A" | 2 -> "B" | _ -> assert false
-let weight = function 1 -> 1.0 | 2 -> 2.0 | _ -> assert false
+let weight = function 1 -> unit | 2 -> 2 * unit | _ -> assert false
 
 let run () =
   (* The worked example doubles as an audit fixture: every transition of
@@ -50,7 +51,7 @@ let run () =
     let key = (id, lo) in
     Hashtbl.replace work key (got + Option.value ~default:0 (Hashtbl.find_opt work key))
   in
-  let v_idle = ref nan in
+  let v_idle = ref (-1) in
   let rearrival = Hashtbl.create 4 in
   let t = ref 0 in
   let pending_wakes = ref wakes in
@@ -68,7 +69,7 @@ let run () =
     match Sfq.select sfq with
     | None ->
       (* Idle: the paper's rule sets v to the max finish tag. *)
-      if Float.is_nan !v_idle then v_idle := Sfq.virtual_time sfq;
+      if !v_idle < 0 then v_idle := Sfq.virtual_time sfq;
       t := !t + quantum
     | Some id ->
       let s = Sfq.start_tag sfq ~id and v = Sfq.virtual_time sfq in
@@ -77,11 +78,12 @@ let run () =
       let still =
         not (blocks_at ~thread:id ~time:!t || exits_at ~thread:id ~time:!t)
       in
-      Sfq.charge sfq ~id ~service:(float_of_int quantum) ~runnable:still;
+      Sfq.charge sfq ~id ~service:quantum ~runnable:still;
       if exits_at ~thread:id ~time:!t then Sfq.depart sfq ~id;
       let finish =
-        (* finish tag just assigned: S + l/w *)
-        s +. (float_of_int quantum /. weight id)
+        (* finish tag just assigned: S + l/w, exact here (w divides
+           l·unit) *)
+        s + (quantum * unit / weight id)
       in
       steps :=
         { time_ms = t0; thread = name id; start_tag = s; finish_tag = finish; vt = v }
@@ -95,8 +97,8 @@ let run () =
     work_a_60 = w a 0;
     work_b_60 = w b 0;
     v_during_idle = !v_idle;
-    s_a_rearrival = Option.value ~default:nan (Hashtbl.find_opt rearrival a);
-    s_b_rearrival = Option.value ~default:nan (Hashtbl.find_opt rearrival b);
+    s_a_rearrival = Option.value ~default:(-1) (Hashtbl.find_opt rearrival a);
+    s_b_rearrival = Option.value ~default:(-1) (Hashtbl.find_opt rearrival b);
     work_a_after = w a 120;
     work_b_after = w b 120;
     audit =
@@ -110,15 +112,12 @@ let checks r =
       (r.work_a_60 = 20) "A got %d ms" r.work_a_60;
     Common.check "B receives 40 ms before blocking (1:2 with A)"
       (r.work_b_60 = 40) "B got %d ms" r.work_b_60;
-    Common.check "v = 50 during the idle period"
-      (Float.abs (r.v_during_idle -. 50.) < 1e-9)
-      "v = %.1f" r.v_during_idle;
-    Common.check "A re-stamped with S = 50 at t=110"
-      (Float.abs (r.s_a_rearrival -. 50.) < 1e-9)
-      "S_A = %.1f" r.s_a_rearrival;
-    Common.check "B re-stamped with S = 50 at t=115"
-      (Float.abs (r.s_b_rearrival -. 50.) < 1e-9)
-      "S_B = %.1f" r.s_b_rearrival;
+    Common.check "v = 50 during the idle period" (r.v_during_idle = 50)
+      "v = %.1f" (float_of_int r.v_during_idle);
+    Common.check "A re-stamped with S = 50 at t=110" (r.s_a_rearrival = 50)
+      "S_A = %.1f" (float_of_int r.s_a_rearrival);
+    Common.check "B re-stamped with S = 50 at t=115" (r.s_b_rearrival = 50)
+      "S_B = %.1f" (float_of_int r.s_b_rearrival);
     Common.check "allocation returns to 1:2 after re-arrival"
       (r.work_b_after = 2 * r.work_a_after)
       "A %d ms : B %d ms over [120,150)" r.work_a_after r.work_b_after;
@@ -149,13 +148,14 @@ let print r =
         [
           string_of_int s.time_ms;
           s.thread;
-          Printf.sprintf "%.1f" s.start_tag;
-          Printf.sprintf "%.1f" s.finish_tag;
-          Printf.sprintf "%.1f" s.vt;
+          Printf.sprintf "%.1f" (float_of_int s.start_tag);
+          Printf.sprintf "%.1f" (float_of_int s.finish_tag);
+          Printf.sprintf "%.1f" (float_of_int s.vt);
         ])
     r.steps;
   Table.print t;
   Printf.printf
     "  [0,60): A=%dms B=%dms; idle v=%.1f; re-arrival S_A=%.1f S_B=%.1f; [120,150): A=%dms B=%dms\n"
-    r.work_a_60 r.work_b_60 r.v_during_idle r.s_a_rearrival r.s_b_rearrival
+    r.work_a_60 r.work_b_60 (float_of_int r.v_during_idle)
+    (float_of_int r.s_a_rearrival) (float_of_int r.s_b_rearrival)
     r.work_a_after r.work_b_after

@@ -12,18 +12,18 @@
 type step = {
   time_ms : int;  (** quantum start *)
   thread : string;
-  start_tag : float;
-  finish_tag : float;  (** after the quantum completes *)
-  vt : float;  (** virtual time during the quantum *)
+  start_tag : int;  (** exact {!Hsfq_sched.Vtime} tags: ms of work / weight *)
+  finish_tag : int;  (** after the quantum completes *)
+  vt : int;  (** virtual time during the quantum *)
 }
 
 type result = {
   steps : step list;
   work_a_60 : int;  (** ms of CPU received by A in [0, 60) *)
   work_b_60 : int;
-  v_during_idle : float;
-  s_a_rearrival : float;
-  s_b_rearrival : float;
+  v_during_idle : int;  (** [-1] if the server never idled *)
+  s_a_rearrival : int;  (** [-1] if A never re-arrived *)
+  s_b_rearrival : int;
   work_a_after : int;  (** ms received by A in [115, 145) *)
   work_b_after : int;
   audit : Common.check;  (** every replayed transition passes the audit *)

@@ -32,13 +32,13 @@ module Eevdf_leaf = Leaf_sched.Fair_leaf (Sched.Eevdf)
 module Rr_leaf = Leaf_sched.Fair_leaf (Sched.Round_robin)
 
 let quantum = Time.milliseconds 20
-let quantum_hint = float_of_int quantum
+let quantum_hint = quantum
 
 module type FAIR_LEAF_MAKER = sig
   type handle
 
   val make :
-    ?rng:Prng.t -> ?quantum_hint:float -> ?quantum:Time.span ->
+    ?rng:Prng.t -> ?quantum_hint:Time.span -> ?quantum:Time.span ->
     ?audit:Hsfq_check.Invariant.sink -> ?audit_label:string -> unit ->
     Leaf_sched.t * handle
 

@@ -44,15 +44,15 @@ let makers =
     };
     fair "fqs"
       (fun ?audit () ->
-        Fqs_leaf.make ~quantum_hint:(float_of_int quantum) ~quantum ?audit ())
+        Fqs_leaf.make ~quantum_hint:quantum ~quantum ?audit ())
       (fun h ~tid ~weight -> Fqs_leaf.add h ~tid ~weight);
     fair "wfq"
       (fun ?audit () ->
-        Wfq_leaf.make ~quantum_hint:(float_of_int quantum) ~quantum ?audit ())
+        Wfq_leaf.make ~quantum_hint:quantum ~quantum ?audit ())
       (fun h ~tid ~weight -> Wfq_leaf.add h ~tid ~weight);
     fair "scfq"
       (fun ?audit () ->
-        Scfq_leaf.make ~quantum_hint:(float_of_int quantum) ~quantum ?audit ())
+        Scfq_leaf.make ~quantum_hint:quantum ~quantum ?audit ())
       (fun h ~tid ~weight -> Scfq_leaf.add h ~tid ~weight);
   ]
 

@@ -27,9 +27,11 @@ let voice = 1 and video = 2 and bulk = 3
 let run_link ~sched ~seconds =
   let sim = Sim.create () in
   let link = Link.create ~sim ~rate_bps:link_rate ~sched () in
-  Link.add_flow link ~id:voice ~weight:voice_rate;
-  Link.add_flow link ~id:video ~weight:video_rate;
-  Link.add_flow link ~id:bulk ~weight:bulk_rate;
+  (* Weights are the flows' shares of the link (rates / C), so one unit
+     of virtual time stays a fine-grained fraction of a packet. *)
+  Link.add_flow link ~id:voice ~weight:(voice_rate /. link_rate);
+  Link.add_flow link ~id:video ~weight:(video_rate /. link_rate);
+  Link.add_flow link ~id:bulk ~weight:(bulk_rate /. link_rate);
   Traffic.cbr link ~sim ~flow:voice ~rate_bps:voice_rate ~packet_bits:voice_pkt ();
   (* Mean decode cost ~7.75 ms/frame at 30 fps: 8600 bits per cost-ms
      gives ~2 Mb/s of VBR video. *)

@@ -628,9 +628,7 @@ and dispatch_cpu t c =
         Series.add th.lat_series now (float_of_int lat);
         (match t.obs with
         | Some s when Hsfq_obs.Trace.on s ->
-          let m = Hsfq_obs.Trace.metrics s in
-          (Hsfq_obs.Metrics.stage_cell m).(0) <- float_of_int lat;
-          Hsfq_obs.Metrics.wait_sample_staged m ~node:leaf
+          Hsfq_obs.Metrics.wait_sample (Hsfq_obs.Trace.metrics s) ~node:leaf lat
         | Some _ | None -> ());
         th.awaiting_dispatch <- false
       end;

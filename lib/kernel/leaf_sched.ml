@@ -25,10 +25,26 @@ let no_donation =
    [quantum_ns_of] is a plain int read. *)
 let quantum_ns = function Some q -> q | None -> -1
 
+(* The SFQ leaf's per-event bodies, at top level so the typed analyzer's
+   hot-root scan (lib/staticlint/allocpass.ml) reaches them: a wake is
+   one weight lookup plus [Sfq.arrive], a dispatch [Sfq.select_id] plus
+   [Sfq.charge], all on ints. [Hashtbl.find] rather than [find_opt]: the
+   [Some] wrapper would be a wake's only allocation. *)
+let member_weight weights tid =
+  try Hashtbl.find weights tid
+  with Not_found ->
+    invalid_arg (Printf.sprintf "Sfq_leaf: unregistered thread %d" tid)
+
+let sfq_enqueue sfq weights tid =
+  Hsfq_core.Sfq.arrive sfq ~id:tid ~weight:(member_weight weights tid)
+
+let sfq_charge sfq tid ~service ~runnable =
+  Hsfq_core.Sfq.charge sfq ~id:tid ~service ~runnable
+
 module Sfq_leaf = struct
   type handle = {
     sfq : Hsfq_core.Sfq.t;
-    weights : (int, float) Hashtbl.t;
+    weights : (int, int) Hashtbl.t; (* Vtime units *)
     quantum : Time.span option;
     audit :
       (Hsfq_check.Invariant.sink * string * Hsfq_check.Sfq_rules.snapshot) option;
@@ -36,12 +52,7 @@ module Sfq_leaf = struct
            operation refills *)
   }
 
-  (* [Hashtbl.find] rather than [find_opt]: enqueue runs once per wake
-     and the [Some] wrapper would be its only allocation. *)
-  let weight_of h tid =
-    try Hashtbl.find h.weights tid
-    with Not_found ->
-      invalid_arg (Printf.sprintf "Sfq_leaf: unregistered thread %d" tid)
+  let weight_of h tid = member_weight h.weights tid
 
   (* Run [f] on the SFQ; when auditing, capture the pre-state and check
      the transition semantics of [ev f-result] afterwards. *)
@@ -68,11 +79,6 @@ module Sfq_leaf = struct
       }
     in
     let module R = Hsfq_check.Sfq_rules in
-    (* The audit-off paths below go through the staging cell
-       ([arrive_staged]/[charge_staged]) so a dispatch charges no boxed
-       floats; auditing snapshots the whole SFQ anyway, so its paths
-       keep the plain float calls. *)
-    let scell = Hsfq_core.Sfq.stage_cell h.sfq in
     let audited = match h.audit with Some _ -> true | None -> false in
     let arrive tid =
       let weight = weight_of h tid in
@@ -89,11 +95,7 @@ module Sfq_leaf = struct
         name = "sfq";
         enqueue =
           (fun ~now:_ tid ->
-            if audited then arrive tid
-            else begin
-              scell.(0) <- weight_of h tid;
-              Hsfq_core.Sfq.arrive_staged h.sfq ~id:tid
-            end);
+            if audited then arrive tid else sfq_enqueue h.sfq h.weights tid);
         dequeue = (fun ~now:_ tid -> block tid);
         select =
           (fun ~now:_ -> guarded h (fun r -> R.Select r) Hsfq_core.Sfq.select);
@@ -107,14 +109,10 @@ module Sfq_leaf = struct
         charge =
           (fun ~now:_ tid ~service ~runnable ->
             if audited then
-              let service = float_of_int service in
               guarded h
                 (fun () -> R.Charge { id = tid; service; runnable })
                 (fun s -> Hsfq_core.Sfq.charge s ~id:tid ~service ~runnable)
-            else begin
-              scell.(0) <- float_of_int service;
-              Hsfq_core.Sfq.charge_staged h.sfq ~id:tid ~runnable
-            end);
+            else sfq_charge h.sfq tid ~service ~runnable);
         quantum_of = (fun _ -> h.quantum);
         quantum_ns_of = (fun _ -> qns);
         preempts = (fun ~waker:_ ~running:_ -> false);
@@ -153,11 +151,10 @@ module Sfq_leaf = struct
     (lf, h)
 
   let add h ~tid ~weight =
-    if weight <= 0. then invalid_arg "Sfq_leaf.add: weight <= 0";
-    Hashtbl.replace h.weights tid weight
+    Hashtbl.replace h.weights tid (Hsfq_sched.Vtime.weight_of_float weight)
 
   let set_weight h ~tid ~weight =
-    if weight <= 0. then invalid_arg "Sfq_leaf.set_weight: weight <= 0";
+    let weight = Hsfq_sched.Vtime.weight_of_float weight in
     Hashtbl.replace h.weights tid weight;
     if Hsfq_core.Sfq.is_runnable h.sfq ~id:tid then
       Hsfq_core.Sfq.set_weight h.sfq ~id:tid ~weight
@@ -177,7 +174,7 @@ module Fair_leaf (F : Hsfq_sched.Scheduler_intf.FAIR) = struct
   type handle = {
     sched : F.t;
     audited : A.t option; (* shares [sched]; checks every transition *)
-    weights : (int, float) Hashtbl.t;
+    weights : (int, int) Hashtbl.t; (* Vtime units *)
     quantum : Time.span option;
   }
 
@@ -223,7 +220,6 @@ module Fair_leaf (F : Hsfq_sched.Scheduler_intf.FAIR) = struct
             match select () with Some tid -> tid | None -> -1);
         charge =
           (fun ~now:_ tid ~service ~runnable ->
-            let service = float_of_int service in
             match h.audited with
             | Some a -> A.charge a ~id:tid ~service ~runnable
             | None -> F.charge h.sched ~id:tid ~service ~runnable);
@@ -244,11 +240,10 @@ module Fair_leaf (F : Hsfq_sched.Scheduler_intf.FAIR) = struct
     (lf, h)
 
   let add h ~tid ~weight =
-    if weight <= 0. then invalid_arg "Fair_leaf.add: weight <= 0";
-    Hashtbl.replace h.weights tid weight
+    Hashtbl.replace h.weights tid (Hsfq_sched.Vtime.weight_of_float weight)
 
   let set_weight h ~tid ~weight =
-    if weight <= 0. then invalid_arg "Fair_leaf.set_weight: weight <= 0";
+    let weight = Hsfq_sched.Vtime.weight_of_float weight in
     Hashtbl.replace h.weights tid weight;
     try
       match h.audited with
@@ -373,7 +368,7 @@ module Edf_leaf = struct
               | Some d -> d
               | None -> invalid_arg (Printf.sprintf "Edf_leaf: unregistered thread %d" tid)
             in
-            Edf.release h.edf ~id:tid ~deadline:(float_of_int (Time.add now d)));
+            Edf.release h.edf ~id:tid ~deadline:(Time.add now d));
         dequeue = (fun ~now:_ tid -> Edf.withdraw h.edf ~id:tid);
         select = (fun ~now:_ -> Edf.select h.edf);
         select_id =
@@ -410,7 +405,7 @@ module Gps_leaf = struct
 
   type handle = {
     gps : Gps_vt.t;
-    weights : (int, float) Hashtbl.t;
+    weights : (int, int) Hashtbl.t; (* Vtime units *)
     quantum : Time.span option;
   }
 
@@ -419,10 +414,10 @@ module Gps_leaf = struct
     | Some w -> w
     | None -> invalid_arg (Printf.sprintf "Gps_leaf: unregistered thread %d" tid)
 
-  let make ~order ?capacity ?quantum_hint ?quantum () =
+  let make ~order ?quantum_hint ?quantum () =
     let h =
       {
-        gps = Gps_vt.create ~order ?capacity ?quantum_hint ();
+        gps = Gps_vt.create ~order ?quantum_hint ();
         weights = Hashtbl.create 8;
         quantum;
       }
@@ -443,7 +438,7 @@ module Gps_leaf = struct
             match Gps_vt.select h.gps ~now with Some tid -> tid | None -> -1);
         charge =
           (fun ~now tid ~service ~runnable ->
-            Gps_vt.charge h.gps ~now ~id:tid ~service:(float_of_int service) ~runnable);
+            Gps_vt.charge h.gps ~now ~id:tid ~service ~runnable);
         quantum_of = (fun _ -> h.quantum);
         quantum_ns_of = (fun _ -> qns);
         preempts = (fun ~waker:_ ~running:_ -> false);
@@ -461,8 +456,7 @@ module Gps_leaf = struct
     (lf, h)
 
   let add h ~tid ~weight =
-    if weight <= 0. then invalid_arg "Gps_leaf.add: weight <= 0";
-    Hashtbl.replace h.weights tid weight
+    Hashtbl.replace h.weights tid (Hsfq_sched.Vtime.weight_of_float weight)
 end
 
 module Reserve_leaf = struct

@@ -67,6 +67,9 @@ module Sfq_leaf : sig
       omitting [?audit] leaves the fast path untouched. *)
 
   val add : handle -> tid:int -> weight:float -> unit
+  (** Register a member thread. [weight] is converted once, by
+      {!Hsfq_sched.Vtime.weight_of_float} (which also rejects it). *)
+
   val set_weight : handle -> tid:int -> weight:float -> unit
 
   val donate : handle -> blocked:int -> recipient:int -> unit
@@ -85,7 +88,7 @@ module Fair_leaf (F : Hsfq_sched.Scheduler_intf.FAIR) : sig
 
   val make :
     ?rng:Prng.t ->
-    ?quantum_hint:float ->
+    ?quantum_hint:Time.span ->
     ?quantum:Time.span ->
     ?audit:Hsfq_check.Invariant.sink ->
     ?audit_label:string ->
@@ -146,8 +149,7 @@ module Gps_leaf : sig
 
   val make :
     order:Hsfq_sched.Gps_vt.order ->
-    ?capacity:float ->
-    ?quantum_hint:float ->
+    ?quantum_hint:Time.span ->
     ?quantum:Time.span ->
     unit ->
     t * handle

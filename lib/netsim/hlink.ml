@@ -6,7 +6,7 @@ type packet = { bits : int; arrived : Time.t }
 
 type flow = {
   leaf : Hierarchy.id;
-  weight : float;
+  weight : int; (* Vtime units *)
   queue : packet Queue.t;
   delivered : Series.t;
   delay : Stats.t;
@@ -54,13 +54,12 @@ let get t flow =
   | None -> invalid_arg (Printf.sprintf "Hlink: unknown flow %d" flow)
 
 let attach_flow t ~leaf ~flow ~weight =
-  if weight <= 0. then invalid_arg "Hlink.attach_flow: weight <= 0";
   if Hashtbl.mem t.flows flow then invalid_arg "Hlink.attach_flow: duplicate flow";
   ignore (leaf_sched t leaf);
   Hashtbl.replace t.flows flow
     {
       leaf;
-      weight;
+      weight = Hsfq_sched.Vtime.weight_of_float weight;
       queue = Queue.create ();
       delivered = Series.create ~name:(Printf.sprintf "flow%d" flow) ();
       delay = Stats.create ();
@@ -68,9 +67,9 @@ let attach_flow t ~leaf ~flow ~weight =
     }
 
 let rec start_transmission t =
-  match Hierarchy.schedule t.hier with
-  | None -> t.transmitting <- false
-  | Some leaf ->
+  match Hierarchy.schedule_id t.hier with
+  | -1 -> t.transmitting <- false
+  | leaf ->
     t.transmitting <- true;
     let sched = leaf_sched t leaf in
     let flow =
@@ -85,12 +84,11 @@ let rec start_transmission t =
     in
     Sim.after t.sim duration (fun () ->
       let now = Sim.now t.sim in
-      let bits = float_of_int pkt.bits in
-      Sfq.charge sched ~id:flow ~service:bits
+      Sfq.charge sched ~id:flow ~service:pkt.bits
         ~runnable:(not (Queue.is_empty f.queue));
-      Hierarchy.update t.hier ~leaf ~service:bits
+      Hierarchy.update_ns t.hier ~leaf ~service_ns:pkt.bits
         ~leaf_runnable:(Sfq.backlogged sched > 0);
-      Series.add f.delivered now bits;
+      Series.add f.delivered now (float_of_int pkt.bits);
       Stats.add f.delay (float_of_int (Time.diff now pkt.arrived));
       start_transmission t)
 

@@ -3,7 +3,7 @@ open Hsfq_engine
 type packet = { bits : int; arrived : Time.t }
 
 type flow = {
-  weight : float;
+  weight : int; (* Vtime units *)
   queue : packet Queue.t;
   delivered : Series.t;
   delay : Stats.t;
@@ -16,9 +16,9 @@ type flow = {
    the existential state type never escapes. *)
 type sched_ops = {
   s_name : string;
-  s_arrive : id:int -> weight:float -> unit;
+  s_arrive : id:int -> weight:int -> unit;
   s_select : unit -> int option;
-  s_charge : id:int -> service:float -> runnable:bool -> unit;
+  s_charge : id:int -> service:int -> runnable:bool -> unit;
   s_depart : id:int -> unit;
 }
 
@@ -43,7 +43,7 @@ let pack_sched (module F : Hsfq_sched.Scheduler_intf.FAIR) ~quantum_hint =
 
 let create ~sim ~rate_bps
     ?(sched = (module Hsfq_core.Sfq : Hsfq_sched.Scheduler_intf.FAIR))
-    ?(quantum_hint_bits = 12_000.) ?(queue_cap = 1000) () =
+    ?(quantum_hint_bits = 12_000) ?(queue_cap = 1000) () =
   if rate_bps <= 0. then invalid_arg "Link.create: rate <= 0";
   {
     sim;
@@ -60,11 +60,10 @@ let get t id =
   | None -> invalid_arg (Printf.sprintf "Link: unknown flow %d" id)
 
 let add_flow t ~id ~weight =
-  if weight <= 0. then invalid_arg "Link.add_flow: weight <= 0";
   if Hashtbl.mem t.flows id then invalid_arg "Link.add_flow: duplicate flow";
   Hashtbl.replace t.flows id
     {
-      weight;
+      weight = Hsfq_sched.Vtime.weight_of_float weight;
       queue = Queue.create ();
       delivered = Series.create ~name:(Printf.sprintf "flow%d" id) ();
       delay = Stats.create ();
@@ -91,7 +90,7 @@ let rec start_transmission t =
     in
     Sim.after t.sim duration (fun () ->
       let now = Sim.now t.sim in
-      t.sched.s_charge ~id ~service:(float_of_int pkt.bits)
+      t.sched.s_charge ~id ~service:pkt.bits
         ~runnable:(not (Queue.is_empty f.queue));
       Series.add f.delivered now (float_of_int pkt.bits);
       let d = float_of_int (Time.diff now pkt.arrived) in

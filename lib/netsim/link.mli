@@ -22,7 +22,7 @@ val create :
   sim:Sim.t ->
   rate_bps:float ->
   ?sched:(module Hsfq_sched.Scheduler_intf.FAIR) ->
-  ?quantum_hint_bits:float ->
+  ?quantum_hint_bits:int ->
   ?queue_cap:int ->
   unit ->
   t
@@ -30,9 +30,13 @@ val create :
     finish-tag schedulers use it), 1000-packet per-flow queues. *)
 
 val add_flow : t -> id:int -> weight:float -> unit
-(** Register a flow. Weights are the fair-queuing weights; interpreting
-    them as rates (bits/s summing to <= [rate_bps]) yields the paper's
-    throughput/delay guarantees for the flow. *)
+(** Register a flow. Weights are the fair-queuing weights, converted by
+    {!Hsfq_sched.Vtime.weight_of_float}; giving each flow its share of
+    the link (its rate / [rate_bps], summing to <= 1) yields the paper's
+    throughput/delay guarantees for the flow. A weight's unit of virtual
+    time is one bit per 10^-6 of share, so shares keep tags fine-grained
+    where raw rates in bits/s would make a virtual unit a whole second
+    of the flow's transmission time. *)
 
 val remove_flow : t -> id:int -> unit
 

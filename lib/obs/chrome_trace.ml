@@ -139,7 +139,7 @@ let export t =
     else
       item
         (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"sched\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":%d,\"tid\":%d,\"args\":{\"a\":%d,\"b\":%d,\"c\":%d,\"d\":%d,\"x\":%g,\"y\":%g}}"
+           "{\"name\":\"%s\",\"cat\":\"sched\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":%d,\"tid\":%d,\"args\":{\"a\":%d,\"b\":%d,\"c\":%d,\"d\":%d,\"x\":%d,\"y\":%d}}"
            (T.code_name code) (us_of_ns time) pid
            (lane_of ~code ~a ~b)
            a b c d x y)

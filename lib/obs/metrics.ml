@@ -5,6 +5,7 @@
    formatting here (the report lives in Text_dump).  The GPS-lag
    diagnostic follows the paper's fairness bound: a continuously
    backlogged node's normalized service [sum(service/effective_weight)]
+   — the sum of its exact integer tag increments ({!Hsfq_sched.Vtime})
    should track the advance of its scheduler's virtual time, so
    [vt_lag = norm_service - (vt_last - vt_first)] stays within the
    per-quantum bound of eq. 3. *)
@@ -20,18 +21,14 @@ let wait_bins = 20
 type t = {
   mutable len : int; (* highest touched node id + 1 *)
   mutable activev : bool array;
-  mutable servicev : float array;
-  mutable normv : float array;
+  mutable servicev : int array;
+  mutable normv : int array;
   mutable quantav : int array;
   mutable preemptv : int array;
   mutable vt_seenv : bool array;
-  mutable vt_firstv : float array;
-  mutable vt_lastv : float array;
+  mutable vt_firstv : int array;
+  mutable vt_lastv : int array;
   mutable waitv : Histogram.t option array;
-  fstage : float array;
-      (* 3 cells: service / norm / vt payloads for the [_staged] entry
-         points — float arguments to a cross-module call box under
-         dune's dev -opaque, an array store does not *)
 }
 
 let create () =
@@ -46,10 +43,7 @@ let create () =
     vt_firstv = [||];
     vt_lastv = [||];
     waitv = [||];
-    fstage = Array.make 3 0.;
   }
-
-let stage_cell t = t.fstage
 
 (* Double [a] until it holds index [n]; existing cells keep their
    values, new cells get [fill]. *)
@@ -70,26 +64,22 @@ let ensure t node =
   if node < 0 then invalid_arg "Metrics: negative node id";
   if node >= Array.length t.activev then begin
     t.activev <- grow t.activev node false;
-    t.servicev <- grow t.servicev node 0.;
-    t.normv <- grow t.normv node 0.;
+    t.servicev <- grow t.servicev node 0;
+    t.normv <- grow t.normv node 0;
     t.quantav <- grow t.quantav node 0;
     t.preemptv <- grow t.preemptv node 0;
     t.vt_seenv <- grow t.vt_seenv node false;
-    t.vt_firstv <- grow t.vt_firstv node 0.;
-    t.vt_lastv <- grow t.vt_lastv node 0.;
+    t.vt_firstv <- grow t.vt_firstv node 0;
+    t.vt_lastv <- grow t.vt_lastv node 0;
     t.waitv <- grow t.waitv node None
   end;
   if node + 1 > t.len then t.len <- node + 1
 
-(* The float payloads are read from the staging cells so the caller's
-   decision path stays box-free; [charge_sample] below is the
-   float-labelled convenience wrapper. *)
-let charge_sample_staged t ~node =
+let charge_sample t ~node ~service ~norm ~vt =
   ensure t node;
-  let service = t.fstage.(0) and norm = t.fstage.(1) and vt = t.fstage.(2) in
   t.activev.(node) <- true;
-  t.servicev.(node) <- t.servicev.(node) +. service;
-  t.normv.(node) <- t.normv.(node) +. norm;
+  t.servicev.(node) <- t.servicev.(node) + service;
+  t.normv.(node) <- t.normv.(node) + norm;
   t.quantav.(node) <- t.quantav.(node) + 1;
   if t.vt_seenv.(node) then t.vt_lastv.(node) <- vt
   else begin
@@ -98,19 +88,13 @@ let charge_sample_staged t ~node =
     t.vt_lastv.(node) <- vt
   end
 
-let charge_sample t ~node ~service ~norm ~vt =
-  t.fstage.(0) <- service;
-  t.fstage.(1) <- norm;
-  t.fstage.(2) <- vt;
-  charge_sample_staged t ~node
-
 let incr_preempt t ~node =
   ensure t node;
   t.activev.(node) <- true;
   t.preemptv.(node) <- t.preemptv.(node) + 1
 
-let wait_sample_staged t ~node =
-  let wait = t.fstage.(0) in
+let wait_sample t ~node wait =
+  let wait = float_of_int wait in
   ensure t node;
   t.activev.(node) <- true;
   (match t.waitv.(node) with
@@ -120,21 +104,17 @@ let wait_sample_staged t ~node =
     t.waitv.(node) <- Some h;
     Histogram.add h wait)
 
-let wait_sample t ~node wait =
-  t.fstage.(0) <- wait;
-  wait_sample_staged t ~node
-
 let node_count t = t.len
 let active t ~node = node < t.len && t.activev.(node)
-let service t ~node = if node < t.len then t.servicev.(node) else 0.
-let norm_service t ~node = if node < t.len then t.normv.(node) else 0.
+let service t ~node = if node < t.len then t.servicev.(node) else 0
+let norm_service t ~node = if node < t.len then t.normv.(node) else 0
 let quanta t ~node = if node < t.len then t.quantav.(node) else 0
 let preemptions t ~node = if node < t.len then t.preemptv.(node) else 0
 
 let vt_lag t ~node =
   (* Meaningless before virtual time has advanced over >= 2 samples. *)
   if node < t.len && t.vt_seenv.(node) && t.quantav.(node) >= 2 then
-    t.normv.(node) -. (t.vt_lastv.(node) -. t.vt_firstv.(node))
-  else 0.
+    t.normv.(node) - (t.vt_lastv.(node) - t.vt_firstv.(node))
+  else 0
 
 let wait_histogram t ~node = if node < t.len then t.waitv.(node) else None

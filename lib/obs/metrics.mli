@@ -11,28 +11,16 @@ type t
 
 val create : unit -> t
 
-val charge_sample : t -> node:int -> service:float -> norm:float -> vt:float -> unit
+val charge_sample : t -> node:int -> service:int -> norm:int -> vt:int -> unit
 (** Account one charged quantum: [service] ns of CPU, [norm] normalized
-    service (service / effective weight), [vt] the scheduler's virtual
-    time at the charge.  Also counts one quantum. *)
-
-val stage_cell : t -> float array
-(** 3-cell float staging buffer for the [_staged] entry points. Under
-    dune's dev profile ([-opaque]) float arguments to cross-module calls
-    box; hot callers cache this array once and store payloads into it
-    (an unboxed float-array write) instead. *)
-
-val charge_sample_staged : t -> node:int -> unit
-(** [charge_sample] with [service]/[norm]/[vt] read from cells 0/1/2 of
-    {!stage_cell}. *)
+    service (the quantum's tag increment, service / effective weight on
+    the {!Hsfq_sched.Vtime} scale), [vt] the scheduler's virtual time at
+    the charge.  Also counts one quantum. *)
 
 val incr_preempt : t -> node:int -> unit
 
-val wait_sample : t -> node:int -> float -> unit
+val wait_sample : t -> node:int -> int -> unit
 (** Dispatch-wait sample in ns (histogrammed over 0–100 ms, 20 bins). *)
-
-val wait_sample_staged : t -> node:int -> unit
-(** [wait_sample] with the wait read from cell 0 of {!stage_cell}. *)
 
 (** {1 Readback} — ids beyond [node_count] read as zero/empty. *)
 
@@ -42,12 +30,12 @@ val node_count : t -> int
 val active : t -> node:int -> bool
 (** Whether the node ever received a sample. *)
 
-val service : t -> node:int -> float
-val norm_service : t -> node:int -> float
+val service : t -> node:int -> int
+val norm_service : t -> node:int -> int
 val quanta : t -> node:int -> int
 val preemptions : t -> node:int -> int
 
-val vt_lag : t -> node:int -> float
+val vt_lag : t -> node:int -> int
 (** [norm_service - (vt_last - vt_first)]: how far the node's normalized
     service leads (+) or trails (-) the advance of virtual time over its
     charged interval — the GPS-relative lag the paper's eq. 3 bounds for

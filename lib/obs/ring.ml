@@ -1,13 +1,10 @@
 (* Preallocated tracepoint ring (structure-of-arrays).
 
-   One event is nine fixed-size columns: code/time/pid and four int
-   payload words in int arrays, two float payload words in float arrays.
-   [emit] writes one cell of each column and bumps the sequence counter;
-   once the ring wraps, the oldest event is overwritten.  Nothing here
-   allocates after [create] — the float payload travels through the
-   2-cell [stage] array (an unboxed store at the call site), the same
-   trick [Keyed_heap] uses to dodge float boxing under dune's -opaque
-   dev profile. *)
+   One event is nine fixed-size int columns: code/time/pid, four int
+   payload words and the two virtual-time payload words x/y.  [emit]
+   writes one cell of each column and bumps the sequence counter; once
+   the ring wraps, the oldest event is overwritten.  Every payload is an
+   immediate, so nothing here allocates after [create]. *)
 
 type t = {
   mask : int; (* capacity - 1; capacity is a power of two *)
@@ -18,9 +15,8 @@ type t = {
   bv : int array;
   cv : int array;
   dv : int array;
-  xv : float array;
-  yv : float array;
-  stage : float array; (* 2 cells: pending x, y payload *)
+  xv : int array;
+  yv : int array;
   mutable seq : int; (* events ever emitted *)
 }
 
@@ -43,19 +39,17 @@ let create ~capacity =
     bv = Array.make cap 0;
     cv = Array.make cap 0;
     dv = Array.make cap 0;
-    xv = Array.make cap 0.;
-    yv = Array.make cap 0.;
-    stage = Array.make 2 0.;
+    xv = Array.make cap 0;
+    yv = Array.make cap 0;
     seq = 0;
   }
 
 let capacity r = r.mask + 1
-let stage r = r.stage
 let total r = r.seq
 let length r = if r.seq <= r.mask then r.seq else r.mask + 1
 let clear r = r.seq <- 0
 
-let emit r ~code ~time ~pid ~a ~b ~c ~d =
+let emit r ~code ~time ~pid ~a ~b ~c ~d ~x ~y =
   let i = r.seq land r.mask in
   r.codev.(i) <- code;
   r.timev.(i) <- time;
@@ -64,8 +58,8 @@ let emit r ~code ~time ~pid ~a ~b ~c ~d =
   r.bv.(i) <- b;
   r.cv.(i) <- c;
   r.dv.(i) <- d;
-  r.xv.(i) <- r.stage.(0);
-  r.yv.(i) <- r.stage.(1);
+  r.xv.(i) <- x;
+  r.yv.(i) <- y;
   r.seq <- r.seq + 1
 
 (* Physical slot of logical index [i], oldest recorded event first. *)

@@ -2,14 +2,14 @@
 
     Fixed-size event records in structure-of-arrays columns: an int
     event [code], the simulated [time] (ns), the emitting subsystem
-    [pid], four int payload words [a b c d] and two float payload words
-    [x y].  Capacity is rounded up to a power of two; once full, the
+    [pid], four int payload words [a b c d] and two virtual-time payload
+    words [x y] — exact integers on the {!Hsfq_sched.Vtime} scale (a
+    virtual time or tag, or a service in ns).  Capacity is rounded up to a power of two; once full, the
     oldest event is overwritten ([total] keeps counting, [length] caps
     at capacity).
 
-    The record path allocates nothing: float payloads are staged through
-    the shared 2-cell {!stage} array (caller stores, [emit] copies), so
-    an event costs a handful of array stores.  See
+    The record path allocates nothing: every payload is an immediate, so
+    an event costs a handful of int-array stores.  See
     [doc/OBSERVABILITY.md]. *)
 
 type t
@@ -19,16 +19,10 @@ val create : capacity:int -> t
 
 val capacity : t -> int
 
-val stage : t -> float array
-(** The 2-cell float staging area: write [stage.(0)] (x) and
-    [stage.(1)] (y) immediately before {!emit}.  Cells are not cleared
-    between events — an emitter that skips the stores records the
-    previous payload. *)
-
 val emit :
   t -> code:int -> time:int -> pid:int -> a:int -> b:int -> c:int -> d:int ->
-  unit
-(** Record one event (x/y taken from {!stage}).  Never allocates. *)
+  x:int -> y:int -> unit
+(** Record one event.  Never allocates. *)
 
 val clear : t -> unit
 
@@ -48,5 +42,5 @@ val a : t -> int -> int
 val b : t -> int -> int
 val c : t -> int -> int
 val d : t -> int -> int
-val x : t -> int -> float
-val y : t -> int -> float
+val x : t -> int -> int
+val y : t -> int -> int

@@ -29,7 +29,7 @@ let dump t =
   Printf.bprintf buf "# seq time_ns pid event a b c d x y\n";
   let base = Ring.total r - Ring.length r in
   for i = 0 to Ring.length r - 1 do
-    Printf.bprintf buf "%d %d %d %s %d %d %d %d %g %g\n" (base + i)
+    Printf.bprintf buf "%d %d %d %s %d %d %d %d %d %d\n" (base + i)
       (Ring.time r i) (Ring.pid r i)
       (Trace.code_name (Ring.code r i))
       (Ring.a r i) (Ring.b r i) (Ring.c r i) (Ring.d r i) (Ring.x r i)
@@ -53,8 +53,8 @@ let metrics_report t =
           | None -> 0
           | Some h -> Hsfq_engine.Histogram.count h
         in
-        Printf.bprintf buf "%-6d %-16s %12.3f %8d %9d %12.4g %6d\n" node name
-          (Metrics.service m ~node /. 1e6)
+        Printf.bprintf buf "%-6d %-16s %12.3f %8d %9d %12d %6d\n" node name
+          (float_of_int (Metrics.service m ~node) /. 1e6)
           (Metrics.quanta m ~node)
           (Metrics.preemptions m ~node)
           (Metrics.vt_lag m ~node)

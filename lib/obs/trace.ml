@@ -3,9 +3,8 @@
    A [sys] is a registered subsystem handle — a (tracer, pid, metrics)
    triple.  Instrumented code holds a [sys option]; with [None] a
    tracepoint is a single match branch, with [Some _] and tracing
-   disabled it is one call that tests [enabled] and returns.  Float
-   payloads travel through the ring's stage cells (see Ring), so the
-   record path never boxes.
+   disabled it is one call that tests [enabled] and returns.  Every
+   payload is an immediate int, so the record path never allocates.
 
    This module is on the record path: no closures, no lists, no
    formatting (enforced by the obs-alloc lint rule).  Exporters live in
@@ -14,8 +13,8 @@
 type t = {
   ring : Ring.t;
   (* A shared cell rather than a mutable field so hot emitters (Sfq)
-     can cache it and gate a whole tracepoint — stage stores and the
-     emit call included — on one in-module load (see [on_cell]). *)
+     can cache it and gate a whole tracepoint — payload computation and
+     the emit call included — on one in-module load (see [on_cell]). *)
   enabled : bool ref;
   mutable now : int; (* simulated ns, stamped on every event *)
   mutable nsys : int;
@@ -78,20 +77,15 @@ let pid s = s.pid
 let metrics s = s.metrics
 let on s = !(s.tr.enabled)
 let on_cell s = s.tr.enabled
-let stage s = Ring.stage s.tr.ring
 let sys_set_now s now = s.tr.now <- now
 
-let emitf s ~code ~a ~b ~c ~d =
+let emitf s ~code ~a ~b ~c ~d ~x ~y =
   if !(s.tr.enabled) then
-    Ring.emit s.tr.ring ~code ~time:s.tr.now ~pid:s.pid ~a ~b ~c ~d
+    Ring.emit s.tr.ring ~code ~time:s.tr.now ~pid:s.pid ~a ~b ~c ~d ~x ~y
 
 let emit0 s ~code ~a ~b ~c ~d =
-  if !(s.tr.enabled) then begin
-    let g = Ring.stage s.tr.ring in
-    g.(0) <- 0.;
-    g.(1) <- 0.;
-    Ring.emit s.tr.ring ~code ~time:s.tr.now ~pid:s.pid ~a ~b ~c ~d
-  end
+  if !(s.tr.enabled) then
+    Ring.emit s.tr.ring ~code ~time:s.tr.now ~pid:s.pid ~a ~b ~c ~d ~x:0 ~y:0
 
 (* Lane naming (cold): linear table of (pid, lane, name). *)
 let name_lane s ~lane ~name =

@@ -10,11 +10,10 @@
       branch, nothing else;
     - [Some s] with tracing disabled — at most one call testing
       {!enabled}, or just a load + branch when the caller caches
-      {!on_cell}; no allocation (int payloads are immediate, float
-      payloads go through {!stage} cells);
+      {!on_cell}; no allocation (every payload is an immediate int);
     - [Some s] enabled — a handful of array stores into the ring.
 
-    Event schema (code, int payload a/b/c/d, float payload x/y) is
+    Event schema (code, int payload a/b/c/d, virtual-time payload x/y) is
     documented per event in [doc/OBSERVABILITY.md]. *)
 
 type t
@@ -44,24 +43,22 @@ val metrics : sys -> Metrics.t
 
 val on : sys -> bool
 (** [enabled (tracer s)] — guard for work beyond the emit itself
-    (metric accumulation, float staging). *)
+    (metric accumulation, payload computation). *)
 
 val on_cell : sys -> bool ref
 (** The tracer's live enabled flag as a shared cell.  Hot emitters
     (e.g. {!Hsfq_core.Sfq}) cache it next to their [sys] so a disabled
-    tracepoint — stage stores and emit call included — costs one
-    in-module load and branch. *)
-
-val stage : sys -> float array
-(** The ring's 2-cell float staging area (see {!Ring.stage}). *)
+    tracepoint — payload computation and emit call included — costs
+    one in-module load and branch. *)
 
 val sys_set_now : sys -> int -> unit
 
-val emitf : sys -> code:int -> a:int -> b:int -> c:int -> d:int -> unit
-(** Record an event whose x/y payload the caller just staged. *)
+val emitf :
+  sys -> code:int -> a:int -> b:int -> c:int -> d:int -> x:int -> y:int -> unit
+(** Record an event with an x/y payload (see {!Ring}). *)
 
 val emit0 : sys -> code:int -> a:int -> b:int -> c:int -> d:int -> unit
-(** Record an event with zero float payload. *)
+(** Record an event with zero x/y payload. *)
 
 val name_lane : sys -> lane:int -> name:string -> unit
 (** Attach a display name to a lane (thread tid, {!node_lane} id, or

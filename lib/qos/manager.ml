@@ -50,9 +50,9 @@ let share_of t id =
     | Some p ->
       let siblings = Hierarchy.children_of t.hier p in
       let total =
-        List.fold_left (fun s c -> s +. Hierarchy.weight t.hier c) 0. siblings
+        List.fold_left (fun s c -> s + Hierarchy.weight t.hier c) 0 siblings
       in
-      up p (acc *. (Hierarchy.weight t.hier id /. total))
+      up p (acc *. (float_of_int (Hierarchy.weight t.hier id) /. float_of_int total))
   in
   up id 1.0
 
@@ -126,10 +126,11 @@ let set_class_weight t cls w =
 let grow_soft_for_demand t =
   let share = share_of t t.soft in
   if share > 0. && soft_mean_utilization t > 0.5 *. share then begin
-    let current = Hierarchy.weight t.hier t.soft in
+    let weight c = Hsfq_sched.Vtime.to_float (Hierarchy.weight t.hier c) in
+    let current = weight t.soft in
     let others =
       List.fold_left
-        (fun acc c -> if c = t.soft then acc else acc +. Hierarchy.weight t.hier c)
+        (fun acc c -> if c = t.soft then acc else acc +. weight c)
         0.
         (Hierarchy.children_of t.hier Hierarchy.root)
     in

@@ -1,4 +1,4 @@
-type job = { mutable deadline : float; mutable live : bool; mutable gen : int }
+type job = { mutable deadline : int; mutable live : bool; mutable gen : int }
 
 type t = {
   jobs : (int, job) Hashtbl.t;
@@ -47,9 +47,8 @@ let withdraw t ~id =
     end
 
 let select t =
-  match Keyed_heap.peek t.queue ~valid:(valid t) with
-  | None -> None
-  | Some (_, id) -> Some id
+  let id = Keyed_heap.peek_valid t.queue in
+  if id < 0 then None else Some id
 
 let deadline_of t ~id =
   match Hashtbl.find_opt t.jobs id with

@@ -12,9 +12,10 @@ type t
 
 val create : unit -> t
 
-val release : t -> id:int -> deadline:float -> unit
-(** Make job [id] runnable with the given absolute deadline (any unit, as
-    long as callers are consistent; the kernel uses nanoseconds). A second
+val release : t -> id:int -> deadline:int -> unit
+(** Make job [id] runnable with the given absolute deadline (any integer
+    unit, as long as callers are consistent; the kernel uses
+    nanoseconds). A second
     [release] of a live job replaces its deadline. *)
 
 val withdraw : t -> id:int -> unit
@@ -24,5 +25,5 @@ val select : t -> int option
 (** The runnable job with the earliest deadline (FIFO among equals).
     Non-destructive: selecting does not remove the job. *)
 
-val deadline_of : t -> id:int -> float option
+val deadline_of : t -> id:int -> int option
 val backlogged : t -> int

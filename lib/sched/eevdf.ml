@@ -1,11 +1,10 @@
 let algorithm_name = "eevdf"
 
-(* [ve]/[vd] live in a 2-cell float array rather than mutable float
-   fields: in a mixed record every float store allocates a fresh box,
-   and these two are re-written on every charge. *)
 type client = {
-  mutable weight : float; (* set rarely; a boxed store there is fine *)
-  vf : float array; (* [| ve; vd |], unboxed stores *)
+  mutable weight : int;
+  mutable ve : int; (* virtual eligible time *)
+  mutable rem : int; (* {!Vtime} remainder of [ve] *)
+  mutable vd : int; (* virtual deadline *)
   mutable runnable : bool;
   mutable gen : int;
 }
@@ -18,21 +17,11 @@ type t = {
      system virtual time advances. *)
   eligible : Keyed_heap.t;
   future : Keyed_heap.t;
-  (* Cached staging/readback cells of the two heaps: pushes write the
-     key here (an unboxed float-array store) and [promote] reads the
-     peeked key back the same way, so requeueing never boxes. *)
-  el_stage : float array;
-  fu_stage : float array;
-  fu_peek : float array;
-  vt : float array; (* 1-cell: virtual time, re-written every charge *)
-  tw : float array;
-      (* 1-cell: total runnable weight. A [mutable float] field in this
-         mixed record would box on every store, and it is re-written on
-         every arrive/depart/blocking charge — the last boxed-float
-         store this module had. *)
+  vt : Vtime.clock;
+  mutable tw : int; (* total runnable weight *)
   mutable nrun : int;
   mutable in_service : int; (* -1 = none *)
-  q : float;
+  q : int;
 }
 
 (* [Hashtbl.find] + exception match (not [find_opt]): the validator runs
@@ -43,25 +32,21 @@ let valid t ~id ~gen =
   | c -> c.runnable && c.gen = gen
   | exception Not_found -> false
 
-let create ?rng:_ ?(quantum_hint = 1e7) () =
-  let eligible = Keyed_heap.create () and future = Keyed_heap.create () in
+let create ?rng:_ ?(quantum_hint = 10_000_000) () =
   let t =
     {
       clients = Hashtbl.create 16;
-      eligible;
-      future;
-      el_stage = Keyed_heap.stage_cell eligible;
-      fu_stage = Keyed_heap.stage_cell future;
-      fu_peek = Keyed_heap.peeked_key_cell future;
-      vt = [| 0. |];
-      tw = [| 0. |];
+      eligible = Keyed_heap.create ();
+      future = Keyed_heap.create ();
+      vt = Vtime.clock ();
+      tw = 0;
       nrun = 0;
       in_service = -1;
       q = quantum_hint;
     }
   in
   (* Enables compaction once stale entries dominate (see Keyed_heap),
-     and backs the allocation-free [pop_valid]/[peek_valid]. *)
+     and backs [pop_valid]/[peek_valid]. *)
   Keyed_heap.set_validator t.eligible (valid t);
   Keyed_heap.set_validator t.future (valid t);
   t
@@ -72,16 +57,12 @@ let get t id =
   | exception Not_found ->
     invalid_arg (Printf.sprintf "%s: unknown client %d" algorithm_name id)
 
+let deadline t c = Vtime.add c.ve (Vtime.step ~service:t.q ~weight:c.weight ~rem:0)
+
 let enqueue t id c =
   c.gen <- c.gen + 1;
-  if c.vf.(0) <= t.vt.(0) then begin
-    t.el_stage.(0) <- c.vf.(1);
-    Keyed_heap.push_staged t.eligible ~gen:c.gen ~id
-  end
-  else begin
-    t.fu_stage.(0) <- c.vf.(0);
-    Keyed_heap.push_staged t.future ~gen:c.gen ~id
-  end
+  if c.ve <= t.vt.v then Keyed_heap.push t.eligible ~key:c.vd ~gen:c.gen ~id
+  else Keyed_heap.push t.future ~key:c.ve ~gen:c.gen ~id
 
 let arrive t ~id ~weight =
   match Hashtbl.find t.clients id with
@@ -90,24 +71,21 @@ let arrive t ~id ~weight =
       c.runnable <- true;
       (* A waking client resumes no earlier than the current virtual
          time: it must not reclaim service "owed" from its sleep. *)
-      c.vf.(0) <- Float.max c.vf.(0) t.vt.(0);
-      c.vf.(1) <- c.vf.(0) +. (t.q /. c.weight);
-      t.tw.(0) <- t.tw.(0) +. c.weight;
+      if t.vt.v > c.ve then begin
+        c.ve <- t.vt.v;
+        c.rem <- 0
+      end;
+      c.vd <- deadline t c;
+      t.tw <- t.tw + c.weight;
       t.nrun <- t.nrun + 1;
       enqueue t id c
     end
   | exception Not_found ->
-    if weight <= 0. then invalid_arg "Eevdf.arrive: weight <= 0";
-    let c =
-      {
-        weight;
-        vf = [| t.vt.(0); t.vt.(0) +. (t.q /. weight) |];
-        runnable = true;
-        gen = 0;
-      }
-    in
+    if weight <= 0 then invalid_arg "Eevdf.arrive: weight <= 0";
+    let c = { weight; ve = t.vt.v; rem = 0; vd = 0; runnable = true; gen = 0 } in
+    c.vd <- deadline t c;
     Hashtbl.replace t.clients id c;
-    t.tw.(0) <- t.tw.(0) +. c.weight;
+    t.tw <- t.tw + c.weight;
     t.nrun <- t.nrun + 1;
     enqueue t id c
 
@@ -116,13 +94,13 @@ let depart t ~id =
   | exception Not_found -> ()
   | c ->
     if c.runnable then begin
-      t.tw.(0) <- t.tw.(0) -. c.weight;
+      t.tw <- t.tw - c.weight;
       t.nrun <- t.nrun - 1;
       (* The queued entry just went stale. Guessing which queue holds it
          from [ve] is only a heuristic (promotion may have moved it);
          a misattributed report merely shifts when each queue compacts. *)
       if t.in_service <> id then begin
-        if c.vf.(0) <= t.vt.(0) then Keyed_heap.invalidate t.eligible
+        if c.ve <= t.vt.v then Keyed_heap.invalidate t.eligible
         else Keyed_heap.invalidate t.future
       end
     end;
@@ -130,22 +108,20 @@ let depart t ~id =
     Hashtbl.remove t.clients id
 
 let set_weight t ~id ~weight =
-  if weight <= 0. then invalid_arg "Eevdf.set_weight: weight <= 0";
+  if weight <= 0 then invalid_arg "Eevdf.set_weight: weight <= 0";
   let c = get t id in
-  if c.runnable then t.tw.(0) <- t.tw.(0) -. c.weight +. weight;
+  if c.runnable then t.tw <- t.tw - c.weight + weight;
   c.weight <- weight
 
 (* Move every future client whose eligible time has been reached into the
-   eligible queue. Allocation-free: [peek_valid]/[pop_valid] return
-   sentinel ids and the peeked key reads back through the cached cell. *)
+   eligible queue. *)
 let rec promote t =
   let id = Keyed_heap.peek_valid t.future in
-  if id >= 0 && t.fu_peek.(0) <= t.vt.(0) then begin
+  if id >= 0 && Keyed_heap.peeked_key t.future <= t.vt.v then begin
     ignore (Keyed_heap.pop_valid t.future);
     let c = get t id in
     c.gen <- c.gen + 1;
-    t.el_stage.(0) <- c.vf.(1);
-    Keyed_heap.push_staged t.eligible ~gen:c.gen ~id;
+    Keyed_heap.push t.eligible ~key:c.vd ~gen:c.gen ~id;
     promote t
   end
 
@@ -171,15 +147,17 @@ let charge t ~id ~service ~runnable =
   if t.in_service <> id then invalid_arg "Eevdf.charge: client not in service";
   t.in_service <- -1;
   let c = get t id in
-  if t.tw.(0) > 0. then t.vt.(0) <- t.vt.(0) +. (service /. t.tw.(0));
-  c.vf.(0) <- c.vf.(0) +. (service /. c.weight);
-  c.vf.(1) <- c.vf.(0) +. (t.q /. c.weight);
+  Vtime.advance t.vt ~service ~weight:t.tw;
+  let step = Vtime.step ~service ~weight:c.weight ~rem:c.rem in
+  c.rem <- Vtime.carry ~service ~weight:c.weight ~rem:c.rem ~step;
+  c.ve <- Vtime.add c.ve step;
+  c.vd <- deadline t c;
   if runnable then enqueue t id c
   else begin
     c.runnable <- false;
-    t.tw.(0) <- t.tw.(0) -. c.weight;
+    t.tw <- t.tw - c.weight;
     t.nrun <- t.nrun - 1
   end
 
 let backlogged t = t.nrun
-let virtual_time t = t.vt.(0)
+let virtual_time t = t.vt.v

@@ -1,11 +1,11 @@
 let algorithm_name = "fifo"
 
-type client = { mutable runnable : bool; mutable gen : int; mutable key : float }
+type client = { mutable runnable : bool; mutable gen : int; mutable key : int }
 
 type t = {
   clients : (int, client) Hashtbl.t;
   queue : Keyed_heap.t;
-  mutable next_key : float;
+  mutable next_key : int;
   mutable nrun : int;
   mutable in_service : int option;
 }
@@ -20,7 +20,7 @@ let create ?rng:_ ?quantum_hint:_ () =
     {
       clients = Hashtbl.create 16;
       queue = Keyed_heap.create ();
-      next_key = 0.;
+      next_key = 0;
       nrun = 0;
       in_service = None;
     }
@@ -40,12 +40,12 @@ let arrive t ~id ~weight:_ =
       c.runnable <- true;
       t.nrun <- t.nrun + 1;
       (* Re-arrival goes to the back of the line. *)
-      t.next_key <- t.next_key +. 1.;
+      t.next_key <- t.next_key + 1;
       c.key <- t.next_key;
       enqueue t id c
     end
   | None ->
-    t.next_key <- t.next_key +. 1.;
+    t.next_key <- t.next_key + 1;
     let c = { runnable = true; gen = 0; key = t.next_key } in
     Hashtbl.replace t.clients id c;
     t.nrun <- t.nrun + 1;
@@ -69,11 +69,12 @@ let set_weight _ ~id:_ ~weight:_ = ()
 let select t =
   if Option.is_some t.in_service then
     invalid_arg "select: a selection is already in service";
-  match Keyed_heap.pop t.queue ~valid:(valid t) with
-  | None -> None
-  | Some (_, id) ->
+  let id = Keyed_heap.pop_valid t.queue in
+  if id < 0 then None
+  else begin
     t.in_service <- Some id;
     Some id
+  end
 
 let charge t ~id ~service:_ ~runnable =
   (match t.in_service with
@@ -92,4 +93,4 @@ let charge t ~id ~service:_ ~runnable =
   end
 
 let backlogged t = t.nrun
-let virtual_time _ = 0.
+let virtual_time _ = 0

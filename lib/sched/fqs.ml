@@ -1,9 +1,10 @@
 let algorithm_name = "fqs"
 
 type client = {
-  mutable weight : float;
-  mutable finish : float;
-  mutable pend_s : float;
+  mutable weight : int;
+  mutable finish : int;
+  mutable rem : int; (* {!Vtime} remainder of [finish] *)
+  mutable pend_s : int;
   mutable runnable : bool;
   mutable gen : int;
 }
@@ -11,8 +12,8 @@ type client = {
 type t = {
   clients : (int, client) Hashtbl.t;
   queue : Keyed_heap.t;
-  mutable vt : float; (* GPS round number, advanced incrementally *)
-  mutable total_weight : float;
+  vt : Vtime.clock; (* GPS round number, advanced incrementally *)
+  mutable total_weight : int;
   mutable nrun : int;
   mutable in_service : int option;
 }
@@ -27,8 +28,8 @@ let create ?rng:_ ?quantum_hint:_ () =
     {
       clients = Hashtbl.create 16;
       queue = Keyed_heap.create ();
-      vt = 0.;
-      total_weight = 0.;
+      vt = Vtime.clock ();
+      total_weight = 0;
       nrun = 0;
       in_service = None;
     }
@@ -43,7 +44,8 @@ let get t id =
   | None -> invalid_arg (Printf.sprintf "%s: unknown client %d" algorithm_name id)
 
 let enqueue t id c =
-  c.pend_s <- Float.max t.vt c.finish;
+  if t.vt.v > c.finish then c.rem <- 0;
+  c.pend_s <- Int.max t.vt.v c.finish;
   c.gen <- c.gen + 1;
   Keyed_heap.push t.queue ~key:c.pend_s ~gen:c.gen ~id
 
@@ -52,15 +54,15 @@ let arrive t ~id ~weight =
   | Some c ->
     if not c.runnable then begin
       c.runnable <- true;
-      t.total_weight <- t.total_weight +. c.weight;
+      t.total_weight <- t.total_weight + c.weight;
       t.nrun <- t.nrun + 1;
       enqueue t id c
     end
   | None ->
-    if weight <= 0. then invalid_arg "Fqs.arrive: weight <= 0";
-    let c = { weight; finish = 0.; pend_s = 0.; runnable = true; gen = 0 } in
+    if weight <= 0 then invalid_arg "Fqs.arrive: weight <= 0";
+    let c = { weight; finish = 0; rem = 0; pend_s = 0; runnable = true; gen = 0 } in
     Hashtbl.replace t.clients id c;
-    t.total_weight <- t.total_weight +. c.weight;
+    t.total_weight <- t.total_weight + c.weight;
     t.nrun <- t.nrun + 1;
     enqueue t id c
 
@@ -69,7 +71,7 @@ let depart t ~id =
   | None -> ()
   | Some c ->
     if c.runnable then begin
-      t.total_weight <- t.total_weight -. c.weight;
+      t.total_weight <- t.total_weight - c.weight;
       t.nrun <- t.nrun - 1;
       (match t.in_service with
       | Some s when s = id -> ()
@@ -79,19 +81,20 @@ let depart t ~id =
     Hashtbl.remove t.clients id
 
 let set_weight t ~id ~weight =
-  if weight <= 0. then invalid_arg "Fqs.set_weight: weight <= 0";
+  if weight <= 0 then invalid_arg "Fqs.set_weight: weight <= 0";
   let c = get t id in
-  if c.runnable then t.total_weight <- t.total_weight -. c.weight +. weight;
+  if c.runnable then t.total_weight <- t.total_weight - c.weight + weight;
   c.weight <- weight
 
 let select t =
   if Option.is_some t.in_service then
     invalid_arg "select: a selection is already in service";
-  match Keyed_heap.pop t.queue ~valid:(valid t) with
-  | None -> None
-  | Some (_, id) ->
+  let id = Keyed_heap.pop_valid t.queue in
+  if id < 0 then None
+  else begin
     t.in_service <- Some id;
     Some id
+  end
 
 let charge t ~id ~service ~runnable =
   (match t.in_service with
@@ -99,14 +102,16 @@ let charge t ~id ~service ~runnable =
   | _ -> invalid_arg "Fqs.charge: client not in service");
   t.in_service <- None;
   let c = get t id in
-  if t.total_weight > 0. then t.vt <- t.vt +. (service /. t.total_weight);
-  c.finish <- c.pend_s +. (service /. c.weight);
+  Vtime.advance t.vt ~service ~weight:t.total_weight;
+  let step = Vtime.step ~service ~weight:c.weight ~rem:c.rem in
+  c.rem <- Vtime.carry ~service ~weight:c.weight ~rem:c.rem ~step;
+  c.finish <- Vtime.add c.pend_s step;
   if runnable then enqueue t id c
   else begin
     c.runnable <- false;
-    t.total_weight <- t.total_weight -. c.weight;
+    t.total_weight <- t.total_weight - c.weight;
     t.nrun <- t.nrun - 1
   end
 
 let backlogged t = t.nrun
-let virtual_time t = t.vt
+let virtual_time t = t.vt.v

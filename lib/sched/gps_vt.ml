@@ -3,23 +3,24 @@ open Hsfq_engine
 type order = Finish_tags | Start_tags
 
 type client = {
-  mutable weight : float;
-  mutable finish : float; (* finish tag of the last completed quantum *)
-  mutable pend_s : float;
-  mutable pend_f : float;
+  mutable weight : int;
+  mutable finish : int; (* finish tag of the last completed quantum *)
+  mutable rem : int; (* its {!Vtime} remainder *)
+  mutable pend_s : int;
+  mutable pend_f : int;
+  mutable pend_r : int;
   mutable runnable : bool;
   mutable gen : int;
 }
 
 type t = {
   order : order;
-  capacity : float;
-  lhat : float;
+  lhat : int;
   clients : (int, client) Hashtbl.t;
   queue : Keyed_heap.t;
-  mutable vt : float;
+  vt : Vtime.clock;
   mutable vt_as_of : Time.t; (* wall instant [vt] corresponds to *)
-  mutable total_weight : float;
+  mutable total_weight : int;
   mutable nrun : int;
   mutable in_service : int option;
 }
@@ -29,18 +30,16 @@ let valid t ~id ~gen =
   | None -> false
   | Some c -> c.runnable && c.gen = gen
 
-let create ~order ?(capacity = 1.0) ?(quantum_hint = 2e7) () =
-  if capacity <= 0. then invalid_arg "Gps_vt.create: capacity <= 0";
+let create ~order ?(quantum_hint = 20_000_000) () =
   let t =
     {
       order;
-      capacity;
       lhat = quantum_hint;
       clients = Hashtbl.create 16;
       queue = Keyed_heap.create ();
-      vt = 0.;
+      vt = Vtime.clock ();
       vt_as_of = Time.zero;
-      total_weight = 0.;
+      total_weight = 0;
       nrun = 0;
       in_service = None;
     }
@@ -54,19 +53,23 @@ let get t id =
   | Some c -> c
   | None -> invalid_arg (Printf.sprintf "Gps_vt: unknown client %d" id)
 
-(* Eq. 12: v grows with wall time at rate C / (sum of backlogged
+(* Eq. 12: v grows with wall time at rate 1 / (sum of backlogged
    weights); it stands still while no client is backlogged. *)
 let advance_vt t now =
   let dt = Time.diff now t.vt_as_of in
   if dt > 0 then begin
-    if t.total_weight > 0. then
-      t.vt <- t.vt +. (t.capacity *. float_of_int dt /. t.total_weight);
+    Vtime.advance t.vt ~service:dt ~weight:t.total_weight;
     t.vt_as_of <- now
   end
 
+(* WFQ's pending finish tag charges the assumed length up front; its
+   remainder is committed at [charge]. *)
 let enqueue t id c =
-  c.pend_s <- Float.max t.vt c.finish;
-  c.pend_f <- c.pend_s +. (t.lhat /. c.weight);
+  if t.vt.v > c.finish then c.rem <- 0;
+  c.pend_s <- Int.max t.vt.v c.finish;
+  let step = Vtime.step ~service:t.lhat ~weight:c.weight ~rem:c.rem in
+  c.pend_f <- Vtime.add c.pend_s step;
+  c.pend_r <- Vtime.carry ~service:t.lhat ~weight:c.weight ~rem:c.rem ~step;
   c.gen <- c.gen + 1;
   let key = match t.order with Finish_tags -> c.pend_f | Start_tags -> c.pend_s in
   Keyed_heap.push t.queue ~key ~gen:c.gen ~id
@@ -77,17 +80,18 @@ let arrive t ~now ~id ~weight =
   | Some c ->
     if not c.runnable then begin
       c.runnable <- true;
-      t.total_weight <- t.total_weight +. c.weight;
+      t.total_weight <- t.total_weight + c.weight;
       t.nrun <- t.nrun + 1;
       enqueue t id c
     end
   | None ->
-    if weight <= 0. then invalid_arg "Gps_vt.arrive: weight <= 0";
+    if weight <= 0 then invalid_arg "Gps_vt.arrive: weight <= 0";
     let c =
-      { weight; finish = 0.; pend_s = 0.; pend_f = 0.; runnable = true; gen = 0 }
+      { weight; finish = 0; rem = 0; pend_s = 0; pend_f = 0; pend_r = 0;
+        runnable = true; gen = 0 }
     in
     Hashtbl.replace t.clients id c;
-    t.total_weight <- t.total_weight +. c.weight;
+    t.total_weight <- t.total_weight + c.weight;
     t.nrun <- t.nrun + 1;
     enqueue t id c
 
@@ -96,7 +100,7 @@ let depart t ~id =
   | None -> ()
   | Some c ->
     if c.runnable then begin
-      t.total_weight <- t.total_weight -. c.weight;
+      t.total_weight <- t.total_weight - c.weight;
       t.nrun <- t.nrun - 1;
       (match t.in_service with
       | Some s when s = id -> ()
@@ -106,20 +110,21 @@ let depart t ~id =
     Hashtbl.remove t.clients id
 
 let set_weight t ~id ~weight =
-  if weight <= 0. then invalid_arg "Gps_vt.set_weight: weight <= 0";
+  if weight <= 0 then invalid_arg "Gps_vt.set_weight: weight <= 0";
   let c = get t id in
-  if c.runnable then t.total_weight <- t.total_weight -. c.weight +. weight;
+  if c.runnable then t.total_weight <- t.total_weight - c.weight + weight;
   c.weight <- weight
 
 let select t ~now =
   advance_vt t now;
   if Option.is_some t.in_service then
     invalid_arg "select: a selection is already in service";
-  match Keyed_heap.pop t.queue ~valid:(valid t) with
-  | None -> None
-  | Some (_, id) ->
+  let id = Keyed_heap.pop_valid t.queue in
+  if id < 0 then None
+  else begin
     t.in_service <- Some id;
     Some id
+  end
 
 let charge t ~now ~id ~service ~runnable =
   (match t.in_service with
@@ -131,14 +136,17 @@ let charge t ~now ~id ~service ~runnable =
   (match t.order with
   | Finish_tags ->
     (* WFQ: the assumed length was charged when the tag was computed. *)
-    c.finish <- c.pend_f
+    c.finish <- c.pend_f;
+    c.rem <- c.pend_r
   | Start_tags ->
     (* FQS: finish tags use the actual length. *)
-    c.finish <- c.pend_s +. (service /. c.weight));
+    let step = Vtime.step ~service ~weight:c.weight ~rem:c.rem in
+    c.rem <- Vtime.carry ~service ~weight:c.weight ~rem:c.rem ~step;
+    c.finish <- Vtime.add c.pend_s step);
   if runnable then enqueue t id c
   else begin
     c.runnable <- false;
-    t.total_weight <- t.total_weight -. c.weight;
+    t.total_weight <- t.total_weight - c.weight;
     t.nrun <- t.nrun - 1
   end
 
@@ -146,4 +154,4 @@ let backlogged t = t.nrun
 
 let virtual_time t ~now =
   advance_vt t now;
-  t.vt
+  t.vt.v

@@ -3,8 +3,9 @@
 
     The textbook WFQ definition (paper eq. 12) advances virtual time with
     {e wall-clock} time at rate [C / (sum of backlogged weights)], where
-    [C] is the server's nominal capacity. When the bandwidth actually
-    available fluctuates below [C] — e.g. the scheduler sits at a
+    [C] is the server's nominal capacity — here one fully dedicated CPU
+    (one ns of work per ns). When the bandwidth actually available
+    fluctuates below [C] — e.g. the scheduler sits at a
     hierarchy node whose siblings come and go — v(t) races ahead of the
     service actually delivered, every client's tags re-anchor to [max(v,
     F)], and the allocation degrades toward unweighted round-robin. This
@@ -21,18 +22,18 @@ type t
 
 type order = Finish_tags  (** WFQ *) | Start_tags  (** FQS *)
 
-val create : order:order -> ?capacity:float -> ?quantum_hint:float -> unit -> t
-(** [capacity] is the nominal service rate in work-per-ns (default 1.0 —
-    a fully dedicated CPU); [quantum_hint] the assumed quantum in work
-    units (default 2e7, i.e. 20 ms at capacity 1). *)
+val create : order:order -> ?quantum_hint:int -> unit -> t
+(** [quantum_hint] is the assumed quantum in ns (default 20 ms). *)
 
-val arrive : t -> now:Hsfq_engine.Time.t -> id:int -> weight:float -> unit
+val arrive : t -> now:Hsfq_engine.Time.t -> id:int -> weight:int -> unit
+(** [weight] in {!Vtime} units. *)
+
 val depart : t -> id:int -> unit
-val set_weight : t -> id:int -> weight:float -> unit
+val set_weight : t -> id:int -> weight:int -> unit
 val select : t -> now:Hsfq_engine.Time.t -> int option
 val charge :
-  t -> now:Hsfq_engine.Time.t -> id:int -> service:float -> runnable:bool -> unit
+  t -> now:Hsfq_engine.Time.t -> id:int -> service:int -> runnable:bool -> unit
 
 val backlogged : t -> int
-val virtual_time : t -> now:Hsfq_engine.Time.t -> float
-(** The GPS round number, advanced to [now]. *)
+val virtual_time : t -> now:Hsfq_engine.Time.t -> int
+(** The GPS round number ({!Vtime} scale), advanced to [now]. *)

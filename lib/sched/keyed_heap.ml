@@ -1,10 +1,10 @@
 (* Structure-of-arrays binary min-heap on (key, seq), carrying (gen, id).
 
    The hot path of every scheduler in this repository is push/pop on this
-   heap, so the representation is four parallel flat arrays instead of a
-   boxed entry record behind a polymorphic comparator: a push writes one
-   float and three ints, a pop swaps array cells — no per-entry
-   allocation, no closure call per comparison.
+   heap, so the representation is four parallel flat int arrays instead
+   of a boxed entry record behind a polymorphic comparator: a push
+   writes four ints, a pop swaps array cells — no per-entry allocation,
+   no closure call per comparison.
 
    Lazy deletion needs a backstop: a client that cycles
    arrive -> block without ever being selected leaves one stale entry per
@@ -15,7 +15,7 @@
    O(1) per stale entry). *)
 
 type t = {
-  mutable keys : float array;
+  mutable keys : int array;
   mutable seqs : int array;
   mutable gens : int array;
   mutable ids : int array;
@@ -23,9 +23,8 @@ type t = {
   mutable next_seq : int;
   mutable stale : int; (* caller-reported invalidations still queued *)
   mutable validator : (id:int -> gen:int -> bool) option;
-  last : float array; (* key of the most recently popped entry *)
-  stage : float array; (* key for the next [push_staged] *)
-  peeked : float array; (* key of the most recently peeked entry *)
+  mutable last : int; (* key of the most recently popped entry *)
+  mutable peeked : int; (* key of the most recent [peek_valid] hit *)
 }
 
 let create () =
@@ -38,25 +37,16 @@ let create () =
     next_seq = 0;
     stale = 0;
     validator = None;
-    last = [| 0. |];
-    stage = [| 0. |];
-    peeked = [| 0. |];
+    last = 0;
+    peeked = 0;
   }
 
 let set_validator t valid = t.validator <- Some valid
 let invalidate t = t.stale <- t.stale + 1
 
 let size t = t.size
-let last_key t = t.last.(0)
-
-(* The cells are exposed directly because, under dune's dev profile
-   (-opaque, no cross-module inlining), a [float]-returning or
-   [float]-taking function boxes at every call. Callers on a
-   per-decision path cache the array once and read/write [.(0)] — an
-   unboxed float-array access. *)
-let last_key_cell t = t.last
-let stage_cell t = t.stage
-let peeked_key_cell t = t.peeked
+let last_key t = t.last
+let peeked_key t = t.peeked
 
 let clear t =
   t.size <- 0;
@@ -65,7 +55,7 @@ let clear t =
 (* Strict ordering: smaller key first, FIFO (push sequence) among ties. *)
 let lt t i j =
   let ki = t.keys.(i) and kj = t.keys.(j) in
-  if ki < kj then true else if kj < ki then false else t.seqs.(i) < t.seqs.(j)
+  ki < kj || (ki = kj && t.seqs.(i) < t.seqs.(j))
 
 let swap t i j =
   let k = t.keys.(i) in
@@ -105,7 +95,7 @@ let grow t =
   let cap = Array.length t.keys in
   if t.size >= cap then begin
     let ncap = if cap = 0 then 16 else cap * 2 in
-    let nk = Array.make ncap 0. in
+    let nk = Array.make ncap 0 in
     Array.blit t.keys 0 nk 0 t.size;
     t.keys <- nk;
     let ns = Array.make ncap 0 in
@@ -184,23 +174,17 @@ let compact t =
    big enough for the O(n) rebuild to beat their log-factor drag. *)
 let needs_compaction t = t.size >= 64 && 2 * t.stale > t.size
 
-(* The key is read from [t.stage] rather than passed as an argument:
-   under -opaque a float argument to a cross-module call is boxed. *)
-let push_staged t ~gen ~id =
+let push t ~key ~gen ~id =
   if needs_compaction t then compact t;
   grow t;
   let i = t.size in
-  t.keys.(i) <- t.stage.(0);
+  t.keys.(i) <- key;
   t.seqs.(i) <- t.next_seq;
   t.gens.(i) <- gen;
   t.ids.(i) <- id;
   t.next_seq <- t.next_seq + 1;
   t.size <- t.size + 1;
   sift_up t i
-
-let push t ~key ~gen ~id =
-  t.stage.(0) <- key;
-  push_staged t ~gen ~id
 
 let remove_top t =
   t.size <- t.size - 1;
@@ -216,43 +200,17 @@ let remove_top t =
 
 let dropped_stale t = if t.stale > 0 then t.stale <- t.stale - 1
 
-let rec pop t ~valid =
-  if t.size = 0 then None
-  else begin
-    let key = t.keys.(0) and gen = t.gens.(0) and id = t.ids.(0) in
-    remove_top t;
-    if valid ~id ~gen then begin
-      t.last.(0) <- key;
-      Some (key, id)
-    end
-    else begin
-      dropped_stale t;
-      pop t ~valid
-    end
-  end
-
-let rec peek t ~valid =
-  if t.size = 0 then None
-  else
-    let gen = t.gens.(0) and id = t.ids.(0) in
-    if valid ~id ~gen then Some (t.keys.(0), id)
-    else begin
-      remove_top t;
-      dropped_stale t;
-      peek t ~valid
-    end
-
-(* Allocation-free variants against the installed validator: the popped
-   entry's id (or -1 on empty), its key readable via [last_key]. The
-   loop is a top-level function — a local [let rec] would allocate a
-   closure over [t] and [valid] on every call. *)
+(* Pops and peeks run against the installed validator and return the
+   entry's id (or -1 on empty), its key readable via [last_key] /
+   [peeked_key]. The loop is a top-level function — a local [let rec]
+   would allocate a closure over [t] and [valid] on every call. *)
 let rec pop_valid_loop t valid =
   if t.size = 0 then -1
   else begin
     let key = t.keys.(0) and gen = t.gens.(0) and id = t.ids.(0) in
     remove_top t;
     if valid ~id ~gen then begin
-      t.last.(0) <- key;
+      t.last <- key;
       id
     end
     else begin
@@ -271,7 +229,7 @@ let rec peek_valid_loop t valid =
   else begin
     let gen = t.gens.(0) and id = t.ids.(0) in
     if valid ~id ~gen then begin
-      t.peeked.(0) <- t.keys.(0);
+      t.peeked <- t.keys.(0);
       id
     end
     else begin
@@ -290,8 +248,7 @@ let stale_bound t = t.stale
 
 let capacity t = Array.length t.keys
 
-(* Retained words across the four columns (floats are unboxed in a
-   float array: 1 word each, plus 3 int columns and headers). *)
+(* Retained words across the four int columns, headers included. *)
 let footprint_words t = (4 * Array.length t.keys) + 8
 
 (* Rewrite queued entry ids through [map] (old id -> new id, negative =

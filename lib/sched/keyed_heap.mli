@@ -7,10 +7,16 @@
     insertion order (FIFO), making runs deterministic — the paper's
     "ties are broken arbitrarily".
 
-    The representation is structure-of-arrays ([float array] keys plus
-    [int array] seq/gen/id): pushes and pops allocate nothing in steady
-    state, and comparisons are inlined rather than dispatched through a
-    closure.
+    The representation is structure-of-arrays (four [int array]
+    columns: key, seq, gen, id): pushes and pops allocate nothing in
+    steady state, and comparisons are inlined rather than dispatched
+    through a closure.
+
+    Keys are exact integers — virtual-time tags ({!Vtime}), deadlines or
+    sequence numbers in ns — so equal keys are genuinely equal and the
+    FIFO tie-break is the whole of the ordering contract.  Any [int] is
+    a valid key; callers keep their tags below [max_int] ({!Vtime.add}
+    raises rather than wrap).
 
     Lazy deletion alone lets a heap grow without bound (a client cycling
     arrive -> block without being selected adds one stale entry per
@@ -25,59 +31,33 @@ type t
 val create : unit -> t
 
 val set_validator : t -> (id:int -> gen:int -> bool) -> unit
-(** Install the predicate used by compaction and {!pop_valid}. Typically
-    a single closure built once at scheduler creation. *)
+(** Install the predicate used by compaction, {!pop_valid} and
+    {!peek_valid}. Typically a single closure built once at scheduler
+    creation. *)
 
 val invalidate : t -> unit
 (** Note that one queued entry just went stale (its client's generation
     was bumped while queued). Drives the compaction trigger; harmless to
     under-report (compaction then triggers later, via pops). *)
 
-val push : t -> key:float -> gen:int -> id:int -> unit
-
-val push_staged : t -> gen:int -> id:int -> unit
-(** [push] with the key read from {!stage_cell}. Under dune's dev
-    profile ([-opaque], no cross-module inlining) a [float] argument to
-    a cross-module call is boxed; writing the key into the staging cell
-    (an unboxed float-array store) and calling this instead keeps a
-    re-enqueue allocation-free. *)
-
-val pop : t -> valid:(id:int -> gen:int -> bool) -> (float * int) option
-(** Pop the minimum-key entry for which [valid] holds, discarding stale
-    entries along the way. *)
-
-val peek : t -> valid:(id:int -> gen:int -> bool) -> (float * int) option
-(** Like [pop] but leaves the entry in place (stale prefix is still
-    discarded). *)
+val push : t -> key:int -> gen:int -> id:int -> unit
 
 val pop_valid : t -> int
-(** Allocation-free [pop] against the installed validator: returns the
-    popped id, or [-1] if no valid entry remains. The popped entry's key
-    is readable via {!last_key}. Raises [Invalid_argument] if no
-    validator was installed. *)
-
-val peek_valid : t -> int
-(** Allocation-free [peek] against the installed validator: the
-    minimum-key valid entry's id without removing it (stale prefix is
-    discarded), or [-1] if none. Its key is readable via
-    {!peeked_key_cell}. Raises [Invalid_argument] if no validator was
+(** Pop the minimum-key entry the installed validator accepts,
+    discarding stale entries along the way: returns its id, or [-1] if
+    no valid entry remains. The popped key is readable via {!last_key}.
+    Allocation-free. Raises [Invalid_argument] if no validator was
     installed. *)
 
-val last_key : t -> float
-(** Key of the most recently popped entry ({!pop} or {!pop_valid}). *)
+val peek_valid : t -> int
+(** Like {!pop_valid} but leaves the entry in place (the stale prefix
+    is still discarded); its key is readable via {!peeked_key}. *)
 
-val last_key_cell : t -> float array
-(** One-cell buffer backing {!last_key}. Hot-path callers cache it once
-    and read [.(0)] directly: a [float]-returning cross-module call
-    boxes its result under [-opaque], an array read does not. *)
+val last_key : t -> int
+(** Key of the most recently popped entry. *)
 
-val stage_cell : t -> float array
-(** One-cell buffer read by {!push_staged}; write the key to [.(0)]
-    before calling. *)
-
-val peeked_key_cell : t -> float array
-(** One-cell buffer holding the key of the most recent {!peek_valid}
-    hit; same caching discipline as {!last_key_cell}. *)
+val peeked_key : t -> int
+(** Key of the most recent {!peek_valid} hit. *)
 
 val compact : t -> unit
 (** Drop every stale entry now (needs an installed validator; no-op

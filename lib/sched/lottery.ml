@@ -3,7 +3,7 @@ open Hsfq_engine
 let algorithm_name = "lottery"
 
 type client = {
-  mutable weight : float;
+  mutable weight : int;
   mutable runnable : bool;
   mutable slot : int; (* position in the dense ready set; -1 when idle *)
 }
@@ -12,18 +12,11 @@ type t = {
   clients : (int, client) Hashtbl.t;
   rng : Prng.t;
   (* Dense ready set (SoA): runnable client ids and their weights in
-     matching slots, so a draw is one linear pass over a flat float
-     array — no hashtable iteration, no closure, no boxing. *)
+     matching slots, so a draw is one linear pass over a flat int
+     array — no hashtable iteration, no closure. *)
   mutable rids : int array;
-  mutable rweights : float array;
-  acc : float array; (* 1-cell ticket accumulator (unboxed stores) *)
-  draw : float array;
-      (* 1-cell landing pad for [Prng.unit_float_into]: the draw's boxed
-         cross-unit float return was the last allocation in a decision *)
-  mutable winner : int;
-  tw : float array;
-      (* 1-cell total runnable weight: a [mutable float] field in this
-         mixed record would box on every ready-set change *)
+  mutable rweights : int array;
+  mutable tw : int; (* total runnable weight *)
   mutable nrun : int;
   mutable in_service : int; (* -1 = none *)
 }
@@ -35,10 +28,7 @@ let create ?rng ?quantum_hint:_ () =
     rng;
     rids = [||];
     rweights = [||];
-    acc = [| 0. |];
-    draw = [| 0. |];
-    winner = -1;
-    tw = [| 0. |];
+    tw = 0;
     nrun = 0;
     in_service = -1;
   }
@@ -55,7 +45,7 @@ let ready_add t id c =
   let cap = Array.length t.rids in
   if t.nrun >= cap then begin
     let ncap = if cap = 0 then 16 else cap * 2 in
-    let ni = Array.make ncap 0 and nw = Array.make ncap 0. in
+    let ni = Array.make ncap 0 and nw = Array.make ncap 0 in
     Array.blit t.rids 0 ni 0 t.nrun;
     Array.blit t.rweights 0 nw 0 t.nrun;
     t.rids <- ni;
@@ -65,7 +55,7 @@ let ready_add t id c =
   t.rweights.(t.nrun) <- c.weight;
   c.slot <- t.nrun;
   t.nrun <- t.nrun + 1;
-  t.tw.(0) <- t.tw.(0) +. c.weight
+  t.tw <- t.tw + c.weight
 
 let ready_remove t c =
   let s = c.slot in
@@ -78,7 +68,7 @@ let ready_remove t c =
   end;
   c.slot <- -1;
   t.nrun <- last;
-  t.tw.(0) <- t.tw.(0) -. c.weight
+  t.tw <- t.tw - c.weight
 
 let arrive t ~id ~weight =
   match Hashtbl.find t.clients id with
@@ -88,7 +78,7 @@ let arrive t ~id ~weight =
       ready_add t id c
     end
   | exception Not_found ->
-    if weight <= 0. then invalid_arg "Lottery.arrive: weight <= 0";
+    if weight <= 0 then invalid_arg "Lottery.arrive: weight <= 0";
     let c = { weight; runnable = true; slot = -1 } in
     Hashtbl.replace t.clients id c;
     ready_add t id c
@@ -101,13 +91,18 @@ let depart t ~id =
     Hashtbl.remove t.clients id
 
 let set_weight t ~id ~weight =
-  if weight <= 0. then invalid_arg "Lottery.set_weight: weight <= 0";
+  if weight <= 0 then invalid_arg "Lottery.set_weight: weight <= 0";
   let c = get t id in
   if c.runnable then begin
-    t.tw.(0) <- t.tw.(0) -. c.weight +. weight;
+    t.tw <- t.tw - c.weight + weight;
     t.rweights.(c.slot) <- weight
   end;
   c.weight <- weight
+
+(* The ready slot whose cumulative weight first exceeds [ticket]. *)
+let rec winner t ticket i acc =
+  let acc = acc + t.rweights.(i) in
+  if ticket < acc || i = t.nrun - 1 then t.rids.(i) else winner t ticket (i + 1) acc
 
 let select t =
   if t.in_service >= 0 then
@@ -118,16 +113,8 @@ let select t =
        The slot order is arbitrary (swap-removal permutes it) but fixed
        for a given state, and the draw itself is uniform, so the winner
        is distributed proportionally to weights regardless of order.
-       The last slot is the fallback against rounding drift. *)
-    Prng.unit_float_into t.rng t.draw;
-    let ticket = t.draw.(0) *. t.tw.(0) in
-    t.winner <- -1;
-    t.acc.(0) <- 0.;
-    for i = 0 to t.nrun - 1 do
-      t.acc.(0) <- t.acc.(0) +. t.rweights.(i);
-      if t.winner < 0 && ticket < t.acc.(0) then t.winner <- t.rids.(i)
-    done;
-    let id = if t.winner >= 0 then t.winner else t.rids.(t.nrun - 1) in
+       Integer tickets are exact: the walk always ends on a winner. *)
+    let id = winner t (Prng.int t.rng t.tw) 0 0 in
     t.in_service <- id;
     Some id
   end
@@ -142,4 +129,4 @@ let charge t ~id ~service:_ ~runnable =
   end
 
 let backlogged t = t.nrun
-let virtual_time _ = 0.
+let virtual_time _ = 0

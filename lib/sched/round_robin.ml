@@ -5,7 +5,7 @@ type client = { mutable runnable : bool; mutable gen : int }
 type t = {
   clients : (int, client) Hashtbl.t;
   ring : Keyed_heap.t; (* key = FIFO sequence, monotonically increasing *)
-  mutable next_key : float;
+  mutable next_key : int;
   mutable nrun : int;
   mutable in_service : int option;
 }
@@ -20,7 +20,7 @@ let create ?rng:_ ?quantum_hint:_ () =
     {
       clients = Hashtbl.create 16;
       ring = Keyed_heap.create ();
-      next_key = 0.;
+      next_key = 0;
       nrun = 0;
       in_service = None;
     }
@@ -31,7 +31,7 @@ let create ?rng:_ ?quantum_hint:_ () =
 
 let enqueue t id c =
   c.gen <- c.gen + 1;
-  t.next_key <- t.next_key +. 1.;
+  t.next_key <- t.next_key + 1;
   Keyed_heap.push t.ring ~key:t.next_key ~gen:c.gen ~id
 
 let arrive t ~id ~weight:_ =
@@ -66,11 +66,12 @@ let set_weight _ ~id:_ ~weight:_ = ()
 let select t =
   if Option.is_some t.in_service then
     invalid_arg "select: a selection is already in service";
-  match Keyed_heap.pop t.ring ~valid:(valid t) with
-  | None -> None
-  | Some (_, id) ->
+  let id = Keyed_heap.pop_valid t.ring in
+  if id < 0 then None
+  else begin
     t.in_service <- Some id;
     Some id
+  end
 
 let charge t ~id ~service:_ ~runnable =
   (match t.in_service with
@@ -89,4 +90,4 @@ let charge t ~id ~service:_ ~runnable =
   end
 
 let backlogged t = t.nrun
-let virtual_time _ = 0.
+let virtual_time _ = 0

@@ -1,9 +1,11 @@
 let algorithm_name = "scfq"
 
 type client = {
-  mutable weight : float;
-  mutable finish : float; (* finish tag of last completed quantum *)
-  mutable pend_f : float; (* finish tag of the queued quantum *)
+  mutable weight : int;
+  mutable finish : int;
+  mutable rem : int; (* {!Vtime} remainder of [finish] *)
+  mutable pend_f : int; (* finish tag of the pending quantum (assumed length) *)
+  mutable pend_r : int;
   mutable runnable : bool;
   mutable gen : int;
 }
@@ -11,10 +13,10 @@ type client = {
 type t = {
   clients : (int, client) Hashtbl.t;
   queue : Keyed_heap.t;
-  mutable vt : float; (* finish tag of quantum in service *)
+  mutable vt : int; (* finish tag of the quantum in service *)
   mutable nrun : int;
   mutable in_service : int option;
-  lhat : float;
+  lhat : int;
 }
 
 let valid t ~id ~gen =
@@ -22,12 +24,12 @@ let valid t ~id ~gen =
   | None -> false
   | Some c -> c.runnable && c.gen = gen
 
-let create ?rng:_ ?(quantum_hint = 1e7) () =
+let create ?rng:_ ?(quantum_hint = 10_000_000) () =
   let t =
     {
       clients = Hashtbl.create 16;
       queue = Keyed_heap.create ();
-      vt = 0.;
+      vt = 0;
       nrun = 0;
       in_service = None;
       lhat = quantum_hint;
@@ -43,7 +45,10 @@ let get t id =
   | None -> invalid_arg (Printf.sprintf "%s: unknown client %d" algorithm_name id)
 
 let enqueue t id c =
-  c.pend_f <- Float.max t.vt c.finish +. (t.lhat /. c.weight);
+  if t.vt > c.finish then c.rem <- 0;
+  let step = Vtime.step ~service:t.lhat ~weight:c.weight ~rem:c.rem in
+  c.pend_f <- Vtime.add (Int.max t.vt c.finish) step;
+  c.pend_r <- Vtime.carry ~service:t.lhat ~weight:c.weight ~rem:c.rem ~step;
   c.gen <- c.gen + 1;
   Keyed_heap.push t.queue ~key:c.pend_f ~gen:c.gen ~id
 
@@ -56,8 +61,11 @@ let arrive t ~id ~weight =
       enqueue t id c
     end
   | None ->
-    if weight <= 0. then invalid_arg "Scfq.arrive: weight <= 0";
-    let c = { weight; finish = 0.; pend_f = 0.; runnable = true; gen = 0 } in
+    if weight <= 0 then invalid_arg "Scfq.arrive: weight <= 0";
+    let c =
+      { weight; finish = 0; rem = 0; pend_f = 0; pend_r = 0; runnable = true;
+        gen = 0 }
+    in
     Hashtbl.replace t.clients id c;
     t.nrun <- t.nrun + 1;
     enqueue t id c
@@ -76,18 +84,19 @@ let depart t ~id =
     Hashtbl.remove t.clients id
 
 let set_weight t ~id ~weight =
-  if weight <= 0. then invalid_arg "Scfq.set_weight: weight <= 0";
+  if weight <= 0 then invalid_arg "Scfq.set_weight: weight <= 0";
   (get t id).weight <- weight
 
 let select t =
   if Option.is_some t.in_service then
     invalid_arg "select: a selection is already in service";
-  match Keyed_heap.pop t.queue ~valid:(valid t) with
-  | None -> None
-  | Some (key, id) ->
+  let id = Keyed_heap.pop_valid t.queue in
+  if id < 0 then None
+  else begin
     t.in_service <- Some id;
-    t.vt <- key;
+    t.vt <- Keyed_heap.last_key t.queue;
     Some id
+  end
 
 let charge t ~id ~service:_ ~runnable =
   (match t.in_service with
@@ -96,6 +105,7 @@ let charge t ~id ~service:_ ~runnable =
   t.in_service <- None;
   let c = get t id in
   c.finish <- c.pend_f;
+  c.rem <- c.pend_r;
   if runnable then enqueue t id c
   else begin
     c.runnable <- false;

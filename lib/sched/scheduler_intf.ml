@@ -6,6 +6,12 @@
     (threads or scheduling-structure nodes) identified by integers, each
     with a positive weight.
 
+    Units: weights are fixed-point {!Vtime} units ([Vtime.unit] = 1.0),
+    service is integer nanoseconds, and virtual time is an exact integer
+    in ns per weight unit scaled by [Vtime.unit] (a weight-1.0 client's
+    tags advance by exactly its service).  Floats enter only at the admin
+    boundary, through {!Vtime.weight_of_float}.
+
     Protocol, driven by the kernel or by a test harness:
     {ol
     {- [arrive] announces that a client is runnable (first time or after
@@ -29,33 +35,36 @@ module type FAIR = sig
 
   val algorithm_name : string
 
-  val create : ?rng:Hsfq_engine.Prng.t -> ?quantum_hint:float -> unit -> t
+  val create : ?rng:Hsfq_engine.Prng.t -> ?quantum_hint:int -> unit -> t
   (** [rng] is required only by randomized algorithms (lottery) and
       otherwise ignored. [quantum_hint] (default 10 ms, in ns) is the
       assumed/standard quantum for algorithms that need one. *)
 
-  val arrive : t -> id:int -> weight:float -> unit
-  (** Mark client [id] runnable with the given weight. Idempotent when the
-      client is already runnable (the weight argument is then ignored;
-      use [set_weight] to change it). [weight] must be positive. *)
+  val arrive : t -> id:int -> weight:int -> unit
+  (** Mark client [id] runnable with the given weight (in {!Vtime}
+      units). Idempotent when the client is already runnable (the weight
+      argument is then ignored; use [set_weight] to change it). [weight]
+      must be positive. *)
 
   val depart : t -> id:int -> unit
   (** Forget the client completely. *)
 
-  val set_weight : t -> id:int -> weight:float -> unit
+  val set_weight : t -> id:int -> weight:int -> unit
 
   val select : t -> int option
   (** Choose the next client to serve; [None] iff no client is runnable.
       The chosen client is "in service" until the matching [charge]. *)
 
-  val charge : t -> id:int -> service:float -> runnable:bool -> unit
-  (** Account [service] units to the in-service client [id]; [runnable]
-      says whether it stays in the ready set (false = it blocked). *)
+  val charge : t -> id:int -> service:int -> runnable:bool -> unit
+  (** Account [service] ns to the in-service client [id]; [runnable]
+      says whether it stays in the ready set (false = it blocked).
+      Raises [Invalid_argument] rather than wrap if a tag would pass
+      [max_int] (see {!Vtime} for the horizon). *)
 
   val backlogged : t -> int
   (** Number of runnable clients (including one in service, if any). *)
 
-  val virtual_time : t -> float
+  val virtual_time : t -> int
   (** The algorithm's notion of virtual time, for tests and diagnostics
-      (0. for algorithms without one, e.g. lottery). *)
+      (0 for algorithms without one, e.g. lottery). *)
 end

@@ -1,9 +1,10 @@
 let algorithm_name = "stride"
 
 type client = {
-  mutable weight : float;
-  mutable pass : float;
-  mutable remain : float; (* pass - global_pass, saved while blocked *)
+  mutable weight : int;
+  mutable pass : int;
+  mutable rem : int; (* {!Vtime} remainder of [pass] *)
+  mutable remain : int; (* pass - global_pass, saved while blocked *)
   mutable runnable : bool;
   mutable gen : int;
 }
@@ -11,8 +12,8 @@ type client = {
 type t = {
   clients : (int, client) Hashtbl.t;
   queue : Keyed_heap.t;
-  mutable global_pass : float;
-  mutable total_weight : float;
+  global_pass : Vtime.clock;
+  mutable total_weight : int;
   mutable nrun : int;
   mutable in_service : int option;
 }
@@ -27,8 +28,8 @@ let create ?rng:_ ?quantum_hint:_ () =
     {
       clients = Hashtbl.create 16;
       queue = Keyed_heap.create ();
-      global_pass = 0.;
-      total_weight = 0.;
+      global_pass = Vtime.clock ();
+      total_weight = 0;
       nrun = 0;
       in_service = None;
     }
@@ -51,18 +52,20 @@ let arrive t ~id ~weight =
   | Some c ->
     if not c.runnable then begin
       c.runnable <- true;
-      c.pass <- t.global_pass +. Float.max 0. c.remain;
-      t.total_weight <- t.total_weight +. c.weight;
+      if c.remain <= 0 then c.rem <- 0;
+      c.pass <- Vtime.add t.global_pass.v (Int.max 0 c.remain);
+      t.total_weight <- t.total_weight + c.weight;
       t.nrun <- t.nrun + 1;
       enqueue t id c
     end
   | None ->
-    if weight <= 0. then invalid_arg "Stride.arrive: weight <= 0";
+    if weight <= 0 then invalid_arg "Stride.arrive: weight <= 0";
     let c =
-      { weight; pass = t.global_pass; remain = 0.; runnable = true; gen = 0 }
+      { weight; pass = t.global_pass.v; rem = 0; remain = 0; runnable = true;
+        gen = 0 }
     in
     Hashtbl.replace t.clients id c;
-    t.total_weight <- t.total_weight +. c.weight;
+    t.total_weight <- t.total_weight + c.weight;
     t.nrun <- t.nrun + 1;
     enqueue t id c
 
@@ -71,7 +74,7 @@ let depart t ~id =
   | None -> ()
   | Some c ->
     if c.runnable then begin
-      t.total_weight <- t.total_weight -. c.weight;
+      t.total_weight <- t.total_weight - c.weight;
       t.nrun <- t.nrun - 1;
       (match t.in_service with
       | Some s when s = id -> ()
@@ -81,19 +84,20 @@ let depart t ~id =
     Hashtbl.remove t.clients id
 
 let set_weight t ~id ~weight =
-  if weight <= 0. then invalid_arg "Stride.set_weight: weight <= 0";
+  if weight <= 0 then invalid_arg "Stride.set_weight: weight <= 0";
   let c = get t id in
-  if c.runnable then t.total_weight <- t.total_weight -. c.weight +. weight;
+  if c.runnable then t.total_weight <- t.total_weight - c.weight + weight;
   c.weight <- weight
 
 let select t =
   if Option.is_some t.in_service then
     invalid_arg "select: a selection is already in service";
-  match Keyed_heap.pop t.queue ~valid:(valid t) with
-  | None -> None
-  | Some (_, id) ->
+  let id = Keyed_heap.pop_valid t.queue in
+  if id < 0 then None
+  else begin
     t.in_service <- Some id;
     Some id
+  end
 
 let charge t ~id ~service ~runnable =
   (match t.in_service with
@@ -101,16 +105,17 @@ let charge t ~id ~service ~runnable =
   | _ -> invalid_arg "Stride.charge: client not in service");
   t.in_service <- None;
   let c = get t id in
-  c.pass <- c.pass +. (service /. c.weight);
-  if t.total_weight > 0. then
-    t.global_pass <- t.global_pass +. (service /. t.total_weight);
+  let step = Vtime.step ~service ~weight:c.weight ~rem:c.rem in
+  c.rem <- Vtime.carry ~service ~weight:c.weight ~rem:c.rem ~step;
+  c.pass <- Vtime.add c.pass step;
+  Vtime.advance t.global_pass ~service ~weight:t.total_weight;
   if runnable then enqueue t id c
   else begin
     c.runnable <- false;
-    c.remain <- c.pass -. t.global_pass;
-    t.total_weight <- t.total_weight -. c.weight;
+    c.remain <- c.pass - t.global_pass.v;
+    t.total_weight <- t.total_weight - c.weight;
     t.nrun <- t.nrun - 1
   end
 
 let backlogged t = t.nrun
-let virtual_time t = t.global_pass
+let virtual_time t = t.global_pass.v

@@ -1,10 +1,12 @@
 let algorithm_name = "wfq"
 
 type client = {
-  mutable weight : float;
-  mutable finish : float; (* finish tag of the last *completed* quantum *)
-  mutable pend_s : float; (* tags of the pending (queued) quantum *)
-  mutable pend_f : float;
+  mutable weight : int;
+  mutable finish : int; (* finish tag of the last *completed* quantum *)
+  mutable rem : int; (* its {!Vtime} remainder *)
+  mutable pend_s : int; (* tags of the pending (queued) quantum *)
+  mutable pend_f : int;
+  mutable pend_r : int;
   mutable runnable : bool;
   mutable gen : int;
 }
@@ -12,11 +14,11 @@ type client = {
 type t = {
   clients : (int, client) Hashtbl.t;
   queue : Keyed_heap.t;
-  mutable vt : float;
-  mutable total_weight : float; (* over runnable clients *)
+  vt : Vtime.clock;
+  mutable total_weight : int; (* over runnable clients *)
   mutable nrun : int;
   mutable in_service : int option;
-  lhat : float; (* assumed quantum length *)
+  lhat : int; (* assumed quantum length *)
 }
 
 let valid t ~id ~gen =
@@ -24,13 +26,13 @@ let valid t ~id ~gen =
   | None -> false
   | Some c -> c.runnable && c.gen = gen
 
-let create ?rng:_ ?(quantum_hint = 1e7) () =
+let create ?rng:_ ?(quantum_hint = 10_000_000) () =
   let t =
     {
       clients = Hashtbl.create 16;
       queue = Keyed_heap.create ();
-      vt = 0.;
-      total_weight = 0.;
+      vt = Vtime.clock ();
+      total_weight = 0;
       nrun = 0;
       in_service = None;
       lhat = quantum_hint;
@@ -45,9 +47,14 @@ let get t id =
   | Some c -> c
   | None -> invalid_arg (Printf.sprintf "%s: unknown client %d" algorithm_name id)
 
+(* The pending quantum is charged the assumed length up front; its
+   remainder is committed with the finish tag at [charge]. *)
 let enqueue t id c =
-  c.pend_s <- Float.max t.vt c.finish;
-  c.pend_f <- c.pend_s +. (t.lhat /. c.weight);
+  if t.vt.v > c.finish then c.rem <- 0;
+  c.pend_s <- Int.max t.vt.v c.finish;
+  let step = Vtime.step ~service:t.lhat ~weight:c.weight ~rem:c.rem in
+  c.pend_f <- Vtime.add c.pend_s step;
+  c.pend_r <- Vtime.carry ~service:t.lhat ~weight:c.weight ~rem:c.rem ~step;
   c.gen <- c.gen + 1;
   Keyed_heap.push t.queue ~key:c.pend_f ~gen:c.gen ~id
 
@@ -56,17 +63,18 @@ let arrive t ~id ~weight =
   | Some c ->
     if not c.runnable then begin
       c.runnable <- true;
-      t.total_weight <- t.total_weight +. c.weight;
+      t.total_weight <- t.total_weight + c.weight;
       t.nrun <- t.nrun + 1;
       enqueue t id c
     end
   | None ->
-    if weight <= 0. then invalid_arg "Wfq.arrive: weight <= 0";
+    if weight <= 0 then invalid_arg "Wfq.arrive: weight <= 0";
     let c =
-      { weight; finish = 0.; pend_s = 0.; pend_f = 0.; runnable = true; gen = 0 }
+      { weight; finish = 0; rem = 0; pend_s = 0; pend_f = 0; pend_r = 0;
+        runnable = true; gen = 0 }
     in
     Hashtbl.replace t.clients id c;
-    t.total_weight <- t.total_weight +. c.weight;
+    t.total_weight <- t.total_weight + c.weight;
     t.nrun <- t.nrun + 1;
     enqueue t id c
 
@@ -75,7 +83,7 @@ let depart t ~id =
   | None -> ()
   | Some c ->
     if c.runnable then begin
-      t.total_weight <- t.total_weight -. c.weight;
+      t.total_weight <- t.total_weight - c.weight;
       t.nrun <- t.nrun - 1;
       (* A runnable, not-in-service client has one queued entry; it just
          went stale. *)
@@ -87,19 +95,20 @@ let depart t ~id =
     Hashtbl.remove t.clients id
 
 let set_weight t ~id ~weight =
-  if weight <= 0. then invalid_arg "Wfq.set_weight: weight <= 0";
+  if weight <= 0 then invalid_arg "Wfq.set_weight: weight <= 0";
   let c = get t id in
-  if c.runnable then t.total_weight <- t.total_weight -. c.weight +. weight;
+  if c.runnable then t.total_weight <- t.total_weight - c.weight + weight;
   c.weight <- weight
 
 let select t =
   if Option.is_some t.in_service then
     invalid_arg "select: a selection is already in service";
-  match Keyed_heap.pop t.queue ~valid:(valid t) with
-  | None -> None
-  | Some (_, id) ->
+  let id = Keyed_heap.pop_valid t.queue in
+  if id < 0 then None
+  else begin
     t.in_service <- Some id;
     Some id
+  end
 
 let charge t ~id ~service ~runnable =
   (match t.in_service with
@@ -109,15 +118,16 @@ let charge t ~id ~service ~runnable =
   let c = get t id in
   (* GPS virtual time advances at rate 1/total weight of the backlogged
      set, which still includes the client we just served. *)
-  if t.total_weight > 0. then t.vt <- t.vt +. (service /. t.total_weight);
+  Vtime.advance t.vt ~service ~weight:t.total_weight;
   (* WFQ charges the assumed length, not the actual one. *)
   c.finish <- c.pend_f;
+  c.rem <- c.pend_r;
   if runnable then enqueue t id c
   else begin
     c.runnable <- false;
-    t.total_weight <- t.total_weight -. c.weight;
+    t.total_weight <- t.total_weight - c.weight;
     t.nrun <- t.nrun - 1
   end
 
 let backlogged t = t.nrun
-let virtual_time t = t.vt
+let virtual_time t = t.vt.v

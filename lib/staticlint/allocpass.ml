@@ -39,7 +39,9 @@ let default_configs =
   [
     (* [select] deliberately absent from sfq's roots: its [Some id]
        wrapper is the measured ~2 minor words/decision; the zero-alloc
-       contract is on [select_id]/[charge] and the staged entries. *)
+       contract is on [select_id]/[charge] and the slot-keyed entries.
+       Tags, weights and v(t) are ints, so tl-float-box on these roots
+       proves no float reaches a scheduling decision. *)
     (* [slot_lookup] (the id->slot hash of the id-keyed entries) and
        [register] (first arrival: slot allocation + table insert) are
        once-per-transition or once-per-lifetime, not per-decision; the
@@ -48,30 +50,34 @@ let default_configs =
        machinery on the depart path. *)
     {
       source = "lib/core/sfq.ml";
-      roots = [ "select_id"; "charge"; "charge_staged"; "arrive_staged" ];
+      roots =
+        [ "select_id"; "charge"; "charge_slot"; "arrive"; "arrive_slot";
+          "block_slot" ];
       cold = [ "grow"; "slot_lookup"; "register"; "compact"; "free_slot" ];
       barrier_free = [];
     };
-    (* Same shape one level up: [schedule]'s Some wrapper is the
-       option-returning convenience; the kernel dispatch loop runs on
+    (* Same shape one level up: the kernel dispatch loop runs on
        [schedule_id]/[update_ns], which must stay allocation-free. *)
     {
       source = "lib/core/hierarchy.ml";
-      roots = [ "schedule_id"; "update"; "update_ns"; "setrun"; "sleep" ];
+      roots = [ "schedule_id"; "update_ns"; "setrun"; "sleep" ];
       cold = [];
+      barrier_free = [];
+    };
+    (* The SFQ leaf adapter's per-event bodies (the kernel reaches them
+       through the leaf record's closures). [member_weight] is the
+       once-per-wake member lookup, cold like sfq's [slot_lookup]. *)
+    {
+      source = "lib/kernel/leaf_sched.ml";
+      roots = [ "sfq_enqueue"; "sfq_charge" ];
+      cold = [ "member_weight" ];
       barrier_free = [];
     };
     {
       source = "lib/sched/keyed_heap.ml";
       roots =
-        [
-          "push";
-          "push_staged";
-          "pop_valid";
-          "peek_valid";
-          "invalidate";
-          "last_key";
-        ];
+        [ "push"; "pop_valid"; "peek_valid"; "invalidate"; "last_key";
+          "peeked_key" ];
       cold = [ "grow"; "compact"; "shrink_if_sparse" ];
       barrier_free = [];
     };
@@ -150,21 +156,14 @@ let default_configs =
     {
       source = "lib/obs/trace.ml";
       roots =
-        [ "emitf"; "emit0"; "on"; "on_cell"; "stage"; "set_now"; "sys_set_now" ];
+        [ "emitf"; "emit0"; "on"; "on_cell"; "set_now"; "sys_set_now" ];
       cold = [];
       barrier_free = [];
     };
     {
       source = "lib/obs/metrics.ml";
       roots =
-        [
-          "charge_sample";
-          "charge_sample_staged";
-          "incr_preempt";
-          "wait_sample";
-          "wait_sample_staged";
-          "ensure";
-        ];
+        [ "charge_sample"; "incr_preempt"; "wait_sample"; "ensure" ];
       cold = [ "grow" ];
       barrier_free = [];
     };
@@ -302,7 +301,7 @@ let scan_body ~unit_name ~file ~fname ~arity_of body =
                   (Printf.sprintf
                      "float crosses the unit boundary at [%s]; the callee \
                       can't be inlined (-opaque), so the float boxes — \
-                      stage it in a local float record/array instead"
+                      keep the quantity an int (see Hsfq_sched.Vtime)"
                      name)
             end
           end

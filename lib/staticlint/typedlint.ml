@@ -55,7 +55,7 @@ let bench_budgets =
     ("keyed-heap/push+pop n=256", per_decision, 1.0); (* zero-alloc contract *)
     ("event-queue/churn n=256", per_decision, 1.0); (* timers store ints only: ~0 measured *)
     ("eevdf/Q=8", per_decision, 4.0); (* SoA cells: ~2 (the Some of FAIR select) *)
-    ("lottery/Q=8", per_decision, 6.0); (* staged draw cell: ~5 (down from ~7 boxed) *)
+    ("lottery/Q=8", per_decision, 6.0); (* integer ticket draw: ~5 measured *)
     ("svr4-ts/Q=8", per_decision, 2.0); (* ring deques + select_id: ~0 measured *)
     (* The sim_speed row of the kernel cycle (dev profile): the cycle
        itself allocates nothing; the rest is the interactive workloads'

@@ -67,7 +67,7 @@ let test_fig3_gantt_shape () =
 let test_umbrella_module () =
   (* The umbrella aliases must reach every layer. *)
   let s = Hsfq.Sfq.create () in
-  Hsfq.Sfq.arrive s ~id:1 ~weight:1.;
+  Hsfq.Sfq.arrive s ~id:1 ~weight:Hsfq.Sched.Vtime.unit;
   Alcotest.(check int) "core reachable" 1 (Hsfq.Sfq.backlogged s);
   let h = Hsfq.Hierarchy.create () in
   Alcotest.(check int) "hierarchy reachable" 1 (Hsfq.Hierarchy.node_count h);

@@ -7,7 +7,6 @@ open Hsfq_core
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
-let check_float = Alcotest.(check (float 1e-9))
 
 let ok where = function
   | Ok v -> v
@@ -34,16 +33,16 @@ let figure2 () =
   let user2 = ok "user2" (Hierarchy.mknod t ~name:"user2" ~parent:best ~weight:1. Hierarchy.Leaf) in
   (t, hard, soft, best, user1, user2)
 
-(* Run [n] schedule/update cycles with unit service; returns per-leaf
+(* Run [n] schedule/update cycles of 1 ms each; returns per-leaf
    selection counts. *)
 let spin t n =
   let counts = Hashtbl.create 8 in
   for _ = 1 to n do
-    match Hierarchy.schedule t with
-    | Some leaf ->
+    let leaf = Hierarchy.schedule_id t in
+    if leaf >= 0 then begin
       Hashtbl.replace counts leaf (1 + Option.value ~default:0 (Hashtbl.find_opt counts leaf));
-      Hierarchy.update t ~leaf ~service:1. ~leaf_runnable:true
-    | None -> ()
+      Hierarchy.update_ns t ~leaf ~service_ns:1_000_000 ~leaf_runnable:true
+    end
   done;
   fun leaf -> Option.value ~default:0 (Hashtbl.find_opt counts leaf)
 
@@ -112,7 +111,7 @@ let test_mknod_and_names () =
   Alcotest.(check (list int)) "children in creation order" [ user1 ]
     (List.filter (fun c -> Hierarchy.name_of t c = "/best-effort/user1")
        (Hierarchy.children_of t best));
-  check_float "weight stored" 6. (Hierarchy.weight t best)
+  check_int "weight stored, in units" 6_000_000 (Hierarchy.weight t best)
 
 let test_mknod_errors () =
   let t, hard, _, best, _, _ = figure2 () in
@@ -157,7 +156,7 @@ let test_rmnod () =
 let test_set_weight () =
   let t, hard, _, _, _, _ = figure2 () in
   Hierarchy.set_weight t hard 5.;
-  check_float "updated" 5. (Hierarchy.weight t hard);
+  check_int "updated" 5_000_000 (Hierarchy.weight t hard);
   Alcotest.check_raises "root weight"
     (Invalid_argument "Hierarchy.set_weight: root has no weight") (fun () ->
       Hierarchy.set_weight t Hierarchy.root 2.);
@@ -191,14 +190,14 @@ let test_sleep_stops_at_busy_ancestor () =
 let test_update_propagates_sleep () =
   let t, _, _, best, user1, _ = figure2 () in
   Hierarchy.setrun t user1;
-  (match Hierarchy.schedule t with
-  | Some leaf when leaf = user1 ->
-    Hierarchy.update t ~leaf ~service:10. ~leaf_runnable:false
+  (match Hierarchy.schedule_id t with
+  | leaf when leaf = user1 ->
+    Hierarchy.update_ns t ~leaf ~service_ns:10 ~leaf_runnable:false
   | _ -> Alcotest.fail "expected user1");
   check_bool "leaf idle" false (Hierarchy.is_runnable t user1);
   check_bool "best idle" false (Hierarchy.is_runnable t best);
   check_bool "root idle" false (Hierarchy.is_runnable t Hierarchy.root);
-  Alcotest.(check (option int)) "nothing schedulable" None (Hierarchy.schedule t)
+  check_int "nothing schedulable" (-1) (Hierarchy.schedule_id t)
 
 (* ------------------------ scheduling ratios -------------------------- *)
 
@@ -273,7 +272,7 @@ let test_deep_chain () =
 
 let test_schedule_empty () =
   let t, _, _, _, _, _ = figure2 () in
-  Alcotest.(check (option int)) "no runnable leaf" None (Hierarchy.schedule t)
+  check_int "no runnable leaf" (-1) (Hierarchy.schedule_id t)
 
 let test_donate_siblings_only () =
   let t, hard, soft, _, user1, _ = figure2 () in
@@ -287,8 +286,8 @@ let test_tag_accessors () =
     (Invalid_argument "Hierarchy.start_tag_of: root has no tags") (fun () ->
       ignore (Hierarchy.start_tag_of t Hierarchy.root));
   Hierarchy.setrun t hard;
-  check_float "initial start tag" 0. (Hierarchy.start_tag_of t hard);
-  check_float "root vt" 0. (Hierarchy.virtual_time_of t Hierarchy.root)
+  check_int "initial start tag" 0 (Hierarchy.start_tag_of t hard);
+  check_int "root vt" 0 (Hierarchy.virtual_time_of t Hierarchy.root)
 
 (* --------------------------- properties ------------------------------ *)
 
@@ -338,9 +337,9 @@ let prop_runnable_invariant =
           | _ -> (
             (* one scheduling cycle; the chosen leaf blocks when it
                matches i *)
-            match Hierarchy.schedule t with
-            | None -> ()
-            | Some leaf ->
+            match Hierarchy.schedule_id t with
+            | -1 -> ()
+            | leaf ->
               let idx =
                 match Array.to_list (Array.mapi (fun j l -> (j, l)) leaves)
                       |> List.find_opt (fun (_, l) -> l = leaf)
@@ -349,85 +348,9 @@ let prop_runnable_invariant =
                 | None -> -1
               in
               let still = idx <> i in
-              Hierarchy.update t ~leaf ~service:1. ~leaf_runnable:still;
+              Hierarchy.update_ns t ~leaf ~service_ns:1 ~leaf_runnable:still;
               if not still then model.(idx) <- false));
           consistent ())
-        ops)
-
-(* The kernel dispatch loop's sentinel-id protocol (schedule_id /
-   update_ns) must be observationally identical to the option-shaped
-   schedule/update: drive twin hierarchies through the same random
-   wake/sleep/schedule sequence, one per protocol, and require the same
-   selections, runnable flags and virtual times throughout. *)
-let prop_schedule_id_matches_schedule =
-  QCheck.Test.make ~name:"schedule_id/update_ns agree with schedule/update"
-    ~count:200
-    QCheck.(list_of_size (Gen.int_range 1 120) (pair (int_bound 3) (int_bound 2)))
-    (fun ops ->
-      let build () =
-        let t = Hierarchy.create () in
-        let mid =
-          ok "mid"
-            (Hierarchy.mknod t ~name:"mid" ~parent:Hierarchy.root ~weight:1.
-               Hierarchy.Internal)
-        in
-        let leaves =
-          [|
-            ok "l0"
-              (Hierarchy.mknod t ~name:"l0" ~parent:Hierarchy.root ~weight:1.
-                 Hierarchy.Leaf);
-            ok "l1" (Hierarchy.mknod t ~name:"l1" ~parent:mid ~weight:2. Hierarchy.Leaf);
-            ok "l2" (Hierarchy.mknod t ~name:"l2" ~parent:mid ~weight:3. Hierarchy.Leaf);
-            ok "l3"
-              (Hierarchy.mknod t ~name:"l3" ~parent:Hierarchy.root ~weight:4.
-                 Hierarchy.Leaf);
-          |]
-        in
-        (t, leaves)
-      in
-      let a, la = build () in
-      let b, lb = build () in
-      let agree () =
-        Array.for_all Fun.id
-          (Array.mapi
-             (fun i l ->
-               Hierarchy.is_runnable a l = Hierarchy.is_runnable b lb.(i)
-               && Float.abs
-                    (Hierarchy.start_tag_of a l -. Hierarchy.start_tag_of b lb.(i))
-                  < 1e-9)
-             la)
-        && Float.abs
-             (Hierarchy.virtual_time_of a Hierarchy.root
-             -. Hierarchy.virtual_time_of b Hierarchy.root)
-           < 1e-9
-      in
-      List.for_all
-        (fun (i, action) ->
-          (match action with
-          | 0 ->
-            Hierarchy.setrun a la.(i);
-            Hierarchy.setrun b lb.(i);
-            true
-          | 1 ->
-            if Hierarchy.is_runnable a la.(i) then begin
-              Hierarchy.sleep a la.(i);
-              Hierarchy.sleep b lb.(i)
-            end;
-            true
-          | _ -> (
-            let sa = Hierarchy.schedule a in
-            let sb = Hierarchy.schedule_id b in
-            match sa with
-            | None -> sb = -1
-            | Some leaf ->
-              leaf = sb
-              &&
-              (let still = leaf <> la.(i) in
-               Hierarchy.update a ~leaf ~service:3_000_000. ~leaf_runnable:still;
-               Hierarchy.update_ns b ~leaf:sb ~service_ns:3_000_000
-                 ~leaf_runnable:still;
-               true)))
-          && agree ())
         ops)
 
 (* Selection frequencies track weights for random 2-level trees. *)
@@ -461,11 +384,14 @@ let prop_chain_equals_flat =
   QCheck.Test.make ~name:"single-child chains are scheduling no-ops" ~count:60
     QCheck.(
       pair (int_range 1 8)
-        (list_of_size (Gen.int_range 10 80) (float_range 0.5 4.)))
+        (list_of_size (Gen.int_range 10 80) (int_range 1 4_000)))
     (fun (depth, quanta) ->
       (* Flat: three SFQ clients. *)
       let flat = Sfq.create () in
-      List.iteri (fun i w -> Sfq.arrive flat ~id:(i + 1) ~weight:w) [ 1.; 2.; 3. ];
+      List.iteri
+        (fun i w ->
+          Sfq.arrive flat ~id:(i + 1) ~weight:(Hsfq_sched.Vtime.weight_of_float w))
+        [ 1.; 2.; 3. ];
       (* Chained: the same three leaves under [depth] intermediate
          single-child nodes. *)
       let t = Hierarchy.create () in
@@ -498,13 +424,13 @@ let prop_chain_equals_flat =
             | None -> -1
           in
           let tree_pick =
-            match Hierarchy.schedule t with
-            | Some leaf ->
-              Hierarchy.update t ~leaf ~service ~leaf_runnable:true;
+            match Hierarchy.schedule_id t with
+            | -1 -> -3
+            | leaf ->
+              Hierarchy.update_ns t ~leaf ~service_ns:service ~leaf_runnable:true;
               (match List.find_opt (fun (_, l) -> l = leaf) leaves with
               | Some (i, _) -> i
               | None -> -2)
-            | None -> -3
           in
           flat_pick = tree_pick)
         quanta)
@@ -617,7 +543,6 @@ let () =
       ( "properties",
         [
           qc prop_runnable_invariant;
-          qc prop_schedule_id_matches_schedule;
           qc prop_weighted_shares;
           qc prop_chain_equals_flat;
         ] );

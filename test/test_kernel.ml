@@ -575,7 +575,7 @@ let test_mutex_donation_vs_no_donation_tags () =
   Alcotest.(check (option int)) "L holds, H waits" (Some l) (Kernel.mutex_holder k m);
   Kernel.run_until k (Time.milliseconds 30);
   let f = Hsfq_core.Sfq.finish_tag (Leaf_sched.Sfq_leaf.sfq sfq) ~id:l in
-  check_bool "finish tag shows 8x weight" true (f < 8e6)
+  check_bool "finish tag shows 8x weight" true (f < 8_000_000)
 
 let test_mutex_errors () =
   (* Both misuses surface as soon as the offending action is pulled —
@@ -1048,17 +1048,17 @@ let test_move_waiter_donation_follows () =
     (Kernel.state k waiter = Kernel.Blocked);
   let h1 = Leaf_sched.Sfq_leaf.sfq sfq1 in
   check_bool "no cross-leaf donation" true
-    (Sfq.effective_weight_of h1 ~id:holder = 2.);
+    (Sfq.effective_weight_of h1 ~id:holder = 2 * Hsfq_sched.Vtime.unit);
   Leaf_sched.Sfq_leaf.add sfq1 ~tid:waiter ~weight:3.;
   Kernel.move k waiter ~to_leaf:l1;
   audit_clean "after moving the waiter in" k;
   check_bool "waiter's weight donated to the holder" true
-    (Sfq.effective_weight_of h1 ~id:holder = 5.);
+    (Sfq.effective_weight_of h1 ~id:holder = 5 * Hsfq_sched.Vtime.unit);
   Leaf_sched.Sfq_leaf.add sfq2 ~tid:waiter ~weight:3.;
   Kernel.move k waiter ~to_leaf:l2;
   audit_clean "after moving the waiter back out" k;
   check_bool "donation revoked on the way out" true
-    (Sfq.effective_weight_of h1 ~id:holder = 2.);
+    (Sfq.effective_weight_of h1 ~id:holder = 2 * Hsfq_sched.Vtime.unit);
   Kernel.run_until k (Time.seconds 1);
   check_bool "both finish" true
     (Kernel.state k holder = Kernel.Exited

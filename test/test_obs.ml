@@ -21,7 +21,6 @@ module Time = Hsfq_engine.Time
 module Par = Hsfq_par.Par
 
 let check_int = Alcotest.(check int)
-let check_float = Alcotest.(check (float 1e-9))
 
 (* ------------------------------ ring -------------------------------- *)
 
@@ -33,11 +32,8 @@ let test_ring_capacity_rounding () =
 let test_ring_wraparound () =
   let r = Ring.create ~capacity:16 in
   for i = 0 to 19 do
-    let st = Ring.stage r in
-    st.(0) <- float_of_int i;
-    st.(1) <- float_of_int (-i);
     Ring.emit r ~code:i ~time:(100 * i) ~pid:1 ~a:i ~b:(i + 1) ~c:(i + 2)
-      ~d:(i + 3)
+      ~d:(i + 3) ~x:i ~y:(-i)
   done;
   check_int "total counts past wrap" 20 (Ring.total r);
   check_int "length caps at capacity" 16 (Ring.length r);
@@ -47,27 +43,16 @@ let test_ring_wraparound () =
   check_int "newest code" 19 (Ring.code r 15);
   check_int "payload a" 4 (Ring.a r 0);
   check_int "payload d" 7 (Ring.d r 0);
-  check_float "payload x" 4. (Ring.x r 0);
-  check_float "payload y" (-4.) (Ring.y r 0);
+  check_int "payload x" 4 (Ring.x r 0);
+  check_int "payload y" (-4) (Ring.y r 0);
   Alcotest.check_raises "index out of range"
     (Invalid_argument "Ring: index out of range") (fun () ->
       ignore (Ring.code r 16))
 
-let test_ring_stage_persists () =
-  let r = Ring.create ~capacity:16 in
-  (Ring.stage r).(0) <- 2.5;
-  (Ring.stage r).(1) <- -1.25;
-  Ring.emit r ~code:1 ~time:0 ~pid:1 ~a:0 ~b:0 ~c:0 ~d:0;
-  (* Emitting again without restaging records the previous payload. *)
-  Ring.emit r ~code:2 ~time:1 ~pid:1 ~a:0 ~b:0 ~c:0 ~d:0;
-  check_float "x copied" 2.5 (Ring.x r 0);
-  check_float "y copied" (-1.25) (Ring.y r 0);
-  check_float "stale stage re-recorded" 2.5 (Ring.x r 1)
-
 let test_ring_clear () =
   let r = Ring.create ~capacity:16 in
   for i = 1 to 5 do
-    Ring.emit r ~code:i ~time:i ~pid:1 ~a:0 ~b:0 ~c:0 ~d:0
+    Ring.emit r ~code:i ~time:i ~pid:1 ~a:0 ~b:0 ~c:0 ~d:0 ~x:0 ~y:0
   done;
   Ring.clear r;
   check_int "length after clear" 0 (Ring.length r);
@@ -79,7 +64,7 @@ let test_trace_disabled_records_nothing () =
   let tr = Trace.create ~capacity:64 ~enabled:false () in
   let s = Trace.register_sys tr ~label:"k" in
   Trace.emit0 s ~code:Trace.ev_spawn ~a:1 ~b:2 ~c:0 ~d:0;
-  Trace.emitf s ~code:Trace.ev_pick ~a:0 ~b:1 ~c:0 ~d:0;
+  Trace.emitf s ~code:Trace.ev_pick ~a:0 ~b:1 ~c:0 ~d:0 ~x:7 ~y:8;
   check_int "nothing recorded" 0 (Ring.total (Trace.ring tr));
   Alcotest.(check bool) "on mirrors enabled" false (Trace.on s);
   Trace.set_enabled tr true;
@@ -89,14 +74,14 @@ let test_trace_disabled_records_nothing () =
   check_int "stamped time" 42 (Ring.time (Trace.ring tr) 0);
   check_int "stamped pid" (Trace.pid s) (Ring.pid (Trace.ring tr) 0)
 
-let test_trace_emit0_zeroes_stage () =
+let test_trace_emit0_zero_payload () =
   let tr = Trace.create ~capacity:64 ~enabled:true () in
   let s = Trace.register_sys tr ~label:"k" in
-  (Trace.stage s).(0) <- 9.;
-  (Trace.stage s).(1) <- 9.;
+  Trace.emitf s ~code:Trace.ev_pick ~a:0 ~b:0 ~c:0 ~d:0 ~x:9 ~y:9;
   Trace.emit0 s ~code:Trace.ev_spawn ~a:0 ~b:0 ~c:0 ~d:0;
-  check_float "x zeroed" 0. (Ring.x (Trace.ring tr) 0);
-  check_float "y zeroed" 0. (Ring.y (Trace.ring tr) 0)
+  check_int "x recorded" 9 (Ring.x (Trace.ring tr) 0);
+  check_int "x zero" 0 (Ring.x (Trace.ring tr) 1);
+  check_int "y zero" 0 (Ring.y (Trace.ring tr) 1)
 
 let test_trace_sys_and_lanes () =
   let tr = Trace.create ~capacity:64 ~enabled:true () in
@@ -131,28 +116,28 @@ let test_code_names_distinct () =
 let test_metrics_accumulation () =
   let m = Metrics.create () in
   Alcotest.(check bool) "inactive before samples" false (Metrics.active m ~node:3);
-  Metrics.charge_sample m ~node:3 ~service:10. ~norm:5. ~vt:100.;
-  Metrics.charge_sample m ~node:3 ~service:6. ~norm:3. ~vt:104.;
+  Metrics.charge_sample m ~node:3 ~service:10 ~norm:5 ~vt:100;
+  Metrics.charge_sample m ~node:3 ~service:6 ~norm:3 ~vt:104;
   Metrics.incr_preempt m ~node:3;
-  Metrics.wait_sample m ~node:3 2.5e6;
-  Metrics.wait_sample m ~node:3 1e9 (* overflow bucket still counted *);
+  Metrics.wait_sample m ~node:3 2_500_000;
+  Metrics.wait_sample m ~node:3 1_000_000_000 (* overflow bucket still counted *);
   check_int "node_count" 4 (Metrics.node_count m);
   Alcotest.(check bool) "active" true (Metrics.active m ~node:3);
-  check_float "service" 16. (Metrics.service m ~node:3);
-  check_float "norm service" 8. (Metrics.norm_service m ~node:3);
+  check_int "service" 16 (Metrics.service m ~node:3);
+  check_int "norm service" 8 (Metrics.norm_service m ~node:3);
   check_int "quanta" 2 (Metrics.quanta m ~node:3);
   check_int "preemptions" 1 (Metrics.preemptions m ~node:3);
   (* lag = norm (8) - vt advance (104 - 100). *)
-  check_float "vt lag" 4. (Metrics.vt_lag m ~node:3);
+  check_int "vt lag" 4 (Metrics.vt_lag m ~node:3);
   (match Metrics.wait_histogram m ~node:3 with
   | None -> Alcotest.fail "expected a wait histogram"
   | Some h -> check_int "wait samples" 2 (Hsfq_engine.Histogram.count h));
   (* Untouched ids read as zero. *)
-  check_float "untouched service" 0. (Metrics.service m ~node:200);
+  check_int "untouched service" 0 (Metrics.service m ~node:200);
   check_int "untouched quanta" 0 (Metrics.quanta m ~node:200);
-  check_float "single-sample lag" 0.
+  check_int "single-sample lag" 0
     (let m2 = Metrics.create () in
-     Metrics.charge_sample m2 ~node:0 ~service:1. ~norm:1. ~vt:50.;
+     Metrics.charge_sample m2 ~node:0 ~service:1 ~norm:1 ~vt:50;
      Metrics.vt_lag m2 ~node:0)
 
 (* ------------------------ minimal JSON reader ----------------------- *)
@@ -410,7 +395,7 @@ let metrics_match_oracle ops =
   Sfq.set_obs q (Some s) ~node:0;
   let r = Ref.create () in
   let ids = 6 in
-  let service_acc = Array.make (ids + 1) 0. in
+  let service_acc = Array.make (ids + 1) 0 in
   let quanta_acc = Array.make (ids + 1) 0 in
   let ok =
     List.for_all
@@ -418,7 +403,7 @@ let metrics_match_oracle ops =
         let id = 1 + (id mod ids) in
         match op with
         | 0 | 1 ->
-          let weight = float_of_int (1 + (id mod 4)) in
+          let weight = (1 + (id mod 4)) * Hsfq_sched.Vtime.unit in
           Sfq.arrive q ~id ~weight;
           Ref.arrive r ~id ~weight;
           true
@@ -427,11 +412,11 @@ let metrics_match_oracle ops =
           match (a, Ref.select r) with
           | -1, None -> true
           | a, Some b when a = b ->
-            let service = float_of_int ((10 * id) + op) in
+            let service = (10 * id) + op in
             let runnable = (id + op) mod 2 = 0 in
             Sfq.charge q ~id:a ~service ~runnable;
             Ref.charge r ~id:b ~service ~runnable;
-            service_acc.(a) <- service_acc.(a) +. service;
+            service_acc.(a) <- service_acc.(a) + service;
             quanta_acc.(a) <- quanta_acc.(a) + 1;
             true
           | _ -> false (* selections diverged *))
@@ -443,7 +428,7 @@ let metrics_match_oracle ops =
           true
         | _ ->
           if Sfq.mem q ~id then begin
-            let weight = float_of_int id in
+            let weight = id * Hsfq_sched.Vtime.unit in
             Sfq.set_weight q ~id ~weight;
             Ref.set_weight r ~id ~weight
           end;
@@ -454,7 +439,7 @@ let metrics_match_oracle ops =
   ok
   && Array.for_all (fun i -> i)
        (Array.init (ids + 1) (fun id ->
-            Float.abs (Metrics.service m ~node:id -. service_acc.(id)) < 1e-6
+            Metrics.service m ~node:id = service_acc.(id)
             && Metrics.quanta m ~node:id = quanta_acc.(id)))
 
 let prop_service_metric_matches_oracle =
@@ -511,7 +496,6 @@ let () =
         [
           Alcotest.test_case "capacity rounding" `Quick test_ring_capacity_rounding;
           Alcotest.test_case "wraparound" `Quick test_ring_wraparound;
-          Alcotest.test_case "stage persists" `Quick test_ring_stage_persists;
           Alcotest.test_case "clear" `Quick test_ring_clear;
         ] );
       ( "trace",
@@ -519,7 +503,7 @@ let () =
           Alcotest.test_case "disabled records nothing" `Quick
             test_trace_disabled_records_nothing;
           Alcotest.test_case "emit0 zeroes stage" `Quick
-            test_trace_emit0_zeroes_stage;
+            test_trace_emit0_zero_payload;
           Alcotest.test_case "sys handles and lanes" `Quick
             test_trace_sys_and_lanes;
           Alcotest.test_case "code names distinct" `Quick

@@ -6,6 +6,7 @@ open Hsfq_sched
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+let u = Hsfq_sched.Vtime.unit
 let check_float = Alcotest.(check (float 1e-9))
 
 (* ------------------- generic FAIR battery ---------------------------- *)
@@ -13,32 +14,32 @@ let check_float = Alcotest.(check (float 1e-9))
 (* Shares of two always-backlogged clients with weights 1 and 3 after
    many unit quanta. *)
 let measured_ratio (module F : Scheduler_intf.FAIR) ~rounds =
-  let t = F.create ~rng:(Hsfq_engine.Prng.create 11) ~quantum_hint:1. () in
-  F.arrive t ~id:1 ~weight:1.;
-  F.arrive t ~id:2 ~weight:3.;
-  let work = [| 0.; 0. |] in
+  let t = F.create ~rng:(Hsfq_engine.Prng.create 11) ~quantum_hint:10 () in
+  F.arrive t ~id:1 ~weight:u;
+  F.arrive t ~id:2 ~weight:(3 * u);
+  let work = [| 0; 0 |] in
   for _ = 1 to rounds do
     match F.select t with
     | Some id ->
-      F.charge t ~id ~service:1. ~runnable:true;
-      work.(id - 1) <- work.(id - 1) +. 1.
+      F.charge t ~id ~service:10 ~runnable:true;
+      work.(id - 1) <- work.(id - 1) + 10
     | None -> Alcotest.fail "work conservation violated"
   done;
-  work.(1) /. work.(0)
+  float_of_int work.(1) /. float_of_int work.(0)
 
 let fair_battery name (module F : Scheduler_intf.FAIR) =
   let basic () =
     let t = F.create ~rng:(Hsfq_engine.Prng.create 1) () in
     check_int "empty backlog" 0 (F.backlogged t);
     Alcotest.(check (option int)) "empty select" None (F.select t);
-    F.arrive t ~id:7 ~weight:2.;
-    F.arrive t ~id:7 ~weight:5.;
+    F.arrive t ~id:7 ~weight:(2 * u);
+    F.arrive t ~id:7 ~weight:(5 * u);
     check_int "arrive idempotent" 1 (F.backlogged t);
     (match F.select t with
-    | Some 7 -> F.charge t ~id:7 ~service:1. ~runnable:false
+    | Some 7 -> F.charge t ~id:7 ~service:1 ~runnable:false
     | _ -> Alcotest.fail "expected client 7");
     check_int "blocked" 0 (F.backlogged t);
-    F.arrive t ~id:7 ~weight:2.;
+    F.arrive t ~id:7 ~weight:(2 * u);
     check_int "woke" 1 (F.backlogged t);
     F.depart t ~id:7;
     check_int "departed" 0 (F.backlogged t)
@@ -46,11 +47,11 @@ let fair_battery name (module F : Scheduler_intf.FAIR) =
   let conservation () =
     let t = F.create ~rng:(Hsfq_engine.Prng.create 2) () in
     for i = 1 to 4 do
-      F.arrive t ~id:i ~weight:(float_of_int i)
+      F.arrive t ~id:i ~weight:(i * u)
     done;
     for _ = 1 to 200 do
       match F.select t with
-      | Some id -> F.charge t ~id ~service:0.5 ~runnable:true
+      | Some id -> F.charge t ~id ~service:5 ~runnable:true
       | None -> Alcotest.fail "no selection with backlog"
     done;
     check_int "all still backlogged" 4 (F.backlogged t)
@@ -72,66 +73,66 @@ let test_proportional name (module F : Scheduler_intf.FAIR) ~tol () =
 let test_wfq_overcharges_short_quanta () =
   (* The §6 drawback: WFQ charges the assumed quantum, so a client that
      blocks early (uses 0.2 of its assumed 1.0) loses its fair share. *)
-  let t = Wfq.create ~quantum_hint:1. () in
-  Wfq.arrive t ~id:1 ~weight:1.;
-  Wfq.arrive t ~id:2 ~weight:1.;
-  let work = [| 0.; 0. |] in
+  let t = Wfq.create ~quantum_hint:10 () in
+  Wfq.arrive t ~id:1 ~weight:(1 * u);
+  Wfq.arrive t ~id:2 ~weight:(1 * u);
+  let work = [| 0; 0 |] in
   for _ = 1 to 600 do
     match Wfq.select t with
     | Some 1 ->
-      Wfq.charge t ~id:1 ~service:1. ~runnable:true;
-      work.(0) <- work.(0) +. 1.
+      Wfq.charge t ~id:1 ~service:10 ~runnable:true;
+      work.(0) <- work.(0) + 10
     | Some 2 ->
       (* Blocks immediately after a short burst, returns right away. *)
-      Wfq.charge t ~id:2 ~service:0.2 ~runnable:false;
-      work.(1) <- work.(1) +. 0.2;
-      Wfq.arrive t ~id:2 ~weight:1.
+      Wfq.charge t ~id:2 ~service:2 ~runnable:false;
+      work.(1) <- work.(1) + 2;
+      Wfq.arrive t ~id:2 ~weight:(1 * u)
     | _ -> Alcotest.fail "selection expected"
   done;
   check_bool "short-quantum client far below its half" true
-    (work.(1) /. work.(0) < 0.4)
+    (float_of_int work.(1) /. float_of_int work.(0) < 0.4)
 
 let test_fqs_charges_actual_length () =
   (* FQS fixes the WFQ problem: the same bursty client keeps pace. *)
   let t = Fqs.create () in
-  Fqs.arrive t ~id:1 ~weight:1.;
-  Fqs.arrive t ~id:2 ~weight:1.;
-  let work = [| 0.; 0. |] in
+  Fqs.arrive t ~id:1 ~weight:(1 * u);
+  Fqs.arrive t ~id:2 ~weight:(1 * u);
+  let work = [| 0; 0 |] in
   for _ = 1 to 600 do
     match Fqs.select t with
     | Some 1 ->
-      Fqs.charge t ~id:1 ~service:1. ~runnable:true;
-      work.(0) <- work.(0) +. 1.
+      Fqs.charge t ~id:1 ~service:10 ~runnable:true;
+      work.(0) <- work.(0) + 10
     | Some 2 ->
-      Fqs.charge t ~id:2 ~service:0.2 ~runnable:false;
-      work.(1) <- work.(1) +. 0.2;
-      Fqs.arrive t ~id:2 ~weight:1.
+      Fqs.charge t ~id:2 ~service:2 ~runnable:false;
+      work.(1) <- work.(1) + 2;
+      Fqs.arrive t ~id:2 ~weight:(1 * u)
     | _ -> Alcotest.fail "selection expected"
   done;
   (* The bursty client is demand-limited, but per unit of virtual time it
      is not penalized: it runs 5x as often as the hog. *)
   check_bool "bursty client runs much more often under FQS" true
-    (work.(1) /. work.(0) > 0.8)
+    (float_of_int work.(1) /. float_of_int work.(0) > 0.8)
 
 let test_scfq_virtual_time_is_finish_tag () =
-  let t = Scfq.create ~quantum_hint:2. () in
-  Scfq.arrive t ~id:1 ~weight:1.;
+  let t = Scfq.create ~quantum_hint:2 () in
+  Scfq.arrive t ~id:1 ~weight:(1 * u);
   (match Scfq.select t with
   | Some 1 -> ()
   | _ -> Alcotest.fail "client 1");
   (* F = max(v=0, 0) + 2/1 = 2 — v(t) is the in-service finish tag. *)
-  check_float "v = finish of in-service" 2. (Scfq.virtual_time t);
-  Scfq.charge t ~id:1 ~service:2. ~runnable:true
+  check_int "v = finish of in-service" 2 (Scfq.virtual_time t);
+  Scfq.charge t ~id:1 ~service:2 ~runnable:true
 
 let test_stride_deterministic_sequence () =
   let t = Stride.create () in
-  Stride.arrive t ~id:1 ~weight:1.;
-  Stride.arrive t ~id:2 ~weight:3.;
+  Stride.arrive t ~id:1 ~weight:(1 * u);
+  Stride.arrive t ~id:2 ~weight:(3 * u);
   let seq =
     List.init 8 (fun _ ->
         match Stride.select t with
         | Some id ->
-          Stride.charge t ~id ~service:1. ~runnable:true;
+          Stride.charge t ~id ~service:1 ~runnable:true;
           id
         | None -> Alcotest.fail "selection")
   in
@@ -141,24 +142,24 @@ let test_stride_deterministic_sequence () =
 
 let test_stride_remain_preserved () =
   let t = Stride.create () in
-  Stride.arrive t ~id:1 ~weight:1.;
-  Stride.arrive t ~id:2 ~weight:1.;
+  Stride.arrive t ~id:1 ~weight:(1 * u);
+  Stride.arrive t ~id:2 ~weight:(1 * u);
   (* Let 1 run ahead, then block it mid-stride; on wake it must not be
      owed the whole sleep. *)
   (match Stride.select t with
-  | Some id -> Stride.charge t ~id ~service:4. ~runnable:(id <> 1)
+  | Some id -> Stride.charge t ~id ~service:4 ~runnable:(id <> 1)
   | None -> Alcotest.fail "sel");
   for _ = 1 to 10 do
     match Stride.select t with
-    | Some id -> Stride.charge t ~id ~service:1. ~runnable:true
+    | Some id -> Stride.charge t ~id ~service:1 ~runnable:true
     | None -> Alcotest.fail "sel"
   done;
-  Stride.arrive t ~id:1 ~weight:1.;
+  Stride.arrive t ~id:1 ~weight:(1 * u);
   let counts = [| 0; 0 |] in
   for _ = 1 to 100 do
     match Stride.select t with
     | Some id ->
-      Stride.charge t ~id ~service:1. ~runnable:true;
+      Stride.charge t ~id ~service:1 ~runnable:true;
       counts.(id - 1) <- counts.(id - 1) + 1
     | None -> Alcotest.fail "sel"
   done;
@@ -173,31 +174,31 @@ let test_lottery_statistical_ratio () =
 let test_lottery_deterministic_under_seed () =
   let run () =
     let t = Lottery.create ~rng:(Hsfq_engine.Prng.create 77) () in
-    Lottery.arrive t ~id:1 ~weight:1.;
-    Lottery.arrive t ~id:2 ~weight:2.;
+    Lottery.arrive t ~id:1 ~weight:(1 * u);
+    Lottery.arrive t ~id:2 ~weight:(2 * u);
     List.init 50 (fun _ ->
         match Lottery.select t with
         | Some id ->
-          Lottery.charge t ~id ~service:1. ~runnable:true;
+          Lottery.charge t ~id ~service:1 ~runnable:true;
           id
         | None -> 0)
   in
   Alcotest.(check (list int)) "same seed, same draws" (run ()) (run ())
 
 let test_eevdf_eligibility () =
-  let t = Eevdf.create ~quantum_hint:1. () in
-  Eevdf.arrive t ~id:1 ~weight:1.;
-  Eevdf.arrive t ~id:2 ~weight:1.;
+  let t = Eevdf.create ~quantum_hint:10 () in
+  Eevdf.arrive t ~id:1 ~weight:(1 * u);
+  Eevdf.arrive t ~id:2 ~weight:(1 * u);
   (* Client 1 runs a big quantum: its eligible time moves far ahead, so
      client 2 must run the next several quanta. *)
   (match Eevdf.select t with
-  | Some id -> Eevdf.charge t ~id ~service:4. ~runnable:true
+  | Some id -> Eevdf.charge t ~id ~service:4 ~runnable:true
   | None -> Alcotest.fail "sel");
   let next3 =
     List.init 3 (fun _ ->
         match Eevdf.select t with
         | Some id ->
-          Eevdf.charge t ~id ~service:1. ~runnable:true;
+          Eevdf.charge t ~id ~service:1 ~runnable:true;
           id
         | None -> 0)
   in
@@ -205,13 +206,13 @@ let test_eevdf_eligibility () =
 
 let test_round_robin_ignores_weights () =
   let t = Round_robin.create () in
-  Round_robin.arrive t ~id:1 ~weight:1.;
-  Round_robin.arrive t ~id:2 ~weight:100.;
+  Round_robin.arrive t ~id:1 ~weight:(1 * u);
+  Round_robin.arrive t ~id:2 ~weight:(100 * u);
   let seq =
     List.init 6 (fun _ ->
         match Round_robin.select t with
         | Some id ->
-          Round_robin.charge t ~id ~service:1. ~runnable:true;
+          Round_robin.charge t ~id ~service:1 ~runnable:true;
           id
         | None -> 0)
   in
@@ -220,24 +221,24 @@ let test_round_robin_ignores_weights () =
 
 let test_fifo_runs_to_completion () =
   let t = Fifo_sched.create () in
-  Fifo_sched.arrive t ~id:1 ~weight:1.;
-  Fifo_sched.arrive t ~id:2 ~weight:1.;
+  Fifo_sched.arrive t ~id:1 ~weight:(1 * u);
+  Fifo_sched.arrive t ~id:2 ~weight:(1 * u);
   (* Head keeps being selected until it blocks. *)
   for _ = 1 to 3 do
     match Fifo_sched.select t with
-    | Some 1 -> Fifo_sched.charge t ~id:1 ~service:1. ~runnable:true
+    | Some 1 -> Fifo_sched.charge t ~id:1 ~service:1 ~runnable:true
     | _ -> Alcotest.fail "head should keep running"
   done;
   (match Fifo_sched.select t with
-  | Some 1 -> Fifo_sched.charge t ~id:1 ~service:1. ~runnable:false
+  | Some 1 -> Fifo_sched.charge t ~id:1 ~service:1 ~runnable:false
   | _ -> Alcotest.fail "head");
   (match Fifo_sched.select t with
-  | Some 2 -> Fifo_sched.charge t ~id:2 ~service:1. ~runnable:true
+  | Some 2 -> Fifo_sched.charge t ~id:2 ~service:1 ~runnable:true
   | _ -> Alcotest.fail "next in line");
   (* A re-arrival goes to the back. *)
-  Fifo_sched.arrive t ~id:1 ~weight:1.;
+  Fifo_sched.arrive t ~id:1 ~weight:(1 * u);
   match Fifo_sched.select t with
-  | Some 2 -> Fifo_sched.charge t ~id:2 ~service:1. ~runnable:true
+  | Some 2 -> Fifo_sched.charge t ~id:2 ~service:1 ~runnable:true
   | _ -> Alcotest.fail "2 still ahead of re-arrived 1"
 
 (* ------------------------- GPS real-time clock ----------------------- *)
@@ -245,33 +246,31 @@ let test_fifo_runs_to_completion () =
 let ms = Hsfq_engine.Time.milliseconds
 
 let test_gps_vt_advances_with_wall_time () =
-  let t = Gps_vt.create ~order:Gps_vt.Finish_tags ~capacity:1.0 ~quantum_hint:10. () in
-  Gps_vt.arrive t ~now:0 ~id:1 ~weight:2.;
+  let t = Gps_vt.create ~order:Gps_vt.Finish_tags ~quantum_hint:10 () in
+  Gps_vt.arrive t ~now:0 ~id:1 ~weight:(2 * u);
   (* 10 ns of wall time at capacity 1 with total weight 2: v += 5. *)
-  Alcotest.(check (float 1e-9)) "v tracks wall clock" 5.
-    (Gps_vt.virtual_time t ~now:10);
+  check_int "v tracks wall clock" 5 (Gps_vt.virtual_time t ~now:10);
   (* While nothing is backlogged the clock stands still. *)
   (match Gps_vt.select t ~now:10 with
-  | Some 1 -> Gps_vt.charge t ~now:12 ~id:1 ~service:2. ~runnable:false
+  | Some 1 -> Gps_vt.charge t ~now:12 ~id:1 ~service:2 ~runnable:false
   | _ -> Alcotest.fail "select");
   let v = Gps_vt.virtual_time t ~now:12 in
-  Alcotest.(check (float 1e-9)) "idle clock frozen" v
-    (Gps_vt.virtual_time t ~now:1000)
+  check_int "idle clock frozen" v (Gps_vt.virtual_time t ~now:1000)
 
 let test_gps_vt_proportional_at_full_capacity () =
   (* With steady full-capacity service, both orders are weight-fair. *)
   List.iter
     (fun order ->
-      let t = Gps_vt.create ~order ~capacity:1.0 ~quantum_hint:(float_of_int (ms 20)) () in
-      Gps_vt.arrive t ~now:0 ~id:1 ~weight:1.;
-      Gps_vt.arrive t ~now:0 ~id:2 ~weight:3.;
+      let t = Gps_vt.create ~order ~quantum_hint:(ms 20) () in
+      Gps_vt.arrive t ~now:0 ~id:1 ~weight:(1 * u);
+      Gps_vt.arrive t ~now:0 ~id:2 ~weight:(3 * u);
       let now = ref 0 and work = [| 0; 0 |] in
       for _ = 1 to 4000 do
         match Gps_vt.select t ~now:!now with
         | Some id ->
           now := !now + ms 20;
           work.(id - 1) <- work.(id - 1) + ms 20;
-          Gps_vt.charge t ~now:!now ~id ~service:(float_of_int (ms 20)) ~runnable:true
+          Gps_vt.charge t ~now:!now ~id ~service:(ms 20) ~runnable:true
         | None -> Alcotest.fail "work conservation"
       done;
       let ratio = float_of_int work.(1) /. float_of_int work.(0) in
@@ -282,11 +281,10 @@ let test_gps_vt_unfair_at_reduced_capacity () =
   (* Serve only every other quantum (50% capacity): v races ahead of the
      delivered service and the allocation collapses toward round-robin. *)
   let t =
-    Gps_vt.create ~order:Gps_vt.Finish_tags ~capacity:1.0
-      ~quantum_hint:(float_of_int (ms 20)) ()
+    Gps_vt.create ~order:Gps_vt.Finish_tags ~quantum_hint:(ms 20) ()
   in
-  Gps_vt.arrive t ~now:0 ~id:1 ~weight:1.;
-  Gps_vt.arrive t ~now:0 ~id:2 ~weight:3.;
+  Gps_vt.arrive t ~now:0 ~id:1 ~weight:(1 * u);
+  Gps_vt.arrive t ~now:0 ~id:2 ~weight:(3 * u);
   let now = ref 0 and work = [| 0; 0 |] in
   for _ = 1 to 2000 do
     match Gps_vt.select t ~now:!now with
@@ -294,7 +292,7 @@ let test_gps_vt_unfair_at_reduced_capacity () =
       (* each 20 ms of service takes 40 ms of wall time *)
       now := !now + (2 * ms 20);
       work.(id - 1) <- work.(id - 1) + ms 20;
-      Gps_vt.charge t ~now:!now ~id ~service:(float_of_int (ms 20)) ~runnable:true
+      Gps_vt.charge t ~now:!now ~id ~service:(ms 20) ~runnable:true
     | None -> Alcotest.fail "work conservation"
   done;
   let ratio = float_of_int work.(1) /. float_of_int work.(0) in
@@ -305,13 +303,13 @@ let test_gps_vt_unfair_at_reduced_capacity () =
     true (ratio < 2.5)
 
 let test_gps_vt_admin () =
-  let t = Gps_vt.create ~order:Gps_vt.Start_tags ~quantum_hint:10. () in
-  Gps_vt.arrive t ~now:0 ~id:1 ~weight:1.;
-  Gps_vt.arrive t ~now:0 ~id:2 ~weight:1.;
+  let t = Gps_vt.create ~order:Gps_vt.Start_tags ~quantum_hint:10 () in
+  Gps_vt.arrive t ~now:0 ~id:1 ~weight:(1 * u);
+  Gps_vt.arrive t ~now:0 ~id:2 ~weight:(1 * u);
   check_int "backlogged" 2 (Gps_vt.backlogged t);
-  Gps_vt.set_weight t ~id:2 ~weight:4.;
+  Gps_vt.set_weight t ~id:2 ~weight:(4 * u);
   (match Gps_vt.select t ~now:0 with
-  | Some id -> Gps_vt.charge t ~now:(ms 1) ~id ~service:10. ~runnable:false
+  | Some id -> Gps_vt.charge t ~now:(ms 1) ~id ~service:10 ~runnable:false
   | None -> Alcotest.fail "sel");
   check_int "one left" 1 (Gps_vt.backlogged t);
   Gps_vt.depart t ~id:1;
@@ -319,35 +317,35 @@ let test_gps_vt_admin () =
   check_int "empty" 0 (Gps_vt.backlogged t);
   Alcotest.check_raises "unknown after depart"
     (Invalid_argument "Gps_vt: unknown client 1") (fun () ->
-      Gps_vt.set_weight t ~id:1 ~weight:1.)
+      Gps_vt.set_weight t ~id:1 ~weight:(1 * u))
 
 (* ------------------------------ EDF ---------------------------------- *)
 
 let test_edf_ordering () =
   let t = Edf.create () in
-  Edf.release t ~id:1 ~deadline:30.;
-  Edf.release t ~id:2 ~deadline:10.;
-  Edf.release t ~id:3 ~deadline:20.;
+  Edf.release t ~id:1 ~deadline:30;
+  Edf.release t ~id:2 ~deadline:10;
+  Edf.release t ~id:3 ~deadline:20;
   Alcotest.(check (option int)) "earliest deadline" (Some 2) (Edf.select t);
   Edf.withdraw t ~id:2;
   Alcotest.(check (option int)) "next earliest" (Some 3) (Edf.select t);
   check_int "backlog" 2 (Edf.backlogged t);
-  Alcotest.(check (option (float 0.))) "deadline_of" (Some 30.)
+  Alcotest.(check (option int)) "deadline_of" (Some 30)
     (Edf.deadline_of t ~id:1);
-  Alcotest.(check (option (float 0.))) "withdrawn has none" None
+  Alcotest.(check (option int)) "withdrawn has none" None
     (Edf.deadline_of t ~id:2)
 
 let test_edf_rerelease_updates () =
   let t = Edf.create () in
-  Edf.release t ~id:1 ~deadline:50.;
-  Edf.release t ~id:2 ~deadline:40.;
-  Edf.release t ~id:1 ~deadline:10.;
+  Edf.release t ~id:1 ~deadline:50;
+  Edf.release t ~id:2 ~deadline:40;
+  Edf.release t ~id:1 ~deadline:10;
   Alcotest.(check (option int)) "re-release re-orders" (Some 1) (Edf.select t)
 
 let test_edf_fifo_ties () =
   let t = Edf.create () in
-  Edf.release t ~id:5 ~deadline:10.;
-  Edf.release t ~id:3 ~deadline:10.;
+  Edf.release t ~id:5 ~deadline:10;
+  Edf.release t ~id:3 ~deadline:10;
   Alcotest.(check (option int)) "FIFO among equal deadlines" (Some 5) (Edf.select t)
 
 (* ------------------------------- RM ---------------------------------- *)
@@ -570,35 +568,30 @@ let test_svr4_table_parse_errors () =
 let test_keyed_heap_lazy_invalidation () =
   let h = Keyed_heap.create () in
   let gens = Hashtbl.create 4 in
+  Keyed_heap.set_validator h (fun ~id ~gen -> Hashtbl.find_opt gens id = Some gen);
   let push id key =
     let g = 1 + Option.value ~default:0 (Hashtbl.find_opt gens id) in
     Hashtbl.replace gens id g;
     Keyed_heap.push h ~key ~gen:g ~id
   in
-  let valid ~id ~gen = Hashtbl.find_opt gens id = Some gen in
-  push 1 5.;
-  push 2 3.;
-  push 1 1.; (* re-keys client 1; the old (5.) entry is now stale *)
-  (match Keyed_heap.pop h ~valid with
-  | Some (k, 1) -> Alcotest.(check (float 1e-9)) "fresh key" 1. k
-  | _ -> Alcotest.fail "expected client 1 at key 1");
-  (match Keyed_heap.pop h ~valid with
-  | Some (_, 2) -> ()
-  | _ -> Alcotest.fail "expected client 2");
+  push 1 5;
+  push 2 3;
+  push 1 1; (* re-keys client 1; the old (5) entry is now stale *)
+  check_int "client 1 first" 1 (Keyed_heap.pop_valid h);
+  check_int "fresh key" 1 (Keyed_heap.last_key h);
+  check_int "then client 2" 2 (Keyed_heap.pop_valid h);
   (* Only the stale entry remains. *)
-  Alcotest.(check (option (pair (float 0.) int))) "stale entry skipped" None
-    (Keyed_heap.pop h ~valid)
+  check_int "stale entry skipped" (-1) (Keyed_heap.pop_valid h)
 
 let test_keyed_heap_fifo_ties () =
   let h = Keyed_heap.create () in
-  Keyed_heap.push h ~key:7. ~gen:0 ~id:10;
-  Keyed_heap.push h ~key:7. ~gen:0 ~id:20;
-  let valid ~id:_ ~gen:_ = true in
-  (match Keyed_heap.peek h ~valid with
-  | Some (_, 10) -> ()
-  | _ -> Alcotest.fail "FIFO tie: first push wins");
-  (match Keyed_heap.pop h ~valid with Some (_, 10) -> () | _ -> Alcotest.fail "pop 10");
-  match Keyed_heap.pop h ~valid with Some (_, 20) -> () | _ -> Alcotest.fail "pop 20"
+  Keyed_heap.set_validator h (fun ~id:_ ~gen:_ -> true);
+  Keyed_heap.push h ~key:7 ~gen:0 ~id:10;
+  Keyed_heap.push h ~key:7 ~gen:0 ~id:20;
+  check_int "FIFO tie: first push wins" 10 (Keyed_heap.peek_valid h);
+  check_int "peeked key" 7 (Keyed_heap.peeked_key h);
+  check_int "pop 10" 10 (Keyed_heap.pop_valid h);
+  check_int "pop 20" 20 (Keyed_heap.pop_valid h)
 
 (* Lazy deletion's backstop: once reported-stale entries outnumber live
    ones (and the heap is non-trivially sized), the next push compacts in
@@ -610,7 +603,7 @@ let test_keyed_heap_compaction () =
       Hashtbl.find_opt live id = Some gen);
   for id = 0 to 99 do
     Hashtbl.replace live id 1;
-    Keyed_heap.push h ~key:(float_of_int id) ~gen:1 ~id
+    Keyed_heap.push h ~key:(2 * id) ~gen:1 ~id
   done;
   check_int "size before" 100 (Keyed_heap.size h);
   for id = 10 to 99 do
@@ -620,13 +613,12 @@ let test_keyed_heap_compaction () =
   check_int "stale reported" 90 (Keyed_heap.stale_bound h);
   (* 2 * 90 > 100 and size >= 64: this push must compact first. *)
   Hashtbl.replace live 100 1;
-  Keyed_heap.push h ~key:100.5 ~gen:1 ~id:100;
+  Keyed_heap.push h ~key:201 ~gen:1 ~id:100;
   check_int "compacted down to live entries" 11 (Keyed_heap.size h);
   check_int "stale counter reset" 0 (Keyed_heap.stale_bound h);
   for id = 0 to 9 do
     check_int "pop order after compaction" id (Keyed_heap.pop_valid h);
-    Alcotest.(check (float 1e-9))
-      "popped key" (float_of_int id) (Keyed_heap.last_key h)
+    check_int "popped key" (2 * id) (Keyed_heap.last_key h)
   done;
   check_int "late pushed entry survives" 100 (Keyed_heap.pop_valid h);
   check_int "drained" (-1) (Keyed_heap.pop_valid h)
@@ -639,7 +631,7 @@ let test_keyed_heap_capacity_release () =
   let h = Keyed_heap.create () in
   Keyed_heap.set_validator h (fun ~id:_ ~gen:_ -> true);
   for id = 0 to 2047 do
-    Keyed_heap.push h ~key:(float_of_int id) ~gen:1 ~id
+    Keyed_heap.push h ~key:id ~gen:1 ~id
   done;
   let cap_full = Keyed_heap.capacity h in
   check_bool "capacity covers the burst" true (cap_full >= 2048);
@@ -662,17 +654,19 @@ let test_keyed_heap_remap_preserves_order () =
   let pop_all h =
     let out = ref [] in
     let rec go () =
-      match Keyed_heap.pop h ~valid:(fun ~id:_ ~gen:_ -> true) with
-      | Some (k, id) ->
-        out := (k, id) :: !out;
+      let id = Keyed_heap.pop_valid h in
+      if id >= 0 then begin
+        out := (Keyed_heap.last_key h, id) :: !out;
         go ()
-      | None -> List.rev !out
+      end
+      else List.rev !out
     in
     go ()
   in
-  let keys = [| 4.; 1.; 3.; 1.; 2.; 1.; 4.; 0.5 |] in
+  let keys = [| 8; 2; 6; 2; 4; 2; 8; 1 |] in
   let fill () =
     let h = Keyed_heap.create () in
+    Keyed_heap.set_validator h (fun ~id:_ ~gen:_ -> true);
     Array.iteri (fun id key -> Keyed_heap.push h ~key ~gen:0 ~id) keys;
     h
   in
@@ -687,7 +681,7 @@ let test_keyed_heap_remap_preserves_order () =
       (fun (k, id) -> (k, if id < 7 && id mod 2 = 0 then id + 100 else id))
       baseline
   in
-  Alcotest.(check (list (pair (float 1e-9) int)))
+  Alcotest.(check (list (pair int int)))
     "same keys and order, ids rewritten" expected (pop_all remapped)
 
 (* ------------------------ interrupt sources --------------------------- *)

@@ -10,7 +10,7 @@
 
 open Hsfq_core
 
-let check_float = Alcotest.(check (float 1e-9))
+let u = Hsfq_sched.Vtime.unit
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
@@ -25,116 +25,116 @@ let step ?(runnable = true) sfq ~expect ~l =
 
 let test_single_client () =
   let s = Sfq.create () in
-  Sfq.arrive s ~id:1 ~weight:2.;
+  Sfq.arrive s ~id:1 ~weight:(2 * u);
   check_int "backlogged" 1 (Sfq.backlogged s);
-  step s ~expect:1 ~l:10.;
-  check_float "finish = l/w" 5. (Sfq.finish_tag s ~id:1);
-  check_float "next start = finish" 5. (Sfq.start_tag s ~id:1);
-  step s ~expect:1 ~l:10.;
-  check_float "finish accumulates" 10. (Sfq.finish_tag s ~id:1)
+  step s ~expect:1 ~l:10;
+  check_int "finish = l/w" 5 (Sfq.finish_tag s ~id:1);
+  check_int "next start = finish" 5 (Sfq.start_tag s ~id:1);
+  step s ~expect:1 ~l:10;
+  check_int "finish accumulates" 10 (Sfq.finish_tag s ~id:1)
 
 let test_worked_example_tags () =
   (* §3: threads A (w=1) and B (w=2), 10 ms quanta. *)
   let s = Sfq.create () in
-  Sfq.arrive s ~id:1 ~weight:1.;
-  Sfq.arrive s ~id:2 ~weight:2.;
-  check_float "S_A = 0" 0. (Sfq.start_tag s ~id:1);
-  check_float "S_B = 0" 0. (Sfq.start_tag s ~id:2);
+  Sfq.arrive s ~id:1 ~weight:(1 * u);
+  Sfq.arrive s ~id:2 ~weight:(2 * u);
+  check_int "S_A = 0" 0 (Sfq.start_tag s ~id:1);
+  check_int "S_B = 0" 0 (Sfq.start_tag s ~id:2);
   (* FIFO tie-break: A (inserted first) runs first. *)
-  step s ~expect:1 ~l:10.;
-  check_float "F_A = 10" 10. (Sfq.finish_tag s ~id:1);
-  check_float "S_A = 10" 10. (Sfq.start_tag s ~id:1);
-  step s ~expect:2 ~l:10.;
-  check_float "F_B = 5" 5. (Sfq.finish_tag s ~id:2);
-  check_float "S_B = 5" 5. (Sfq.start_tag s ~id:2);
-  step s ~expect:2 ~l:10.;
-  check_float "F_B = 10" 10. (Sfq.finish_tag s ~id:2);
+  step s ~expect:1 ~l:10;
+  check_int "F_A = 10" 10 (Sfq.finish_tag s ~id:1);
+  check_int "S_A = 10" 10 (Sfq.start_tag s ~id:1);
+  step s ~expect:2 ~l:10;
+  check_int "F_B = 5" 5 (Sfq.finish_tag s ~id:2);
+  check_int "S_B = 5" 5 (Sfq.start_tag s ~id:2);
+  step s ~expect:2 ~l:10;
+  check_int "F_B = 10" 10 (Sfq.finish_tag s ~id:2);
   (* Tie at 10: A's entry is older. *)
-  step s ~expect:1 ~l:10.;
-  step s ~expect:2 ~l:10.;
-  step s ~expect:2 ~l:10.;
+  step s ~expect:1 ~l:10;
+  step s ~expect:2 ~l:10;
+  step s ~expect:2 ~l:10;
   (* After 60 ms: A has run 20, B 40 — exactly the paper's 1:2. *)
-  check_float "F_A" 20. (Sfq.finish_tag s ~id:1);
-  check_float "F_B" 20. (Sfq.finish_tag s ~id:2)
+  check_int "F_A" 20 (Sfq.finish_tag s ~id:1);
+  check_int "F_B" 20 (Sfq.finish_tag s ~id:2)
 
 let test_virtual_time_busy () =
   let s = Sfq.create () in
-  Sfq.arrive s ~id:1 ~weight:1.;
-  Sfq.arrive s ~id:2 ~weight:1.;
-  check_float "initial vt" 0. (Sfq.virtual_time s);
+  Sfq.arrive s ~id:1 ~weight:(1 * u);
+  Sfq.arrive s ~id:2 ~weight:(1 * u);
+  check_int "initial vt" 0 (Sfq.virtual_time s);
   match Sfq.select s with
   | Some id ->
-    check_float "vt = start tag in service" (Sfq.start_tag s ~id)
+    check_int "vt = start tag in service" (Sfq.start_tag s ~id)
       (Sfq.virtual_time s);
-    Sfq.charge s ~id ~service:4. ~runnable:true
+    Sfq.charge s ~id ~service:4 ~runnable:true
   | None -> Alcotest.fail "selection expected"
 
 let test_virtual_time_idle () =
   let s = Sfq.create () in
-  Sfq.arrive s ~id:1 ~weight:1.;
-  step s ~runnable:false ~expect:1 ~l:30.;
+  Sfq.arrive s ~id:1 ~weight:(1 * u);
+  step s ~runnable:false ~expect:1 ~l:30;
   (* System idle: v = max finish tag. *)
-  check_float "vt = max finish on idle" 30. (Sfq.virtual_time s);
-  Sfq.arrive s ~id:2 ~weight:1.;
-  check_float "newcomer starts at vt" 30. (Sfq.start_tag s ~id:2)
+  check_int "vt = max finish on idle" 30 (Sfq.virtual_time s);
+  Sfq.arrive s ~id:2 ~weight:(1 * u);
+  check_int "newcomer starts at vt" 30 (Sfq.start_tag s ~id:2)
 
 let test_blocked_retains_finish_tag () =
   let s = Sfq.create () in
-  Sfq.arrive s ~id:1 ~weight:1.;
-  Sfq.arrive s ~id:2 ~weight:1.;
-  step s ~expect:1 ~l:10. ~runnable:false;
+  Sfq.arrive s ~id:1 ~weight:(1 * u);
+  Sfq.arrive s ~id:2 ~weight:(1 * u);
+  step s ~expect:1 ~l:10 ~runnable:false;
   (* 2 runs alone for a while. *)
-  step s ~expect:2 ~l:10.;
-  step s ~expect:2 ~l:10.;
-  step s ~expect:2 ~l:10.;
+  step s ~expect:2 ~l:10;
+  step s ~expect:2 ~l:10;
+  step s ~expect:2 ~l:10;
   (* 1 returns: S = max(v, F_1) = max(20, 10) = 20 (no credit for sleep,
      no penalty either). *)
-  Sfq.arrive s ~id:1 ~weight:1.;
-  check_float "resume start tag" 20. (Sfq.start_tag s ~id:1)
+  Sfq.arrive s ~id:1 ~weight:(1 * u);
+  check_int "resume start tag" 20 (Sfq.start_tag s ~id:1)
 
 let test_blocked_arrive_applies_weight () =
   (* Regression: a blocked client returning with a different weight must
      be charged at that weight from its next quantum on (its class may
      have been re-administered while it slept). *)
   let s = Sfq.create () in
-  Sfq.arrive s ~id:1 ~weight:1.;
-  Sfq.arrive s ~id:2 ~weight:1.;
-  step s ~expect:1 ~l:10. ~runnable:false;
-  step s ~expect:2 ~l:10.;
-  Sfq.arrive s ~id:1 ~weight:4.;
-  check_float "new weight recorded" 4. (Sfq.weight s ~id:1);
+  Sfq.arrive s ~id:1 ~weight:(1 * u);
+  Sfq.arrive s ~id:2 ~weight:(1 * u);
+  step s ~expect:1 ~l:10 ~runnable:false;
+  step s ~expect:2 ~l:10;
+  Sfq.arrive s ~id:1 ~weight:(4 * u);
+  check_int "new weight recorded" (4 * u) (Sfq.weight s ~id:1);
   (* Both re-queued at S=10; FIFO favours 2 (enqueued first). *)
-  step s ~expect:2 ~l:10.;
-  step s ~expect:1 ~l:8.;
-  check_float "charged at the new weight" 12. (Sfq.finish_tag s ~id:1)
+  step s ~expect:2 ~l:10;
+  step s ~expect:1 ~l:8;
+  check_int "charged at the new weight" 12 (Sfq.finish_tag s ~id:1)
 
 let test_arrive_idempotent () =
   let s = Sfq.create () in
-  Sfq.arrive s ~id:1 ~weight:1.;
-  Sfq.arrive s ~id:1 ~weight:999.;
+  Sfq.arrive s ~id:1 ~weight:(1 * u);
+  Sfq.arrive s ~id:1 ~weight:(999 * u);
   check_int "still one client" 1 (Sfq.backlogged s);
-  step s ~expect:1 ~l:10.;
-  check_float "original weight used" 10. (Sfq.finish_tag s ~id:1)
+  step s ~expect:1 ~l:10;
+  check_int "original weight used" 10 (Sfq.finish_tag s ~id:1)
 
 let test_weight_change_future_only () =
   let s = Sfq.create () in
-  Sfq.arrive s ~id:1 ~weight:1.;
-  step s ~expect:1 ~l:10.;
-  Sfq.set_weight s ~id:1 ~weight:2.;
-  step s ~expect:1 ~l:10.;
-  check_float "second quantum at new weight" 15. (Sfq.finish_tag s ~id:1)
+  Sfq.arrive s ~id:1 ~weight:(1 * u);
+  step s ~expect:1 ~l:10;
+  Sfq.set_weight s ~id:1 ~weight:(2 * u);
+  step s ~expect:1 ~l:10;
+  check_int "second quantum at new weight" 15 (Sfq.finish_tag s ~id:1)
 
 let test_select_requires_charge () =
   let s = Sfq.create () in
-  Sfq.arrive s ~id:1 ~weight:1.;
+  Sfq.arrive s ~id:1 ~weight:(1 * u);
   ignore (Sfq.select s);
   Alcotest.check_raises "charge of wrong client"
     (Invalid_argument "Sfq.charge: client not in service") (fun () ->
-      Sfq.charge s ~id:99 ~service:1. ~runnable:true)
+      Sfq.charge s ~id:99 ~service:1 ~runnable:true)
 
 let test_depart_in_service_rejected () =
   let s = Sfq.create () in
-  Sfq.arrive s ~id:1 ~weight:1.;
+  Sfq.arrive s ~id:1 ~weight:(1 * u);
   ignore (Sfq.select s);
   Alcotest.check_raises "depart while in service"
     (Invalid_argument "Sfq.depart: client in service") (fun () ->
@@ -142,20 +142,20 @@ let test_depart_in_service_rejected () =
 
 let test_block_api () =
   let s = Sfq.create () in
-  Sfq.arrive s ~id:1 ~weight:1.;
-  Sfq.arrive s ~id:2 ~weight:1.;
+  Sfq.arrive s ~id:1 ~weight:(1 * u);
+  Sfq.arrive s ~id:2 ~weight:(1 * u);
   Sfq.block s ~id:2;
   check_int "blocked leaves ready set" 1 (Sfq.backlogged s);
   check_bool "not runnable" false (Sfq.is_runnable s ~id:2);
-  step s ~expect:1 ~l:10.;
-  step s ~expect:1 ~l:10.;
-  Sfq.arrive s ~id:2 ~weight:1.;
+  step s ~expect:1 ~l:10;
+  step s ~expect:1 ~l:10;
+  Sfq.arrive s ~id:2 ~weight:(1 * u);
   (* Finish tag was preserved (0), so S = max(v, 0) = v. *)
-  check_float "rejoin at current vt" 10. (Sfq.start_tag s ~id:2)
+  check_int "rejoin at current vt" 10 (Sfq.start_tag s ~id:2)
 
 let test_depart_forgets () =
   let s = Sfq.create () in
-  Sfq.arrive s ~id:1 ~weight:1.;
+  Sfq.arrive s ~id:1 ~weight:(1 * u);
   Sfq.depart s ~id:1;
   check_int "gone" 0 (Sfq.backlogged s);
   Alcotest.check_raises "tags of unknown client"
@@ -167,75 +167,116 @@ let test_reincarnated_id_ignores_stale_entries () =
      entries; a new client reusing the id must not validate them, or a
      select would pop an obsolete start tag and drag v(t) backwards. *)
   let s = Sfq.create () in
-  Sfq.arrive s ~id:1 ~weight:1.;
-  Sfq.arrive s ~id:2 ~weight:1.;
+  Sfq.arrive s ~id:1 ~weight:(1 * u);
+  Sfq.arrive s ~id:2 ~weight:(1 * u);
   (* 1 blocks mid-queue; 2 departs while its S=0 entry is queued. *)
-  step s ~expect:1 ~l:2. ~runnable:false;
+  step s ~expect:1 ~l:2 ~runnable:false;
   Sfq.depart s ~id:2;
   (* System idle: v = max finish = 2. Id 2 is reborn, S = max(2, 0). *)
-  Sfq.arrive s ~id:2 ~weight:1.;
-  check_float "reborn start tag" 2. (Sfq.start_tag s ~id:2);
-  step s ~expect:2 ~l:2.;
-  check_float "vt never regressed" 2. (Sfq.virtual_time s);
-  check_float "finish from the fresh tag" 4. (Sfq.finish_tag s ~id:2)
+  Sfq.arrive s ~id:2 ~weight:(1 * u);
+  check_int "reborn start tag" 2 (Sfq.start_tag s ~id:2);
+  step s ~expect:2 ~l:2;
+  check_int "vt never regressed" 2 (Sfq.virtual_time s);
+  check_int "finish from the fresh tag" 4 (Sfq.finish_tag s ~id:2)
 
 let test_invalid_arguments () =
   let s = Sfq.create () in
   Alcotest.check_raises "zero weight" (Invalid_argument "Sfq.arrive: weight <= 0")
-    (fun () -> Sfq.arrive s ~id:1 ~weight:0.);
-  Sfq.arrive s ~id:1 ~weight:1.;
+    (fun () -> Sfq.arrive s ~id:1 ~weight:(0 * u));
+  Sfq.arrive s ~id:1 ~weight:(1 * u);
   Alcotest.check_raises "negative weight"
     (Invalid_argument "Sfq.set_weight: weight <= 0") (fun () ->
-      Sfq.set_weight s ~id:1 ~weight:(-1.));
+      Sfq.set_weight s ~id:1 ~weight:(-1 * u));
   ignore (Sfq.select s);
   Alcotest.check_raises "negative service"
     (Invalid_argument "Sfq.charge: negative service") (fun () ->
-      Sfq.charge s ~id:1 ~service:(-5.) ~runnable:true)
+      Sfq.charge s ~id:1 ~service:(-5) ~runnable:true)
+
+(* The float admin boundary rejects every weight that has no exact,
+   positive unit count. *)
+let test_weight_of_float_rejects () =
+  let w = Hsfq_sched.Vtime.weight_of_float in
+  List.iter
+    (fun (what, x) ->
+      check_bool what true
+        (match w x with _ -> false | exception Invalid_argument _ -> true))
+    [
+      ("nan", Float.nan);
+      ("+inf", Float.infinity);
+      ("-inf", Float.neg_infinity);
+      ("zero", 0.);
+      ("negative", -1.);
+      ("rounds to 0 units", 4e-7);
+      ("above 1e9", 2e9);
+    ];
+  check_int "1.0 is one unit scale" u (w 1.0);
+  check_int "0.96 is exact" 960_000 (w 0.96);
+  check_int "smallest weight" 1 (w 1e-6)
+
+(* A charge whose l·unit or whose tag would pass max_int raises and
+   leaves the scheduler as it was; nothing wraps. *)
+let test_overflow_raises () =
+  let s = Sfq.create () in
+  Sfq.arrive s ~id:1 ~weight:1 (* one unit: the steepest tags *);
+  let horizon = max_int / u (* largest service with l·unit <= max_int *) in
+  ignore (Sfq.select s);
+  Alcotest.check_raises "l·unit past max_int"
+    (Invalid_argument "Vtime.step: service * unit overflows") (fun () ->
+      Sfq.charge s ~id:1 ~service:(horizon + 1) ~runnable:true);
+  check_int "finish tag untouched" 0 (Sfq.finish_tag s ~id:1);
+  (* The claim survived the failed charge: a legal one goes through. *)
+  Sfq.charge s ~id:1 ~service:(horizon / 2 + 1) ~runnable:true;
+  check_int "tag is l·unit / 1" ((horizon / 2 + 1) * u) (Sfq.finish_tag s ~id:1);
+  ignore (Sfq.select s);
+  Alcotest.check_raises "tag past max_int"
+    (Invalid_argument "Vtime.add: tag overflows max_int") (fun () ->
+      Sfq.charge s ~id:1 ~service:(horizon / 2 + 1) ~runnable:true);
+  check_bool "v(t) non-negative" true (Sfq.virtual_time s >= 0)
 
 let test_donation () =
   let s = Sfq.create () in
-  Sfq.arrive s ~id:1 ~weight:3.;
-  Sfq.arrive s ~id:2 ~weight:1.;
+  Sfq.arrive s ~id:1 ~weight:(3 * u);
+  Sfq.arrive s ~id:2 ~weight:(1 * u);
   (* 1 blocks on a resource held by 2: donate 1's weight to 2. *)
   Sfq.donate s ~blocked:1 ~recipient:2;
-  step s ~expect:1 ~l:12.;
-  step s ~expect:2 ~l:12.;
+  step s ~expect:1 ~l:12;
+  step s ~expect:2 ~l:12;
   (* 2 was charged at effective weight 1 + 3 = 4. *)
-  check_float "donated weight" 3. (Sfq.finish_tag s ~id:2);
+  check_int "donated weight" 3 (Sfq.finish_tag s ~id:2);
   Sfq.revoke s ~blocked:1;
-  step s ~expect:2 ~l:12.;
-  check_float "after revoke, back to own weight" 15. (Sfq.finish_tag s ~id:2)
+  step s ~expect:2 ~l:12;
+  check_int "after revoke, back to own weight" 15 (Sfq.finish_tag s ~id:2)
 
 let test_donation_replaced () =
   let s = Sfq.create () in
-  Sfq.arrive s ~id:1 ~weight:2.;
-  Sfq.arrive s ~id:2 ~weight:1.;
-  Sfq.arrive s ~id:3 ~weight:1.;
+  Sfq.arrive s ~id:1 ~weight:(2 * u);
+  Sfq.arrive s ~id:2 ~weight:(1 * u);
+  Sfq.arrive s ~id:3 ~weight:(1 * u);
   Sfq.donate s ~blocked:1 ~recipient:2;
   (* Re-donating from the same blocker moves the donation. *)
   Sfq.donate s ~blocked:1 ~recipient:3;
-  step s ~expect:1 ~l:4.;
-  step s ~expect:2 ~l:4.;
-  check_float "2 back to weight 1" 4. (Sfq.finish_tag s ~id:2);
-  step s ~expect:3 ~l:3.;
-  check_float "3 has 1+2" 1. (Sfq.finish_tag s ~id:3)
+  step s ~expect:1 ~l:4;
+  step s ~expect:2 ~l:4;
+  check_int "2 back to weight 1" 4 (Sfq.finish_tag s ~id:2);
+  step s ~expect:3 ~l:3;
+  check_int "3 has 1+2" 1 (Sfq.finish_tag s ~id:3)
 
 let test_self_donation_rejected () =
   let s = Sfq.create () in
-  Sfq.arrive s ~id:1 ~weight:1.;
+  Sfq.arrive s ~id:1 ~weight:(1 * u);
   Alcotest.check_raises "self donation" (Invalid_argument "Sfq.donate: self-donation")
     (fun () -> Sfq.donate s ~blocked:1 ~recipient:1)
 
 let test_fifo_tie_break_deterministic () =
   let s = Sfq.create () in
   for i = 1 to 5 do
-    Sfq.arrive s ~id:i ~weight:1.
+    Sfq.arrive s ~id:i ~weight:(1 * u)
   done;
   let order =
     List.init 5 (fun _ ->
         match Sfq.select s with
         | Some id ->
-          Sfq.charge s ~id ~service:1. ~runnable:true;
+          Sfq.charge s ~id ~service:1 ~runnable:true;
           id
         | None -> Alcotest.fail "selection expected")
   in
@@ -243,58 +284,66 @@ let test_fifo_tie_break_deterministic () =
 
 (* ----------------------- property tests ----------------------------- *)
 
-(* Random quantum lengths model fluctuating service: the eq. 3 bound must
-   hold at every prefix for two continuously backlogged clients. *)
+(* Random quantum lengths model fluctuating service: the integer eq. 3
+   bound (Hsfq_check.Sfq_rules.fair_window, doc/INVARIANTS.md) must hold
+   at every prefix for two continuously backlogged clients. *)
+let fair_window = Hsfq_check.Sfq_rules.fair_window
+let wt = Hsfq_sched.Vtime.weight_of_float
+
 let prop_fairness_bound =
   QCheck.Test.make ~name:"eq. 3 fairness bound (2 clients, adversarial quanta)"
     ~count:300
     QCheck.(
       pair
         (pair (float_range 0.1 10.) (float_range 0.1 10.))
-        (list_of_size (Gen.int_range 10 200) (float_range 0.1 5.)))
+        (list_of_size (Gen.int_range 10 200) (int_range 1 5_000)))
     (fun ((w1, w2), quanta) ->
+      let w1 = wt w1 and w2 = wt w2 in
       let s = Sfq.create () in
       Sfq.arrive s ~id:1 ~weight:w1;
       Sfq.arrive s ~id:2 ~weight:w2;
-      let work = [| 0.; 0. |] in
-      let lmax = [| 0.; 0. |] in
+      let work = [| 0; 0 |] in
+      let lmax = [| 0; 0 |] in
       List.for_all
         (fun l ->
           match Sfq.select s with
           | None -> false
           | Some id ->
             Sfq.charge s ~id ~service:l ~runnable:true;
-            work.(id - 1) <- work.(id - 1) +. l;
+            work.(id - 1) <- work.(id - 1) + l;
             if l > lmax.(id - 1) then lmax.(id - 1) <- l;
-            let lag = Float.abs ((work.(0) /. w1) -. (work.(1) /. w2)) in
             (* Before a client has run, credit it with the largest
                quantum seen so far. *)
-            let m = Float.max lmax.(0) lmax.(1) in
-            let l1 = if lmax.(0) = 0. then m else lmax.(0) in
-            let l2 = if lmax.(1) = 0. then m else lmax.(1) in
-            lag <= (l1 /. w1) +. (l2 /. w2) +. 1e-9)
+            let m = Int.max lmax.(0) lmax.(1) in
+            let l1 = if lmax.(0) = 0 then m else lmax.(0) in
+            let l2 = if lmax.(1) = 0 then m else lmax.(1) in
+            fair_window ~w_f:w1 ~work_f:work.(0) ~l_f:l1 ~w_m:w2
+              ~work_m:work.(1) ~l_m:l2)
         quanta)
 
 (* The pairwise bound must hold between EVERY pair of continuously
    backlogged clients, not just two. *)
 let prop_fairness_bound_n_clients =
   QCheck.Test.make ~name:"eq. 3 bound pairwise over 5 clients" ~count:100
-    QCheck.(list_of_size (Gen.int_range 50 300) (float_range 0.2 4.))
+    QCheck.(list_of_size (Gen.int_range 50 300) (int_range 1 4_000))
     (fun quanta ->
       let n = 5 in
       let s = Sfq.create () in
-      let weights = Array.init n (fun i -> 0.5 +. float_of_int i) in
+      let weights = Array.init n (fun i -> wt (0.5 +. float_of_int i)) in
       Array.iteri (fun i w -> Sfq.arrive s ~id:i ~weight:w) weights;
-      let work = Array.make n 0. in
-      let lmax = Array.make n 0. in
+      let work = Array.make n 0 in
+      let lmax = Array.make n 0 in
       let bound_ok () =
-        let m = Array.fold_left Float.max 0. lmax in
-        let l i = if lmax.(i) = 0. then m else lmax.(i) in
+        let m = Array.fold_left Int.max 0 lmax in
+        let l i = if lmax.(i) = 0 then m else lmax.(i) in
         let ok = ref true in
         for i = 0 to n - 1 do
           for j = i + 1 to n - 1 do
-            let lag = Float.abs ((work.(i) /. weights.(i)) -. (work.(j) /. weights.(j))) in
-            if lag > (l i /. weights.(i)) +. (l j /. weights.(j)) +. 1e-9 then ok := false
+            if
+              not
+                (fair_window ~w_f:weights.(i) ~work_f:work.(i) ~l_f:(l i)
+                   ~w_m:weights.(j) ~work_m:work.(j) ~l_m:(l j))
+            then ok := false
           done
         done;
         !ok
@@ -305,7 +354,7 @@ let prop_fairness_bound_n_clients =
           | None -> false
           | Some id ->
             Sfq.charge s ~id ~service:q ~runnable:true;
-            work.(id) <- work.(id) +. q;
+            work.(id) <- work.(id) + q;
             if q > lmax.(id) then lmax.(id) <- q;
             bound_ok ())
         quanta)
@@ -315,18 +364,18 @@ let prop_proportional_share =
     QCheck.(pair (float_range 0.5 8.) (float_range 0.5 8.))
     (fun (w1, w2) ->
       let s = Sfq.create () in
-      Sfq.arrive s ~id:1 ~weight:w1;
-      Sfq.arrive s ~id:2 ~weight:w2;
-      let work = [| 0.; 0. |] in
+      Sfq.arrive s ~id:1 ~weight:(wt w1);
+      Sfq.arrive s ~id:2 ~weight:(wt w2);
+      let work = [| 0; 0 |] in
       for _ = 1 to 5000 do
         match Sfq.select s with
         | Some id ->
-          Sfq.charge s ~id ~service:1. ~runnable:true;
-          work.(id - 1) <- work.(id - 1) +. 1.
+          Sfq.charge s ~id ~service:1 ~runnable:true;
+          work.(id - 1) <- work.(id - 1) + 1
         | None -> ()
       done;
       let expected = w1 /. w2 in
-      let actual = work.(0) /. work.(1) in
+      let actual = float_of_int work.(0) /. float_of_int work.(1) in
       Float.abs (actual -. expected) /. expected < 0.02)
 
 let prop_virtual_time_monotonic =
@@ -335,17 +384,17 @@ let prop_virtual_time_monotonic =
     (fun ops ->
       let s = Sfq.create () in
       for i = 0 to 3 do
-        Sfq.arrive s ~id:i ~weight:(float_of_int (i + 1))
+        Sfq.arrive s ~id:i ~weight:((i + 1) * u)
       done;
-      let prev = ref (-1.) in
+      let prev = ref (-1) in
       List.for_all
         (fun op ->
           (* [op] names the client that blocks after the next quantum
              and is then woken again — exercising idle transitions. *)
           (match Sfq.select s with
-          | Some id -> Sfq.charge s ~id ~service:2. ~runnable:(id <> op)
+          | Some id -> Sfq.charge s ~id ~service:2 ~runnable:(id <> op)
           | None -> ());
-          Sfq.arrive s ~id:op ~weight:1.;
+          Sfq.arrive s ~id:op ~weight:u;
           let vt = Sfq.virtual_time s in
           let ok = vt >= !prev in
           prev := vt;
@@ -361,7 +410,7 @@ let prop_work_conserving =
       List.for_all
         (fun (i, wake) ->
           if wake then begin
-            Sfq.arrive s ~id:i ~weight:1.;
+            Sfq.arrive s ~id:i ~weight:u;
             runnable.(i) <- true
           end;
           let n = Array.fold_left (fun a b -> if b then a + 1 else a) 0 runnable in
@@ -372,35 +421,35 @@ let prop_work_conserving =
               (* The selected client blocks when it matches [i] and the
                  coin came up tails. *)
               let still = wake || i <> id in
-              Sfq.charge s ~id ~service:1. ~runnable:still;
+              Sfq.charge s ~id ~service:1 ~runnable:still;
               if not still then runnable.(id) <- false;
               true
             | None -> n = 0
           end)
         ops)
 
-(* Float64 tags against a long horizon: after a million 20 ms quanta
-   (~5.5 simulated hours) the ratio must still be exact and the lag
-   within the bound — no cumulative floating-point drift. *)
+(* Integer tags against a long horizon: after a million 20 ms quanta
+   (~5.5 simulated hours) the ratio is exactly 1:3 and the virtual
+   clock is exactly the weight-1.0 client's service — no drift. *)
 let test_long_run_no_drift () =
   let s = Sfq.create () in
-  Sfq.arrive s ~id:1 ~weight:1.;
-  Sfq.arrive s ~id:2 ~weight:3.;
-  let q = 2e7 (* 20 ms in ns *) in
-  let work = [| 0.; 0. |] in
+  Sfq.arrive s ~id:1 ~weight:u;
+  Sfq.arrive s ~id:2 ~weight:(3 * u);
+  let q = 20_000_000 (* 20 ms in ns *) in
+  let work = [| 0; 0 |] in
   for _ = 1 to 1_000_000 do
     match Sfq.select s with
     | Some id ->
       Sfq.charge s ~id ~service:q ~runnable:true;
-      work.(id - 1) <- work.(id - 1) +. q
+      work.(id - 1) <- work.(id - 1) + q
     | None -> Alcotest.fail "selection expected"
   done;
-  let ratio = work.(1) /. work.(0) in
-  check_bool "exact 1:3 after 1M quanta" true (Float.abs (ratio -. 3.) < 1e-6);
-  let lag = Float.abs (work.(0) -. (work.(1) /. 3.)) in
-  check_bool "lag within bound at the horizon" true (lag <= (q +. (q /. 3.)) +. 1.);
-  check_bool "virtual time finite and sane" true
-    (Float.is_finite (Sfq.virtual_time s) && Sfq.virtual_time s > 0.)
+  check_int "exact 1:3 after 1M quanta" (3 * work.(0)) work.(1);
+  check_int "weight-1.0 tag is its service" work.(0) (Sfq.finish_tag s ~id:1);
+  (* 20 ms / 3 is not a whole unit: the carried remainder keeps the
+     cumulative tag exact anyway. *)
+  check_int "weight-3.0 tag is exactly its service / 3" (work.(1) / 3)
+    (Sfq.finish_tag s ~id:2)
 
 (* Donations compose and revoke cleanly: after arbitrary donate/revoke
    sequences, revoking every blocker restores base-weight charging. *)
@@ -410,7 +459,7 @@ let prop_donations_revocable =
     (fun ops ->
       let s = Sfq.create () in
       for i = 0 to 3 do
-        Sfq.arrive s ~id:i ~weight:(float_of_int (i + 1))
+        Sfq.arrive s ~id:i ~weight:((i + 1) * u)
       done;
       List.iter
         (fun (b, r) -> if b <> r then Sfq.donate s ~blocked:b ~recipient:r)
@@ -424,51 +473,54 @@ let prop_donations_revocable =
           match Sfq.select s with
           | Some id ->
             let start = Sfq.start_tag s ~id in
-            Sfq.charge s ~id ~service:(float_of_int (id + 1)) ~runnable:true;
+            Sfq.charge s ~id ~service:(id + 1) ~runnable:true;
             (* service = weight, so the finish tag moves exactly 1. *)
-            Float.abs (Sfq.finish_tag s ~id -. (start +. 1.)) < 1e-9
+            Sfq.finish_tag s ~id = start + 1
           | None -> false)
         [ (); (); (); (); (); (); (); () ])
 
-(* Theorem 1 proper: the unfairness bound holds over EVERY window in
-   which both clients are continuously backlogged, not just prefixes
-   from time zero. Cumulative work is sampled at each quantum boundary
-   and all O(n^2) windows are checked against l1/w1 + l2/w2 (with the
-   per-client maximum quantum relaxed to the global maximum, which only
-   loosens the bound). *)
+(* Theorem 1 proper: the integer bound holds over EVERY window in which
+   both clients are continuously backlogged, not just prefixes from time
+   zero. Cumulative work is sampled at each quantum boundary and all
+   O(n^2) windows are checked with [<=] against the integer form (with
+   the per-client maximum quantum relaxed to the global maximum, which
+   only loosens the bound). *)
 let prop_windowed_unfairness =
   QCheck.Test.make
     ~name:"Theorem 1 bound over every backlogged window" ~count:100
     QCheck.(
       pair
         (pair (float_range 0.5 4.) (float_range 0.5 4.))
-        (list_of_size (Gen.int_range 20 150) (float_range 0.1 2.)))
+        (list_of_size (Gen.int_range 20 150) (int_range 1 2_000)))
     (fun ((w1, w2), quanta) ->
+      let w1 = wt w1 and w2 = wt w2 in
       let s = Sfq.create () in
       Sfq.arrive s ~id:1 ~weight:w1;
       Sfq.arrive s ~id:2 ~weight:w2;
-      let work = [| 0.; 0. |] in
-      let lmax = ref 0. in
-      let hist = ref [ (0., 0.) ] in
+      let work = [| 0; 0 |] in
+      let lmax = ref 0 in
+      let hist = ref [ (0, 0) ] in
       List.iter
         (fun l ->
           (match Sfq.select s with
           | Some id ->
             Sfq.charge s ~id ~service:l ~runnable:true;
-            work.(id - 1) <- work.(id - 1) +. l;
+            work.(id - 1) <- work.(id - 1) + l;
             if l > !lmax then lmax := l
           | None -> ());
           hist := (work.(0), work.(1)) :: !hist)
         quanta;
       let pts = Array.of_list (List.rev !hist) in
-      let bound = (!lmax /. w1) +. (!lmax /. w2) +. 1e-9 in
       let n = Array.length pts in
       let ok = ref true in
       for i = 0 to n - 1 do
         for j = i + 1 to n - 1 do
           let a1, a2 = pts.(i) and b1, b2 = pts.(j) in
-          let lag = Float.abs (((b1 -. a1) /. w1) -. ((b2 -. a2) /. w2)) in
-          if lag > bound then ok := false
+          if
+            not
+              (fair_window ~w_f:w1 ~work_f:(b1 - a1) ~l_f:!lmax ~w_m:w2
+                 ~work_m:(b2 - a2) ~l_m:!lmax)
+          then ok := false
         done
       done;
       !ok)
@@ -489,16 +541,14 @@ let prop_audited_never_trips =
         (fun (id, op) ->
           let id = id + 1 in
           match op with
-          | 0 | 1 -> A.arrive s ~id ~weight:(float_of_int (1 + (id mod 4)))
+          | 0 | 1 -> A.arrive s ~id ~weight:((1 + (id mod 4)) * u)
           | 2 -> (
             match A.select s with
             | Some sel ->
-              A.charge s ~id:sel
-                ~service:(float_of_int (1 + id))
-                ~runnable:(id mod 2 = 0)
+              A.charge s ~id:sel ~service:(1 + id) ~runnable:(id mod 2 = 0)
             | None -> ())
           | 3 -> if A.mem s ~id then A.block s ~id
-          | 4 -> if A.mem s ~id then A.set_weight s ~id ~weight:(float_of_int id)
+          | 4 -> if A.mem s ~id then A.set_weight s ~id ~weight:(id * u)
           | 5 ->
             let r = 1 + (id mod 6) in
             if r <> id && A.mem s ~id && A.mem s ~id:r then
@@ -524,20 +574,18 @@ let differential_agrees ops =
   let module R = Hsfq_check.Sfq_reference in
   let s = A.create ~node:"diff" () in
   let r = R.create () in
-      let feq a b = Float.abs (a -. b) < 1e-9 in
       let agree () =
         A.backlogged s = R.backlogged r
-        && feq (A.virtual_time s) (R.virtual_time r)
-        && feq (Sfq.max_finish_tag (A.inner s)) (R.max_finish_tag r)
+        && A.virtual_time s = R.virtual_time r
+        && Sfq.max_finish_tag (A.inner s) = R.max_finish_tag r
         && List.for_all
              (fun id ->
                A.mem s ~id = R.mem r ~id
                && (not (A.mem s ~id)
-                  || feq (A.start_tag s ~id) (R.start_tag r ~id)
-                     && feq (A.finish_tag s ~id) (R.finish_tag r ~id)
-                     && feq
-                          (Sfq.effective_weight_of (A.inner s) ~id)
-                          (R.effective_weight_of r ~id)
+                  || A.start_tag s ~id = R.start_tag r ~id
+                     && A.finish_tag s ~id = R.finish_tag r ~id
+                     && Sfq.effective_weight_of (A.inner s) ~id
+                        = R.effective_weight_of r ~id
                      && A.is_runnable s ~id = R.is_runnable r ~id))
              [ 1; 2; 3; 4; 5; 6 ]
       in
@@ -547,14 +595,16 @@ let differential_agrees ops =
           let stepped =
             match op with
             | 0 | 1 ->
-              let weight = float_of_int (1 + (id mod 4)) in
+              (* Weights that do not divide l·unit exercise the
+                 carried remainders. *)
+              let weight = (1 + (id mod 4)) * u / 3 in
               A.arrive s ~id ~weight;
               R.arrive r ~id ~weight;
               true
             | 2 -> (
               match (A.select s, R.select r) with
               | Some a, Some b when a = b ->
-                let service = float_of_int (1 + id) in
+                let service = 1 + id in
                 let runnable = id mod 2 = 0 in
                 A.charge s ~id:a ~service ~runnable;
                 R.charge r ~id:b ~service ~runnable;
@@ -569,7 +619,7 @@ let differential_agrees ops =
               true
             | 4 ->
               if A.mem s ~id then begin
-                let weight = float_of_int id in
+                let weight = id * u / 7 in
                 A.set_weight s ~id ~weight;
                 R.set_weight r ~id ~weight
               end;
@@ -601,28 +651,25 @@ let prop_matches_naive_reference =
       list_of_size (Gen.int_range 1 150) (pair (int_bound 5) (int_bound 6)))
     differential_agrees
 
-(* The same oracle against the allocation-free protocol: the kernel's
-   dispatch loop never calls [select]/[arrive]/[charge] — it calls
-   [select_id] (sentinel -1 for "no client") with the float payloads
-   written through [stage_cell]. Drive that exact shape against the
-   naive reference so the unboxed entry points are pinned to the same
-   specification as the boxed ones, not just assumed equivalent. *)
-let staged_differential_agrees ops =
+(* The same oracle against the protocol the hierarchy runs: [select_id]
+   (sentinel -1 for "no client") and the slot-keyed [arrive_slot] /
+   [charge_slot] for known clients. Drive that exact shape against the
+   naive reference so the slot entry points are pinned to the same
+   specification as the id-keyed ones, not just assumed equivalent. *)
+let slot_differential_agrees ops =
   let module R = Hsfq_check.Sfq_reference in
   let s = Sfq.create () in
-  let cell = Sfq.stage_cell s in
   let r = R.create () in
-  let feq a b = Float.abs (a -. b) < 1e-9 in
   let agree () =
     Sfq.backlogged s = R.backlogged r
-    && feq (Sfq.virtual_time s) (R.virtual_time r)
-    && feq (Sfq.max_finish_tag s) (R.max_finish_tag r)
+    && Sfq.virtual_time s = R.virtual_time r
+    && Sfq.max_finish_tag s = R.max_finish_tag r
     && List.for_all
          (fun id ->
            Sfq.mem s ~id = R.mem r ~id
            && (not (Sfq.mem s ~id)
-              || feq (Sfq.start_tag s ~id) (R.start_tag r ~id)
-                 && feq (Sfq.finish_tag s ~id) (R.finish_tag r ~id)
+              || Sfq.start_tag s ~id = R.start_tag r ~id
+                 && Sfq.finish_tag s ~id = R.finish_tag r ~id
                  && Sfq.is_runnable s ~id = R.is_runnable r ~id))
          [ 1; 2; 3; 4; 5; 6 ]
   in
@@ -632,9 +679,10 @@ let staged_differential_agrees ops =
       let stepped =
         match op with
         | 0 | 1 ->
-          let weight = float_of_int (1 + (id mod 4)) in
-          cell.(0) <- weight;
-          Sfq.arrive_staged s ~id;
+          let weight = (1 + (id mod 4)) * u / 3 in
+          let slot = Sfq.slot_of_id s ~id in
+          if slot < 0 then Sfq.arrive s ~id ~weight
+          else Sfq.arrive_slot s ~slot ~weight;
           R.arrive r ~id ~weight;
           true
         | 2 -> (
@@ -642,10 +690,9 @@ let staged_differential_agrees ops =
           match (a, R.select r) with
           | -1, None -> true
           | a, Some b when a = b ->
-            let service = float_of_int (1 + id) in
+            let service = 1 + id in
             let runnable = id mod 2 = 0 in
-            cell.(0) <- service;
-            Sfq.charge_staged s ~id:a ~runnable;
+            Sfq.charge_slot s ~slot:(Sfq.slot_of_id s ~id:a) ~service ~runnable;
             R.charge r ~id:b ~service ~runnable;
             true
           | _ -> false (* selections diverged *))
@@ -665,14 +712,14 @@ let staged_differential_agrees ops =
       stepped && agree ())
     ops
 
-let prop_staged_matches_naive_reference =
+let prop_slot_protocol_matches_naive_reference =
   QCheck.Test.make
     ~name:
       "sentinel-id/staged protocol agrees with the naive reference, tag for tag"
     ~count:400
     QCheck.(
       list_of_size (Gen.int_range 1 150) (pair (int_bound 5) (int_bound 4)))
-    staged_differential_agrees
+    slot_differential_agrees
 
 (* The same differential driven as a seeded batch through the domain
    pool: each task's op sequence comes from its own Prng substream, so
@@ -718,9 +765,8 @@ let prop_churn_storm_matches_reference =
       let rng = Hsfq_engine.Prng.create (0x9e37 + seed) in
       let s = Sfq.create () in
       let r = R.create () in
-      let feq a b = Float.abs (a -. b) < 1e-9 in
       for id = 0 to q - 1 do
-        let w = float_of_int (1 + (id mod 7)) in
+        let w = (1 + (id mod 7)) * u in
         Sfq.arrive s ~id ~weight:w;
         R.arrive r ~id ~weight:w
       done;
@@ -744,19 +790,19 @@ let prop_churn_storm_matches_reference =
         if k mod 256 = 0 then
           match (Sfq.select s, R.select r) with
           | Some a, Some b when a = b ->
-            Sfq.charge s ~id:a ~service:1. ~runnable:true;
-            R.charge r ~id:a ~service:1. ~runnable:true
+            Sfq.charge s ~id:a ~service:1 ~runnable:true;
+            R.charge r ~id:a ~service:1 ~runnable:true
           | None, None -> ()
           | _ -> ok := false
       done;
       ok := !ok && Sfq.backlogged s = R.backlogged r;
-      ok := !ok && feq (Sfq.virtual_time s) (R.virtual_time r);
+      ok := !ok && Sfq.virtual_time s = R.virtual_time r;
       for k = departs to q - 1 do
         let id = order.(k) in
         ok :=
           !ok && Sfq.mem s ~id && R.mem r ~id
-          && feq (Sfq.start_tag s ~id) (R.start_tag r ~id)
-          && feq (Sfq.finish_tag s ~id) (R.finish_tag r ~id)
+          && Sfq.start_tag s ~id = R.start_tag r ~id
+          && Sfq.finish_tag s ~id = R.finish_tag r ~id
       done;
       (* The table must have compacted: capacity tracks the survivors,
          not the high-water mark of the storm. *)
@@ -765,8 +811,8 @@ let prop_churn_storm_matches_reference =
       for _ = 1 to 200 do
         match (Sfq.select s, R.select r) with
         | Some a, Some b when a = b ->
-          Sfq.charge s ~id:a ~service:1. ~runnable:true;
-          R.charge r ~id:a ~service:1. ~runnable:true
+          Sfq.charge s ~id:a ~service:1 ~runnable:true;
+          R.charge r ~id:a ~service:1 ~runnable:true
         | _ -> ok := false
       done;
       !ok)
@@ -778,7 +824,7 @@ let prop_churn_storm_matches_reference =
 let test_capacity_tracks_churn () =
   let s = Sfq.create () in
   for id = 0 to 4095 do
-    Sfq.arrive s ~id ~weight:1.
+    Sfq.arrive s ~id ~weight:u
   done;
   let cap_full = Sfq.capacity s in
   let fp_full = Sfq.footprint_words s in
@@ -790,7 +836,7 @@ let test_capacity_tracks_churn () =
   (* One decision lets the lazy heap discard the stale majority it still
      queues for the departed clients (and release their arrays). *)
   (match Sfq.select s with
-  | Some id -> Sfq.charge s ~id ~service:1. ~runnable:true
+  | Some id -> Sfq.charge s ~id ~service:1 ~runnable:true
   | None -> Alcotest.fail "expected a runnable client");
   let cap_small = Sfq.capacity s in
   check_bool "capacity released" true (cap_small < cap_full);
@@ -798,11 +844,11 @@ let test_capacity_tracks_churn () =
     (cap_small >= Sfq.live_clients s);
   check_bool "footprint released" true (4 * Sfq.footprint_words s < fp_full);
   for id = 10_000 to 10_000 + 4095 do
-    Sfq.arrive s ~id ~weight:1.
+    Sfq.arrive s ~id ~weight:u
   done;
   check_bool "capacity regrows" true (Sfq.capacity s >= 4096);
   match Sfq.select s with
-  | Some id -> Sfq.charge s ~id ~service:1. ~runnable:true
+  | Some id -> Sfq.charge s ~id ~service:1 ~runnable:true
   | None -> Alcotest.fail "expected a runnable client after regrowth"
 
 (* Slot remapping under audit: slots cached through {!Sfq.slot_of_id}
@@ -817,7 +863,7 @@ let test_remap_keeps_slots_dispatchable () =
   let cached = Hashtbl.create 64 in
   Sfq.set_on_remap inner (Some (fun ~id ~slot -> Hashtbl.replace cached id slot));
   for id = 0 to 1023 do
-    A.arrive s ~id ~weight:(float_of_int (1 + (id mod 4)))
+    A.arrive s ~id ~weight:((1 + (id mod 4)) * u)
   done;
   (* Depart everything but the multiples of 64: occupancy drops far
      below a quarter of capacity, forcing several compactions. *)
@@ -843,7 +889,7 @@ let test_remap_keeps_slots_dispatchable () =
     match A.select s with
     | Some id ->
       check_int "selection is a survivor" 0 (id mod 64);
-      A.charge s ~id ~service:1. ~runnable:true
+      A.charge s ~id ~service:1 ~runnable:true
     | None -> Alcotest.fail "survivors must stay schedulable"
   done;
   check_int "no invariant violations" 0 (Hsfq_check.Invariant.count sink)
@@ -875,6 +921,10 @@ let () =
             test_reincarnated_id_ignores_stale_entries;
           Alcotest.test_case "invalid arguments rejected" `Quick
             test_invalid_arguments;
+          Alcotest.test_case "misuse: weight_of_float rejects bad weights" `Quick
+            test_weight_of_float_rejects;
+          Alcotest.test_case "misuse: overflowing charge raises" `Quick
+            test_overflow_raises;
           Alcotest.test_case "weight donation (priority inversion)" `Quick
             test_donation;
           Alcotest.test_case "donation replacement" `Quick test_donation_replaced;
@@ -900,7 +950,7 @@ let () =
           qc prop_windowed_unfairness;
           qc prop_audited_never_trips;
           qc prop_matches_naive_reference;
-          qc prop_staged_matches_naive_reference;
+          qc prop_slot_protocol_matches_naive_reference;
           Alcotest.test_case "differential batch across domains" `Quick
             test_differential_parallel_batch;
           qc prop_churn_storm_matches_reference;
