@@ -88,9 +88,9 @@ let fair_decision_micro (module F : Sched.Scheduler_intf.FAIR) ~group ~q =
     name = Printf.sprintf "%s/Q=%d" F.algorithm_name q;
     fn =
       (fun () ->
-        match F.select t with
-        | Some id -> F.charge t ~id ~service:20_000_000 ~runnable:true
-        | None -> invalid_arg "bench: empty ready set");
+        let id = F.select_id t in
+        if id < 0 then invalid_arg "bench: empty ready set";
+        F.charge t ~id ~service:20_000_000 ~runnable:true);
   }
 
 let sfq_decision_micro ~q =
@@ -103,9 +103,9 @@ let sfq_decision_micro ~q =
     name = Printf.sprintf "sfq/Q=%d" q;
     fn =
       (fun () ->
-        match Core.Sfq.select t with
-        | Some id -> Core.Sfq.charge t ~id ~service:20_000_000 ~runnable:true
-        | None -> invalid_arg "bench: empty ready set");
+        let id = Core.Sfq.select_id t in
+        if id < 0 then invalid_arg "bench: empty ready set";
+        Core.Sfq.charge t ~id ~service:20_000_000 ~runnable:true);
   }
 
 (* A full hierarchical scheduling decision (schedule + update) through a
@@ -172,9 +172,9 @@ let obs_sfq_micro ~q ~enabled =
       Printf.sprintf "sfq-traced-%s/Q=%d" (if enabled then "on" else "off") q;
     fn =
       (fun () ->
-        match Core.Sfq.select t with
-        | Some id -> Core.Sfq.charge t ~id ~service:20_000_000 ~runnable:true
-        | None -> invalid_arg "bench: empty ready set");
+        let id = Core.Sfq.select_id t in
+        if id < 0 then invalid_arg "bench: empty ready set";
+        Core.Sfq.charge t ~id ~service:20_000_000 ~runnable:true);
   }
 
 let obs_hierarchy_micro ~depth ~enabled =
@@ -757,9 +757,9 @@ let sfq_scale_row ~q ~decisions mix =
   in
   let ns, words =
     time_decisions ~n:decisions (fun () ->
-        match Core.Sfq.select t with
-        | Some id -> Core.Sfq.charge t ~id ~service:20_000_000 ~runnable:true
-        | None -> invalid_arg "scale: empty ready set")
+        let id = Core.Sfq.select_id t in
+        if id < 0 then invalid_arg "scale: empty ready set";
+        Core.Sfq.charge t ~id ~service:20_000_000 ~runnable:true)
   in
   let end_words = Core.Sfq.footprint_words t in
   sample ();

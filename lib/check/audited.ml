@@ -8,7 +8,7 @@ module Make (F : Scheduler_intf.FAIR) = struct
     (* Mirror of the ready set, maintained from the call protocol alone:
        the wrapped algorithm must agree with it at every step. *)
     ready : (int, unit) Hashtbl.t;
-    mutable pending : int option; (* selected, not yet charged *)
+    mutable pending : int; (* selected, not yet charged; -1 = none *)
     mutable last_vt : int;
   }
 
@@ -23,7 +23,7 @@ module Make (F : Scheduler_intf.FAIR) = struct
         | Some s -> s
         | None -> Invariant.create ~policy:Raise ());
       ready = Hashtbl.create 16;
-      pending = None;
+      pending = -1;
       last_vt = F.virtual_time f;
     }
 
@@ -51,48 +51,52 @@ module Make (F : Scheduler_intf.FAIR) = struct
     Hashtbl.replace t.ready id ();
     post t (fun () -> Printf.sprintf "arrive id=%d w=%d" id weight)
 
+  (* The pending client cannot depart: [F.depart] must raise and change
+     nothing, so the mirror is left as it was too. *)
   let depart t ~id =
     F.depart t.f ~id;
+    let event () = Printf.sprintf "depart id=%d" id in
+    if id >= 0 && id = t.pending then
+      fail t event "work-conserving" "depart of the in-service client %d accepted"
+        id;
     Hashtbl.remove t.ready id;
-    if t.pending = Some id then t.pending <- None;
-    post t (fun () -> Printf.sprintf "depart id=%d" id)
+    post t event
 
   let set_weight t ~id ~weight =
     F.set_weight t.f ~id ~weight;
     post t (fun () -> Printf.sprintf "set_weight id=%d w=%d" id weight)
 
-  let select t =
-    let r = F.select t.f in
+  let select_id t =
+    let id = F.select_id t.f in
     let event () =
-      match r with
-      | None -> "select -> none"
-      | Some id -> Printf.sprintf "select -> id=%d" id
+      if id < 0 then "select -> none" else Printf.sprintf "select -> id=%d" id
     in
-    if t.pending <> None then
+    if t.pending >= 0 then
       fail t event "work-conserving" "select with a selection already pending";
-    (match r with
-    | None ->
+    if id < 0 then begin
       if Hashtbl.length t.ready <> 0 then
         fail t event "work-conserving"
           "select returned none with %d clients runnable"
           (Hashtbl.length t.ready)
-    | Some id ->
+    end
+    else begin
       if not (Hashtbl.mem t.ready id) then
         fail t event "work-conserving" "selected client %d is not runnable" id;
-      t.pending <- Some id);
+      t.pending <- id
+    end;
     post t event;
-    r
+    id
 
   let charge t ~id ~service ~runnable =
     F.charge t.f ~id ~service ~runnable;
     let event () =
       Printf.sprintf "charge id=%d l=%d runnable=%b" id service runnable
     in
-    if t.pending <> Some id then
+    if id < 0 || id <> t.pending then
       fail t event "work-conserving"
         "charge of client %d but the pending selection is %s" id
-        (match t.pending with None -> "none" | Some s -> string_of_int s);
-    t.pending <- None;
+        (if t.pending < 0 then "none" else string_of_int t.pending);
+    t.pending <- -1;
     if not runnable then Hashtbl.remove t.ready id;
     post t event
 
@@ -144,7 +148,7 @@ module Sfq = struct
       (fun () -> Sfq_rules.Set_weight { id; weight })
       (fun s -> S.set_weight s ~id ~weight)
 
-  let select t = guarded t (fun r -> Sfq_rules.Select r) S.select
+  let select_id t = guarded t (fun r -> Sfq_rules.Select r) S.select_id
 
   let charge t ~id ~service ~runnable =
     guarded t

@@ -47,7 +47,7 @@ module Sfq : sig
   val arrive : t -> id:int -> weight:int -> unit
   val depart : t -> id:int -> unit
   val set_weight : t -> id:int -> weight:int -> unit
-  val select : t -> int option
+  val select_id : t -> int
   val charge : t -> id:int -> service:int -> runnable:bool -> unit
   val block : t -> id:int -> unit
   val donate : t -> blocked:int -> recipient:int -> unit

@@ -56,7 +56,7 @@ let snapshot ?into t =
   p.vt <- Sfq.virtual_time t;
   p.max_finish <- Sfq.max_finish_tag t;
   p.backlogged <- Sfq.backlogged t;
-  p.in_service <- (match Sfq.in_service t with None -> -1 | Some id -> id);
+  p.in_service <- Sfq.in_service t;
   p.donations <- Sfq.donations t;
   let ready = ref 0 in
   for slot = 0 to n - 1 do
@@ -90,7 +90,7 @@ let pre_slot p id =
 
 type event =
   | Arrive of { id : int; weight : int }
-  | Select of int option
+  | Select of int
   | Charge of { id : int; service : int; runnable : bool }
   | Block of int
   | Depart of int
@@ -101,8 +101,8 @@ type event =
 let event_to_string = function
   | Arrive { id; weight } -> Printf.sprintf "arrive id=%d w=%d" id weight
   | Set_weight { id; weight } -> Printf.sprintf "set_weight id=%d w=%d" id weight
-  | Select None -> "select -> none"
-  | Select (Some id) -> Printf.sprintf "select -> id=%d" id
+  | Select id when id < 0 -> "select -> none"
+  | Select id -> Printf.sprintf "select -> id=%d" id
   | Charge { id; service; runnable } ->
     Printf.sprintf "charge id=%d l=%d runnable=%b" id service runnable
   | Block id -> Printf.sprintf "block id=%d" id
@@ -319,11 +319,11 @@ let check_transition ?(node = "sfq") sink ~pre t ev =
     end
     else if start <> Int.max pre_vt 0 then
       fail "tag-discipline" "first start tag %d, expected max(v=%d, 0)" start pre_vt
-  | Select None ->
+  | Select id when id < 0 ->
     if pre.backlogged <> 0 then
       fail "work-conserving" "select returned none with %d clients backlogged"
         pre.backlogged
-  | Select (Some id) ->
+  | Select id ->
     if pre.in_service >= 0 then
       fail "work-conserving" "select with a selection already pending";
     let p = pre_slot pre id in

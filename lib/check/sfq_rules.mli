@@ -38,7 +38,7 @@ val snapshot : ?into:snapshot -> Sfq.t -> snapshot
 (** The transition just performed, for {!check_transition}. *)
 type event =
   | Arrive of { id : int; weight : int }
-  | Select of int option  (** the selection result *)
+  | Select of int  (** the selection result; [-1] = none *)
   | Charge of { id : int; service : int; runnable : bool }
   | Block of int
   | Depart of int

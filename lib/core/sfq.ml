@@ -409,7 +409,7 @@ let set_weight t ~id ~weight =
 
 let select_id t =
   if t.nsvc >= t.servers then
-    invalid_arg "Sfq.select: previous selection not yet charged";
+    invalid_arg "Sfq.select_id: previous selection not yet charged";
   let slot = Keyed_heap.pop_valid t.queue in
   if slot < 0 then -1
   else begin
@@ -434,10 +434,6 @@ let select_id t =
            ~b:id ~c:0 ~d:0 ~x:t.vt ~y:0);
     id
   end
-
-let select t =
-  let id = select_id t in
-  if id < 0 then None else Some id
 
 (* Hot charge body, on an in-service slot. [ci] is the slot's index in
    the claim set (validated by the caller); swap-removal keeps the set
@@ -580,7 +576,7 @@ let effective_weight_of t ~id =
   let slot = slot_checked t id in
   effective_weight t slot
 
-let in_service t = if t.nsvc = 0 then None else Some t.idv.(t.svc.(t.nsvc - 1))
+let in_service t = if t.nsvc = 0 then -1 else t.idv.(t.svc.(t.nsvc - 1))
 
 let in_service_ids t =
   let acc = ref [] in

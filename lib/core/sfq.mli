@@ -62,15 +62,13 @@ val set_obs : t -> Hsfq_obs.Trace.sys option -> node:int -> unit
     scheduling decision pays exactly one extra match branch; with a sink
     attached but tracing disabled, one call testing the flag. *)
 
-val select_id : t -> int
-(** Allocation-free [select]: the selected client's id, or [-1] iff no
-    client is runnable {e and unclaimed}. Same contract otherwise — each
-    successful [select_id] must be followed by exactly one [charge]. Used
-    by {!Hierarchy.schedule_id} to keep hierarchical dispatch
+(** Note on [select_id]: it returns [-1] iff no client is runnable {e and
+    unclaimed} (see {!set_servers}), and allocates nothing —
+    {!Hierarchy.schedule_id} relies on that to keep hierarchical dispatch
     allocation-free. *)
 
 val set_servers : t -> int -> unit
-(** Raise (or lower) the claim capacity: how many [select]s may be
+(** Raise (or lower) the claim capacity: how many [select_id]s may be
     outstanding before the next one raises. The default of 1 is the
     paper's single-CPU protocol. With capacity [p], up to [p] distinct
     clients can be in service at once — a claimed client is out of the
@@ -181,9 +179,9 @@ val weight : t -> id:int -> int
 val effective_weight_of : t -> id:int -> int
 (** [weight + donated] — the divisor the next [charge] will use. *)
 
-val in_service : t -> int option
-(** The client selected but not yet charged, if any — with several
-    claims outstanding (see {!set_servers}), one of them. *)
+val in_service : t -> int
+(** The client selected but not yet charged, or [-1] if none — with
+    several claims outstanding (see {!set_servers}), one of them. *)
 
 val in_service_ids : t -> int list
 (** Every client selected but not yet charged (at most {!servers};

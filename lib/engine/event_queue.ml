@@ -300,15 +300,6 @@ let taken t =
   let k = t.fired in
   if k >= 0 then t.actions.(k) else if k = no_key then nothing else t.once.(lnot k)
 
-let pop t =
-  settle t;
-  shrink_if_sparse t;
-  if t.size = 0 then None
-  else begin
-    let at = fire_top t in
-    Some (at, taken t)
-  end
-
 let pending t = t.live
 let capacity t = Array.length t.times
 

@@ -59,10 +59,6 @@ val taken : t -> unit -> unit
     the next queue operation; after a [take_until] miss it reads as a
     no-op. *)
 
-val pop : t -> (Time.t * (unit -> unit)) option
-(** Remove and return the earliest pending entry. Convenience/test
-    shape of {!take_until} (it allocates the option and pair). *)
-
 val pending : t -> int
 (** Number of armed timers plus one-shots not yet fired. O(1). *)
 

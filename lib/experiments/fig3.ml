@@ -66,12 +66,12 @@ let run () =
   in
   while !t < horizon do
     process_wakes ();
-    match Sfq.select sfq with
-    | None ->
+    match Sfq.select_id sfq with
+    | -1 ->
       (* Idle: the paper's rule sets v to the max finish tag. *)
       if !v_idle < 0 then v_idle := Sfq.virtual_time sfq;
       t := !t + quantum
-    | Some id ->
+    | id ->
       let s = Sfq.start_tag sfq ~id and v = Sfq.virtual_time sfq in
       let t0 = !t in
       t := !t + quantum;

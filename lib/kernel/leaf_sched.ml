@@ -4,10 +4,8 @@ type t = {
   name : string;
   enqueue : now:Time.t -> int -> unit;
   dequeue : now:Time.t -> int -> unit;
-  select : now:Time.t -> int option;
   select_id : now:Time.t -> int;
   charge : now:Time.t -> int -> service:Time.span -> runnable:bool -> unit;
-  quantum_of : int -> Time.span option;
   quantum_ns_of : int -> Time.span;
   preempts : waker:int -> running:int -> bool;
   backlogged : unit -> int;
@@ -45,7 +43,6 @@ module Sfq_leaf = struct
   type handle = {
     sfq : Hsfq_core.Sfq.t;
     weights : (int, int) Hashtbl.t; (* Vtime units *)
-    quantum : Time.span option;
     audit :
       (Hsfq_check.Invariant.sink * string * Hsfq_check.Sfq_rules.snapshot) option;
         (* sink, node label, and the pre-state buffer every guarded
@@ -71,7 +68,6 @@ module Sfq_leaf = struct
       {
         sfq;
         weights = Hashtbl.create 8;
-        quantum;
         audit =
           Option.map
             (fun sink -> (sink, audit_label, Hsfq_check.Sfq_rules.snapshot sfq))
@@ -89,7 +85,7 @@ module Sfq_leaf = struct
     let block tid =
       guarded h (fun () -> R.Block tid) (fun s -> Hsfq_core.Sfq.block s ~id:tid)
     in
-    let qns = quantum_ns h.quantum in
+    let qns = quantum_ns quantum in
     let lf =
       {
         name = "sfq";
@@ -97,14 +93,10 @@ module Sfq_leaf = struct
           (fun ~now:_ tid ->
             if audited then arrive tid else sfq_enqueue h.sfq h.weights tid);
         dequeue = (fun ~now:_ tid -> block tid);
-        select =
-          (fun ~now:_ -> guarded h (fun r -> R.Select r) Hsfq_core.Sfq.select);
         select_id =
           (fun ~now:_ ->
             if audited then
-              match guarded h (fun r -> R.Select r) Hsfq_core.Sfq.select with
-              | Some tid -> tid
-              | None -> -1
+              guarded h (fun r -> R.Select r) Hsfq_core.Sfq.select_id
             else Hsfq_core.Sfq.select_id h.sfq);
         charge =
           (fun ~now:_ tid ~service ~runnable ->
@@ -113,7 +105,6 @@ module Sfq_leaf = struct
                 (fun () -> R.Charge { id = tid; service; runnable })
                 (fun s -> Hsfq_core.Sfq.charge s ~id:tid ~service ~runnable)
             else sfq_charge h.sfq tid ~service ~runnable);
-        quantum_of = (fun _ -> h.quantum);
         quantum_ns_of = (fun _ -> qns);
         preempts = (fun ~waker:_ ~running:_ -> false);
         backlogged = (fun () -> Hsfq_core.Sfq.backlogged h.sfq);
@@ -175,7 +166,6 @@ module Fair_leaf (F : Hsfq_sched.Scheduler_intf.FAIR) = struct
     sched : F.t;
     audited : A.t option; (* shares [sched]; checks every transition *)
     weights : (int, int) Hashtbl.t; (* Vtime units *)
-    quantum : Time.span option;
   }
 
   let weight_of h tid =
@@ -192,7 +182,6 @@ module Fair_leaf (F : Hsfq_sched.Scheduler_intf.FAIR) = struct
         audited =
           Option.map (fun sink -> A.wrap ~node:audit_label ~sink sched) audit;
         weights = Hashtbl.create 8;
-        quantum;
       }
     in
     let arrive tid ~weight =
@@ -205,25 +194,22 @@ module Fair_leaf (F : Hsfq_sched.Scheduler_intf.FAIR) = struct
       | Some a -> A.depart a ~id:tid
       | None -> F.depart h.sched ~id:tid
     in
-    let select () =
-      match h.audited with Some a -> A.select a | None -> F.select h.sched
-    in
-    let qns = quantum_ns h.quantum in
+    let qns = quantum_ns quantum in
     let lf =
       {
         name = F.algorithm_name;
         enqueue = (fun ~now:_ tid -> arrive tid ~weight:(weight_of h tid));
         dequeue = (fun ~now:_ tid -> depart tid);
-        select = (fun ~now:_ -> select ());
         select_id =
           (fun ~now:_ ->
-            match select () with Some tid -> tid | None -> -1);
+            match h.audited with
+            | Some a -> A.select_id a
+            | None -> F.select_id h.sched);
         charge =
           (fun ~now:_ tid ~service ~runnable ->
             match h.audited with
             | Some a -> A.charge a ~id:tid ~service ~runnable
             | None -> F.charge h.sched ~id:tid ~service ~runnable);
-        quantum_of = (fun _ -> h.quantum);
         quantum_ns_of = (fun _ -> qns);
         preempts = (fun ~waker:_ ~running:_ -> false);
         backlogged = (fun () -> F.backlogged h.sched);
@@ -277,12 +263,10 @@ module Svr4_leaf = struct
             Hashtbl.remove h.fresh tid;
             Svr4.wake ~boost h.svr4 ~id:tid);
         dequeue = (fun ~now:_ tid -> Svr4.block h.svr4 ~id:tid);
-        select = (fun ~now:_ -> Svr4.select h.svr4);
         select_id = (fun ~now:_ -> Svr4.select_id h.svr4);
         charge =
           (fun ~now:_ tid ~service ~runnable ->
             Svr4.charge h.svr4 ~id:tid ~service ~runnable);
-        quantum_of = (fun tid -> Some (Svr4.quantum_of h.svr4 ~id:tid));
         quantum_ns_of = (fun tid -> Svr4.quantum_of h.svr4 ~id:tid);
         preempts = (fun ~waker ~running -> Svr4.preempts h.svr4 ~waker ~running);
         backlogged = (fun () -> Svr4.backlogged h.svr4);
@@ -311,24 +295,20 @@ end
 module Rm_leaf = struct
   open Hsfq_sched
 
-  type handle = { rm : Rm.t; quantum : Time.span option }
+  type handle = { rm : Rm.t }
 
   let make ?quantum () =
-    let h = { rm = Rm.create (); quantum } in
+    let h = { rm = Rm.create () } in
     let qns = quantum_ns quantum in
     let lf =
       {
         name = "rm";
         enqueue = (fun ~now:_ tid -> Rm.wake h.rm ~id:tid);
         dequeue = (fun ~now:_ tid -> Rm.block h.rm ~id:tid);
-        select = (fun ~now:_ -> Rm.select h.rm);
-        select_id =
-          (fun ~now:_ ->
-            match Rm.select h.rm with Some tid -> tid | None -> -1);
+        select_id = (fun ~now:_ -> Rm.select_id h.rm);
         charge =
           (fun ~now:_ tid ~service:_ ~runnable ->
             if not runnable then Rm.block h.rm ~id:tid);
-        quantum_of = (fun _ -> h.quantum);
         quantum_ns_of = (fun _ -> qns);
         preempts =
           (fun ~waker ~running -> Rm.higher_priority h.rm waker ~than:running);
@@ -352,11 +332,10 @@ module Edf_leaf = struct
   type handle = {
     edf : Edf.t;
     rel : (int, Time.span) Hashtbl.t;
-    quantum : Time.span option;
   }
 
   let make ?quantum () =
-    let h = { edf = Edf.create (); rel = Hashtbl.create 8; quantum } in
+    let h = { edf = Edf.create (); rel = Hashtbl.create 8 } in
     let qns = quantum_ns quantum in
     let lf =
       {
@@ -370,14 +349,10 @@ module Edf_leaf = struct
             in
             Edf.release h.edf ~id:tid ~deadline:(Time.add now d));
         dequeue = (fun ~now:_ tid -> Edf.withdraw h.edf ~id:tid);
-        select = (fun ~now:_ -> Edf.select h.edf);
-        select_id =
-          (fun ~now:_ ->
-            match Edf.select h.edf with Some tid -> tid | None -> -1);
+        select_id = (fun ~now:_ -> Edf.select_id h.edf);
         charge =
           (fun ~now:_ tid ~service:_ ~runnable ->
             if not runnable then Edf.withdraw h.edf ~id:tid);
-        quantum_of = (fun _ -> h.quantum);
         quantum_ns_of = (fun _ -> qns);
         preempts =
           (fun ~waker ~running ->
@@ -406,7 +381,6 @@ module Gps_leaf = struct
   type handle = {
     gps : Gps_vt.t;
     weights : (int, int) Hashtbl.t; (* Vtime units *)
-    quantum : Time.span option;
   }
 
   let weight_of h tid =
@@ -419,7 +393,6 @@ module Gps_leaf = struct
       {
         gps = Gps_vt.create ~order ?quantum_hint ();
         weights = Hashtbl.create 8;
-        quantum;
       }
     in
     let qns = quantum_ns quantum in
@@ -432,14 +405,10 @@ module Gps_leaf = struct
         enqueue =
           (fun ~now tid -> Gps_vt.arrive h.gps ~now ~id:tid ~weight:(weight_of h tid));
         dequeue = (fun ~now:_ tid -> Gps_vt.depart h.gps ~id:tid);
-        select = (fun ~now -> Gps_vt.select h.gps ~now);
-        select_id =
-          (fun ~now ->
-            match Gps_vt.select h.gps ~now with Some tid -> tid | None -> -1);
+        select_id = (fun ~now -> Gps_vt.select_id h.gps ~now);
         charge =
           (fun ~now tid ~service ~runnable ->
             Gps_vt.charge h.gps ~now ~id:tid ~service ~runnable);
-        quantum_of = (fun _ -> h.quantum);
         quantum_ns_of = (fun _ -> qns);
         preempts = (fun ~waker:_ ~running:_ -> false);
         backlogged = (fun () -> Gps_vt.backlogged h.gps);
@@ -479,12 +448,18 @@ module Reserve_leaf = struct
 
   let reserved m = m.capacity > 0 && m.budget > 0
 
-  (* First runnable reserved thread in FIFO order, else first runnable. *)
+  (* First runnable reserved thread in FIFO order, else first runnable,
+     else -1. *)
   let pick h =
-    let candidates = List.filter (fun tid -> (get h tid).runnable) h.order in
-    match List.find_opt (fun tid -> reserved (get h tid)) candidates with
-    | Some tid -> Some tid
-    | None -> (match candidates with [] -> None | tid :: _ -> Some tid)
+    let rec scan first = function
+      | [] -> first
+      | tid :: rest ->
+        let m = get h tid in
+        if not m.runnable then scan first rest
+        else if reserved m then tid
+        else scan (if first < 0 then tid else first) rest
+    in
+    scan (-1) h.order
 
   let rotate h tid = h.order <- List.filter (fun x -> x <> tid) h.order @ [ tid ]
 
@@ -495,19 +470,13 @@ module Reserve_leaf = struct
         name = "reserve";
         enqueue = (fun ~now:_ tid -> (get h tid).runnable <- true);
         dequeue = (fun ~now:_ tid -> (get h tid).runnable <- false);
-        select = (fun ~now:_ -> pick h);
-        select_id =
-          (fun ~now:_ -> match pick h with Some tid -> tid | None -> -1);
+        select_id = (fun ~now:_ -> pick h);
         charge =
           (fun ~now:_ tid ~service ~runnable ->
             let m = get h tid in
             if m.capacity > 0 then m.budget <- Int.max 0 (m.budget - service);
             m.runnable <- runnable;
             rotate h tid);
-        quantum_of =
-          (fun tid ->
-            let m = get h tid in
-            if reserved m then Some m.budget else None);
         quantum_ns_of =
           (fun tid ->
             let m = get h tid in
@@ -576,14 +545,6 @@ let traced ~sys ~node lf =
         Tr.sys_set_now sys now;
         Tr.emit0 sys ~code:Tr.ev_leaf_dequeue ~a:node ~b:tid ~c:0 ~d:0;
         lf.dequeue ~now tid);
-    select =
-      (fun ~now ->
-        Tr.sys_set_now sys now;
-        let r = lf.select ~now in
-        (match r with
-        | Some tid -> Tr.emit0 sys ~code:Tr.ev_leaf_pick ~a:node ~b:tid ~c:0 ~d:0
-        | None -> ());
-        r);
     select_id =
       (fun ~now ->
         Tr.sys_set_now sys now;

@@ -20,18 +20,13 @@ type t = {
   enqueue : now:Time.t -> int -> unit;  (** thread became runnable *)
   dequeue : now:Time.t -> int -> unit;
       (** a runnable but not-running thread leaves the ready set *)
-  select : now:Time.t -> int option;  (** pick the next thread to run *)
   select_id : now:Time.t -> int;
-      (** allocation-free [select]: the picked thread's id, or [-1] iff
-          the ready set is empty — the kernel dispatch loop's entry
-          point (the option shape remains for tests/diagnostics) *)
+      (** pick the next thread to run: its id, or [-1] iff the ready set
+          is empty *)
   charge : now:Time.t -> int -> service:Time.span -> runnable:bool -> unit;
       (** account actual CPU consumed by the selected thread *)
-  quantum_of : int -> Time.span option;
-      (** class-specific quantum ([None] = kernel default) *)
   quantum_ns_of : int -> Time.span;
-      (** allocation-free [quantum_of]: the quantum in ns, or [-1] for
-          the kernel default *)
+      (** class-specific quantum in ns, or [-1] for the kernel default *)
   preempts : waker:int -> running:int -> bool;
       (** should a wakeup preempt the running thread of this class
           immediately (e.g. SVR4 RT)? *)

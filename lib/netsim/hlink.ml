@@ -72,11 +72,8 @@ let rec start_transmission t =
   | leaf ->
     t.transmitting <- true;
     let sched = leaf_sched t leaf in
-    let flow =
-      match Sfq.select sched with
-      | Some id -> id
-      | None -> failwith "Hlink: runnable class with no queued flow"
-    in
+    let flow = Sfq.select_id sched in
+    if flow < 0 then failwith "Hlink: runnable class with no queued flow";
     let f = get t flow in
     let pkt = Queue.pop f.queue in
     let duration =

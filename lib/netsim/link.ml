@@ -17,7 +17,7 @@ type flow = {
 type sched_ops = {
   s_name : string;
   s_arrive : id:int -> weight:int -> unit;
-  s_select : unit -> int option;
+  s_select : unit -> int; (* -1 = nothing queued *)
   s_charge : id:int -> service:int -> runnable:bool -> unit;
   s_depart : id:int -> unit;
 }
@@ -36,7 +36,7 @@ let pack_sched (module F : Hsfq_sched.Scheduler_intf.FAIR) ~quantum_hint =
   {
     s_name = F.algorithm_name;
     s_arrive = (fun ~id ~weight -> F.arrive st ~id ~weight);
-    s_select = (fun () -> F.select st);
+    s_select = (fun () -> F.select_id st);
     s_charge = (fun ~id ~service ~runnable -> F.charge st ~id ~service ~runnable);
     s_depart = (fun ~id -> F.depart st ~id);
   }
@@ -80,8 +80,8 @@ let remove_flow t ~id =
    charge the actual length and continue while backlogged. *)
 let rec start_transmission t =
   match t.sched.s_select () with
-  | None -> t.transmitting <- false
-  | Some id ->
+  | -1 -> t.transmitting <- false
+  | id ->
     t.transmitting <- true;
     let f = get t id in
     let pkt = Queue.pop f.queue in

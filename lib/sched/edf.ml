@@ -46,9 +46,7 @@ let withdraw t ~id =
       Keyed_heap.invalidate t.queue
     end
 
-let select t =
-  let id = Keyed_heap.peek_valid t.queue in
-  if id < 0 then None else Some id
+let select_id t = Keyed_heap.peek_valid t.queue
 
 let deadline_of t ~id =
   match Hashtbl.find_opt t.jobs id with

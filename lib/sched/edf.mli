@@ -21,9 +21,10 @@ val release : t -> id:int -> deadline:int -> unit
 val withdraw : t -> id:int -> unit
 (** Remove job [id] from the ready set (completion or blocking). *)
 
-val select : t -> int option
-(** The runnable job with the earliest deadline (FIFO among equals).
-    Non-destructive: selecting does not remove the job. *)
+val select_id : t -> int
+(** The runnable job with the earliest deadline (FIFO among equals), or
+    [-1] iff none is runnable. Non-destructive: selecting does not
+    remove the job. *)
 
 val deadline_of : t -> id:int -> int option
 val backlogged : t -> int

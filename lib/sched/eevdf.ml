@@ -13,7 +13,7 @@ type t = {
   clients : (int, client) Hashtbl.t;
   (* Two ready queues with lazy invalidation: clients whose eligible time
      has been reached, keyed by virtual deadline, and not-yet-eligible
-     clients keyed by eligible time. [select] migrates entries as the
+     clients keyed by eligible time. [select_id] migrates entries as the
      system virtual time advances. *)
   eligible : Keyed_heap.t;
   future : Keyed_heap.t;
@@ -90,6 +90,8 @@ let arrive t ~id ~weight =
     enqueue t id c
 
 let depart t ~id =
+  if id >= 0 && id = t.in_service then
+    invalid_arg "Eevdf.depart: client in service";
   match Hashtbl.find t.clients id with
   | exception Not_found -> ()
   | c ->
@@ -99,10 +101,8 @@ let depart t ~id =
       (* The queued entry just went stale. Guessing which queue holds it
          from [ve] is only a heuristic (promotion may have moved it);
          a misattributed report merely shifts when each queue compacts. *)
-      if t.in_service <> id then begin
-        if c.ve <= t.vt.v then Keyed_heap.invalidate t.eligible
-        else Keyed_heap.invalidate t.future
-      end
+      if c.ve <= t.vt.v then Keyed_heap.invalidate t.eligible
+      else Keyed_heap.invalidate t.future
     end;
     c.gen <- c.gen + 1;
     Hashtbl.remove t.clients id
@@ -125,10 +125,10 @@ let rec promote t =
     promote t
   end
 
-let select t =
+let select_id t =
   if t.in_service >= 0 then
     invalid_arg "select: a selection is already in service";
-  if t.nrun = 0 then None
+  if t.nrun = 0 then -1
   else begin
     promote t;
     let id = Keyed_heap.pop_valid t.eligible in
@@ -140,11 +140,12 @@ let select t =
         Keyed_heap.pop_valid t.future
     in
     t.in_service <- id;
-    if id >= 0 then Some id else None
+    id
   end
 
 let charge t ~id ~service ~runnable =
-  if t.in_service <> id then invalid_arg "Eevdf.charge: client not in service";
+  if id < 0 || id <> t.in_service then
+    invalid_arg "Eevdf.charge: client not in service";
   t.in_service <- -1;
   let c = get t id in
   Vtime.advance t.vt ~service ~weight:t.tw;

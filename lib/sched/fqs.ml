@@ -15,13 +15,15 @@ type t = {
   vt : Vtime.clock; (* GPS round number, advanced incrementally *)
   mutable total_weight : int;
   mutable nrun : int;
-  mutable in_service : int option;
+  mutable in_service : int; (* -1 = none *)
 }
 
+(* [Hashtbl.find] + exception match (not [find_opt]): the [Some] box of
+   a hit would be an allocation per decision. *)
 let valid t ~id ~gen =
-  match Hashtbl.find_opt t.clients id with
-  | None -> false
-  | Some c -> c.runnable && c.gen = gen
+  match Hashtbl.find t.clients id with
+  | c -> c.runnable && c.gen = gen
+  | exception Not_found -> false
 
 let create ?rng:_ ?quantum_hint:_ () =
   let t =
@@ -31,7 +33,7 @@ let create ?rng:_ ?quantum_hint:_ () =
       vt = Vtime.clock ();
       total_weight = 0;
       nrun = 0;
-      in_service = None;
+      in_service = -1;
     }
   in
   (* Enables compaction once stale entries dominate (see Keyed_heap). *)
@@ -39,9 +41,10 @@ let create ?rng:_ ?quantum_hint:_ () =
   t
 
 let get t id =
-  match Hashtbl.find_opt t.clients id with
-  | Some c -> c
-  | None -> invalid_arg (Printf.sprintf "%s: unknown client %d" algorithm_name id)
+  match Hashtbl.find t.clients id with
+  | c -> c
+  | exception Not_found ->
+    invalid_arg (Printf.sprintf "%s: unknown client %d" algorithm_name id)
 
 let enqueue t id c =
   if t.vt.v > c.finish then c.rem <- 0;
@@ -67,15 +70,15 @@ let arrive t ~id ~weight =
     enqueue t id c
 
 let depart t ~id =
+  if id >= 0 && id = t.in_service then
+    invalid_arg "Fqs.depart: client in service";
   match Hashtbl.find_opt t.clients id with
   | None -> ()
   | Some c ->
     if c.runnable then begin
       t.total_weight <- t.total_weight - c.weight;
       t.nrun <- t.nrun - 1;
-      (match t.in_service with
-      | Some s when s = id -> ()
-      | _ -> Keyed_heap.invalidate t.queue)
+      Keyed_heap.invalidate t.queue
     end;
     c.gen <- c.gen + 1;
     Hashtbl.remove t.clients id
@@ -86,21 +89,17 @@ let set_weight t ~id ~weight =
   if c.runnable then t.total_weight <- t.total_weight - c.weight + weight;
   c.weight <- weight
 
-let select t =
-  if Option.is_some t.in_service then
+let select_id t =
+  if t.in_service >= 0 then
     invalid_arg "select: a selection is already in service";
   let id = Keyed_heap.pop_valid t.queue in
-  if id < 0 then None
-  else begin
-    t.in_service <- Some id;
-    Some id
-  end
+  t.in_service <- id;
+  id
 
 let charge t ~id ~service ~runnable =
-  (match t.in_service with
-  | Some s when s = id -> ()
-  | _ -> invalid_arg "Fqs.charge: client not in service");
-  t.in_service <- None;
+  if id < 0 || id <> t.in_service then
+    invalid_arg "Fqs.charge: client not in service";
+  t.in_service <- -1;
   let c = get t id in
   Vtime.advance t.vt ~service ~weight:t.total_weight;
   let step = Vtime.step ~service ~weight:c.weight ~rem:c.rem in

@@ -22,13 +22,15 @@ type t = {
   mutable vt_as_of : Time.t; (* wall instant [vt] corresponds to *)
   mutable total_weight : int;
   mutable nrun : int;
-  mutable in_service : int option;
+  mutable in_service : int; (* -1 = none *)
 }
 
+(* [Hashtbl.find] + exception match (not [find_opt]): the [Some] box of
+   a hit would be an allocation per decision. *)
 let valid t ~id ~gen =
-  match Hashtbl.find_opt t.clients id with
-  | None -> false
-  | Some c -> c.runnable && c.gen = gen
+  match Hashtbl.find t.clients id with
+  | c -> c.runnable && c.gen = gen
+  | exception Not_found -> false
 
 let create ~order ?(quantum_hint = 20_000_000) () =
   let t =
@@ -41,7 +43,7 @@ let create ~order ?(quantum_hint = 20_000_000) () =
       vt_as_of = Time.zero;
       total_weight = 0;
       nrun = 0;
-      in_service = None;
+      in_service = -1;
     }
   in
   (* Enables compaction once stale entries dominate (see Keyed_heap). *)
@@ -49,9 +51,10 @@ let create ~order ?(quantum_hint = 20_000_000) () =
   t
 
 let get t id =
-  match Hashtbl.find_opt t.clients id with
-  | Some c -> c
-  | None -> invalid_arg (Printf.sprintf "Gps_vt: unknown client %d" id)
+  match Hashtbl.find t.clients id with
+  | c -> c
+  | exception Not_found ->
+    invalid_arg (Printf.sprintf "Gps_vt: unknown client %d" id)
 
 (* Eq. 12: v grows with wall time at rate 1 / (sum of backlogged
    weights); it stands still while no client is backlogged. *)
@@ -96,15 +99,15 @@ let arrive t ~now ~id ~weight =
     enqueue t id c
 
 let depart t ~id =
+  if id >= 0 && id = t.in_service then
+    invalid_arg "Gps_vt.depart: client in service";
   match Hashtbl.find_opt t.clients id with
   | None -> ()
   | Some c ->
     if c.runnable then begin
       t.total_weight <- t.total_weight - c.weight;
       t.nrun <- t.nrun - 1;
-      (match t.in_service with
-      | Some s when s = id -> ()
-      | _ -> Keyed_heap.invalidate t.queue)
+      Keyed_heap.invalidate t.queue
     end;
     c.gen <- c.gen + 1;
     Hashtbl.remove t.clients id
@@ -115,23 +118,19 @@ let set_weight t ~id ~weight =
   if c.runnable then t.total_weight <- t.total_weight - c.weight + weight;
   c.weight <- weight
 
-let select t ~now =
+let select_id t ~now =
   advance_vt t now;
-  if Option.is_some t.in_service then
+  if t.in_service >= 0 then
     invalid_arg "select: a selection is already in service";
   let id = Keyed_heap.pop_valid t.queue in
-  if id < 0 then None
-  else begin
-    t.in_service <- Some id;
-    Some id
-  end
+  t.in_service <- id;
+  id
 
 let charge t ~now ~id ~service ~runnable =
-  (match t.in_service with
-  | Some s when s = id -> ()
-  | _ -> invalid_arg "Gps_vt.charge: client not in service");
+  if id < 0 || id <> t.in_service then
+    invalid_arg "Gps_vt.charge: client not in service";
   advance_vt t now;
-  t.in_service <- None;
+  t.in_service <- -1;
   let c = get t id in
   (match t.order with
   | Finish_tags ->

@@ -29,8 +29,15 @@ val arrive : t -> now:Hsfq_engine.Time.t -> id:int -> weight:int -> unit
 (** [weight] in {!Vtime} units. *)
 
 val depart : t -> id:int -> unit
+(** Raises [Invalid_argument], with no state changed, if [id] is in
+    service (selected, not yet charged). *)
+
 val set_weight : t -> id:int -> weight:int -> unit
-val select : t -> now:Hsfq_engine.Time.t -> int option
+
+val select_id : t -> now:Hsfq_engine.Time.t -> int
+(** The next client to serve, or [-1] iff none is runnable; in service
+    until the matching [charge]. *)
+
 val charge :
   t -> now:Hsfq_engine.Time.t -> id:int -> service:int -> runnable:bool -> unit
 

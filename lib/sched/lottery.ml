@@ -84,6 +84,8 @@ let arrive t ~id ~weight =
     ready_add t id c
 
 let depart t ~id =
+  if id >= 0 && id = t.in_service then
+    invalid_arg "Lottery.depart: client in service";
   match Hashtbl.find t.clients id with
   | exception Not_found -> ()
   | c ->
@@ -104,10 +106,10 @@ let rec winner t ticket i acc =
   let acc = acc + t.rweights.(i) in
   if ticket < acc || i = t.nrun - 1 then t.rids.(i) else winner t ticket (i + 1) acc
 
-let select t =
+let select_id t =
   if t.in_service >= 0 then
     invalid_arg "select: a selection is already in service";
-  if t.nrun = 0 then None
+  if t.nrun = 0 then -1
   else begin
     (* Draw a ticket in [0, total_weight) and walk the dense ready set.
        The slot order is arbitrary (swap-removal permutes it) but fixed
@@ -116,11 +118,12 @@ let select t =
        Integer tickets are exact: the walk always ends on a winner. *)
     let id = winner t (Prng.int t.rng t.tw) 0 0 in
     t.in_service <- id;
-    Some id
+    id
   end
 
 let charge t ~id ~service:_ ~runnable =
-  if t.in_service <> id then invalid_arg "Lottery.charge: client not in service";
+  if id < 0 || id <> t.in_service then
+    invalid_arg "Lottery.charge: client not in service";
   t.in_service <- -1;
   let c = get t id in
   if not runnable then begin

@@ -44,20 +44,22 @@ let block t ~id =
 
 (* The task set is small (RM priorities are static and tasks few); a scan
    keeps the structure trivially correct. *)
-let select t =
-  let best = ref None in
+let select_id t =
+  let best = ref (-1) and best_period = ref 0. and best_order = ref 0 in
   Hashtbl.iter
     (fun id task ->
-      if task.ready then
-        match !best with
-        | None -> best := Some (id, task)
-        | Some (_, b) ->
-          if
-            task.period < b.period
-            || (task.period = b.period && task.order < b.order)
-          then best := Some (id, task))
+      if
+        task.ready
+        && (!best < 0
+           || task.period < !best_period
+           || (task.period = !best_period && task.order < !best_order))
+      then begin
+        best := id;
+        best_period := task.period;
+        best_order := task.order
+      end)
     t.tasks;
-  Option.map fst !best
+  !best
 
 let period_of t ~id =
   Option.map (fun task -> task.period) (Hashtbl.find_opt t.tasks id)

@@ -4,7 +4,7 @@
     class.
 
     Task-oriented: tasks [register] once with their period; [wake]/[block]
-    toggle readiness at each round. [select] is non-destructive. *)
+    toggle readiness at each round. [select_id] is non-destructive. *)
 
 type t
 
@@ -17,9 +17,9 @@ val unregister : t -> id:int -> unit
 val wake : t -> id:int -> unit
 val block : t -> id:int -> unit
 
-val select : t -> int option
-(** Ready task with the smallest period; ties break by registration
-    order. *)
+val select_id : t -> int
+(** Ready task with the smallest period, ties broken by registration
+    order; [-1] iff no task is ready. *)
 
 val period_of : t -> id:int -> float option
 

@@ -7,13 +7,15 @@ type t = {
   ring : Keyed_heap.t; (* key = FIFO sequence, monotonically increasing *)
   mutable next_key : int;
   mutable nrun : int;
-  mutable in_service : int option;
+  mutable in_service : int; (* -1 = none *)
 }
 
+(* [Hashtbl.find] + exception match (not [find_opt]): the [Some] box of
+   a hit would be an allocation per decision. *)
 let valid t ~id ~gen =
-  match Hashtbl.find_opt t.clients id with
-  | None -> false
-  | Some c -> c.runnable && c.gen = gen
+  match Hashtbl.find t.clients id with
+  | c -> c.runnable && c.gen = gen
+  | exception Not_found -> false
 
 let create ?rng:_ ?quantum_hint:_ () =
   let t =
@@ -22,7 +24,7 @@ let create ?rng:_ ?quantum_hint:_ () =
       ring = Keyed_heap.create ();
       next_key = 0;
       nrun = 0;
-      in_service = None;
+      in_service = -1;
     }
   in
   (* Enables compaction once stale entries dominate (see Keyed_heap). *)
@@ -49,39 +51,35 @@ let arrive t ~id ~weight:_ =
     enqueue t id c
 
 let depart t ~id =
+  if id >= 0 && id = t.in_service then
+    invalid_arg "Round_robin.depart: client in service";
   match Hashtbl.find_opt t.clients id with
   | None -> ()
   | Some c ->
     if c.runnable then begin
       t.nrun <- t.nrun - 1;
-      (match t.in_service with
-      | Some s when s = id -> ()
-      | _ -> Keyed_heap.invalidate t.ring)
+      Keyed_heap.invalidate t.ring
     end;
     c.gen <- c.gen + 1;
     Hashtbl.remove t.clients id
 
 let set_weight _ ~id:_ ~weight:_ = ()
 
-let select t =
-  if Option.is_some t.in_service then
+let select_id t =
+  if t.in_service >= 0 then
     invalid_arg "select: a selection is already in service";
   let id = Keyed_heap.pop_valid t.ring in
-  if id < 0 then None
-  else begin
-    t.in_service <- Some id;
-    Some id
-  end
+  t.in_service <- id;
+  id
 
 let charge t ~id ~service:_ ~runnable =
-  (match t.in_service with
-  | Some s when s = id -> ()
-  | _ -> invalid_arg "Round_robin.charge: client not in service");
-  t.in_service <- None;
+  if id < 0 || id <> t.in_service then
+    invalid_arg "Round_robin.charge: client not in service";
+  t.in_service <- -1;
   let c =
-    match Hashtbl.find_opt t.clients id with
-    | Some c -> c
-    | None -> invalid_arg "Round_robin.charge: unknown client"
+    match Hashtbl.find t.clients id with
+    | c -> c
+    | exception Not_found -> invalid_arg "Round_robin.charge: unknown client"
   in
   if runnable then enqueue t id c
   else begin

@@ -15,14 +15,16 @@ type t = {
   queue : Keyed_heap.t;
   mutable vt : int; (* finish tag of the quantum in service *)
   mutable nrun : int;
-  mutable in_service : int option;
+  mutable in_service : int; (* -1 = none *)
   lhat : int;
 }
 
+(* [Hashtbl.find] + exception match (not [find_opt]): the [Some] box of
+   a hit would be an allocation per decision. *)
 let valid t ~id ~gen =
-  match Hashtbl.find_opt t.clients id with
-  | None -> false
-  | Some c -> c.runnable && c.gen = gen
+  match Hashtbl.find t.clients id with
+  | c -> c.runnable && c.gen = gen
+  | exception Not_found -> false
 
 let create ?rng:_ ?(quantum_hint = 10_000_000) () =
   let t =
@@ -31,7 +33,7 @@ let create ?rng:_ ?(quantum_hint = 10_000_000) () =
       queue = Keyed_heap.create ();
       vt = 0;
       nrun = 0;
-      in_service = None;
+      in_service = -1;
       lhat = quantum_hint;
     }
   in
@@ -40,9 +42,10 @@ let create ?rng:_ ?(quantum_hint = 10_000_000) () =
   t
 
 let get t id =
-  match Hashtbl.find_opt t.clients id with
-  | Some c -> c
-  | None -> invalid_arg (Printf.sprintf "%s: unknown client %d" algorithm_name id)
+  match Hashtbl.find t.clients id with
+  | c -> c
+  | exception Not_found ->
+    invalid_arg (Printf.sprintf "%s: unknown client %d" algorithm_name id)
 
 let enqueue t id c =
   if t.vt > c.finish then c.rem <- 0;
@@ -71,14 +74,14 @@ let arrive t ~id ~weight =
     enqueue t id c
 
 let depart t ~id =
+  if id >= 0 && id = t.in_service then
+    invalid_arg "Scfq.depart: client in service";
   match Hashtbl.find_opt t.clients id with
   | None -> ()
   | Some c ->
     if c.runnable then begin
       t.nrun <- t.nrun - 1;
-      (match t.in_service with
-      | Some s when s = id -> ()
-      | _ -> Keyed_heap.invalidate t.queue)
+      Keyed_heap.invalidate t.queue
     end;
     c.gen <- c.gen + 1;
     Hashtbl.remove t.clients id
@@ -87,22 +90,18 @@ let set_weight t ~id ~weight =
   if weight <= 0 then invalid_arg "Scfq.set_weight: weight <= 0";
   (get t id).weight <- weight
 
-let select t =
-  if Option.is_some t.in_service then
+let select_id t =
+  if t.in_service >= 0 then
     invalid_arg "select: a selection is already in service";
   let id = Keyed_heap.pop_valid t.queue in
-  if id < 0 then None
-  else begin
-    t.in_service <- Some id;
-    t.vt <- Keyed_heap.last_key t.queue;
-    Some id
-  end
+  t.in_service <- id;
+  if id >= 0 then t.vt <- Keyed_heap.last_key t.queue;
+  id
 
 let charge t ~id ~service:_ ~runnable =
-  (match t.in_service with
-  | Some s when s = id -> ()
-  | _ -> invalid_arg "Scfq.charge: client not in service");
-  t.in_service <- None;
+  if id < 0 || id <> t.in_service then
+    invalid_arg "Scfq.charge: client not in service";
+  t.in_service <- -1;
   let c = get t id in
   c.finish <- c.pend_f;
   c.rem <- c.pend_r;

@@ -17,12 +17,16 @@
     {- [arrive] announces that a client is runnable (first time or after
        blocking). Per-client scheduler state (e.g. SFQ's finish tag)
        persists across blocked periods.}
-    {- [select] picks the client to run next and marks it "in service".
-       Exactly one [charge] must follow each successful [select].}
+    {- [select_id] picks the client to run next and marks it "in
+       service"; it returns [-1] iff no client is runnable. Exactly one
+       [charge] must follow each successful [select_id], and a second
+       [select_id] before it raises.}
     {- [charge] reports the *actual* service received (the paper's quantum
        length [l], measured here in nanoseconds of CPU time) and whether
        the client is still runnable.}
-    {- [depart] removes a client entirely (thread exit).}}
+    {- [depart] removes a client entirely (thread exit). The client in
+       service cannot depart: charge it first. Such a [depart] raises
+       [Invalid_argument] and changes nothing.}}
 
     Service is reported {e after} it happens. Algorithms that need quantum
     lengths a priori (WFQ, SCFQ — see §6 of the paper) instead use the
@@ -47,13 +51,15 @@ module type FAIR = sig
       must be positive. *)
 
   val depart : t -> id:int -> unit
-  (** Forget the client completely. *)
+  (** Forget the client completely. Unknown ids are ignored. Raises
+      [Invalid_argument], with no state changed, if [id] is in service. *)
 
   val set_weight : t -> id:int -> weight:int -> unit
 
-  val select : t -> int option
-  (** Choose the next client to serve; [None] iff no client is runnable.
-      The chosen client is "in service" until the matching [charge]. *)
+  val select_id : t -> int
+  (** Choose the next client to serve: its id, or [-1] iff no client is
+      runnable. The chosen client is "in service" until the matching
+      [charge]. *)
 
   val charge : t -> id:int -> service:int -> runnable:bool -> unit
   (** Account [service] ns to the in-service client [id]; [runnable]

@@ -286,10 +286,6 @@ let select_id t =
   t.in_service <- id;
   id
 
-let select t =
-  let id = select_id t in
-  if id >= 0 then Some id else None
-
 let ts_quantum t s = t.table.(s.prio).quantum_ticks * t.tick
 
 (* SVR4 charges CPU per clock tick: a thread running when the tick fires

@@ -73,14 +73,11 @@ val wake : ?boost:bool -> t -> id:int -> unit
 
 val block : t -> id:int -> unit
 
-val select : t -> int option
-(** Highest-priority runnable thread: any RT before any TS; FIFO within an
-    RT priority; per-level queues with preempted-thread-first for TS. The
-    selected thread is "in service" until [charge]. *)
-
 val select_id : t -> int
-(** [select] without the option box: the selected thread id, or -1 when
-    the run queue is empty. The kernel dispatch loop uses this. *)
+(** Highest-priority runnable thread: any RT before any TS; FIFO within an
+    RT priority; per-level queues with preempted-thread-first for TS.
+    Returns [-1] iff the run queue is empty. The selected thread is "in
+    service" until [charge]; a second [select_id] before it raises. *)
 
 val charge : t -> id:int -> service:Hsfq_engine.Time.span -> runnable:bool -> unit
 (** Account CPU use. TS threads whose quantum is exhausted are demoted to

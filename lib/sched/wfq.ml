@@ -17,14 +17,16 @@ type t = {
   vt : Vtime.clock;
   mutable total_weight : int; (* over runnable clients *)
   mutable nrun : int;
-  mutable in_service : int option;
+  mutable in_service : int; (* -1 = none *)
   lhat : int; (* assumed quantum length *)
 }
 
+(* [Hashtbl.find] + exception match (not [find_opt]): the [Some] box of
+   a hit would be an allocation per decision. *)
 let valid t ~id ~gen =
-  match Hashtbl.find_opt t.clients id with
-  | None -> false
-  | Some c -> c.runnable && c.gen = gen
+  match Hashtbl.find t.clients id with
+  | c -> c.runnable && c.gen = gen
+  | exception Not_found -> false
 
 let create ?rng:_ ?(quantum_hint = 10_000_000) () =
   let t =
@@ -34,7 +36,7 @@ let create ?rng:_ ?(quantum_hint = 10_000_000) () =
       vt = Vtime.clock ();
       total_weight = 0;
       nrun = 0;
-      in_service = None;
+      in_service = -1;
       lhat = quantum_hint;
     }
   in
@@ -43,9 +45,10 @@ let create ?rng:_ ?(quantum_hint = 10_000_000) () =
   t
 
 let get t id =
-  match Hashtbl.find_opt t.clients id with
-  | Some c -> c
-  | None -> invalid_arg (Printf.sprintf "%s: unknown client %d" algorithm_name id)
+  match Hashtbl.find t.clients id with
+  | c -> c
+  | exception Not_found ->
+    invalid_arg (Printf.sprintf "%s: unknown client %d" algorithm_name id)
 
 (* The pending quantum is charged the assumed length up front; its
    remainder is committed with the finish tag at [charge]. *)
@@ -79,17 +82,17 @@ let arrive t ~id ~weight =
     enqueue t id c
 
 let depart t ~id =
+  if id >= 0 && id = t.in_service then
+    invalid_arg "Wfq.depart: client in service";
   match Hashtbl.find_opt t.clients id with
   | None -> ()
   | Some c ->
     if c.runnable then begin
       t.total_weight <- t.total_weight - c.weight;
       t.nrun <- t.nrun - 1;
-      (* A runnable, not-in-service client has one queued entry; it just
-         went stale. *)
-      (match t.in_service with
-      | Some s when s = id -> ()
-      | _ -> Keyed_heap.invalidate t.queue)
+      (* A runnable client (never the one in service) has one queued
+         entry; it just went stale. *)
+      Keyed_heap.invalidate t.queue
     end;
     c.gen <- c.gen + 1;
     Hashtbl.remove t.clients id
@@ -100,21 +103,17 @@ let set_weight t ~id ~weight =
   if c.runnable then t.total_weight <- t.total_weight - c.weight + weight;
   c.weight <- weight
 
-let select t =
-  if Option.is_some t.in_service then
+let select_id t =
+  if t.in_service >= 0 then
     invalid_arg "select: a selection is already in service";
   let id = Keyed_heap.pop_valid t.queue in
-  if id < 0 then None
-  else begin
-    t.in_service <- Some id;
-    Some id
-  end
+  t.in_service <- id;
+  id
 
 let charge t ~id ~service ~runnable =
-  (match t.in_service with
-  | Some s when s = id -> ()
-  | _ -> invalid_arg "Wfq.charge: client not in service");
-  t.in_service <- None;
+  if id < 0 || id <> t.in_service then
+    invalid_arg "Wfq.charge: client not in service";
+  t.in_service <- -1;
   let c = get t id in
   (* GPS virtual time advances at rate 1/total weight of the backlogged
      set, which still includes the client we just served. *)

@@ -37,11 +37,10 @@ type config = {
 
 let default_configs =
   [
-    (* [select] deliberately absent from sfq's roots: its [Some id]
-       wrapper is the measured ~2 minor words/decision; the zero-alloc
-       contract is on [select_id]/[charge] and the slot-keyed entries.
-       Tags, weights and v(t) are ints, so tl-float-box on these roots
-       proves no float reaches a scheduling decision. *)
+    (* The zero-alloc contract is on [select_id]/[charge] and the
+       slot-keyed entries. Tags, weights and v(t) are ints, so
+       tl-float-box on these roots proves no float reaches a scheduling
+       decision. *)
     (* [slot_lookup] (the id->slot hash of the id-keyed entries) and
        [register] (first arrival: slot allocation + table insert) are
        once-per-transition or once-per-lifetime, not per-decision; the
@@ -81,8 +80,8 @@ let default_configs =
       cold = [ "grow"; "compact"; "shrink_if_sparse" ];
       barrier_free = [];
     };
-    (* [pop]/[next_time] deliberately absent: their option/tuple results
-       are the compat shape; the simulation driver's per-event path is
+    (* [next_time] deliberately absent: its option is a peek for tests
+       and diagnostics; the simulation driver's per-event path is
        [take_until]/[taken]. [timer] runs once per timer, not per event.
        [new_slot] is the free-stack-dry slow path of [schedule];
        [repool]/[resized] are the slot-table and column growth/shrink
@@ -124,20 +123,50 @@ let default_configs =
           "grant_wake"; "release_mutex_links"; "submit_io"; "io_complete" ];
       barrier_free = [ "pause_dispatch"; "do_interrupt"; "interrupts_done" ];
     };
-    (* The boxed leaf disciplines ported to SoA layouts: their decision
-       paths must hold the measured words/decision in BENCH_sched.json
-       (eevdf ~2, lottery ~7, svr4-ts ~0). The [Some id] of the generic
-       FAIR [select] and the per-client Hashtbl lookups are the
-       documented residue (tlint.whitelist). *)
+    (* The FAIR baselines and svr4: their decision paths
+       ([select_id]/[charge]) must hold the measured words/decision in
+       BENCH_sched.json (lottery ~3, the rest ~0). The per-client
+       [Hashtbl.find] lookups, alloc-free on a hit, are the documented
+       residue (tlint.whitelist). *)
+    {
+      source = "lib/sched/wfq.ml";
+      roots = [ "select_id"; "charge" ];
+      cold = [];
+      barrier_free = [];
+    };
+    {
+      source = "lib/sched/scfq.ml";
+      roots = [ "select_id"; "charge" ];
+      cold = [];
+      barrier_free = [];
+    };
+    {
+      source = "lib/sched/fqs.ml";
+      roots = [ "select_id"; "charge" ];
+      cold = [];
+      barrier_free = [];
+    };
+    {
+      source = "lib/sched/stride.ml";
+      roots = [ "select_id"; "charge" ];
+      cold = [];
+      barrier_free = [];
+    };
+    {
+      source = "lib/sched/round_robin.ml";
+      roots = [ "select_id"; "charge" ];
+      cold = [];
+      barrier_free = [];
+    };
     {
       source = "lib/sched/eevdf.ml";
-      roots = [ "select"; "charge" ];
+      roots = [ "select_id"; "charge" ];
       cold = [ "create" ];
       barrier_free = [];
     };
     {
       source = "lib/sched/lottery.ml";
-      roots = [ "select"; "charge" ];
+      roots = [ "select_id"; "charge" ];
       cold = [ "ready_add" ];
       barrier_free = [];
     };

@@ -15,8 +15,8 @@ type config = {
 (** The repo's hot-path contract: sfq select_id/charge, hierarchy
     schedule/update/setrun/sleep, keyed_heap and event_queue minus their
     grow/compact slow paths, the sim driver, the kernel cycle, the
-    SoA leaf disciplines and the lib/obs record path; plus the event
-    queue's barrier-free heap moves. *)
+    select_id/charge of every FAIR baseline and svr4, and the lib/obs
+    record path; plus the event queue's barrier-free heap moves. *)
 val default_configs : config list
 
 (** Scan one unit against one config (for fixture tests). Unknown roots

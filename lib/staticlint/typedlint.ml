@@ -50,12 +50,19 @@ let bench_budgets =
   [
     (* name, measured key, max value consistent with the typed pass's
        findings + whitelist *)
-    ("sfq/Q=512", per_decision, 4.0); (* Some-wrapper in [select]: ~2 words measured *)
+    ("sfq/Q=512", per_decision, 1.0); (* select_id/charge: ~0 measured *)
     ("hierarchy/depth=16", per_decision, 2.0); (* schedule_id/update_ns: ~0 measured *)
     ("keyed-heap/push+pop n=256", per_decision, 1.0); (* zero-alloc contract *)
     ("event-queue/churn n=256", per_decision, 1.0); (* timers store ints only: ~0 measured *)
-    ("eevdf/Q=8", per_decision, 4.0); (* SoA cells: ~2 (the Some of FAIR select) *)
-    ("lottery/Q=8", per_decision, 6.0); (* integer ticket draw: ~5 measured *)
+    (* The FAIR baselines' select_id/charge: ~0 measured, except
+       lottery's ~3 (Prng.int's boxed int64 state store). *)
+    ("wfq/Q=8", per_decision, 1.0);
+    ("scfq/Q=8", per_decision, 1.0);
+    ("fqs/Q=8", per_decision, 1.0);
+    ("stride/Q=8", per_decision, 1.0);
+    ("round-robin/Q=8", per_decision, 1.0);
+    ("eevdf/Q=8", per_decision, 1.0);
+    ("lottery/Q=8", per_decision, 4.0);
     ("svr4-ts/Q=8", per_decision, 2.0); (* ring deques + select_id: ~0 measured *)
     (* The sim_speed row of the kernel cycle (dev profile): the cycle
        itself allocates nothing; the rest is the interactive workloads'

@@ -92,9 +92,9 @@ let test_audited_sfq_clean () =
   Audited.Sfq.arrive s ~id:2 ~weight:(2 * u);
   Audited.Sfq.arrive s ~id:3 ~weight:(4 * u);
   let spin () =
-    match Audited.Sfq.select s with
-    | Some id -> Audited.Sfq.charge s ~id ~service:10 ~runnable:true
-    | None -> Alcotest.fail "selection expected"
+    match Audited.Sfq.select_id s with
+    | -1 -> Alcotest.fail "selection expected"
+    | id -> Audited.Sfq.charge s ~id ~service:10 ~runnable:true
   in
   spin ();
   spin ();
@@ -136,7 +136,7 @@ module Broken : Hsfq_sched.Scheduler_intf.FAIR = struct
   let arrive t ~id:_ ~weight:_ = t.n <- t.n + 1
   let depart t ~id:_ = if t.n > 0 then t.n <- t.n - 1
   let set_weight _ ~id:_ ~weight:_ = ()
-  let select _ = None
+  let select_id _ = -1
   let charge _ ~id:_ ~service:_ ~runnable:_ = ()
   let backlogged t = t.n
   let virtual_time _ = 0
@@ -149,7 +149,7 @@ let test_decorator_catches_broken_scheduler () =
   let a = Audited_broken.wrap ~node:"broken" ~sink (Broken.create ()) in
   Audited_broken.arrive a ~id:1 ~weight:u;
   check_int "clean so far" 0 (Invariant.count sink);
-  (match Audited_broken.select a with Some _ -> () | None -> ());
+  ignore (Audited_broken.select_id a);
   check_bool "refusal to schedule reported" true (Invariant.count sink > 0);
   match Invariant.violations sink with
   | v :: _ -> check_string "rule" "work-conserving" v.Invariant.invariant
@@ -163,9 +163,9 @@ let test_decorator_clean_on_real_scheduler () =
   Audited_fqs.arrive a ~id:1 ~weight:u;
   Audited_fqs.arrive a ~id:2 ~weight:(3 * u);
   for i = 0 to 19 do
-    match Audited_fqs.select a with
-    | Some id -> Audited_fqs.charge a ~id ~service:5 ~runnable:(i < 19)
-    | None -> ()
+    match Audited_fqs.select_id a with
+    | -1 -> ()
+    | id -> Audited_fqs.charge a ~id ~service:5 ~runnable:(i < 19)
   done;
   Audited_fqs.depart a ~id:1;
   Audited_fqs.depart a ~id:2;
@@ -242,9 +242,9 @@ let check_violations what expected sink =
 let drained_sfq ~service =
   let s = Sfq.create () in
   Sfq.arrive s ~id:1 ~weight:u;
-  (match Sfq.select s with
-  | Some id -> Sfq.charge s ~id ~service ~runnable:false
-  | None -> Alcotest.fail "selection expected");
+  (match Sfq.select_id s with
+  | -1 -> Alcotest.fail "selection expected"
+  | id -> Sfq.charge s ~id ~service ~runnable:false);
   s
 
 let fabricate ev ~pre s =
@@ -318,14 +318,14 @@ let test_golden_select () =
   let served_pair () =
     let s = Sfq.create () in
     Sfq.arrive s ~id:1 ~weight:u;
-    (match Sfq.select s with
-    | Some id -> Sfq.charge s ~id ~service:10 ~runnable:true
-    | None -> Alcotest.fail "selection expected");
+    (match Sfq.select_id s with
+    | -1 -> Alcotest.fail "selection expected"
+    | id -> Sfq.charge s ~id ~service:10 ~runnable:true);
     Sfq.arrive s ~id:2 ~weight:u;
     s
   in
   let pre = served_pair () and s = served_pair () in
-  ignore (Sfq.select s);
+  ignore (Sfq.select_id s);
   check_violations "selected a larger start tag"
     [
       v "select-min-start" "t" "select -> id=1"
@@ -333,34 +333,34 @@ let test_golden_select () =
       v "vt-monotone" "t" "select -> id=1"
         "v(t)=0 after select, expected selected start tag 10";
     ]
-    (fabricate (Sfq_rules.Select (Some 1)) ~pre s);
+    (fabricate (Sfq_rules.Select 1) ~pre s);
   check_violations "selected an unknown client"
     [
       v "select-min-start" "t" "select -> id=99"
         "selected unknown client 99";
     ]
-    (fabricate (Sfq_rules.Select (Some 99)) ~pre s);
+    (fabricate (Sfq_rules.Select 99) ~pre s);
   check_violations "refused to select with a backlog"
     [
       v "work-conserving" "t" "select -> none"
         "select returned none with 2 clients backlogged";
     ]
-    (fabricate (Sfq_rules.Select None) ~pre s);
+    (fabricate (Sfq_rules.Select (-1)) ~pre s);
   (* A second selection while one is pending. *)
   check_violations "selection already pending"
     [
       v "work-conserving" "t" "select -> id=2"
         "select with a selection already pending";
     ]
-    (fabricate (Sfq_rules.Select (Some 2)) ~pre:s s)
+    (fabricate (Sfq_rules.Select 2) ~pre:s s)
 
 let test_golden_charge () =
   let pre = Sfq.create () in
   Sfq.arrive pre ~id:1 ~weight:(2 * u);
-  ignore (Sfq.select pre);
+  ignore (Sfq.select_id pre);
   let s = Sfq.create () in
   Sfq.arrive s ~id:1 ~weight:(2 * u);
-  ignore (Sfq.select s);
+  ignore (Sfq.select_id s);
   Sfq.charge s ~id:1 ~service:10 ~runnable:true;
   (* Claimed 20 ns of service, charged 10. *)
   check_violations "finish tag off the charged service"
@@ -438,8 +438,8 @@ let test_golden_state_rules () =
   let s = Sfq.create () in
   Sfq.arrive s ~id:1 ~weight:u;
   Sfq.arrive s ~id:2 ~weight:u;
-  (match Sfq.select s with
-  | Some 1 -> Sfq.charge s ~id:1 ~service:10 ~runnable:true
+  (match Sfq.select_id s with
+  | 1 -> Sfq.charge s ~id:1 ~service:10 ~runnable:true
   | _ -> Alcotest.fail "client 1 first");
   Sfq.set_servers s 2;
   check_int "lagging claim" 2 (Sfq.select_id s);

@@ -150,14 +150,9 @@ let test_prng_stream_preserves_parent () =
 (* ------------------------- Event queue ------------------------------ *)
 
 let drain_pops q =
-  let rec go () =
-    match Event_queue.pop q with
-    | None -> ()
-    | Some (_, f) ->
-      f ();
-      go ()
-  in
-  go ()
+  while Event_queue.take_until q ~horizon:max_int >= 0 do
+    Event_queue.taken q ()
+  done
 
 let test_event_queue_order () =
   let q = Event_queue.create () in
@@ -193,7 +188,8 @@ let test_event_queue_cancel () =
   Event_queue.disarm q tm;
   check_bool "disarmed" false (Event_queue.armed q tm);
   Alcotest.(check (option int)) "no next" None (Event_queue.next_time q);
-  check_bool "nothing fires" true (Event_queue.pop q = None && not !fired);
+  check_bool "nothing fires" true
+    (Event_queue.take_until q ~horizon:max_int < 0 && not !fired);
   check_int "pending" 0 (Event_queue.pending q)
 
 (* [pending] is O(1) bookkeeping, not a heap walk: it must track
@@ -214,18 +210,17 @@ let test_event_queue_live_accounting () =
     (Event_queue.pending q);
   let fired = ref 0 in
   let rec drain () =
-    match Event_queue.pop q with
-    | Some _ ->
+    if Event_queue.take_until q ~horizon:max_int >= 0 then begin
       incr fired;
       check_int "pending tracks pops" (50 - !fired) (Event_queue.pending q);
       drain ()
-    | None -> ()
+    end
   in
   drain ();
   check_int "every live event fired" 50 !fired;
   let tm = tms.(2) in
   Event_queue.arm q tm ~at:300;
-  check_bool "fires" true (Event_queue.pop q <> None);
+  check_bool "fires" true (Event_queue.take_until q ~horizon:max_int >= 0);
   check_bool "disarmed as it fires" false (Event_queue.armed q tm);
   Event_queue.disarm q tm;
   check_int "disarm after firing is a no-op" 0 (Event_queue.pending q)
@@ -840,9 +835,8 @@ let prop_event_queue_total_order =
       let q = Event_queue.create () in
       List.iteri (fun i at -> Event_queue.schedule q ~at (fun () -> ignore i)) times;
       let rec drain acc =
-        match Event_queue.pop q with
-        | None -> List.rev acc
-        | Some (at, _) -> drain (at :: acc)
+        let at = Event_queue.take_until q ~horizon:max_int in
+        if at < 0 then List.rev acc else drain (at :: acc)
       in
       let popped = drain [] in
       popped = List.sort Int.compare times)

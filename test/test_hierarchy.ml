@@ -416,13 +416,9 @@ let prop_chain_equals_flat =
       in
       List.for_all
         (fun service ->
-          let flat_pick =
-            match Sfq.select flat with
-            | Some id ->
-              Sfq.charge flat ~id ~service ~runnable:true;
-              id
-            | None -> -1
-          in
+          let flat_pick = Sfq.select_id flat in
+          if flat_pick >= 0 then
+            Sfq.charge flat ~id:flat_pick ~service ~runnable:true;
           let tree_pick =
             match Hierarchy.schedule_id t with
             | -1 -> -3

@@ -19,11 +19,11 @@ let measured_ratio (module F : Scheduler_intf.FAIR) ~rounds =
   F.arrive t ~id:2 ~weight:(3 * u);
   let work = [| 0; 0 |] in
   for _ = 1 to rounds do
-    match F.select t with
-    | Some id ->
+    match F.select_id t with
+    | -1 -> Alcotest.fail "work conservation violated"
+    | id ->
       F.charge t ~id ~service:10 ~runnable:true;
       work.(id - 1) <- work.(id - 1) + 10
-    | None -> Alcotest.fail "work conservation violated"
   done;
   float_of_int work.(1) /. float_of_int work.(0)
 
@@ -31,12 +31,12 @@ let fair_battery name (module F : Scheduler_intf.FAIR) =
   let basic () =
     let t = F.create ~rng:(Hsfq_engine.Prng.create 1) () in
     check_int "empty backlog" 0 (F.backlogged t);
-    Alcotest.(check (option int)) "empty select" None (F.select t);
+    check_int "empty select" (-1) (F.select_id t);
     F.arrive t ~id:7 ~weight:(2 * u);
     F.arrive t ~id:7 ~weight:(5 * u);
     check_int "arrive idempotent" 1 (F.backlogged t);
-    (match F.select t with
-    | Some 7 -> F.charge t ~id:7 ~service:1 ~runnable:false
+    (match F.select_id t with
+    | 7 -> F.charge t ~id:7 ~service:1 ~runnable:false
     | _ -> Alcotest.fail "expected client 7");
     check_int "blocked" 0 (F.backlogged t);
     F.arrive t ~id:7 ~weight:(2 * u);
@@ -50,9 +50,9 @@ let fair_battery name (module F : Scheduler_intf.FAIR) =
       F.arrive t ~id:i ~weight:(i * u)
     done;
     for _ = 1 to 200 do
-      match F.select t with
-      | Some id -> F.charge t ~id ~service:5 ~runnable:true
-      | None -> Alcotest.fail "no selection with backlog"
+      match F.select_id t with
+      | -1 -> Alcotest.fail "no selection with backlog"
+      | id -> F.charge t ~id ~service:5 ~runnable:true
     done;
     check_int "all still backlogged" 4 (F.backlogged t)
   in
@@ -60,6 +60,34 @@ let fair_battery name (module F : Scheduler_intf.FAIR) =
     Alcotest.test_case (name ^ " lifecycle") `Quick basic;
     Alcotest.test_case (name ^ " work conservation") `Quick conservation;
   ]
+
+(* Departing the client in service is refused, as Sfq does: the depart
+   raises with nothing changed, so the matching charge still goes
+   through and the next selection works. *)
+let depart_in_service_rejected (module F : Scheduler_intf.FAIR) =
+  let name = F.algorithm_name in
+  let t = F.create ~rng:(Hsfq_engine.Prng.create 3) () in
+  F.arrive t ~id:1 ~weight:u;
+  F.arrive t ~id:2 ~weight:(2 * u);
+  let id = F.select_id t in
+  check_bool (name ^ ": a client is selected") true (id = 1 || id = 2);
+  (match F.depart t ~id with
+  | () -> Alcotest.failf "%s: depart of the in-service client accepted" name
+  | exception Invalid_argument _ -> ());
+  check_int (name ^ ": nothing departed") 2 (F.backlogged t);
+  F.charge t ~id ~service:10 ~runnable:true;
+  let next = F.select_id t in
+  check_bool (name ^ ": next selection") true (next = 1 || next = 2);
+  F.charge t ~id:next ~service:10 ~runnable:true;
+  F.depart t ~id;
+  check_int (name ^ ": depart after charge") 1 (F.backlogged t)
+
+let test_depart_in_service_rejected () =
+  List.iter depart_in_service_rejected
+    ([ (module Wfq); (module Scfq); (module Fqs); (module Stride);
+       (module Lottery); (module Eevdf); (module Round_robin);
+       (module Hsfq_core.Sfq); (module Hsfq_check.Audited.Make (Wfq)) ]
+      : (module Scheduler_intf.FAIR) list)
 
 let test_proportional name (module F : Scheduler_intf.FAIR) ~tol () =
   let r = measured_ratio (module F) ~rounds:8000 in
@@ -78,11 +106,11 @@ let test_wfq_overcharges_short_quanta () =
   Wfq.arrive t ~id:2 ~weight:(1 * u);
   let work = [| 0; 0 |] in
   for _ = 1 to 600 do
-    match Wfq.select t with
-    | Some 1 ->
+    match Wfq.select_id t with
+    | 1 ->
       Wfq.charge t ~id:1 ~service:10 ~runnable:true;
       work.(0) <- work.(0) + 10
-    | Some 2 ->
+    | 2 ->
       (* Blocks immediately after a short burst, returns right away. *)
       Wfq.charge t ~id:2 ~service:2 ~runnable:false;
       work.(1) <- work.(1) + 2;
@@ -99,11 +127,11 @@ let test_fqs_charges_actual_length () =
   Fqs.arrive t ~id:2 ~weight:(1 * u);
   let work = [| 0; 0 |] in
   for _ = 1 to 600 do
-    match Fqs.select t with
-    | Some 1 ->
+    match Fqs.select_id t with
+    | 1 ->
       Fqs.charge t ~id:1 ~service:10 ~runnable:true;
       work.(0) <- work.(0) + 10
-    | Some 2 ->
+    | 2 ->
       Fqs.charge t ~id:2 ~service:2 ~runnable:false;
       work.(1) <- work.(1) + 2;
       Fqs.arrive t ~id:2 ~weight:(1 * u)
@@ -117,8 +145,8 @@ let test_fqs_charges_actual_length () =
 let test_scfq_virtual_time_is_finish_tag () =
   let t = Scfq.create ~quantum_hint:2 () in
   Scfq.arrive t ~id:1 ~weight:(1 * u);
-  (match Scfq.select t with
-  | Some 1 -> ()
+  (match Scfq.select_id t with
+  | 1 -> ()
   | _ -> Alcotest.fail "client 1");
   (* F = max(v=0, 0) + 2/1 = 2 — v(t) is the in-service finish tag. *)
   check_int "v = finish of in-service" 2 (Scfq.virtual_time t);
@@ -130,11 +158,11 @@ let test_stride_deterministic_sequence () =
   Stride.arrive t ~id:2 ~weight:(3 * u);
   let seq =
     List.init 8 (fun _ ->
-        match Stride.select t with
-        | Some id ->
+        match Stride.select_id t with
+        | -1 -> Alcotest.fail "selection"
+        | id ->
           Stride.charge t ~id ~service:1 ~runnable:true;
-          id
-        | None -> Alcotest.fail "selection")
+          id)
   in
   (* Passes: c1 strides 1, c2 strides 1/3 — c2 runs 3 of every 4. *)
   check_int "client 1 runs twice in 8" 2
@@ -146,22 +174,22 @@ let test_stride_remain_preserved () =
   Stride.arrive t ~id:2 ~weight:(1 * u);
   (* Let 1 run ahead, then block it mid-stride; on wake it must not be
      owed the whole sleep. *)
-  (match Stride.select t with
-  | Some id -> Stride.charge t ~id ~service:4 ~runnable:(id <> 1)
-  | None -> Alcotest.fail "sel");
+  (match Stride.select_id t with
+  | -1 -> Alcotest.fail "sel"
+  | id -> Stride.charge t ~id ~service:4 ~runnable:(id <> 1));
   for _ = 1 to 10 do
-    match Stride.select t with
-    | Some id -> Stride.charge t ~id ~service:1 ~runnable:true
-    | None -> Alcotest.fail "sel"
+    match Stride.select_id t with
+    | -1 -> Alcotest.fail "sel"
+    | id -> Stride.charge t ~id ~service:1 ~runnable:true
   done;
   Stride.arrive t ~id:1 ~weight:(1 * u);
   let counts = [| 0; 0 |] in
   for _ = 1 to 100 do
-    match Stride.select t with
-    | Some id ->
+    match Stride.select_id t with
+    | -1 -> Alcotest.fail "sel"
+    | id ->
       Stride.charge t ~id ~service:1 ~runnable:true;
       counts.(id - 1) <- counts.(id - 1) + 1
-    | None -> Alcotest.fail "sel"
   done;
   check_bool "no catch-up flood after wake" true
     (abs (counts.(0) - counts.(1)) <= 6)
@@ -177,11 +205,11 @@ let test_lottery_deterministic_under_seed () =
     Lottery.arrive t ~id:1 ~weight:(1 * u);
     Lottery.arrive t ~id:2 ~weight:(2 * u);
     List.init 50 (fun _ ->
-        match Lottery.select t with
-        | Some id ->
+        match Lottery.select_id t with
+        | -1 -> 0
+        | id ->
           Lottery.charge t ~id ~service:1 ~runnable:true;
-          id
-        | None -> 0)
+          id)
   in
   Alcotest.(check (list int)) "same seed, same draws" (run ()) (run ())
 
@@ -191,16 +219,16 @@ let test_eevdf_eligibility () =
   Eevdf.arrive t ~id:2 ~weight:(1 * u);
   (* Client 1 runs a big quantum: its eligible time moves far ahead, so
      client 2 must run the next several quanta. *)
-  (match Eevdf.select t with
-  | Some id -> Eevdf.charge t ~id ~service:4 ~runnable:true
-  | None -> Alcotest.fail "sel");
+  (match Eevdf.select_id t with
+  | -1 -> Alcotest.fail "sel"
+  | id -> Eevdf.charge t ~id ~service:4 ~runnable:true);
   let next3 =
     List.init 3 (fun _ ->
-        match Eevdf.select t with
-        | Some id ->
+        match Eevdf.select_id t with
+        | -1 -> 0
+        | id ->
           Eevdf.charge t ~id ~service:1 ~runnable:true;
-          id
-        | None -> 0)
+          id)
   in
   check_bool "lagging client catches up" true (List.for_all (fun i -> i = 2) next3)
 
@@ -210,36 +238,14 @@ let test_round_robin_ignores_weights () =
   Round_robin.arrive t ~id:2 ~weight:(100 * u);
   let seq =
     List.init 6 (fun _ ->
-        match Round_robin.select t with
-        | Some id ->
+        match Round_robin.select_id t with
+        | -1 -> 0
+        | id ->
           Round_robin.charge t ~id ~service:1 ~runnable:true;
-          id
-        | None -> 0)
+          id)
   in
   Alcotest.(check (list int)) "alternates regardless of weight"
     [ 1; 2; 1; 2; 1; 2 ] seq
-
-let test_fifo_runs_to_completion () =
-  let t = Fifo_sched.create () in
-  Fifo_sched.arrive t ~id:1 ~weight:(1 * u);
-  Fifo_sched.arrive t ~id:2 ~weight:(1 * u);
-  (* Head keeps being selected until it blocks. *)
-  for _ = 1 to 3 do
-    match Fifo_sched.select t with
-    | Some 1 -> Fifo_sched.charge t ~id:1 ~service:1 ~runnable:true
-    | _ -> Alcotest.fail "head should keep running"
-  done;
-  (match Fifo_sched.select t with
-  | Some 1 -> Fifo_sched.charge t ~id:1 ~service:1 ~runnable:false
-  | _ -> Alcotest.fail "head");
-  (match Fifo_sched.select t with
-  | Some 2 -> Fifo_sched.charge t ~id:2 ~service:1 ~runnable:true
-  | _ -> Alcotest.fail "next in line");
-  (* A re-arrival goes to the back. *)
-  Fifo_sched.arrive t ~id:1 ~weight:(1 * u);
-  match Fifo_sched.select t with
-  | Some 2 -> Fifo_sched.charge t ~id:2 ~service:1 ~runnable:true
-  | _ -> Alcotest.fail "2 still ahead of re-arrived 1"
 
 (* ------------------------- GPS real-time clock ----------------------- *)
 
@@ -251,8 +257,8 @@ let test_gps_vt_advances_with_wall_time () =
   (* 10 ns of wall time at capacity 1 with total weight 2: v += 5. *)
   check_int "v tracks wall clock" 5 (Gps_vt.virtual_time t ~now:10);
   (* While nothing is backlogged the clock stands still. *)
-  (match Gps_vt.select t ~now:10 with
-  | Some 1 -> Gps_vt.charge t ~now:12 ~id:1 ~service:2 ~runnable:false
+  (match Gps_vt.select_id t ~now:10 with
+  | 1 -> Gps_vt.charge t ~now:12 ~id:1 ~service:2 ~runnable:false
   | _ -> Alcotest.fail "select");
   let v = Gps_vt.virtual_time t ~now:12 in
   check_int "idle clock frozen" v (Gps_vt.virtual_time t ~now:1000)
@@ -266,12 +272,12 @@ let test_gps_vt_proportional_at_full_capacity () =
       Gps_vt.arrive t ~now:0 ~id:2 ~weight:(3 * u);
       let now = ref 0 and work = [| 0; 0 |] in
       for _ = 1 to 4000 do
-        match Gps_vt.select t ~now:!now with
-        | Some id ->
+        match Gps_vt.select_id t ~now:!now with
+        | -1 -> Alcotest.fail "work conservation"
+        | id ->
           now := !now + ms 20;
           work.(id - 1) <- work.(id - 1) + ms 20;
           Gps_vt.charge t ~now:!now ~id ~service:(ms 20) ~runnable:true
-        | None -> Alcotest.fail "work conservation"
       done;
       let ratio = float_of_int work.(1) /. float_of_int work.(0) in
       check_bool "ratio ~3 at full capacity" true (Float.abs (ratio -. 3.) < 0.05))
@@ -287,13 +293,13 @@ let test_gps_vt_unfair_at_reduced_capacity () =
   Gps_vt.arrive t ~now:0 ~id:2 ~weight:(3 * u);
   let now = ref 0 and work = [| 0; 0 |] in
   for _ = 1 to 2000 do
-    match Gps_vt.select t ~now:!now with
-    | Some id ->
+    match Gps_vt.select_id t ~now:!now with
+    | -1 -> Alcotest.fail "work conservation"
+    | id ->
       (* each 20 ms of service takes 40 ms of wall time *)
       now := !now + (2 * ms 20);
       work.(id - 1) <- work.(id - 1) + ms 20;
       Gps_vt.charge t ~now:!now ~id ~service:(ms 20) ~runnable:true
-    | None -> Alcotest.fail "work conservation"
   done;
   let ratio = float_of_int work.(1) /. float_of_int work.(0) in
   (* Full capacity gives 3.0; at half capacity the 1:3 weights visibly
@@ -308,9 +314,9 @@ let test_gps_vt_admin () =
   Gps_vt.arrive t ~now:0 ~id:2 ~weight:(1 * u);
   check_int "backlogged" 2 (Gps_vt.backlogged t);
   Gps_vt.set_weight t ~id:2 ~weight:(4 * u);
-  (match Gps_vt.select t ~now:0 with
-  | Some id -> Gps_vt.charge t ~now:(ms 1) ~id ~service:10 ~runnable:false
-  | None -> Alcotest.fail "sel");
+  (match Gps_vt.select_id t ~now:0 with
+  | -1 -> Alcotest.fail "sel"
+  | id -> Gps_vt.charge t ~now:(ms 1) ~id ~service:10 ~runnable:false);
   check_int "one left" 1 (Gps_vt.backlogged t);
   Gps_vt.depart t ~id:1;
   Gps_vt.depart t ~id:2;
@@ -326,9 +332,9 @@ let test_edf_ordering () =
   Edf.release t ~id:1 ~deadline:30;
   Edf.release t ~id:2 ~deadline:10;
   Edf.release t ~id:3 ~deadline:20;
-  Alcotest.(check (option int)) "earliest deadline" (Some 2) (Edf.select t);
+  check_int "earliest deadline" 2 (Edf.select_id t);
   Edf.withdraw t ~id:2;
-  Alcotest.(check (option int)) "next earliest" (Some 3) (Edf.select t);
+  check_int "next earliest" 3 (Edf.select_id t);
   check_int "backlog" 2 (Edf.backlogged t);
   Alcotest.(check (option int)) "deadline_of" (Some 30)
     (Edf.deadline_of t ~id:1);
@@ -340,13 +346,13 @@ let test_edf_rerelease_updates () =
   Edf.release t ~id:1 ~deadline:50;
   Edf.release t ~id:2 ~deadline:40;
   Edf.release t ~id:1 ~deadline:10;
-  Alcotest.(check (option int)) "re-release re-orders" (Some 1) (Edf.select t)
+  check_int "re-release re-orders" 1 (Edf.select_id t)
 
 let test_edf_fifo_ties () =
   let t = Edf.create () in
   Edf.release t ~id:5 ~deadline:10;
   Edf.release t ~id:3 ~deadline:10;
-  Alcotest.(check (option int)) "FIFO among equal deadlines" (Some 5) (Edf.select t)
+  check_int "FIFO among equal deadlines" 5 (Edf.select_id t)
 
 (* ------------------------------- RM ---------------------------------- *)
 
@@ -355,14 +361,14 @@ let test_rm_priority_order () =
   Rm.register t ~id:1 ~period:100.;
   Rm.register t ~id:2 ~period:20.;
   Rm.register t ~id:3 ~period:50.;
-  Alcotest.(check (option int)) "nothing ready" None (Rm.select t);
+  check_int "nothing ready" (-1) (Rm.select_id t);
   Rm.wake t ~id:1;
   Rm.wake t ~id:3;
-  Alcotest.(check (option int)) "shortest ready period" (Some 3) (Rm.select t);
+  check_int "shortest ready period" 3 (Rm.select_id t);
   Rm.wake t ~id:2;
-  Alcotest.(check (option int)) "new shortest" (Some 2) (Rm.select t);
+  check_int "new shortest" 2 (Rm.select_id t);
   Rm.block t ~id:2;
-  Alcotest.(check (option int)) "back to 3" (Some 3) (Rm.select t);
+  check_int "back to 3" 3 (Rm.select_id t);
   check_bool "higher_priority" true (Rm.higher_priority t 2 ~than:1);
   check_bool "not higher" false (Rm.higher_priority t 1 ~than:3)
 
@@ -372,8 +378,7 @@ let test_rm_tie_by_registration () =
   Rm.register t ~id:4 ~period:10.;
   Rm.wake t ~id:9;
   Rm.wake t ~id:4;
-  Alcotest.(check (option int)) "registration order breaks ties" (Some 9)
-    (Rm.select t);
+  check_int "registration order breaks ties" 9 (Rm.select_id t);
   check_bool "tie: earlier registration wins" true (Rm.higher_priority t 9 ~than:4)
 
 let test_rm_unregister () =
@@ -394,16 +399,16 @@ let test_svr4_ts_quantum_expiry_demotes () =
   check_int "initial user priority" 29 (Svr4.prio_of t ~id:1);
   let q = Svr4.quantum_of t ~id:1 in
   check_int "prio-29 quantum = 12 ticks" (12 * tick) q;
-  (match Svr4.select t with
-  | Some 1 -> Svr4.charge t ~id:1 ~service:q ~runnable:true
+  (match Svr4.select_id t with
+  | 1 -> Svr4.charge t ~id:1 ~service:q ~runnable:true
   | _ -> Alcotest.fail "select");
   check_int "tqexp demotion" 19 (Svr4.prio_of t ~id:1)
 
 let test_svr4_partial_use_keeps_priority () =
   let t = Svr4.create () in
   Svr4.add t ~id:1 Svr4.Ts;
-  (match Svr4.select t with
-  | Some 1 -> Svr4.charge t ~id:1 ~service:tick ~runnable:true
+  (match Svr4.select_id t with
+  | 1 -> Svr4.charge t ~id:1 ~service:tick ~runnable:true
   | _ -> Alcotest.fail "select");
   check_int "no demotion before expiry" 29 (Svr4.prio_of t ~id:1);
   check_int "remaining quantum shrank" (11 * tick) (Svr4.quantum_of t ~id:1)
@@ -411,8 +416,8 @@ let test_svr4_partial_use_keeps_priority () =
 let test_svr4_sleep_return_boost () =
   let t = Svr4.create () in
   Svr4.add t ~id:1 Svr4.Ts;
-  (match Svr4.select t with
-  | Some 1 -> Svr4.charge t ~id:1 ~service:tick ~runnable:false
+  (match Svr4.select_id t with
+  | 1 -> Svr4.charge t ~id:1 ~service:tick ~runnable:false
   | _ -> Alcotest.fail "select");
   Svr4.wake t ~id:1;
   check_int "slpret boost" 54 (Svr4.prio_of t ~id:1)
@@ -430,15 +435,15 @@ let test_svr4_starvation_boost () =
   Svr4.add t ~id:2 Svr4.Ts;
   (* 1 runs; 2 waits through a second_tick: maxwait 0 -> lwait boost
      (prio 29's lwait is 50 + 29/6 = 54). *)
-  (match Svr4.select t with
-  | Some 1 -> Svr4.charge t ~id:1 ~service:tick ~runnable:true
+  (match Svr4.select_id t with
+  | 1 -> Svr4.charge t ~id:1 ~service:tick ~runnable:true
   | _ -> Alcotest.fail "expected 1 first (FIFO)");
   Svr4.second_tick t;
   check_int "waiting thread boosted to lwait" 54 (Svr4.prio_of t ~id:2);
   (* A freshly added prio-29 thread must lose to the boosted ones. *)
   Svr4.add t ~id:3 Svr4.Ts;
-  match Svr4.select t with
-  | Some id when id <> 3 -> Svr4.charge t ~id ~service:tick ~runnable:true
+  match Svr4.select_id t with
+  | id when id >= 0 && id <> 3 -> Svr4.charge t ~id ~service:tick ~runnable:true
   | _ -> Alcotest.fail "boosted thread should be selected first"
 
 let test_svr4_tick_accounting_overcharges () =
@@ -449,8 +454,8 @@ let test_svr4_tick_accounting_overcharges () =
      exhausted after 12 runs even though only 12 ms of CPU were used. *)
   let runs = ref 0 in
   while Svr4.prio_of t ~id:1 = 29 && !runs < 100 do
-    (match Svr4.select t with
-    | Some 1 -> Svr4.charge t ~id:1 ~service:(Hsfq_engine.Time.milliseconds 1) ~runnable:true
+    (match Svr4.select_id t with
+    | 1 -> Svr4.charge t ~id:1 ~service:(Hsfq_engine.Time.milliseconds 1) ~runnable:true
     | _ -> Alcotest.fail "select");
     incr runs
   done;
@@ -460,8 +465,8 @@ let test_svr4_exact_accounting () =
   let t = Svr4.create ~tick_accounting:false () in
   Svr4.add t ~id:1 Svr4.Ts;
   for _ = 1 to 12 do
-    match Svr4.select t with
-    | Some 1 -> Svr4.charge t ~id:1 ~service:(Hsfq_engine.Time.milliseconds 1) ~runnable:true
+    match Svr4.select_id t with
+    | 1 -> Svr4.charge t ~id:1 ~service:(Hsfq_engine.Time.milliseconds 1) ~runnable:true
     | _ -> Alcotest.fail "select"
   done;
   check_int "12 ms of exact use never expires a 120 ms quantum" 29
@@ -472,11 +477,11 @@ let test_svr4_rt_above_ts () =
   Svr4.add t ~id:1 Svr4.Ts;
   Svr4.add t ~id:2 (Svr4.Rt 3);
   Svr4.add t ~id:3 (Svr4.Rt 7);
-  Alcotest.(check (option int)) "highest RT first" (Some 3) (Svr4.select t);
+  check_int "highest RT first" 3 (Svr4.select_id t);
   Svr4.charge t ~id:3 ~service:tick ~runnable:false;
-  Alcotest.(check (option int)) "then lower RT" (Some 2) (Svr4.select t);
+  check_int "then lower RT" 2 (Svr4.select_id t);
   Svr4.charge t ~id:2 ~service:tick ~runnable:false;
-  Alcotest.(check (option int)) "then TS" (Some 1) (Svr4.select t);
+  check_int "then TS" 1 (Svr4.select_id t);
   Svr4.charge t ~id:1 ~service:tick ~runnable:true;
   check_bool "RT preempts TS" true (Svr4.preempts t ~waker:2 ~running:1);
   check_bool "higher RT preempts lower" true (Svr4.preempts t ~waker:3 ~running:2);
@@ -486,10 +491,10 @@ let test_svr4_rt_fifo_within_priority () =
   let t = Svr4.create () in
   Svr4.add t ~id:1 (Svr4.Rt 5);
   Svr4.add t ~id:2 (Svr4.Rt 5);
-  Alcotest.(check (option int)) "FIFO within RT priority" (Some 1) (Svr4.select t);
+  check_int "FIFO within RT priority" 1 (Svr4.select_id t);
   Svr4.charge t ~id:1 ~service:(Svr4.quantum_of t ~id:1) ~runnable:true;
-  Alcotest.(check (option int)) "round robin after full quantum" (Some 2)
-    (Svr4.select t);
+  check_int "round robin after full quantum" 2
+    (Svr4.select_id t);
   Svr4.charge t ~id:2 ~service:tick ~runnable:true
 
 let test_svr4_remove_and_errors () =
@@ -526,8 +531,8 @@ let test_svr4_custom_maxwait () =
   let t = Svr4.create ~table () in
   Svr4.add t ~id:1 Svr4.Ts;
   Svr4.add t ~id:2 Svr4.Ts;
-  (match Svr4.select t with
-  | Some 1 -> Svr4.charge t ~id:1 ~service:tick ~runnable:true
+  (match Svr4.select_id t with
+  | 1 -> Svr4.charge t ~id:1 ~service:tick ~runnable:true
   | _ -> Alcotest.fail "select");
   Svr4.second_tick t;
   check_int "no boost after 1 tick" 29 (Svr4.prio_of t ~id:2);
@@ -944,7 +949,11 @@ let () =
       ("lottery battery", fair_battery "lottery" (module Lottery));
       ("eevdf battery", fair_battery "eevdf" (module Eevdf));
       ("round-robin battery", fair_battery "rr" (module Round_robin));
-      ("fifo battery", fair_battery "fifo" (module Fifo_sched));
+      ( "fair protocol",
+        [
+          Alcotest.test_case "depart of the in-service client rejected" `Quick
+            test_depart_in_service_rejected;
+        ] );
       ( "proportionality",
         [
           Alcotest.test_case "wfq 1:3" `Quick
@@ -977,8 +986,6 @@ let () =
           Alcotest.test_case "eevdf eligibility gating" `Quick test_eevdf_eligibility;
           Alcotest.test_case "round robin ignores weights" `Quick
             test_round_robin_ignores_weights;
-          Alcotest.test_case "fifo run to completion" `Quick
-            test_fifo_runs_to_completion;
         ] );
       ( "gps-rt-clock",
         [

@@ -16,10 +16,10 @@ let check_bool = Alcotest.(check bool)
 
 (* Drive one full quantum: select, assert it is [expect], charge [l]. *)
 let step ?(runnable = true) sfq ~expect ~l =
-  match Sfq.select sfq with
-  | Some id when id = expect -> Sfq.charge sfq ~id ~service:l ~runnable
-  | Some id -> Alcotest.failf "expected client %d, got %d" expect id
-  | None -> Alcotest.fail "expected a selection"
+  match Sfq.select_id sfq with
+  | -1 -> Alcotest.fail "expected a selection"
+  | id when id = expect -> Sfq.charge sfq ~id ~service:l ~runnable
+  | id -> Alcotest.failf "expected client %d, got %d" expect id
 
 (* ------------------------- unit tests ------------------------------- *)
 
@@ -62,12 +62,12 @@ let test_virtual_time_busy () =
   Sfq.arrive s ~id:1 ~weight:(1 * u);
   Sfq.arrive s ~id:2 ~weight:(1 * u);
   check_int "initial vt" 0 (Sfq.virtual_time s);
-  match Sfq.select s with
-  | Some id ->
+  match Sfq.select_id s with
+  | -1 -> Alcotest.fail "selection expected"
+  | id ->
     check_int "vt = start tag in service" (Sfq.start_tag s ~id)
       (Sfq.virtual_time s);
     Sfq.charge s ~id ~service:4 ~runnable:true
-  | None -> Alcotest.fail "selection expected"
 
 let test_virtual_time_idle () =
   let s = Sfq.create () in
@@ -127,7 +127,7 @@ let test_weight_change_future_only () =
 let test_select_requires_charge () =
   let s = Sfq.create () in
   Sfq.arrive s ~id:1 ~weight:(1 * u);
-  ignore (Sfq.select s);
+  ignore (Sfq.select_id s);
   Alcotest.check_raises "charge of wrong client"
     (Invalid_argument "Sfq.charge: client not in service") (fun () ->
       Sfq.charge s ~id:99 ~service:1 ~runnable:true)
@@ -135,7 +135,7 @@ let test_select_requires_charge () =
 let test_depart_in_service_rejected () =
   let s = Sfq.create () in
   Sfq.arrive s ~id:1 ~weight:(1 * u);
-  ignore (Sfq.select s);
+  ignore (Sfq.select_id s);
   Alcotest.check_raises "depart while in service"
     (Invalid_argument "Sfq.depart: client in service") (fun () ->
       Sfq.depart s ~id:1)
@@ -187,7 +187,7 @@ let test_invalid_arguments () =
   Alcotest.check_raises "negative weight"
     (Invalid_argument "Sfq.set_weight: weight <= 0") (fun () ->
       Sfq.set_weight s ~id:1 ~weight:(-1 * u));
-  ignore (Sfq.select s);
+  ignore (Sfq.select_id s);
   Alcotest.check_raises "negative service"
     (Invalid_argument "Sfq.charge: negative service") (fun () ->
       Sfq.charge s ~id:1 ~service:(-5) ~runnable:true)
@@ -219,7 +219,7 @@ let test_overflow_raises () =
   let s = Sfq.create () in
   Sfq.arrive s ~id:1 ~weight:1 (* one unit: the steepest tags *);
   let horizon = max_int / u (* largest service with l·unit <= max_int *) in
-  ignore (Sfq.select s);
+  ignore (Sfq.select_id s);
   Alcotest.check_raises "l·unit past max_int"
     (Invalid_argument "Vtime.step: service * unit overflows") (fun () ->
       Sfq.charge s ~id:1 ~service:(horizon + 1) ~runnable:true);
@@ -227,7 +227,7 @@ let test_overflow_raises () =
   (* The claim survived the failed charge: a legal one goes through. *)
   Sfq.charge s ~id:1 ~service:(horizon / 2 + 1) ~runnable:true;
   check_int "tag is l·unit / 1" ((horizon / 2 + 1) * u) (Sfq.finish_tag s ~id:1);
-  ignore (Sfq.select s);
+  ignore (Sfq.select_id s);
   Alcotest.check_raises "tag past max_int"
     (Invalid_argument "Vtime.add: tag overflows max_int") (fun () ->
       Sfq.charge s ~id:1 ~service:(horizon / 2 + 1) ~runnable:true);
@@ -274,11 +274,11 @@ let test_fifo_tie_break_deterministic () =
   done;
   let order =
     List.init 5 (fun _ ->
-        match Sfq.select s with
-        | Some id ->
+        match Sfq.select_id s with
+        | -1 -> Alcotest.fail "selection expected"
+        | id ->
           Sfq.charge s ~id ~service:1 ~runnable:true;
-          id
-        | None -> Alcotest.fail "selection expected")
+          id)
   in
   Alcotest.(check (list int)) "FIFO among equal tags" [ 1; 2; 3; 4; 5 ] order
 
@@ -306,9 +306,9 @@ let prop_fairness_bound =
       let lmax = [| 0; 0 |] in
       List.for_all
         (fun l ->
-          match Sfq.select s with
-          | None -> false
-          | Some id ->
+          match Sfq.select_id s with
+          | -1 -> false
+          | id ->
             Sfq.charge s ~id ~service:l ~runnable:true;
             work.(id - 1) <- work.(id - 1) + l;
             if l > lmax.(id - 1) then lmax.(id - 1) <- l;
@@ -350,9 +350,9 @@ let prop_fairness_bound_n_clients =
       in
       List.for_all
         (fun q ->
-          match Sfq.select s with
-          | None -> false
-          | Some id ->
+          match Sfq.select_id s with
+          | -1 -> false
+          | id ->
             Sfq.charge s ~id ~service:q ~runnable:true;
             work.(id) <- work.(id) + q;
             if q > lmax.(id) then lmax.(id) <- q;
@@ -368,11 +368,11 @@ let prop_proportional_share =
       Sfq.arrive s ~id:2 ~weight:(wt w2);
       let work = [| 0; 0 |] in
       for _ = 1 to 5000 do
-        match Sfq.select s with
-        | Some id ->
+        match Sfq.select_id s with
+        | -1 -> ()
+        | id ->
           Sfq.charge s ~id ~service:1 ~runnable:true;
           work.(id - 1) <- work.(id - 1) + 1
-        | None -> ()
       done;
       let expected = w1 /. w2 in
       let actual = float_of_int work.(0) /. float_of_int work.(1) in
@@ -391,9 +391,9 @@ let prop_virtual_time_monotonic =
         (fun op ->
           (* [op] names the client that blocks after the next quantum
              and is then woken again — exercising idle transitions. *)
-          (match Sfq.select s with
-          | Some id -> Sfq.charge s ~id ~service:2 ~runnable:(id <> op)
-          | None -> ());
+          (match Sfq.select_id s with
+          | -1 -> ()
+          | id -> Sfq.charge s ~id ~service:2 ~runnable:(id <> op));
           Sfq.arrive s ~id:op ~weight:u;
           let vt = Sfq.virtual_time s in
           let ok = vt >= !prev in
@@ -416,15 +416,15 @@ let prop_work_conserving =
           let n = Array.fold_left (fun a b -> if b then a + 1 else a) 0 runnable in
           if Sfq.backlogged s <> n then false
           else begin
-            match Sfq.select s with
-            | Some id ->
+            match Sfq.select_id s with
+            | -1 -> n = 0
+            | id ->
               (* The selected client blocks when it matches [i] and the
                  coin came up tails. *)
               let still = wake || i <> id in
               Sfq.charge s ~id ~service:1 ~runnable:still;
               if not still then runnable.(id) <- false;
               true
-            | None -> n = 0
           end)
         ops)
 
@@ -438,11 +438,11 @@ let test_long_run_no_drift () =
   let q = 20_000_000 (* 20 ms in ns *) in
   let work = [| 0; 0 |] in
   for _ = 1 to 1_000_000 do
-    match Sfq.select s with
-    | Some id ->
+    match Sfq.select_id s with
+    | -1 -> Alcotest.fail "selection expected"
+    | id ->
       Sfq.charge s ~id ~service:q ~runnable:true;
       work.(id - 1) <- work.(id - 1) + q
-    | None -> Alcotest.fail "selection expected"
   done;
   check_int "exact 1:3 after 1M quanta" (3 * work.(0)) work.(1);
   check_int "weight-1.0 tag is its service" work.(0) (Sfq.finish_tag s ~id:1);
@@ -470,13 +470,13 @@ let prop_donations_revocable =
       (* Every client now charges at its base weight again. *)
       List.for_all
         (fun _ ->
-          match Sfq.select s with
-          | Some id ->
+          match Sfq.select_id s with
+          | -1 -> false
+          | id ->
             let start = Sfq.start_tag s ~id in
             Sfq.charge s ~id ~service:(id + 1) ~runnable:true;
             (* service = weight, so the finish tag moves exactly 1. *)
-            Sfq.finish_tag s ~id = start + 1
-          | None -> false)
+            Sfq.finish_tag s ~id = start + 1)
         [ (); (); (); (); (); (); (); () ])
 
 (* Theorem 1 proper: the integer bound holds over EVERY window in which
@@ -502,12 +502,12 @@ let prop_windowed_unfairness =
       let hist = ref [ (0, 0) ] in
       List.iter
         (fun l ->
-          (match Sfq.select s with
-          | Some id ->
+          (match Sfq.select_id s with
+          | -1 -> ()
+          | id ->
             Sfq.charge s ~id ~service:l ~runnable:true;
             work.(id - 1) <- work.(id - 1) + l;
-            if l > !lmax then lmax := l
-          | None -> ());
+            if l > !lmax then lmax := l);
           hist := (work.(0), work.(1)) :: !hist)
         quanta;
       let pts = Array.of_list (List.rev !hist) in
@@ -543,10 +543,10 @@ let prop_audited_never_trips =
           match op with
           | 0 | 1 -> A.arrive s ~id ~weight:((1 + (id mod 4)) * u)
           | 2 -> (
-            match A.select s with
-            | Some sel ->
-              A.charge s ~id:sel ~service:(1 + id) ~runnable:(id mod 2 = 0)
-            | None -> ())
+            match A.select_id s with
+            | -1 -> ()
+            | sel ->
+              A.charge s ~id:sel ~service:(1 + id) ~runnable:(id mod 2 = 0))
           | 3 -> if A.mem s ~id then A.block s ~id
           | 4 -> if A.mem s ~id then A.set_weight s ~id ~weight:(id * u)
           | 5 ->
@@ -602,14 +602,14 @@ let differential_agrees ops =
               R.arrive r ~id ~weight;
               true
             | 2 -> (
-              match (A.select s, R.select r) with
-              | Some a, Some b when a = b ->
+              match (A.select_id s, R.select r) with
+              | -1, None -> true
+              | a, Some b when a = b ->
                 let service = 1 + id in
                 let runnable = id mod 2 = 0 in
                 A.charge s ~id:a ~service ~runnable;
                 R.charge r ~id:b ~service ~runnable;
                 true
-              | None, None -> true
               | _ -> false (* selections diverged *))
             | 3 ->
               if A.mem s ~id then begin
@@ -788,11 +788,11 @@ let prop_churn_storm_matches_reference =
         Sfq.depart s ~id;
         R.depart r ~id;
         if k mod 256 = 0 then
-          match (Sfq.select s, R.select r) with
-          | Some a, Some b when a = b ->
+          match (Sfq.select_id s, R.select r) with
+          | -1, None -> ()
+          | a, Some b when a = b ->
             Sfq.charge s ~id:a ~service:1 ~runnable:true;
             R.charge r ~id:a ~service:1 ~runnable:true
-          | None, None -> ()
           | _ -> ok := false
       done;
       ok := !ok && Sfq.backlogged s = R.backlogged r;
@@ -809,8 +809,8 @@ let prop_churn_storm_matches_reference =
       ok := !ok && Sfq.capacity s < cap_full;
       (* Post-storm decisions through the compacted table still agree. *)
       for _ = 1 to 200 do
-        match (Sfq.select s, R.select r) with
-        | Some a, Some b when a = b ->
+        match (Sfq.select_id s, R.select r) with
+        | a, Some b when a = b ->
           Sfq.charge s ~id:a ~service:1 ~runnable:true;
           R.charge r ~id:a ~service:1 ~runnable:true
         | _ -> ok := false
@@ -835,9 +835,9 @@ let test_capacity_tracks_churn () =
   check_int "live after the storm" 256 (Sfq.live_clients s);
   (* One decision lets the lazy heap discard the stale majority it still
      queues for the departed clients (and release their arrays). *)
-  (match Sfq.select s with
-  | Some id -> Sfq.charge s ~id ~service:1 ~runnable:true
-  | None -> Alcotest.fail "expected a runnable client");
+  (match Sfq.select_id s with
+  | -1 -> Alcotest.fail "expected a runnable client"
+  | id -> Sfq.charge s ~id ~service:1 ~runnable:true);
   let cap_small = Sfq.capacity s in
   check_bool "capacity released" true (cap_small < cap_full);
   check_bool "capacity still covers live" true
@@ -847,9 +847,9 @@ let test_capacity_tracks_churn () =
     Sfq.arrive s ~id ~weight:u
   done;
   check_bool "capacity regrows" true (Sfq.capacity s >= 4096);
-  match Sfq.select s with
-  | Some id -> Sfq.charge s ~id ~service:1 ~runnable:true
-  | None -> Alcotest.fail "expected a runnable client after regrowth"
+  match Sfq.select_id s with
+  | -1 -> Alcotest.fail "expected a runnable client after regrowth"
+  | id -> Sfq.charge s ~id ~service:1 ~runnable:true
 
 (* Slot remapping under audit: slots cached through {!Sfq.slot_of_id}
    must be kept coherent by the on-remap callback across a compaction
@@ -886,11 +886,11 @@ let test_remap_keeps_slots_dispatchable () =
       end)
     cached;
   for _ = 1 to 200 do
-    match A.select s with
-    | Some id ->
+    match A.select_id s with
+    | -1 -> Alcotest.fail "survivors must stay schedulable"
+    | id ->
       check_int "selection is a survivor" 0 (id mod 64);
       A.charge s ~id ~service:1 ~runnable:true
-    | None -> Alcotest.fail "survivors must stay schedulable"
   done;
   check_int "no invariant violations" 0 (Hsfq_check.Invariant.count sink)
 
