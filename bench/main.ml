@@ -309,6 +309,50 @@ let event_queue_micro ~n =
         drain_queue q);
   }
 
+(* Hold model: at a steady size, pop the minimum and push it straight
+   back at its key plus a PRNG increment, one operation per call. This
+   is the pop-then-push shape of SFQ's select -> charge cycle and of a
+   timer re-armed as it fires, which the push+pop and churn micros
+   (fill, then drain) never take. *)
+let hold_increments () =
+  let rng = Engine.Prng.create 5 in
+  Array.init 1024 (fun _ -> 1 + Engine.Prng.int rng 1000)
+
+let keyed_heap_hold_micro ~n =
+  let incs = hold_increments () and i = ref 0 in
+  let h = Sched.Keyed_heap.create () in
+  Sched.Keyed_heap.set_validator h (fun ~id:_ ~gen:_ -> true);
+  for id = 0 to n - 1 do
+    Sched.Keyed_heap.push h ~key:incs.(id land 1023) ~gen:0 ~id
+  done;
+  {
+    group = "substrate";
+    name = Printf.sprintf "keyed-heap/hold n=%d" n;
+    fn =
+      (fun () ->
+        let id = Sched.Keyed_heap.pop_valid h in
+        incr i;
+        Sched.Keyed_heap.push h
+          ~key:(Sched.Keyed_heap.last_key h + incs.(!i land 1023))
+          ~gen:0 ~id);
+  }
+
+let event_queue_hold_micro ~n =
+  let incs = hold_increments () and i = ref 0 and fired = ref 0 in
+  let q = Engine.Event_queue.create () in
+  let timers = Array.init n (fun k -> Engine.Event_queue.timer q (fun () -> fired := k)) in
+  Array.iteri (fun k tm -> Engine.Event_queue.arm q tm ~at:incs.(k)) timers;
+  {
+    group = "substrate";
+    name = Printf.sprintf "event-queue/hold n=%d" n;
+    fn =
+      (fun () ->
+        let at = Engine.Event_queue.take_until q ~horizon:max_int in
+        (Engine.Event_queue.taken q) ();
+        incr i;
+        Engine.Event_queue.arm q timers.(!fired) ~at:(at + incs.(!i land 1023)));
+  }
+
 let all_micros () =
   let qs = [ 2; 8; 32; 128; 512 ] in
   List.concat
@@ -335,7 +379,12 @@ let all_micros () =
       ];
       [ svr4_decision_micro ~q:8 ];
       List.map (fun d -> setrun_sleep_micro ~depth:d) [ 1; 16 ];
-      [ keyed_heap_micro ~n:256; event_queue_micro ~n:256 ];
+      [
+        keyed_heap_micro ~n:256;
+        keyed_heap_hold_micro ~n:256;
+        event_queue_micro ~n:256;
+        event_queue_hold_micro ~n:16;
+      ];
     ]
 
 (* ------------------------------------------------------------------ *)

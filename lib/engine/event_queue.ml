@@ -21,7 +21,15 @@
    slot keeps its fired thunk until it is reused or the slot table
    shrinks (storing a placeholder would cost a barrier per fire). Slot
    numbers are private, so the shrink renumbers the in-flight ones
-   densely. *)
+   densely.
+
+   Firing leaves the fired entry at the root as a dead hole, because
+   the common next operation is a push from the fired thunk (a re-armed
+   timer, a wake, a completion): that push writes its entry into the
+   root and sifts it down once, the classic heap-replace, instead of a
+   pop's sift-down followed by a push's sift-up. Every other heap
+   operation closes the hole first with the pop's own [remove_top].
+   The hole is never counted in [live] or [stale]. *)
 
 type timer = int
 
@@ -45,6 +53,7 @@ type t = {
   mutable live : int; (* armed timers + in-flight one-shots *)
   mutable stale : int; (* dead timer entries still in the heap *)
   mutable fired : int; (* key of the last [take_until] hit, or [no_key] *)
+  mutable hole : bool; (* the root is the fired entry, awaiting a push *)
 }
 
 let nothing () = ()
@@ -69,6 +78,7 @@ let create () =
     live = 0;
     stale = 0;
     fired = no_key;
+    hole = false;
   }
 
 let rec pow2_above c n = if c >= n then c else pow2_above (2 * c) n
@@ -217,21 +227,48 @@ let compact t =
   done;
   shrink_if_sparse t
 
-let needs_compaction t = t.size >= 64 && 2 * t.stale > t.size
+(* Drop the top entry. *)
+let remove_top t =
+  t.size <- t.size - 1;
+  let n = t.size in
+  if n > 0 then sift_down_from t 0 t.times.(n) t.seqs.(n) t.keys.(n)
+
+let close_hole t =
+  if t.hole then begin
+    t.hole <- false;
+    remove_top t
+  end
+
+(* The hole does not count: the trigger sees the entries it would see
+   had the fired entry been removed at once. *)
+let needs_compaction t =
+  let n = if t.hole then t.size - 1 else t.size in
+  n >= 64 && 2 * t.stale > n
 
 (* Room for one more entry. Compaction may renumber one-shot slots, so
-   it runs before the caller picks one. *)
+   it runs before the caller picks one; it closes the hole first. *)
 let reserve t =
-  if needs_compaction t then compact t;
-  if t.size = Array.length t.times then grow_heap t
+  if needs_compaction t then begin
+    close_hole t;
+    compact t
+  end;
+  if (not t.hole) && t.size = Array.length t.times then grow_heap t
 
+(* Into the hole when there is one (one sift down from the root),
+   otherwise at the end (one sift up). *)
 let push t ~at k =
   let sq = t.next_seq in
   t.next_seq <- sq + 1;
   if k >= 0 then t.armed_seq.(k) <- sq;
   t.live <- t.live + 1;
-  t.size <- t.size + 1;
-  sift_up_from t (t.size - 1) at sq k
+  if t.hole then begin
+    t.hole <- false;
+    sift_down_from t 0 at sq k
+  end
+  else begin
+    t.size <- t.size + 1;
+    sift_up_from t (t.size - 1) at sq k
+  end
 
 let negative_time fn = invalid_arg ("Event_queue." ^ fn ^ ": negative time")
 
@@ -254,12 +291,6 @@ let schedule t ~at thunk =
   t.once.(s) <- thunk;
   push t ~at (lnot s)
 
-(* Drop the top entry. *)
-let remove_top t =
-  t.size <- t.size - 1;
-  let n = t.size in
-  if n > 0 then sift_down_from t 0 t.times.(n) t.seqs.(n) t.keys.(n)
-
 (* Drop stale entries sitting at the top of the heap. *)
 let rec settle t =
   if t.size > 0 && is_stale t t.keys.(0) t.seqs.(0) then begin
@@ -269,12 +300,13 @@ let rec settle t =
   end
 
 let next_time t =
+  close_hole t;
   settle t;
   if t.size = 0 then None else Some t.times.(0)
 
 (* Fire the top entry: disarm its timer or park its one-shot slot,
-   record its key for [taken] and drop the entry. Returns its time. No
-   shrink may follow before [taken] reads the slot. *)
+   record its key for [taken] and leave the entry as the hole. Returns
+   its time. No shrink may follow before [taken] reads the slot. *)
 let fire_top t =
   let at = t.times.(0) and k = t.keys.(0) in
   if k >= 0 then t.armed_seq.(k) <- -1
@@ -284,12 +316,16 @@ let fire_top t =
   end;
   t.live <- t.live - 1;
   t.fired <- k;
-  remove_top t;
+  t.hole <- true;
   at
 
+(* The shrink's guards are inlined: below the 1024 floor, the common
+   case, no call is made at all. *)
 let take_until t ~horizon =
+  close_hole t;
   settle t;
-  shrink_if_sparse t;
+  if Array.length t.times > 1024 || Array.length t.once > 1024 then
+    shrink_if_sparse t;
   if t.size > 0 && t.times.(0) <= horizon then fire_top t
   else begin
     t.fired <- no_key;
@@ -305,9 +341,9 @@ let capacity t = Array.length t.times
 
 (* Deterministic retained-words accounting: three heap columns, the two
    timer columns, the one-shot table and its free stack, and the queue
-   record itself (15 fields and a header). *)
+   record itself (16 fields and a header). *)
 let footprint_words t =
   (3 * Array.length t.times)
   + (2 * Array.length t.actions)
   + (2 * Array.length t.once)
-  + 16
+  + 17

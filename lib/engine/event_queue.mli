@@ -25,7 +25,9 @@ val arm : t -> timer -> at:Time.t -> unit
     disarms it first and takes a fresh sequence number, exactly as a
     cancel followed by a new schedule would. The timer is disarmed
     again as it fires, before its thunk runs, so the thunk may re-arm
-    it.
+    it. Right after a {!take_until} hit (typically from the fired
+    thunk), the entry takes the fired one's place at the root: one
+    sift instead of a removal and an insertion.
     @raise Invalid_argument if [at < 0]: simulated time starts at zero,
     and [take_until] reserves [-1] for "no event". *)
 
@@ -40,7 +42,8 @@ val armed : t -> timer -> bool
 val schedule : t -> at:Time.t -> (unit -> unit) -> unit
 (** Enqueue a one-shot thunk to fire at the given time. Scheduling in
     the past is the caller's responsibility to avoid; the queue itself
-    only orders.
+    only orders. Right after a {!take_until} hit it fills the fired
+    entry's place, as {!arm} does.
     @raise Invalid_argument if [at < 0]. *)
 
 val next_time : t -> Time.t option
@@ -52,7 +55,13 @@ val take_until : t -> horizon:Time.t -> Time.t
     its thunk readable via {!taken}; [-1] (an impossible timestamp —
     simulation time starts at zero) iff no such entry exists. This is
     the simulation driver's per-event path: one settle pass, no option,
-    no tuple, and the fired timer or slot is recorded as an int. *)
+    no tuple, and the fired timer or slot is recorded as an int.
+
+    The fired entry leaves the heap lazily: the next {!arm} or
+    {!schedule} overwrites it, and any other operation removes it
+    first. Neither is visible: the fired entry is out of {!pending} at
+    once, {!capacity} moves exactly as with an eager removal, and the
+    fire order is the (time, sequence) order either way. *)
 
 val taken : t -> unit -> unit
 (** Thunk of the most recent successful {!take_until}. Read it before

@@ -3,8 +3,16 @@
    The hot path of every scheduler in this repository is push/pop on this
    heap, so the representation is four parallel flat int arrays instead
    of a boxed entry record behind a polymorphic comparator: a push
-   writes four ints, a pop swaps array cells — no per-entry allocation,
-   no closure call per comparison.
+   writes four ints, a sift moves one entry per level — no per-entry
+   allocation, no closure call per comparison.
+
+   A pop leaves its entry at the root as a dead hole, because the
+   common next operation is a push (the SFQ select -> charge cycle pops
+   a client and pushes it back): that push writes its entry into the
+   root and sifts it down once, the classic heap-replace, instead of a
+   pop's sift-down followed by a push's sift-up. Every other heap
+   operation closes the hole first with the pop's own [remove_top];
+   [size] never counts it.
 
    Lazy deletion needs a backstop: a client that cycles
    arrive -> block without ever being selected leaves one stale entry per
@@ -25,6 +33,7 @@ type t = {
   mutable validator : (id:int -> gen:int -> bool) option;
   mutable last : int; (* key of the most recently popped entry *)
   mutable peeked : int; (* key of the most recent [peek_valid] hit *)
+  mutable hole : bool; (* the root is the popped entry, awaiting a push *)
 }
 
 let create () =
@@ -39,56 +48,55 @@ let create () =
     validator = None;
     last = 0;
     peeked = 0;
+    hole = false;
   }
 
 let set_validator t valid = t.validator <- Some valid
 let invalidate t = t.stale <- t.stale + 1
 
-let size t = t.size
+let size t = if t.hole then t.size - 1 else t.size
 let last_key t = t.last
 let peeked_key t = t.peeked
 
-let clear t =
-  t.size <- 0;
-  t.stale <- 0
-
 (* Strict ordering: smaller key first, FIFO (push sequence) among ties. *)
-let lt t i j =
+let[@inline] lt t i j =
   let ki = t.keys.(i) and kj = t.keys.(j) in
   ki < kj || (ki = kj && t.seqs.(i) < t.seqs.(j))
 
-let swap t i j =
-  let k = t.keys.(i) in
-  t.keys.(i) <- t.keys.(j);
-  t.keys.(j) <- k;
-  let s = t.seqs.(i) in
-  t.seqs.(i) <- t.seqs.(j);
-  t.seqs.(j) <- s;
-  let g = t.gens.(i) in
-  t.gens.(i) <- t.gens.(j);
-  t.gens.(j) <- g;
-  let d = t.ids.(i) in
-  t.ids.(i) <- t.ids.(j);
-  t.ids.(j) <- d
+(* Hole-based sifting: the moving entry rides in the arguments and is
+   written exactly once at its final position, so each level costs one
+   4-int copy. No [ref] for the running minimum either: a ref cell
+   would be a heap allocation per pop. *)
+let[@inline] place t i key sq gen id =
+  t.keys.(i) <- key;
+  t.seqs.(i) <- sq;
+  t.gens.(i) <- gen;
+  t.ids.(i) <- id
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if lt t i parent then begin
-      swap t i parent;
-      sift_up t parent
+let rec sift_up_from t i key sq gen id =
+  if i = 0 then place t i key sq gen id
+  else begin
+    let p = (i - 1) / 2 in
+    let kp = t.keys.(p) in
+    if kp > key || (kp = key && t.seqs.(p) > sq) then begin
+      place t i kp t.seqs.(p) t.gens.(p) t.ids.(p);
+      sift_up_from t p key sq gen id
     end
+    else place t i key sq gen id
   end
 
-(* No [ref] for the running minimum: a ref cell is a heap allocation per
-   recursion level, and this runs on every pop. *)
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let s = if l < t.size && lt t l i then l else i in
-  let s = if r < t.size && lt t r s then r else s in
-  if s <> i then begin
-    swap t i s;
-    sift_down t s
+let rec sift_down_from t i key sq gen id =
+  let l = (2 * i) + 1 in
+  if l >= t.size then place t i key sq gen id
+  else begin
+    let r = l + 1 in
+    let s = if r < t.size && lt t r l then r else l in
+    let ks = t.keys.(s) in
+    if ks < key || (ks = key && t.seqs.(s) < sq) then begin
+      place t i ks t.seqs.(s) t.gens.(s) t.ids.(s);
+      sift_down_from t s key sq gen id
+    end
+    else place t i key sq gen id
   end
 
 let grow t =
@@ -107,15 +115,6 @@ let grow t =
     let ni = Array.make ncap 0 in
     Array.blit t.ids 0 ni 0 t.size;
     t.ids <- ni
-  end
-
-(* Keep [i]'s entry, moving it down to slot [j] (j <= i). *)
-let keep t ~src ~dst =
-  if dst <> src then begin
-    t.keys.(dst) <- t.keys.(src);
-    t.seqs.(dst) <- t.seqs.(src);
-    t.gens.(dst) <- t.gens.(src);
-    t.ids.(dst) <- t.ids.(src)
   end
 
 (* Capacity release: arrays only ever doubled before this existed, so a
@@ -151,14 +150,38 @@ let shrink_if_sparse t =
     end
   end
 
+let remove_top t =
+  t.size <- t.size - 1;
+  let n = t.size in
+  if n > 0 then sift_down_from t 0 t.keys.(n) t.seqs.(n) t.gens.(n) t.ids.(n);
+  (* Pops are the only drain path for valid entries (compaction only
+     sees stale ones), so capacity release must hook here too. The
+     guard inside is two loads and a compare; the O(n) copy itself is
+     amortized O(1) per pop by the hysteresis gap. *)
+  shrink_if_sparse t
+
+let close_hole t =
+  if t.hole then begin
+    t.hole <- false;
+    remove_top t
+  end
+
+(* A popped entry stays as the hole unless dropping it would release
+   capacity: then [remove_top] and its shrink run now, so capacity
+   follows pops exactly as without the hole. *)
+let vacate_top t =
+  let cap = Array.length t.keys in
+  if cap > 1024 && 4 * (t.size - 1) < cap then remove_top t else t.hole <- true
+
 let compact t =
+  close_hole t;
   match t.validator with
   | None -> ()
   | Some valid ->
     let j = ref 0 in
     for i = 0 to t.size - 1 do
       if valid ~id:t.ids.(i) ~gen:t.gens.(i) then begin
-        keep t ~src:i ~dst:!j;
+        place t !j t.keys.(i) t.seqs.(i) t.gens.(i) t.ids.(i);
         incr j
       end
     done;
@@ -166,37 +189,33 @@ let compact t =
     t.stale <- 0;
     (* Floyd heapify: O(n). *)
     for i = (t.size / 2) - 1 downto 0 do
-      sift_down t i
+      sift_down_from t i t.keys.(i) t.seqs.(i) t.gens.(i) t.ids.(i)
     done;
     shrink_if_sparse t
 
 (* Compaction pays off only once stale entries dominate and the heap is
-   big enough for the O(n) rebuild to beat their log-factor drag. *)
-let needs_compaction t = t.size >= 64 && 2 * t.stale > t.size
+   big enough for the O(n) rebuild to beat their log-factor drag. The
+   hole does not count: the trigger sees the entries it would see had
+   the popped entry been removed at once. *)
+let needs_compaction t =
+  let n = size t in
+  n >= 64 && 2 * t.stale > n
 
+(* Into the hole when there is one (one sift down from the root),
+   otherwise at the end (one sift up). *)
 let push t ~key ~gen ~id =
   if needs_compaction t then compact t;
-  grow t;
-  let i = t.size in
-  t.keys.(i) <- key;
-  t.seqs.(i) <- t.next_seq;
-  t.gens.(i) <- gen;
-  t.ids.(i) <- id;
-  t.next_seq <- t.next_seq + 1;
-  t.size <- t.size + 1;
-  sift_up t i
-
-let remove_top t =
-  t.size <- t.size - 1;
-  if t.size > 0 then begin
-    keep t ~src:t.size ~dst:0;
-    sift_down t 0
-  end;
-  (* Pops are the only drain path for valid entries (compaction only
-     sees stale ones), so capacity release must hook here too. The
-     guard inside is two loads and a compare; the O(n) copy itself is
-     amortized O(1) per pop by the hysteresis gap. *)
-  shrink_if_sparse t
+  let sq = t.next_seq in
+  t.next_seq <- sq + 1;
+  if t.hole then begin
+    t.hole <- false;
+    sift_down_from t 0 key sq gen id
+  end
+  else begin
+    grow t;
+    t.size <- t.size + 1;
+    sift_up_from t (t.size - 1) key sq gen id
+  end
 
 let dropped_stale t = if t.stale > 0 then t.stale <- t.stale - 1
 
@@ -207,13 +226,14 @@ let dropped_stale t = if t.stale > 0 then t.stale <- t.stale - 1
 let rec pop_valid_loop t valid =
   if t.size = 0 then -1
   else begin
-    let key = t.keys.(0) and gen = t.gens.(0) and id = t.ids.(0) in
-    remove_top t;
+    let gen = t.gens.(0) and id = t.ids.(0) in
     if valid ~id ~gen then begin
-      t.last <- key;
+      t.last <- t.keys.(0);
+      vacate_top t;
       id
     end
     else begin
+      remove_top t;
       dropped_stale t;
       pop_valid_loop t valid
     end
@@ -222,7 +242,9 @@ let rec pop_valid_loop t valid =
 let pop_valid t =
   match t.validator with
   | None -> invalid_arg "Keyed_heap.pop_valid: no validator installed"
-  | Some valid -> pop_valid_loop t valid
+  | Some valid ->
+    close_hole t;
+    pop_valid_loop t valid
 
 let rec peek_valid_loop t valid =
   if t.size = 0 then -1
@@ -242,7 +264,9 @@ let rec peek_valid_loop t valid =
 let peek_valid t =
   match t.validator with
   | None -> invalid_arg "Keyed_heap.peek_valid: no validator installed"
-  | Some valid -> peek_valid_loop t valid
+  | Some valid ->
+    close_hole t;
+    peek_valid_loop t valid
 
 let stale_bound t = t.stale
 
@@ -259,6 +283,7 @@ let footprint_words t = (4 * Array.length t.keys) + 8
    renumbered every live id), and the owner's validator keeps rejecting
    them because generation numbers are globally unique. *)
 let remap_ids t map =
+  close_hole t;
   let n = Array.length map in
   for i = 0 to t.size - 1 do
     let s = t.ids.(i) in

@@ -47,7 +47,14 @@ val pop_valid : t -> int
     discarding stale entries along the way: returns its id, or [-1] if
     no valid entry remains. The popped key is readable via {!last_key}.
     Allocation-free. Raises [Invalid_argument] if no validator was
-    installed. *)
+    installed.
+
+    The popped entry leaves the arrays lazily: a {!push} right after
+    overwrites it (one sift, the heap-replace of SFQ's select ->
+    charge cycle), and any other operation removes it first. It is out
+    of {!size} at once, {!capacity} moves exactly as with an eager
+    removal, and the pop order is the (key, sequence) order either
+    way. *)
 
 val peek_valid : t -> int
 (** Like {!pop_valid} but leaves the entry in place (the stale prefix
@@ -79,10 +86,9 @@ val remap_ids : t -> int array -> unit
     their dense client tables under compaction: call this with the
     old-slot -> new-slot map so queued entries follow the move. *)
 
-val clear : t -> unit
-
 val size : t -> int
-(** Includes stale entries. *)
+(** Queued entries, stale ones included; a popped entry is never
+    counted. *)
 
 val stale_bound : t -> int
 (** Number of reported-but-still-queued invalidations (diagnostics; an

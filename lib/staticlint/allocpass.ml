@@ -72,13 +72,17 @@ let default_configs =
       cold = [ "member_weight" ];
       barrier_free = [];
     };
+    (* The columns hold ints only: the sifts, the hole's fill
+       ([push]) and close ([close_hole]) never run the write barrier. *)
     {
       source = "lib/sched/keyed_heap.ml";
       roots =
         [ "push"; "pop_valid"; "peek_valid"; "invalidate"; "last_key";
-          "peeked_key" ];
+          "peeked_key"; "close_hole" ];
       cold = [ "grow"; "compact"; "shrink_if_sparse" ];
-      barrier_free = [];
+      barrier_free =
+        [ "push"; "pop_valid"; "close_hole"; "vacate_top"; "place";
+          "sift_up_from"; "sift_down_from"; "remove_top"; "compact" ];
     };
     (* [next_time] deliberately absent: its option is a peek for tests
        and diagnostics; the simulation driver's per-event path is
@@ -86,20 +90,22 @@ let default_configs =
        [new_slot] is the free-stack-dry slow path of [schedule];
        [repool]/[resized] are the slot-table and column growth/shrink
        copies. Timers and the heap move immediates only: arming,
-       disarming, firing, the sifts, [place], [remove_top], [settle]
-       and [compact] never run the write barrier. [schedule] stores its
-       one-shot thunk, the one pointer store per one-shot. *)
+       disarming, firing, the sifts, [place], [remove_top], the hole's
+       fill ([push]) and close ([close_hole]), [settle] and [compact]
+       never run the write barrier. [schedule] stores its one-shot
+       thunk, the one pointer store per one-shot. *)
     {
       source = "lib/engine/event_queue.ml";
       roots =
         [ "arm"; "disarm"; "armed"; "schedule"; "take_until"; "taken";
-          "pending" ];
+          "pending"; "close_hole" ];
       cold =
         [ "grow_heap"; "compact"; "new_slot"; "repool"; "resized";
           "shrink_if_sparse" ];
       barrier_free =
         [ "arm"; "disarm"; "push"; "take_until"; "fire_top"; "place";
-          "sift_up_from"; "sift_down_from"; "remove_top"; "settle"; "compact" ];
+          "sift_up_from"; "sift_down_from"; "remove_top"; "close_hole";
+          "settle"; "compact" ];
     };
     (* The simulation driver on top of it: scheduling, timers and the
        per-event drain loop. *)

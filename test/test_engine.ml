@@ -418,6 +418,43 @@ let test_event_queue_rejects_negative_time () =
   Event_queue.schedule q ~at:0 (fun () -> ());
   check_int "time zero is fine" 0 (Event_queue.take_until q ~horizon:10)
 
+(* A fired thunk that leaves a stale majority behind and then re-arms
+   its own timer: that push must compact before it is placed, and no
+   pending event may be lost or reordered by it. *)
+let test_event_queue_push_from_thunk_compacts () =
+  let q = Event_queue.create () in
+  let out = ref [] in
+  let tms = Array.init 40 (fun i -> Event_queue.timer q (fun () -> out := i :: !out)) in
+  Array.iteri (fun i tm -> Event_queue.arm q tm ~at:(1000 + i)) tms;
+  for i = 0 to 29 do
+    Event_queue.schedule q ~at:(2000 + i) (fun () -> out := (100 + i) :: !out)
+  done;
+  (* 39 re-arms: a stale minority of 109 entries, no compaction yet. *)
+  for i = 1 to 39 do
+    Event_queue.arm q tms.(i) ~at:(3000 + i)
+  done;
+  let first =
+    Event_queue.timer q (fun () ->
+        out := -1 :: !out;
+        for i = 1 to 39 do
+          Event_queue.disarm q tms.(i)
+        done;
+        Event_queue.arm q tms.(0) ~at:5)
+  in
+  Event_queue.arm q first ~at:0;
+  let rec drain () =
+    if Event_queue.take_until q ~horizon:max_int >= 0 then begin
+      Event_queue.taken q ();
+      drain ()
+    end
+  in
+  drain ();
+  Alcotest.(check (list int))
+    "every event, in time order"
+    (-1 :: 0 :: List.init 30 (fun i -> 100 + i))
+    (List.rev !out);
+  check_int "nothing pending" 0 (Event_queue.pending q)
+
 (* Naive-oracle differential: random arm/re-arm/disarm/one-shot/take/
    next/drain sequences run in lockstep against a sorted list of
    (time, seq, tag), where seq counts arms and one-shots and so orders
@@ -425,19 +462,53 @@ let test_event_queue_rejects_negative_time () =
    disarmed live, dead (already fired or disarmed) and twice. Bursts of
    one-shots reach past the 1024-entry shrink floor and re-arm storms
    build stale majorities above 64 entries, so compaction, slot-table
-   regrowth and release all run under the comparison. [pending] and
-   every timer's [armed] are compared after every op. *)
+   regrowth and release all run under the comparison. A fired thunk may
+   push from inside, as [Sim.repeat] and the kernel do: re-arm its own
+   timer (a one-shot schedules a successor), arm another timer, schedule
+   a one-shot, disarm every timer and arm one, or nothing; [Take_next]
+   puts a [next_time] between a take and the next push. [pending] and every timer's [armed] are compared
+   after every op. *)
+type react =
+  | Quiet
+  | Again of int (* delay: re-arm itself, or a successor one-shot *)
+  | Arm_other of int * int (* timer, time *)
+  | Spawn of int (* time of a new one-shot *)
+  | Quiesce of int * int (* disarm every timer, then arm this one *)
+
 type eq_op =
   | Arm of int * int (* timer, time *)
   | Disarm of int
   | Once of int
   | Burst of int * int (* n one-shots, time salt *)
   | Storm of int * int (* n re-arms spread over the timers, time salt *)
-  | Take of int (* horizon *)
+  | Take of int * react (* horizon, what the fired thunk does *)
+  | Take_next of int
   | Next
   | Drain
 
 let n_timers = 8
+
+let show_react = function
+  | Quiet -> "Quiet"
+  | Again d -> Printf.sprintf "Again %d" d
+  | Arm_other (k, at) -> Printf.sprintf "Arm_other (%d, %d)" k at
+  | Spawn at -> Printf.sprintf "Spawn %d" at
+  | Quiesce (k, at) -> Printf.sprintf "Quiesce (%d, %d)" k at
+
+let gen_react =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, return Quiet);
+        (3, map (fun d -> Again d) (int_bound 511));
+        ( 2,
+          map2 (fun k at -> Arm_other (k, at)) (int_bound (n_timers - 1))
+            (int_bound 4095) );
+        (2, map (fun at -> Spawn at) (int_bound 4095));
+        ( 1,
+          map2 (fun k at -> Quiesce (k, at)) (int_bound (n_timers - 1))
+            (int_bound 4095) );
+      ])
 
 let show_eq_op = function
   | Arm (k, at) -> Printf.sprintf "Arm (%d, %d)" k at
@@ -445,7 +516,8 @@ let show_eq_op = function
   | Once at -> Printf.sprintf "Once %d" at
   | Burst (n, salt) -> Printf.sprintf "Burst (%d, %d)" n salt
   | Storm (n, salt) -> Printf.sprintf "Storm (%d, %d)" n salt
-  | Take h -> Printf.sprintf "Take %d" h
+  | Take (h, r) -> Printf.sprintf "Take (%d, %s)" h (show_react r)
+  | Take_next h -> Printf.sprintf "Take_next %d" h
   | Next -> "Next"
   | Drain -> "Drain"
 
@@ -456,10 +528,15 @@ let gen_eq_op =
         (6, map2 (fun k at -> Arm (k, at)) (int_bound (n_timers - 1)) (int_bound 4095));
         (4, map (fun k -> Disarm k) (int_bound (n_timers - 1)));
         (4, map (fun at -> Once at) (int_bound 4095));
-        (2, map2 (fun n salt -> Burst (n, salt)) (int_range 1 5000) (int_bound 4095));
+        ( 2,
+          map2
+            (fun n salt -> Burst (n, salt))
+            (oneof [ int_range 1 64; int_range 1 5000 ])
+            (int_bound 4095) );
         (1, map2 (fun n salt -> Storm (n, salt)) (int_range 1 300) (int_bound 4095));
-        (5, map (fun h -> Take h) (int_bound 4095));
-        (1, return Next);
+        (5, map2 (fun h r -> Take (h, r)) (int_bound 4095) gen_react);
+        (2, map (fun h -> Take_next h) (int_bound 4095));
+        (2, return Next);
         (1, return Drain);
       ])
 
@@ -470,12 +547,14 @@ let prop_event_queue_matches_oracle =
        QCheck.Gen.(list_size (int_range 1 60) gen_eq_op))
     (fun ops ->
       let q = Event_queue.create () in
-      (* Tags: timer [k] fires as [-(k + 1)], one-shot [id] as [id]. *)
-      let last = ref 0 in
-      let tms =
-        Array.init n_timers (fun k ->
-            Event_queue.timer q (fun () -> last := -(k + 1)))
+      (* Tags: timer [k] fires as [-(k + 1)], one-shot [id] as [id].
+         [inside] is what the next fired thunk does after tagging. *)
+      let last = ref 0 and inside = ref (fun _ -> ()) in
+      let fire tag () =
+        last := tag;
+        !inside tag
       in
+      let tms = Array.init n_timers (fun k -> Event_queue.timer q (fire (-(k + 1)))) in
       (* The oracle: pending one-shots as (time, seq, id) sorted on
          (time, seq), and each timer's pending (time, seq) if armed. *)
       let onces = ref [] and armed = Array.make n_timers None in
@@ -508,6 +587,9 @@ let prop_event_queue_matches_oracle =
       let arm k at =
         Event_queue.arm q tms.(k) ~at;
         armed.(k) <- Some (at, fresh ())
+      and disarm k tm =
+        Event_queue.disarm q tm;
+        armed.(k) <- None
       in
       let once_list ats =
         let evs =
@@ -515,21 +597,39 @@ let prop_event_queue_matches_oracle =
             (fun at ->
               let id = !next_id in
               incr next_id;
-              Event_queue.schedule q ~at (fun () -> last := id);
+              Event_queue.schedule q ~at (fire id);
               (at, fresh (), id))
             ats
         in
         onces := List.merge order !onces (List.sort order evs)
       in
-      let take horizon =
+      (* The oracle retires the fired entry before its thunk runs, so a
+         push from inside lands after it, as in the queue. *)
+      let take ?(react = Quiet) horizon =
         let got = Event_queue.take_until q ~horizon in
         match earliest () with
         | Some (at, _, tag) when at <= horizon ->
           if got <> at then fail "take_until %d: got %d, oracle %d" horizon got at;
+          if tag < 0 then armed.(-tag - 1) <- None else onces := List.tl !onces;
+          (inside :=
+             fun tag ->
+               match react with
+               | Quiet -> ()
+               | Again d ->
+                 if tag < 0 then arm (-tag - 1) (at + d) else once_list [ at + d ]
+               | Arm_other (k, at) -> arm k at
+               | Spawn at -> once_list [ at ]
+               | Quiesce (k, at) ->
+                 Array.iteri disarm tms;
+                 arm k at);
           Event_queue.taken q ();
-          if !last <> tag then fail "fired %d, oracle %d" !last tag;
-          if tag < 0 then armed.(-tag - 1) <- None else onces := List.tl !onces
+          inside := (fun _ -> ());
+          if !last <> tag then fail "fired %d, oracle %d" !last tag
         | _ -> if got <> -1 then fail "take_until %d: got %d, oracle miss" horizon got
+      in
+      let next () =
+        let want = Option.map (fun (at, _, _) -> at) (earliest ()) in
+        if Event_queue.next_time q <> want then fail "next_time differs"
       in
       let rec drain () =
         take max_int;
@@ -538,9 +638,7 @@ let prop_event_queue_matches_oracle =
       let step op =
         match op with
         | Arm (k, at) -> arm k at
-        | Disarm k ->
-          Event_queue.disarm q tms.(k);
-          armed.(k) <- None
+        | Disarm k -> disarm k tms.(k)
         | Once at -> once_list [ at ]
         | Burst (n, salt) ->
           once_list (List.init n (fun i -> (salt + (i * 7919)) mod 4096))
@@ -548,10 +646,11 @@ let prop_event_queue_matches_oracle =
           for i = 0 to n - 1 do
             arm (i mod n_timers) ((salt + (i * 104729)) mod 4096)
           done
-        | Take h -> take h
-        | Next ->
-          let want = Option.map (fun (at, _, _) -> at) (earliest ()) in
-          if Event_queue.next_time q <> want then fail "next_time differs"
+        | Take (h, react) -> take ~react h
+        | Take_next h ->
+          take h;
+          next ()
+        | Next -> next ()
         | Drain ->
           drain ();
           take max_int;
@@ -892,6 +991,8 @@ let () =
             test_event_queue_burst_releases_memory;
           Alcotest.test_case "rejects negative time" `Quick
             test_event_queue_rejects_negative_time;
+          Alcotest.test_case "push from a thunk compacts" `Quick
+            test_event_queue_push_from_thunk_compacts;
           qc prop_event_queue_total_order;
           qc prop_event_queue_matches_oracle;
         ] );

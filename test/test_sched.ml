@@ -628,6 +628,31 @@ let test_keyed_heap_compaction () =
   check_int "late pushed entry survives" 100 (Keyed_heap.pop_valid h);
   check_int "drained" (-1) (Keyed_heap.pop_valid h)
 
+(* The compaction trigger counts queued entries only: right after a
+   pop, 63 entries with 33 reported stale are below the 64-entry floor,
+   so the push that follows must not compact. *)
+let test_keyed_heap_pop_then_push_threshold () =
+  let h = Keyed_heap.create () in
+  let live = Array.make 64 true in
+  Keyed_heap.set_validator h (fun ~id ~gen:_ -> live.(id));
+  for id = 0 to 63 do
+    Keyed_heap.push h ~key:id ~gen:0 ~id
+  done;
+  check_int "pop the minimum" 0 (Keyed_heap.pop_valid h);
+  check_int "size after pop" 63 (Keyed_heap.size h);
+  for id = 31 to 63 do
+    live.(id) <- false;
+    Keyed_heap.invalidate h
+  done;
+  Keyed_heap.push h ~key:100 ~gen:0 ~id:0;
+  check_int "no compaction below 64 entries" 64 (Keyed_heap.size h);
+  check_int "stale still reported" 33 (Keyed_heap.stale_bound h);
+  for id = 1 to 30 do
+    check_int "pop order" id (Keyed_heap.pop_valid h)
+  done;
+  check_int "pushed entry last" 0 (Keyed_heap.pop_valid h);
+  check_int "drained" (-1) (Keyed_heap.pop_valid h)
+
 (* A heap drained far below its high-water mark must release the backing
    arrays (the same quarter-occupancy trigger as compaction, checked on
    pops too), and the survivors must still pop in exact key order through
@@ -688,6 +713,163 @@ let test_keyed_heap_remap_preserves_order () =
   in
   Alcotest.(check (list (pair int int)))
     "same keys and order, ids rewritten" expected (pop_all remapped)
+
+(* Naive-oracle differential: random push/pop/peek/invalidate/remap/
+   compact sequences run in lockstep against a sorted list of
+   (key, seq, gen, id), where seq counts pushes and so orders ties FIFO.
+   Clients own one generation each, drawn from a global counter as the
+   schedulers' are, so an entry is valid iff its gen is its client's
+   current one and a remapped stale entry stays stale. A push for a
+   client with a valid queued entry reports the old one stale, as
+   [Sfq] does; [Bump] reports it or not (under-reporting is allowed).
+   [Cycle] is the SFQ select -> charge shape: pop, then push the same
+   client back at a later key. Bursts cross the 64-entry compaction
+   threshold. The oracle models the documented compaction rule, so the
+   popped and peeked ids, [last_key], [peeked_key] and [size] are
+   compared after every op. *)
+type kh_op =
+  | Push of int * int (* client, key *)
+  | Burst of int * int (* n pushes, key salt *)
+  | Pop
+  | Cycle of int (* key increment *)
+  | Peek
+  | Bump of int * bool (* client, reported *)
+  | Remap of int (* rotation of the client ids *)
+  | Compact
+
+let kh_clients = 128
+
+let show_kh_op = function
+  | Push (c, k) -> Printf.sprintf "Push (%d, %d)" c k
+  | Burst (n, salt) -> Printf.sprintf "Burst (%d, %d)" n salt
+  | Pop -> "Pop"
+  | Cycle d -> Printf.sprintf "Cycle %d" d
+  | Peek -> "Peek"
+  | Bump (c, r) -> Printf.sprintf "Bump (%d, %b)" c r
+  | Remap r -> Printf.sprintf "Remap %d" r
+  | Compact -> "Compact"
+
+let gen_kh_op =
+  QCheck.Gen.(
+    let client = int_bound (kh_clients - 1) in
+    frequency
+      [
+        (6, map2 (fun c k -> Push (c, k)) client (int_bound 999));
+        (1, map2 (fun n salt -> Burst (n, salt)) (int_range 1 200) (int_bound 999));
+        (5, return Pop);
+        (6, map (fun d -> Cycle d) (int_bound 99));
+        (2, return Peek);
+        (4, map2 (fun c r -> Bump (c, r)) client bool);
+        (1, map (fun r -> Remap r) (int_range 1 (kh_clients - 1)));
+        (1, return Compact);
+      ])
+
+let prop_keyed_heap_matches_oracle =
+  QCheck.Test.make ~name:"keyed heap matches a sorted-list oracle" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_kh_op ops))
+       QCheck.Gen.(list_size (int_range 1 80) gen_kh_op))
+    (fun ops ->
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let h = Keyed_heap.create () in
+      let gens = Array.make kh_clients 0 and next_gen = ref 1 in
+      Keyed_heap.set_validator h (fun ~id ~gen -> gens.(id) = gen);
+      (* The oracle: every queued entry as (key, seq, gen, id) sorted on
+         (key, seq), and the reported-stale count. *)
+      let entries = ref [] and stale = ref 0 and seq = ref 0 in
+      let last = ref 0 and peeked = ref 0 in
+      let valid (_, _, g, id) = gens.(id) = g in
+      let order (a, i, _, _) (b, j, _, _) =
+        if a <> b then Int.compare a b else Int.compare i j
+      in
+      let queued c = List.exists (fun ((_, _, _, id) as e) -> id = c && valid e) !entries in
+      let bump c ~reported =
+        let was = queued c in
+        gens.(c) <- !next_gen;
+        incr next_gen;
+        if was && reported then begin
+          Keyed_heap.invalidate h;
+          incr stale
+        end
+      in
+      let drop_invalid () =
+        entries := List.filter valid !entries;
+        stale := 0
+      in
+      let push c key =
+        bump c ~reported:true;
+        let n = List.length !entries in
+        if n >= 64 && 2 * !stale > n then drop_invalid ();
+        Keyed_heap.push h ~key ~gen:gens.(c) ~id:c;
+        entries := List.merge order !entries [ (key, !seq, gens.(c), c) ];
+        incr seq
+      in
+      (* Drop the stale prefix; the first valid entry or [None]. *)
+      let rec surface () =
+        match !entries with
+        | [] -> None
+        | e :: rest when not (valid e) ->
+          entries := rest;
+          if !stale > 0 then decr stale;
+          surface ()
+        | e :: _ -> Some e
+      in
+      let pop () =
+        let got = Keyed_heap.pop_valid h in
+        match surface () with
+        | Some (key, _, _, id) ->
+          entries := List.tl !entries;
+          last := key;
+          if got <> id then fail "pop_valid: got %d, oracle %d" got id;
+          Some (key, id)
+        | None ->
+          if got <> -1 then fail "pop_valid: got %d, oracle empty" got;
+          None
+      in
+      let step = function
+        | Push (c, key) -> push c key
+        | Burst (n, salt) ->
+          for i = 0 to n - 1 do
+            push ((salt + (i * 37)) mod kh_clients) ((salt + (i * 7919)) mod 1000)
+          done
+        | Pop -> ignore (pop ())
+        | Cycle d -> (
+          match pop () with Some (key, id) -> push id (key + d) | None -> ())
+        | Peek -> (
+          let got = Keyed_heap.peek_valid h in
+          match surface () with
+          | Some (key, _, _, id) ->
+            peeked := key;
+            if got <> id then fail "peek_valid: got %d, oracle %d" got id
+          | None -> if got <> -1 then fail "peek_valid: got %d, oracle empty" got)
+        | Bump (c, reported) -> bump c ~reported
+        | Remap r ->
+          let map = Array.init kh_clients (fun i -> (i + r) mod kh_clients) in
+          let old = Array.copy gens in
+          Array.iteri (fun i g -> gens.(map.(i)) <- g) old;
+          Keyed_heap.remap_ids h map;
+          entries := List.map (fun (k, s, g, id) -> (k, s, g, map.(id))) !entries
+        | Compact ->
+          Keyed_heap.compact h;
+          drop_invalid ()
+      in
+      List.iter
+        (fun op ->
+          step op;
+          let what = show_kh_op op in
+          if Keyed_heap.size h <> List.length !entries then
+            fail "after %s: size %d, oracle %d" what (Keyed_heap.size h)
+              (List.length !entries);
+          if Keyed_heap.last_key h <> !last then
+            fail "after %s: last_key %d, oracle %d" what (Keyed_heap.last_key h) !last;
+          if Keyed_heap.peeked_key h <> !peeked then
+            fail "after %s: peeked_key %d, oracle %d" what (Keyed_heap.peeked_key h)
+              !peeked;
+          if Keyed_heap.stale_bound h <> !stale then
+            fail "after %s: stale_bound %d, oracle %d" what (Keyed_heap.stale_bound h)
+              !stale)
+        ops;
+      true)
 
 (* ------------------------ interrupt sources --------------------------- *)
 
@@ -1018,10 +1200,13 @@ let () =
           Alcotest.test_case "FIFO ties" `Quick test_keyed_heap_fifo_ties;
           Alcotest.test_case "stale-majority compaction" `Quick
             test_keyed_heap_compaction;
+          Alcotest.test_case "pop then push threshold" `Quick
+            test_keyed_heap_pop_then_push_threshold;
           Alcotest.test_case "capacity release on drain" `Quick
             test_keyed_heap_capacity_release;
           Alcotest.test_case "remap_ids preserves order" `Quick
             test_keyed_heap_remap_preserves_order;
+          QCheck_alcotest.to_alcotest prop_keyed_heap_matches_oracle;
         ] );
       ( "interrupt-source",
         [
