@@ -10,11 +10,11 @@ build:
 test:
 	dune runtest
 
-# Source lint: the token pass (bin/hsfq_lint) plus the whole-program
-# typed analyzer (bin/hsfq_tlint, over .cmt artifacts).  Both also run
-# as part of `dune runtest`.  See doc/STATIC_ANALYSIS.md.
+# Source lint: the whole-program typed analyzer (bin/hsfq_tlint, over
+# .cmt artifacts) with tlint.whitelist.  Also runs as part of
+# `dune runtest`.  See doc/STATIC_ANALYSIS.md.
 lint:
-	dune build @lint @lint-typed
+	dune build @lint
 
 # Tier-1 verification: strict build + tests + lint + bench, sim-speed,
 # torture and parallel-sweep smoke passes.

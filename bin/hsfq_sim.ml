@@ -56,6 +56,19 @@ let filtered_argv, cli_minor_heap =
   done;
   (Array.of_list (List.rev !keep), !minor)
 
+(* Numeric options: a value out of range is a usage error (exit 124)
+   naming the option, not an uncaught exception from deep in the run. *)
+let int_at_least lo what =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected %s integer, got %S" what s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
+let positive_int = int_at_least 1 "a positive"
+let non_negative_int = int_at_least 0 "a non-negative"
+
 (* Shared --jobs flag: parallelism of the seed/experiment sweep.
    1 = serial (default), 0 = auto — Par.resolve_jobs, the one jobs
    policy, maps it to the available core count (which is 1, i.e. plain
@@ -211,9 +224,13 @@ let trace_run experiment out text metrics capacity duration cell =
       (match out with
       | None -> print_string payload
       | Some path ->
-        let oc = open_out path in
-        output_string oc payload;
-        close_out oc;
+        (try
+           let oc = open_out path in
+           output_string oc payload;
+           close_out oc
+         with Sys_error e ->
+           prerr_endline ("hsfq_sim: " ^ e);
+           exit 2);
         Printf.eprintf "wrote %s (%d events recorded, %d total)\n" path
           (Hsfq_obs.Ring.length (Hsfq_obs.Trace.ring tr))
           (Hsfq_obs.Ring.total (Hsfq_obs.Trace.ring tr)));
@@ -252,17 +269,17 @@ let trace_cmd =
   let capacity =
     Arg.(
       value
-      & opt int E.Obs_run.default_capacity
+      & opt positive_int E.Obs_run.default_capacity
       & info [ "capacity" ] ~docv:"N"
           ~doc:
             "Ring-buffer capacity in events (rounded up to a power of two); \
              when the run emits more, only the last $(docv) are kept.")
   in
   let duration =
-    Arg.(value & opt int 400 & info [ "duration"; "d" ] ~docv:"MS" ~doc:"(demo) Milliseconds to simulate.")
+    Arg.(value & opt positive_int 400 & info [ "duration"; "d" ] ~docv:"MS" ~doc:"(demo) Milliseconds to simulate.")
   in
   let cell =
-    Arg.(value & opt int 4 & info [ "cell"; "c" ] ~docv:"MS" ~doc:"(demo) Milliseconds per Gantt cell.")
+    Arg.(value & opt positive_int 4 & info [ "cell"; "c" ] ~docv:"MS" ~doc:"(demo) Milliseconds per Gantt cell.")
   in
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
@@ -297,7 +314,18 @@ let csv_export ids all dir jobs =
     Printf.eprintf "nothing to export; give figure ids or --all\n";
     exit 2
   end;
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  let fail fmt =
+    Printf.ksprintf (fun msg -> prerr_endline ("hsfq_sim: " ^ msg); exit 2) fmt
+  in
+  let rec mkdir_p d =
+    if not (Sys.file_exists d) then begin
+      mkdir_p (Filename.dirname d);
+      try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+    end
+  in
+  (try mkdir_p dir with Unix.Unix_error (e, _, _) ->
+     fail "cannot create %s: %s" dir (Unix.error_message e));
+  if not (Sys.is_directory dir) then fail "%s is not a directory" dir;
   (* Simulations run on the sweep; all file writes happen at the join,
      in figure order, so the CSV bytes on disk match a serial export. *)
   let exported =
@@ -314,9 +342,11 @@ let csv_export ids all dir jobs =
         List.iter
           (fun (name, contents) ->
             let path = Filename.concat dir name in
-            let oc = open_out path in
-            output_string oc contents;
-            close_out oc;
+            (try
+               let oc = open_out path in
+               output_string oc contents;
+               close_out oc
+             with Sys_error e -> fail "%s" e);
             Printf.printf "wrote %s\n" path)
           files)
     exported
@@ -326,7 +356,7 @@ let csv_cmd =
   let ids = Arg.(value & pos_all string [] & info [] ~docv:"ID") in
   let all = Arg.(value & flag & info [ "all"; "a" ] ~doc:"Export every figure.") in
   let dir =
-    Arg.(value & opt string "figures" & info [ "dir"; "d" ] ~docv:"DIR" ~doc:"Output directory.")
+    Arg.(value & opt string "figures" & info [ "dir"; "d" ] ~docv:"DIR" ~doc:"Output directory (created, parents included, if missing).")
   in
   Cmd.v (Cmd.info "csv" ~doc)
     Term.(const csv_export $ ids $ all $ dir $ jobs_arg)
@@ -337,8 +367,11 @@ let torture_run seed seeds ops audit_period max_leaves max_spawns prepopulate
     cpus do_shrink quiet jobs =
   let module T = Hsfq_torture.Torture in
   let failures = ref 0 in
-  let last = seed + Int.max 0 (seeds - 1) in
-  let seed_array = Array.init (last - seed + 1) (fun i -> seed + i) in
+  if prepopulate > max_leaves then begin
+    prerr_endline "hsfq_sim: --prepopulate must not exceed --max-leaves";
+    exit Cmd.Exit.cli_error
+  end;
+  let seed_array = Array.init seeds (fun i -> seed + i) in
   let cfg =
     T.config ~ops ~audit_period ~max_leaves ~max_spawns ~prepopulate ~cpus seed
   in
@@ -372,7 +405,7 @@ let torture_run seed seeds ops audit_period max_leaves max_spawns prepopulate
         Printf.printf "seed %d: ok (%s)\n" s (T.outcome_summary o))
     outcomes;
   if !failures > 0 then begin
-    Printf.printf "%d/%d seed(s) failed\n" !failures (last - seed + 1);
+    Printf.printf "%d/%d seed(s) failed\n" !failures seeds;
     exit 1
   end
 
@@ -385,25 +418,25 @@ let torture_cmd =
     Arg.(value & opt int 1 & info [ "seed"; "s" ] ~docv:"N" ~doc:"First PRNG seed.")
   in
   let seeds =
-    Arg.(value & opt int 1 & info [ "seeds" ] ~docv:"K" ~doc:"Number of consecutive seeds to run.")
+    Arg.(value & opt positive_int 1 & info [ "seeds" ] ~docv:"K" ~doc:"Number of consecutive seeds to run.")
   in
   let ops =
-    Arg.(value & opt int 10_000 & info [ "ops"; "n" ] ~docv:"OPS" ~doc:"Operations per seed.")
+    Arg.(value & opt non_negative_int 10_000 & info [ "ops"; "n" ] ~docv:"OPS" ~doc:"Operations per seed.")
   in
   let audit_period =
-    Arg.(value & opt int 1 & info [ "audit-period" ] ~docv:"P" ~doc:"Audit every P ops (1 = every op).")
+    Arg.(value & opt positive_int 1 & info [ "audit-period" ] ~docv:"P" ~doc:"Audit every P ops (1 = every op).")
   in
   let max_leaves =
-    Arg.(value & opt int 16 & info [ "max-leaves" ] ~docv:"N" ~doc:"Cap on live leaves (rmnod frees budget for later mknod).")
+    Arg.(value & opt positive_int 16 & info [ "max-leaves" ] ~docv:"N" ~doc:"Cap on live leaves (rmnod frees budget for later mknod).")
   in
   let max_spawns =
-    Arg.(value & opt int 192 & info [ "max-spawns" ] ~docv:"N" ~doc:"Cap on threads ever spawned.")
+    Arg.(value & opt non_negative_int 192 & info [ "max-spawns" ] ~docv:"N" ~doc:"Cap on threads ever spawned.")
   in
   let prepopulate =
-    Arg.(value & opt int 0 & info [ "prepopulate" ] ~docv:"N" ~doc:"Build N leaves at init before the op stream runs; large values (100000+) exercise giant hierarchies under churn. Must be <= --max-leaves.")
+    Arg.(value & opt non_negative_int 0 & info [ "prepopulate" ] ~docv:"N" ~doc:"Build N leaves at init before the op stream runs; large values (100000+) exercise giant hierarchies under churn. Must be <= --max-leaves.")
   in
   let cpus =
-    Arg.(value & opt int 1 & info [ "cpus" ] ~docv:"P" ~doc:"Simulated CPUs. P=1 (default) reproduces the historical single-CPU driver byte-for-byte; P>1 adds per-CPU interrupt storms and randomized cross-CPU interrupt targeting, racing thread migrations against the per-CPU audits.")
+    Arg.(value & opt positive_int 1 & info [ "cpus" ] ~docv:"P" ~doc:"Simulated CPUs. P=1 (default) reproduces the historical single-CPU driver byte-for-byte; P>1 adds per-CPU interrupt storms and randomized cross-CPU interrupt targeting, racing thread migrations against the per-CPU audits.")
   in
   let do_shrink =
     Arg.(value & flag & info [ "shrink" ] ~doc:"Delta-debug failing traces to a minimal reproducer.")

@@ -1,6 +1,7 @@
-(* hsfq_tlint — whole-program typed analyzer over dune's .cmt files.
+(* hsfq_tlint — whole-program typed analyzer over dune's .cmt files,
+   the repo's one lint.
 
-   Three passes (see doc/STATIC_ANALYSIS.md):
+   Passes (see doc/STATIC_ANALYSIS.md):
 
    - inventory        every module-top-level binding, classified by how
                       its type's mutation is protected
@@ -10,10 +11,15 @@
                       hot-path typed rules and the allocation-site walk,
                       plus tl-bench-budget cross-checking the measured
                       minor-words numbers in BENCH_sched.json
+   - tl-poly-compare / tl-stdlib-minmax / tl-nan-compare / tl-obj-magic /
+     tl-assert-validation / tl-hashtbl-find-exn / tl-missing-mli
+                      source hygiene over lib/ bin/ examples/ test/ bench/
+   - tl-dead-export   lib/ exports no other unit references; exports used
+                      only by tests are listed in the summary, not failed
 
-   Needs typedtrees: run [dune build @check] first (the @lint-typed
-   alias depends on it).  Whitelist format and exit codes match
-   hsfq_lint: 0 clean, 1 findings/stale, 2 usage/IO. *)
+   Needs typedtrees: run [dune build @check] first (the @lint alias
+   depends on it).  Whitelist: lines of [<rule> <path> <justification...>].
+   Exit codes: 0 clean, 1 findings/stale, 2 usage/IO. *)
 
 module Typedlint = Hsfq_staticlint.Typedlint
 

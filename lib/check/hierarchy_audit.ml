@@ -44,8 +44,6 @@ let attach sink hier =
   Hierarchy.set_audit_hook hier
     (Some (fun ~node ~event -> check_node sink hier node ~event))
 
-let detach hier = Hierarchy.set_audit_hook hier None
-
 let check_all sink hier =
   let rec walk nid =
     (match Hierarchy.kind_of hier nid with

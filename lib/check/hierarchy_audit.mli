@@ -18,11 +18,6 @@ open Hsfq_core
 val attach : Invariant.sink -> Hierarchy.t -> unit
 (** Install the observer (replacing any previous hook). *)
 
-val detach : Hierarchy.t -> unit
-
-val check_node : Invariant.sink -> Hierarchy.t -> Hierarchy.id -> event:string -> unit
-(** Check one internal node now (used by the hook; callable directly). *)
-
 val check_all : Invariant.sink -> Hierarchy.t -> unit
 (** Sweep every internal node of the structure (e.g. at the end of an
     experiment). *)

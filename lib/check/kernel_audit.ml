@@ -40,7 +40,6 @@ type view = {
 type ctx = { sink : Invariant.sink; last_vt : (string, int) Hashtbl.t }
 
 let create sink = { sink; last_vt = Hashtbl.create 8 }
-let sink ctx = ctx.sink
 
 let check_threads sink ~event v lookup =
   List.iter

@@ -34,8 +34,6 @@
 
 type thread_state = Created | Runnable | Running | Blocked | Exited
 
-val state_to_string : thread_state -> string
-
 type thread_view = {
   tid : int;
   tname : string;
@@ -77,7 +75,6 @@ type ctx
     seen per leaf). *)
 
 val create : Invariant.sink -> ctx
-val sink : ctx -> Invariant.sink
 
 val check : ?event:string -> ctx -> view -> unit
 (** Judge a snapshot: report every broken rule into the context's sink.

@@ -46,8 +46,6 @@ type event =
   | Donate of { blocked : int; recipient : int }
   | Revoke of int
 
-val event_to_string : event -> string
-
 val check_state :
   Invariant.sink -> where:(unit -> string * string) -> Sfq.t -> unit
 (** Verify all snapshot invariants of the SFQ, reporting into the sink.
@@ -59,7 +57,7 @@ val check_transition :
   ?node:string -> Invariant.sink -> pre:snapshot -> Sfq.t -> event -> unit
 (** Verify the step semantics of [event] given the pre-state, then run
     {!check_state} on the post-state, labelling reports with [node]
-    (default ["sfq"]) and the event's {!event_to_string}. *)
+    (default ["sfq"]) and the event's name. *)
 
 (** {1 Theorem 1 in integers}
 

@@ -505,8 +505,6 @@ let set_servers t p =
   if p < 1 then invalid_arg "Hierarchy.set_servers: capacity < 1";
   Sfq.set_servers (sfq_of (node t root)) p
 
-let servers t = Sfq.servers (sfq_of (node t root))
-
 (* Charge [service] up the tree. *)
 let rec update_up t n ~service runnable_child =
   n.runnable <- runnable_child;

@@ -165,8 +165,6 @@ val set_servers : t -> int -> unit
     the root at least [p] children. Raises if [p < 1] or below the
     current number of outstanding decisions. *)
 
-val servers : t -> int
-(** Current root claim capacity (1 unless {!set_servers} raised it). *)
 
 val update_ns : t -> leaf:id -> service_ns:int -> leaf_runnable:bool -> unit
 (** Charge [service_ns] (CPU nanoseconds) for the quantum just executed

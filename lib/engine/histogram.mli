@@ -19,8 +19,6 @@ val bin_count : t -> int -> int
 val bin_bounds : t -> int -> float * float
 (** [lo, hi) of bin [i]. *)
 
-val iter : t -> (lo:float -> hi:float -> count:int -> unit) -> unit
-
 val render : t -> width:int -> string
 (** Small ASCII rendering: one line per non-empty bin with a bar scaled to
     [width] characters. *)

@@ -35,10 +35,6 @@ val int_in : t -> int -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val unit_float : t -> float
-(** Uniform in [\[0, 1)] with 53 random mantissa bits — the cheapest
-    float draw (one state step, no scaling); [float] is
-    [unit_float *. bound]. *)
 
 val bool : t -> bool
 

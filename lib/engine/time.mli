@@ -44,7 +44,5 @@ val min : t -> t -> t
 val max : t -> t -> t
 val compare : t -> t -> int
 
-val pp : Format.formatter -> t -> unit
-(** Prints a human-friendly rendering, e.g. ["12.500ms"] or ["3.2s"]. *)
-
 val to_string : t -> string
+(** A human-friendly rendering, e.g. ["12.500ms"] or ["3.2s"]. *)

@@ -85,14 +85,6 @@ let svr4_leaf sys ~parent ~name ~weight ?table ?tick_accounting ?rt_quantum () =
   Kernel.install_leaf sys.k id (maybe_traced sys ~node:id lf);
   (id, h)
 
-let rm_leaf sys ~parent ~name ~weight ?quantum () =
-  let id =
-    must "rm_leaf" (Hierarchy.mknod sys.hier ~name ~parent ~weight Hierarchy.Leaf)
-  in
-  let lf, h = Leaf_sched.Rm_leaf.make ?quantum () in
-  Kernel.install_leaf sys.k id (maybe_traced sys ~node:id lf);
-  (id, h)
-
 let edf_leaf sys ~parent ~name ~weight ?quantum () =
   let id =
     must "edf_leaf" (Hierarchy.mknod sys.hier ~name ~parent ~weight Hierarchy.Leaf)
@@ -168,10 +160,3 @@ let print_checks checks =
     checks
 
 let all_ok checks = List.for_all (fun c -> c.ok) checks
-
-let fmt_f v =
-  if Float.abs v >= 1000. then Printf.sprintf "%.0f" v
-  else if Float.abs v >= 10. then Printf.sprintf "%.1f" v
-  else Printf.sprintf "%.3f" v
-
-let buckets_row label xs = label :: (Array.to_list xs |> List.map fmt_f)

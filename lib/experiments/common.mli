@@ -27,8 +27,6 @@ val with_obs : Hsfq_obs.Trace.t -> (unit -> 'a) -> 'a
     schedulers.  The binding is per-domain (Domain.DLS), so traced runs
     on [Par.sweep] workers stay independent and deterministic. *)
 
-val ambient_obs : unit -> Hsfq_obs.Trace.t option
-
 val make_sys :
   ?config:Kernel.config -> ?cpus:int -> ?audit:bool -> ?obs_label:string ->
   unit -> sys
@@ -51,9 +49,6 @@ val sfq_leaf : sys -> parent:Hierarchy.id -> name:string -> weight:float ->
 val svr4_leaf : sys -> parent:Hierarchy.id -> name:string -> weight:float ->
   ?table:Hsfq_sched.Svr4.row array -> ?tick_accounting:bool ->
   ?rt_quantum:Time.span -> unit -> Hierarchy.id * Leaf_sched.Svr4_leaf.handle
-
-val rm_leaf : sys -> parent:Hierarchy.id -> name:string -> weight:float ->
-  ?quantum:Time.span -> unit -> Hierarchy.id * Leaf_sched.Rm_leaf.handle
 
 val edf_leaf : sys -> parent:Hierarchy.id -> name:string -> weight:float ->
   ?quantum:Time.span -> unit -> Hierarchy.id * Leaf_sched.Edf_leaf.handle
@@ -103,9 +98,3 @@ val merge_audits : string -> check list -> check
 
 val print_checks : check list -> unit
 val all_ok : check list -> bool
-
-val buckets_row : string -> float array -> string list
-(** Render a per-second bucket array as a table row (label first). *)
-
-val fmt_f : float -> string
-(** Compact float rendering for table cells. *)

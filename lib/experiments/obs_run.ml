@@ -20,13 +20,3 @@ let text ?capacity id =
   match traced_compute ?capacity id with
   | None -> None
   | Some (_, tr) -> Some (Hsfq_obs.Text_dump.dump tr)
-
-let chrome ?capacity id =
-  match traced_compute ?capacity id with
-  | None -> None
-  | Some (_, tr) -> Some (Hsfq_obs.Chrome_trace.export tr)
-
-let metrics_report ?capacity id =
-  match traced_compute ?capacity id with
-  | None -> None
-  | Some (_, tr) -> Some (Hsfq_obs.Text_dump.metrics_report tr)

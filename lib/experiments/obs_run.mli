@@ -23,10 +23,3 @@ val traced_compute :
 val text : ?capacity:int -> string -> string option
 (** Canonical text dump of a traced run of experiment [id] — the golden
     format. *)
-
-val chrome : ?capacity:int -> string -> string option
-(** Chrome trace_event JSON of a traced run of experiment [id] (load in
-    Perfetto / chrome://tracing). *)
-
-val metrics_report : ?capacity:int -> string -> string option
-(** Per-node metrics table of a traced run of experiment [id]. *)

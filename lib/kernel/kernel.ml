@@ -153,7 +153,6 @@ let max_consecutive_null_actions = 1_000_000
 
 let config t = t.cfg
 let sim t = t.sim
-let hierarchy t = t.hier
 let cpus t = Array.length t.cpu_set
 
 let nth_cpu t c =
@@ -1097,8 +1096,6 @@ let set_obs t sys =
           ~name:(Printf.sprintf "cpu%d" c.cid))
       t.cpu_set
   | Some _ | None -> ()
-
-let obs t = t.obs
 
 let tids t =
   List.sort Int.compare (Hashtbl.fold (fun tid _ acc -> tid :: acc) t.threads [])

@@ -63,7 +63,6 @@ val create : ?config:config -> ?cpus:int -> Sim.t -> Hsfq_core.Hierarchy.t -> t
 
 val config : t -> config
 val sim : t -> Sim.t
-val hierarchy : t -> Hsfq_core.Hierarchy.t
 
 val cpus : t -> int
 (** Size of the CPU set. *)
@@ -243,8 +242,6 @@ val set_obs : t -> Hsfq_obs.Trace.sys option -> unit
     events come from {!Hierarchy.attach_obs}, which the harness wires
     alongside this.  Threads spawned before the attach keep unnamed
     lanes; attach first. *)
-
-val obs : t -> Hsfq_obs.Trace.sys option
 
 val render_summary : t -> string
 (** A human-readable per-thread table (state, CPU, dispatches, mean

@@ -19,7 +19,6 @@ type sched_ops = {
   s_arrive : id:int -> weight:int -> unit;
   s_select : unit -> int; (* -1 = nothing queued *)
   s_charge : id:int -> service:int -> runnable:bool -> unit;
-  s_depart : id:int -> unit;
 }
 
 type t = {
@@ -38,7 +37,6 @@ let pack_sched (module F : Hsfq_sched.Scheduler_intf.FAIR) ~quantum_hint =
     s_arrive = (fun ~id ~weight -> F.arrive st ~id ~weight);
     s_select = (fun () -> F.select_id st);
     s_charge = (fun ~id ~service ~runnable -> F.charge st ~id ~service ~runnable);
-    s_depart = (fun ~id -> F.depart st ~id);
   }
 
 let create ~sim ~rate_bps
@@ -71,10 +69,6 @@ let add_flow t ~id ~weight =
       completion_list = [];
       dropped = 0;
     }
-
-let remove_flow t ~id =
-  t.sched.s_depart ~id;
-  Hashtbl.remove t.flows id
 
 (* Transmit the head packet of the scheduler's chosen flow; on completion
    charge the actual length and continue while backlogged. *)

@@ -38,8 +38,6 @@ val add_flow : t -> id:int -> weight:float -> unit
     where raw rates in bits/s would make a virtual unit a whole second
     of the flow's transmission time. *)
 
-val remove_flow : t -> id:int -> unit
-
 val enqueue : t -> flow:int -> bits:int -> unit
 (** A packet of the given size arrives now. Starts transmission
     immediately if the link is idle; dropped (and counted) if the flow's

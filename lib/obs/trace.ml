@@ -43,9 +43,7 @@ let create ?(capacity = 4096) ?(enabled = false) () =
   }
 
 let set_enabled t on = t.enabled := on
-let enabled t = !(t.enabled)
 let set_now t now = t.now <- now
-let now t = t.now
 let ring t = t.ring
 
 (* Double [a] until it holds index [n] (cold path: registration only). *)
@@ -72,7 +70,6 @@ let register_sys t ~label =
   t.nsys <- i + 1;
   { tr = t; pid = i + 1; metrics = m }
 
-let tracer s = s.tr
 let pid s = s.pid
 let metrics s = s.metrics
 let on s = !(s.tr.enabled)

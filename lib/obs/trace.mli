@@ -9,7 +9,7 @@
     - [None] — observability detached: the tracepoint is one match
       branch, nothing else;
     - [Some s] with tracing disabled — at most one call testing
-      {!enabled}, or just a load + branch when the caller caches
+      {!on}, or just a load + branch when the caller caches
       {!on_cell}; no allocation (every payload is an immediate int);
     - [Some s] enabled — a handful of array stores into the ring.
 
@@ -25,24 +25,21 @@ val create : ?capacity:int -> ?enabled:bool -> unit -> t
     default. *)
 
 val set_enabled : t -> bool -> unit
-val enabled : t -> bool
 
 val set_now : t -> int -> unit
 (** Stamp the current simulated time (ns); every subsequent event
     records it.  The kernel calls this before each burst of events. *)
 
-val now : t -> int
 val ring : t -> Ring.t
 
 val register_sys : t -> label:string -> sys
 (** Allocate the next process id (1, 2, ...) for one simulated system. *)
 
-val tracer : sys -> t
 val pid : sys -> int
 val metrics : sys -> Metrics.t
 
 val on : sys -> bool
-(** [enabled (tracer s)] — guard for work beyond the emit itself
+(** Whether [s]'s tracer is enabled — guard for work beyond the emit itself
     (metric accumulation, payload computation). *)
 
 val on_cell : sys -> bool ref
@@ -84,8 +81,6 @@ val node_lane : int -> int
     never collide with thread tids). *)
 
 val irq_lane : int
-
-val cpu_lane_base : int
 
 val cpu_lane : int -> int
 (** Lane id for simulated CPU [cid] (multiprocessor kernels name one

@@ -10,7 +10,9 @@
    - partial applications (omitted-argument holes, or an application
      whose result is still an arrow);
    - calls into allocating stdlib families (Printf/Format/List/Buffer/
-     Hashtbl/Queue/Stack, string building, Array.make & friends, [ref]);
+     Hashtbl/Queue/Stack, string building, Array.make & friends, [ref]),
+     except a [Hashtbl.find] whose [Not_found] is handled at the call
+     (find-on-hit allocates nothing);
    - float boxing: a float stored into a non-flat record field, or a
      float crossing a compilation-unit boundary (dune builds with
      -opaque semantics between units, so the callee can't be inlined
@@ -35,7 +37,7 @@ type config = {
   barrier_free : string list; (* bodies that store immediates only *)
 }
 
-let default_configs =
+let configs =
   [
     (* The zero-alloc contract is on [select_id]/[charge] and the
        slot-keyed entries. Tags, weights and v(t) are ints, so
@@ -131,9 +133,9 @@ let default_configs =
     };
     (* The FAIR baselines and svr4: their decision paths
        ([select_id]/[charge]) must hold the measured words/decision in
-       BENCH_sched.json (lottery ~3, the rest ~0). The per-client
-       [Hashtbl.find] lookups, alloc-free on a hit, are the documented
-       residue (tlint.whitelist). *)
+       BENCH_sched.json (lottery ~3, the rest ~0). Their per-client
+       [Hashtbl.find] lookups handle [Not_found] at the call, so they
+       allocate nothing on a hit and pass the banned-call check. *)
     {
       source = "lib/sched/wfq.ml";
       roots = [ "select_id"; "charge" ];
@@ -287,8 +289,14 @@ let scan_body ~unit_name ~file ~fname ~arity_of body =
         :: !findings
   in
   let alloc loc what = flag "tl-hot-alloc" loc ("allocates: " ^ what) in
+  (* A find-on-hit [Hashtbl.find] allocates nothing: its guarding match
+     or try is visited first and records the find's head. *)
+  let handled = ref [] in
   let expr sub (e : Typedtree.expression) =
     let recurse () = Tast_iterator.default_iterator.expr sub e in
+    (match Hygiene.guarded_find e with
+    | Some h -> handled := h :: !handled
+    | None -> ());
     match e.exp_desc with
     | Texp_apply (head, args) -> (
       match head_name head with
@@ -309,7 +317,7 @@ let scan_body ~unit_name ~file ~fname ~arity_of body =
           | Path.Pident id when not is_prim ->
             known_arity := arity_of (Ident.name id)
           | _ -> ());
-          if banned_head name then
+          if banned_head name && not (List.memq head !handled) then
             alloc e.exp_loc (Printf.sprintf "call to [%s]" name);
           if not is_prim then begin
             let cross_unit =
@@ -396,34 +404,6 @@ let scan_body ~unit_name ~file ~fname ~arity_of body =
   iter.expr iter body;
   !findings
 
-(* Types whose values are never pointers, recognised syntactically (like
-   [is_float_type]): the immediate base types, plus the repo's named
-   immediates — simulated time ([Time.t = int], [Time.span = int]) and
-   [Event_queue.timer] ([@@immediate]) — matched on their last two path
-   components, so [Hsfq_engine.Time.t] and a library-local [Time.t]
-   both count. Any other alias of [int] counts as a pointer. *)
-let is_immediate_type ty =
-  match Types.get_desc ty with
-  | Tconstr (p, [], _) -> (
-    match Path.name p with
-    | "int" | "char" | "bool" | "unit" -> true
-    | name -> (
-      let parts = String.split_on_char '.' name in
-      match List.rev parts with
-      | ty :: m :: _ -> (
-        let m =
-          (* dune's wrapped-library mangling: [Lib__Time] is [Time] *)
-          match String.rindex_opt m '_' with
-          | Some i when i > 0 && m.[i - 1] = '_' ->
-            String.sub m (i + 1) (String.length m - i - 1)
-          | _ -> m
-        in
-        match (m, ty) with
-        | "Time", ("t" | "span") | "Event_queue", "timer" -> true
-        | _ -> false)
-      | _ -> false))
-  | _ -> false
-
 (* Stores in a barrier-free body. A float is stored unboxed into a float
    array or a flat float record, so only those float stores pass. *)
 let scan_barrier ~file ~fname body =
@@ -446,7 +426,9 @@ let scan_barrier ~file ~fname body =
   let expr sub (e : Typedtree.expression) =
     (match e.exp_desc with
     | Texp_setfield (_, _, lbl, v) ->
-      if lbl.lbl_repres <> Record_float && not (is_immediate_type v.exp_type)
+      if
+        lbl.lbl_repres <> Record_float
+        && not (Hygiene.is_immediate_type v.exp_type)
       then flag e.exp_loc (Printf.sprintf "field [%s]" lbl.lbl_name)
     | Texp_apply
         ( { exp_desc = Texp_ident (_, _, { val_kind = Val_prim prim; _ }); _ },
@@ -459,7 +441,9 @@ let scan_barrier ~file ~fname body =
       in
       match stored with
       | Some v
-        when not (is_immediate_type v.exp_type || is_float_type v.exp_type) ->
+        when not
+               (Hygiene.is_immediate_type v.exp_type
+               || is_float_type v.exp_type) ->
         flag e.exp_loc "an array element or ref"
       | _ -> ())
     | _ -> ());
@@ -553,7 +537,7 @@ let scan_unit config (u : Cmt_index.unit_info) =
   in
   missing @ findings @ barriers
 
-let scan ?(configs = default_configs) index =
+let scan index =
   let by_source = Hashtbl.create 16 in
   Cmt_index.iter index ~f:(fun u ->
       if not (Hashtbl.mem by_source u.source) then

@@ -12,15 +12,13 @@ type config = {
           [caml_modify]); not closed over callees *)
 }
 
-(** The repo's hot-path contract: sfq select_id/charge, hierarchy
-    schedule/update/setrun/sleep, keyed_heap and event_queue minus their
-    grow/compact slow paths, the sim driver, the kernel cycle, the
-    select_id/charge of every FAIR baseline and svr4, and the lib/obs
-    record path; plus the event queue's barrier-free heap moves. *)
-val default_configs : config list
-
 (** Scan one unit against one config (for fixture tests). Unknown roots
     and missing modules surface as [tl-hot-missing] findings. *)
 val scan_unit : config -> Cmt_index.unit_info -> Finding.t list
 
-val scan : ?configs:config list -> Cmt_index.t -> Finding.t list
+(** Scan the repo's hot-path contract: sfq select_id/charge, hierarchy
+    schedule/update/setrun/sleep, keyed_heap and event_queue minus their
+    grow/compact slow paths, the sim driver, the kernel cycle, the
+    select_id/charge of every FAIR baseline and svr4, and the lib/obs
+    record path; plus the event queue's barrier-free heap moves. *)
+val scan : Cmt_index.t -> Finding.t list

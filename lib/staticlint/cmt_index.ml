@@ -5,13 +5,15 @@
    trees, reads every implementation .cmt and keeps, per compilation
    unit: its module name (e.g. "Hsfq_core__Sfq"), the repo-relative
    source path recorded at compile time, the flat import list (the
-   basis for the domain-reachability graph) and the typedtree itself. *)
+   basis for the domain-reachability graph), the typedtree itself and,
+   when the unit has an .mli, the typed signature from its .cmti. *)
 
 type unit_info = {
   modname : string;
   source : string; (* repo-relative .ml path, "" if unrecorded *)
   imports : string list; (* unit names this module was compiled against *)
   structure : Typedtree.structure;
+  interface : (string * Typedtree.signature) option;
 }
 
 type t = {
@@ -30,27 +32,33 @@ let add_unit t u =
     t.order <- u.modname :: t.order
   end
 
-let of_cmt_infos (cmt : Cmt_format.cmt_infos) =
+let sourcefile (cmt : Cmt_format.cmt_infos) =
+  Option.value cmt.cmt_sourcefile ~default:""
+
+(* The sibling .cmti of an implementation .cmt, if dune emitted one. *)
+let interface_of path =
+  match Cmt_format.read_cmt (Filename.remove_extension path ^ ".cmti") with
+  | { cmt_annots = Interface sg; _ } as cmti -> Some (sourcefile cmti, sg)
+  | _ -> None
+  | exception _ -> None
+
+let of_cmt_infos ~path (cmt : Cmt_format.cmt_infos) =
   match cmt.cmt_annots with
   | Implementation structure ->
-    let source =
-      match cmt.cmt_sourcefile with
-      | Some s -> s
-      | None -> ""
-    in
     Some
       {
         modname = cmt.cmt_modname;
-        source;
+        source = sourcefile cmt;
         imports = List.map fst cmt.cmt_imports;
         structure;
+        interface = interface_of path;
       }
   | _ -> None
 
 let load_file t path =
   match Cmt_format.read_cmt path with
   | cmt -> (
-    match of_cmt_infos cmt with
+    match of_cmt_infos ~path cmt with
     | Some u ->
       add_unit t u;
       true
@@ -90,7 +98,6 @@ let of_units units =
   t.order <- List.rev t.order;
   t
 
-let find t modname = Hashtbl.find_opt t.units modname
 let mem t modname = Hashtbl.mem t.units modname
 
 let iter t ~f =
@@ -110,13 +117,3 @@ let fold t ~init ~f =
     init t.order
 
 let size t = List.length t.order
-
-(* "Project units" are the ones we analyze and traverse through:
-   modules whose recorded source lives in the repo (lib/, bin/, test/,
-   bench/, examples/), as opposed to stdlib/compiler imports that have
-   no loaded cmt at all. A loaded unit is a project unit by
-   construction — we only walk the repo's _build tree. *)
-let source_of t modname =
-  match find t modname with
-  | Some u when not (String.equal u.source "") -> Some u.source
-  | _ -> None

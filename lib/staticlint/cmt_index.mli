@@ -8,21 +8,23 @@ type unit_info = {
   source : string;  (** repo-relative .ml path, [""] if unrecorded *)
   imports : string list;  (** unit names compiled against *)
   structure : Typedtree.structure;
+  interface : (string * Typedtree.signature) option;
+      (** the .mli path and its typed signature, from the sibling
+          [.cmti]; [None] when the unit has no interface file *)
 }
 
 type t
 
 (** Recursively scan [roots] for [.cmt] files and load every
-    implementation unit. Duplicate module names keep the first copy
-    (dune builds shared test modules once per executable). Unreadable
-    files are skipped. *)
+    implementation unit, with its [.cmti] when there is one. Duplicate
+    module names keep the first copy (dune builds shared test modules
+    once per executable). Unreadable files are skipped. *)
 val load : roots:string list -> t
 
 (** Build an index from already-loaded units (for tests that typecheck
     fixture modules in-process). *)
 val of_units : unit_info list -> t
 
-val find : t -> string -> unit_info option
 val mem : t -> string -> bool
 
 (** Iterate/fold in deterministic (load) order. *)
@@ -32,6 +34,3 @@ val fold : t -> init:'a -> f:('a -> unit_info -> 'a) -> 'a
 
 (** Number of loaded units. *)
 val size : t -> int
-
-(** The unit's recorded source path, if loaded and recorded. *)
-val source_of : t -> string -> string option

@@ -1,16 +1,12 @@
-(** A single lint finding, shared by the lexical linter (hsfq_lint) and
-    the typed-tree analyzer (hsfq_tlint). *)
+(** A single finding of the typed-tree analyzer (hsfq_tlint). *)
 
 type t = { rule : string; file : string; line : int; msg : string }
 
 val make : rule:string -> file:string -> line:int -> msg:string -> t
 
-(** Order by (file, line, rule, msg) — the report order of both
-    linters. *)
-val by_location : t -> t -> int
-
-(** Sort by location and drop exact duplicates (several detectors may
-    flag the same construct at the same site). *)
+(** Sort by (file, line, rule, msg), the report order, and drop exact
+    duplicates (several detectors may flag the same construct at the
+    same site). *)
 val sort : t list -> t list
 
 val to_string : t -> string

@@ -2,9 +2,6 @@
     types or operations inside hot-path modules) and [tl-leaf-retarget]
     (any [<- ] assignment to a [leaf] record field, whole-program). *)
 
-(** Repo-relative sources of the hot-path modules. *)
-val hot_sources : string list
-
 (** Scan one unit (for fixture tests). *)
 val scan_unit : Cmt_index.unit_info -> Finding.t list
 

@@ -91,14 +91,6 @@ let of_index ?env index =
            | c -> c)
          | c -> c)
 
-let mutables entries =
-  List.filter
-    (fun e ->
-      match e.verdict with
-      | Mutability.Immutable -> false
-      | Mutability.Mutable _ -> true)
-    entries
-
 let summary entries =
   let total = List.length entries in
   let count p =

@@ -14,8 +14,5 @@ type entry = {
     {!Mutability.env} unless one is supplied. *)
 val of_index : ?env:Mutability.env -> Cmt_index.t -> entry list
 
-(** Just the mutable ones. *)
-val mutables : entry list -> entry list
-
 (** One-line count summary for the driver's inventory report. *)
 val summary : entry list -> string

@@ -1,10 +1,6 @@
 (** Pass 2 support: module reachability from [Par.sweep] worker
     entrypoints, over the .cmt import graph. *)
 
-(** Does this unit import (or belong to) the Hsfq_par library — i.e. can
-    it hand closures to worker domains? *)
-val imports_par : Cmt_index.unit_info -> bool
-
 (** Transitive closure over an explicit adjacency list. Nodes absent
     from [nodes] are leaves. The result table's keys are the reachable
     node set (seeds included). *)

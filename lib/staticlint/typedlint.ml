@@ -1,5 +1,5 @@
-(* The whole-program typed analyzer: wiring the three passes together
-   and cross-checking the hot-path allocation contract against the
+(* The whole-program typed analyzer: wiring the passes together and
+   cross-checking the hot-path allocation contract against the
    measured benchmark numbers. *)
 
 let domain_race_pass ~env index =
@@ -33,10 +33,13 @@ let domain_race_pass ~env index =
 let analyze index =
   let env = Mutability.build_env index in
   let entries, race = domain_race_pass ~env index in
+  let dead, test_only = Deadexport.scan index in
   let findings =
-    Finding.sort (race @ Hotrules.scan index @ Allocpass.scan index)
+    Finding.sort
+      (race @ Hotrules.scan index @ Allocpass.scan index @ Hygiene.scan index
+     @ dead)
   in
-  (entries, findings)
+  (entries, findings, test_only)
 
 (* ------------------------------------------------------------------ *)
 (* BENCH_sched.json cross-check: the alloc pass proving "no allocation
@@ -165,7 +168,7 @@ let run opts =
     2
   end
   else begin
-    let entries, findings = analyze index in
+    let entries, findings, test_only = analyze index in
     let bench_findings, bench_warnings =
       match opts.bench_path with
       | Some path -> bench_check ~path
@@ -192,6 +195,27 @@ let run opts =
       Printf.eprintf "hsfq_tlint: %s\n" msg;
       2
     | Ok wl ->
+      if test_only <> [] then begin
+        Printf.printf
+          "hsfq_tlint: %d export(s) used only by tests (listed, not \
+           findings):\n"
+          (List.length test_only);
+        (* one line per file; [test_only] is sorted by location *)
+        let rec by_file = function
+          | [] -> ()
+          | (e : Deadexport.export) :: _ as es ->
+            let mine, rest =
+              List.partition
+                (fun (x : Deadexport.export) -> String.equal x.file e.file)
+                es
+            in
+            Printf.printf "  %s: %s\n" e.file
+              (String.concat ", "
+                 (List.map (fun (x : Deadexport.export) -> x.name) mine));
+            by_file rest
+        in
+        by_file test_only
+      end;
       let scanned =
         Printf.sprintf "%d unit(s), %s" (Cmt_index.size index)
           (Inventory.summary entries)

@@ -1,4 +1,4 @@
-(* Suppression lists shared by hsfq_lint and hsfq_tlint.
+(* The suppression list of hsfq_tlint.
 
    Format: one entry per line, [<rule> <path> <justification...>]; '#'
    starts a comment line, blank lines are skipped.  The justification is

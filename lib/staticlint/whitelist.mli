@@ -1,4 +1,4 @@
-(** Suppression lists shared by hsfq_lint and hsfq_tlint.
+(** The suppression list of hsfq_tlint.
 
     Lines of [<rule> <path> <justification...>]; '#' comments and blank
     lines are skipped.  Duplicate (rule, path) keys and malformed lines

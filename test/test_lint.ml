@@ -1,14 +1,13 @@
-(* Tests for the lint stack (lib/staticlint).
+(* Tests for the lint stack (lib/staticlint, driven by hsfq_tlint).
 
-   Three layers, mirroring the tools:
-   - the token lexer and its rules (hsfq_lint), including the comment /
-     quoted-string edge cases and the toplevel-mutable state machine;
    - whitelist semantics: duplicates, malformed lines, stale entries;
-   - the typed passes (hsfq_tlint), driven by tiny fixture modules
-     typechecked in-process with the same compiler-libs the analyzer
-     reads .cmt files with. *)
+   - the typed passes, driven by tiny fixture modules typechecked
+     in-process with the same compiler-libs the analyzer reads .cmt
+     files with: the inventory and domain-race pass, the hot-path rules,
+     the allocation pass, the source-hygiene rules (the "token-rules"
+     group keeps the cases of the rules first written as a token scan)
+     and the dead-export pass. *)
 
-module Lexlint = Hsfq_staticlint.Lexlint
 module Whitelist = Hsfq_staticlint.Whitelist
 module Finding = Hsfq_staticlint.Finding
 module Cmt_index = Hsfq_staticlint.Cmt_index
@@ -17,116 +16,15 @@ module Inventory = Hsfq_staticlint.Inventory
 module Reach = Hsfq_staticlint.Reach
 module Hotrules = Hsfq_staticlint.Hotrules
 module Allocpass = Hsfq_staticlint.Allocpass
+module Hygiene = Hsfq_staticlint.Hygiene
+module Deadexport = Hsfq_staticlint.Deadexport
 module Typedlint = Hsfq_staticlint.Typedlint
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let toks src = List.map (fun (_, _, _, t) -> t) (Lexlint.tokens src)
-
 let has_rule rule fs =
   List.exists (fun (f : Finding.t) -> String.equal f.rule rule) fs
-
-(* ------------------------------------------------------------------ *)
-(* Lexer *)
-
-let test_tokens_basic () =
-  Alcotest.(check (list string))
-    "dotted paths glue into one token"
-    [ "let"; "x"; "Int.compare"; "a"; "b" ]
-    (toks "let x = Int.compare a b")
-
-let test_tokens_comments () =
-  Alcotest.(check (list string))
-    "nested comments skipped" [ "a"; "b" ]
-    (toks "a (* one (* two *) still comment *) b");
-  Alcotest.(check (list string))
-    "string inside comment can hide *)" [ "a"; "b" ]
-    (toks "a (* \" *) \" *) b")
-
-let test_tokens_quoted_string_in_comment () =
-  (* the historical lexer bug: a {id|...|id} literal inside a comment
-     containing [* )] ended the comment early *)
-  Alcotest.(check (list string))
-    "quoted string inside comment can hide *)" [ "a"; "b" ]
-    (toks "a (* {q| *) |q} *) b");
-  Alcotest.(check (list string))
-    "plain brace inside comment is not a quoted string" [ "a"; "b" ]
-    (toks "a (* { not a literal } *) b")
-
-let test_tokens_quoted_string_toplevel () =
-  Alcotest.(check (list string))
-    "quoted string literal is opaque" [ "x"; "y" ]
-    (toks "x {id|let hidden = ref 0|id} y");
-  Alcotest.(check (list string))
-    "empty-id quoted string" [ "x"; "y" ]
-    (toks "x {|let hidden = compare|} y")
-
-let test_tokens_char_literals () =
-  Alcotest.(check (list string))
-    "char literals don't open strings" [ "a"; "b"; "c" ]
-    (toks "a '\\'' b '\"' c");
-  Alcotest.(check (list string))
-    "type variable quote is not a char" [ "a"; "list"; "t" ]
-    (toks "'a list t")
-
-let test_tokens_ops () =
-  match Lexlint.tokens "x <- y" with
-  | [ _; (_, _, op, tok) ] ->
-    Alcotest.(check string) "op run carried" "<-" op;
-    Alcotest.(check string) "token after op" "y" tok
-  | other -> Alcotest.failf "unexpected token count: %d" (List.length other)
-
-(* ------------------------------------------------------------------ *)
-(* Token rules *)
-
-let findings_in ~file src = Lexlint.check_tokens ~file src
-
-let test_rule_poly_compare () =
-  let fs = findings_in ~file:"lib/x/a.ml" "let r = compare a b" in
-  check_bool "bare compare flagged" true (has_rule "poly-compare" fs);
-  let fs = findings_in ~file:"lib/x/a.ml" "let compare = Int.compare" in
-  check_int "definition exempt" 0 (List.length fs);
-  let fs = findings_in ~file:"lib/x/a.ml" "let r = f ~min:3 ~max:9" in
-  check_int "labeled args exempt" 0 (List.length fs)
-
-let test_rule_leaf_retarget () =
-  let fs = findings_in ~file:"lib/x/a.ml" "let f th l = th.leaf <- l" in
-  check_bool "leaf assignment flagged" true (has_rule "leaf-retarget" fs);
-  let fs = findings_in ~file:"lib/x/a.ml" "let f th l = th.left <- l" in
-  check_int "other fields fine" 0 (List.length fs)
-
-let test_rule_assert () =
-  let fs = findings_in ~file:"lib/x/a.ml" "let f x = assert (x > 0)" in
-  check_bool "assert on input flagged" true (has_rule "assert-validation" fs);
-  let fs = findings_in ~file:"lib/x/a.ml" "let f () = assert false" in
-  check_int "assert false fine" 0 (List.length fs);
-  let fs = findings_in ~file:"lib/x/a.ml" "let f () = assert" in
-  check_bool "assert at EOF still reported" true
-    (has_rule "assert-validation" fs)
-
-let test_rule_toplevel_mutable () =
-  let flags src = has_rule "toplevel-mutable" (findings_in ~file:"lib/engine/a.ml" src) in
-  check_bool "top-level ref flagged" true (flags "let cell = ref 0");
-  check_bool "top-level Hashtbl.create flagged" true
-    (flags "let tbl = Hashtbl.create 16");
-  check_bool "type annotation tracked through state 3" true
-    (flags "let cell : int ref = ref 0");
-  check_bool "function body ref is fine" false (flags "let f () =\n  ref 0");
-  check_bool "let rec with params is a function, fine" false
-    (flags "let rec f x = ref 0");
-  check_bool "indented (local) let is fine" false (flags "  let cell = ref 0");
-  check_bool "out-of-scope directory is fine" false
-    (has_rule "toplevel-mutable"
-       (findings_in ~file:"lib/core/a.ml" "let cell = ref 0"))
-
-let test_rule_hot_hashtbl_scope () =
-  check_bool "hot module flagged" true
-    (has_rule "hot-path-hashtbl"
-       (findings_in ~file:"lib/core/sfq.ml" "let t = Hashtbl.create 4"));
-  check_bool "cold module fine" false
-    (has_rule "hot-path-hashtbl"
-       (findings_in ~file:"lib/qos/manager.ml" "let t = Hashtbl.create 4"))
 
 (* ------------------------------------------------------------------ *)
 (* Whitelist *)
@@ -187,12 +85,22 @@ let test_whitelist_apply_and_stale () =
 
 let fixture_env = lazy (Compmisc.init_path (); Compmisc.initial_env ())
 
+(* [deps] are earlier fixture units this one compiles against: each is
+   bound under its module name as a persistent (compilation-unit)
+   module, so references to it carry the same paths as in a real build. *)
 let fixture ?(modname = "Fixture") ?(source = "lib/fixture/fixture.ml")
-    ?(imports = []) src : Cmt_index.unit_info =
-  let env = Lazy.force fixture_env in
+    ?(imports = []) ?(deps = []) src : Cmt_index.unit_info =
+  let env =
+    List.fold_left
+      (fun env (d : Cmt_index.unit_info) ->
+        Env.add_module
+          (Ident.create_persistent d.modname)
+          Types.Mp_present (Types.Mty_signature d.structure.str_type) env)
+      (Lazy.force fixture_env) deps
+  in
   let ast = Parse.implementation (Lexing.from_string src) in
   let structure, _, _, _, _ = Typemod.type_structure env ast in
-  { modname; source; imports; structure }
+  { modname; source; imports; structure; interface = None }
 
 let verdicts_of src =
   let u = fixture src in
@@ -322,7 +230,7 @@ let test_domain_race_end_to_end () =
       ~imports:[ "Hsfq_par"; "Fix_shared" ] "let go () = ()\n"
   in
   let index = Cmt_index.of_units [ shared; worker ] in
-  let _, findings = Typedlint.analyze index in
+  let _, findings, _ = Typedlint.analyze index in
   let race =
     List.filter (fun (f : Finding.t) -> String.equal f.rule "tl-domain-race")
       findings
@@ -545,6 +453,189 @@ let test_allocpass_missing_root () =
   let fs = alloc_findings ~roots:[ "nonexistent" ] "let hot x = x\n" in
   check_bool "unknown root reported" true (has_rule "tl-hot-missing" fs)
 
+(* ------------------------------------------------------------------ *)
+(* Source hygiene. The "token-rules" cases are the ones the rules had
+   as a token scan, now checked on typedtrees. *)
+
+(* bin/ is in scope and needs no .mli, so only the rule under test fires *)
+let hygiene ?(source = "bin/fixture.ml") src =
+  Hygiene.scan_unit (fixture ~source src)
+
+let test_rule_poly_compare () =
+  let flags src = has_rule "tl-poly-compare" (hygiene src) in
+  check_bool "compare on int accepted" false
+    (flags "let r (a : int) b = compare a b");
+  check_bool "compare on float flagged" true
+    (flags "let r (a : float) b = compare a b");
+  check_bool "compare on string flagged" true
+    (flags "let r (a : string) b = compare a b");
+  check_bool "compare on a record flagged" true
+    (flags "type p = { x : int; y : int }\nlet r (a : p) b = compare a b");
+  check_bool "Stdlib.compare spelled out is the same function" true
+    (flags "let r (a : float) b = Stdlib.compare a b");
+  check_int "a local compare is not Stdlib's" 0
+    (List.length (hygiene "let compare = Float.compare\nlet r a b = compare a b"));
+  check_int "labeled arguments named min/max are not Stdlib's" 0
+    (List.length (hygiene "let f ~min ~max = min + max\nlet r = f ~min:3 ~max:9"))
+
+let test_rule_minmax () =
+  let flags src = has_rule "tl-stdlib-minmax" (hygiene src) in
+  check_bool "Int.min accepted" false (flags "let m a b = Int.min a b");
+  check_bool "bare max on ints accepted" false
+    (flags "let m (a : int) b = max a b");
+  check_bool "bare min on floats flagged" true
+    (flags "let m (a : float) b = min a b")
+
+let test_rule_nan_and_magic () =
+  let fs = hygiene "let f x = x < nan\nlet g x = Float.is_nan x" in
+  check_bool "x < nan flagged" true
+    (List.exists
+       (fun (f : Finding.t) -> String.equal f.rule "tl-nan-compare" && f.line = 1)
+       fs);
+  check_int "Float.is_nan accepted" 1 (List.length fs);
+  check_bool "Obj.magic flagged" true
+    (has_rule "tl-obj-magic" (hygiene "let f (x : int) : float = Obj.magic x"))
+
+(* The find-on-hit idiom handles Not_found at the call; a bare find lets
+   it escape. The allocation pass applies the same recognizer, so a
+   handled find in a hot root is no allocation either. *)
+let find_src =
+  "let handled t k = match Hashtbl.find t k with v -> v | exception Not_found -> 0\n\
+   let tried t k = try Hashtbl.find t k with Not_found -> 0\n\
+   let bare t k : int = Hashtbl.find t k\n"
+
+let test_rule_hashtbl_find () =
+  let lines =
+    List.filter_map
+      (fun (f : Finding.t) ->
+        if String.equal f.rule "tl-hashtbl-find-exn" then Some f.line else None)
+      (hygiene find_src)
+  in
+  Alcotest.(check (list int)) "only the bare find flagged" [ 3 ] lines;
+  check_bool "a handler for another exception does not count" true
+    (has_rule "tl-hashtbl-find-exn"
+       (hygiene
+          "let f t k = match Hashtbl.find t k with v -> v | exception Exit -> 0"))
+
+let test_allocpass_handled_find () =
+  let fs = alloc_findings ~roots:[ "handled"; "tried" ] find_src in
+  check_int "handled finds in a hot root allocate nothing" 0 (List.length fs);
+  let fs = alloc_findings ~roots:[ "bare" ] find_src in
+  check_bool "a bare find in a hot root is a banned call" true
+    (has_rule "tl-hot-alloc" fs)
+
+let test_rule_assert () =
+  let fs = hygiene "let f x = assert (x > 0)" in
+  check_bool "assert on input flagged" true (has_rule "tl-assert-validation" fs);
+  let fs = hygiene "let f () = assert false" in
+  check_int "assert false fine" 0 (List.length fs)
+
+let test_rule_missing_mli () =
+  let flags ?(source = "lib/fixture/fixture.ml") src =
+    has_rule "tl-missing-mli" (hygiene ~source src)
+  in
+  check_bool "lib/ unit with values and no mli flagged" true
+    (flags "let x = 1");
+  check_bool "module types and aliases only: accepted" false
+    (flags "module type S = sig val x : int end\nmodule L = List");
+  check_bool "outside lib/ not required" false
+    (flags ~source:"test/fixture.ml" "let x = 1");
+  check_int "outside the scanned directories nothing is checked" 0
+    (List.length (hygiene ~source:"perfbench/fixture.ml" "let f x = assert (x > 0)"))
+
+(* The typed successor of the token rule is the domain-race pass: a
+   top-level mutable cell in a unit the worker domains reach. *)
+let test_rule_toplevel_mutable () =
+  let flags src =
+    let shared = fixture ~modname:"Fix_engine" ~source:"lib/engine/fix.ml" src in
+    let worker =
+      fixture ~modname:"Fix_worker" ~source:"lib/fixture/fix_worker.ml"
+        ~imports:[ "Hsfq_par"; "Fix_engine" ] "let go () = ()\n"
+    in
+    let _, fs, _ = Typedlint.analyze (Cmt_index.of_units [ shared; worker ]) in
+    has_rule "tl-domain-race" fs
+  in
+  check_bool "top-level ref flagged" true (flags "let cell = ref 0");
+  check_bool "top-level Hashtbl.create flagged" true
+    (flags "let tbl : (int, int) Hashtbl.t = Hashtbl.create 16");
+  check_bool "type annotation seen through" true
+    (flags "let cell : int ref = ref 0");
+  check_bool "function body ref is fine" false (flags "let f () =\n  ref 0");
+  check_bool "let rec with params is a function, fine" false
+    (flags "let rec f x = if x then ref 0 else f true");
+  check_bool "local let is fine" false
+    (flags "let f () =\n  let cell = ref 0 in\n  !cell");
+  check_bool "unit no worker reaches is fine" false
+    (has_rule "tl-domain-race"
+       (let _, fs, _ =
+          Typedlint.analyze
+            (Cmt_index.of_units
+               [ fixture ~source:"lib/core/a.ml" "let cell = ref 0" ])
+        in
+        fs))
+
+let test_rule_leaf_retarget () =
+  let src body = "type th = { mutable leaf : int; mutable left : int }\n" ^ body in
+  check_bool "leaf assignment flagged" true
+    (has_rule "tl-leaf-retarget"
+       (Hotrules.scan_unit (fixture (src "let f th l = th.leaf <- l"))));
+  check_int "other fields fine" 0
+    (List.length (Hotrules.scan_unit (fixture (src "let f th l = th.left <- l"))))
+
+let test_rule_hot_hashtbl_scope () =
+  let src = "let t : (int, int) Hashtbl.t = Hashtbl.create 4" in
+  check_bool "hot module flagged" true
+    (has_rule "tl-hot-hashtbl"
+       (Hotrules.scan_unit (fixture ~source:"lib/core/sfq.ml" src)));
+  check_bool "cold module fine" false
+    (has_rule "tl-hot-hashtbl"
+       (Hotrules.scan_unit (fixture ~source:"lib/qos/manager.ml" src)))
+
+(* ------------------------------------------------------------------ *)
+(* Dead exports: four units. [Fixlib__A] is a library module; [Fixlib]
+   is its dune wrapper (module aliases only); [Fixlib__B] uses one
+   export directly and one through the wrapper alias; a test uses a
+   third. *)
+
+let test_dead_export () =
+  let a =
+    fixture ~modname:"Fixlib__A" ~source:"lib/fixlib/a.ml"
+      "let used_elsewhere = 1\n\
+       let used_inside = 2\n\
+       let () = ignore (used_inside + 1)\n\
+       let for_tests = 3\n\
+       let via_alias = 4\n"
+  in
+  let wrapper =
+    fixture ~modname:"Fixlib" ~source:"lib/fixlib/fixlib.ml-gen" ~deps:[ a ]
+      "module A = Fixlib__A\n"
+  in
+  let b =
+    fixture ~modname:"Fixlib__B" ~source:"lib/fixlib/b.ml" ~deps:[ a; wrapper ]
+      "let x = Fixlib__A.used_elsewhere + Fixlib.A.via_alias\n"
+  in
+  let t =
+    fixture ~modname:"Dune__exe__Test_a" ~source:"test/test_a.ml"
+      ~deps:[ a; wrapper ] "let y = Fixlib.A.for_tests\n"
+  in
+  let findings, test_only =
+    Deadexport.scan (Cmt_index.of_units [ a; wrapper; b; t ])
+  in
+  let names =
+    List.filter_map
+      (fun (f : Finding.t) ->
+        if String.equal f.file "lib/fixlib/a.ml" then Some f.line else None)
+      findings
+  in
+  Alcotest.(check (list int))
+    "only the export used inside its own unit is dead" [ 2 ] names;
+  Alcotest.(check (list string))
+    "the test-only export is listed, not failed" [ "for_tests" ]
+    (List.filter_map
+       (fun (e : Deadexport.export) ->
+         if String.equal e.unit_name "Fixlib__A" then Some e.name else None)
+       test_only)
+
 let test_bench_cross_check () =
   let json =
     "{\n  \"benchmarks\": {\n    \"sfq/Q=512\": {\n      \
@@ -566,17 +657,6 @@ let test_bench_cross_check () =
 let () =
   Alcotest.run "lint"
     [
-      ( "lexer",
-        [
-          Alcotest.test_case "basic tokens" `Quick test_tokens_basic;
-          Alcotest.test_case "comments" `Quick test_tokens_comments;
-          Alcotest.test_case "quoted string in comment" `Quick
-            test_tokens_quoted_string_in_comment;
-          Alcotest.test_case "quoted string literal" `Quick
-            test_tokens_quoted_string_toplevel;
-          Alcotest.test_case "char literals" `Quick test_tokens_char_literals;
-          Alcotest.test_case "operator runs" `Quick test_tokens_ops;
-        ] );
       ( "token-rules",
         [
           Alcotest.test_case "poly-compare" `Quick test_rule_poly_compare;
@@ -587,6 +667,17 @@ let () =
           Alcotest.test_case "hot-path-hashtbl scope" `Quick
             test_rule_hot_hashtbl_scope;
         ] );
+      ( "typed-hygiene",
+        [
+          Alcotest.test_case "stdlib min/max" `Quick test_rule_minmax;
+          Alcotest.test_case "nan compare and Obj.magic" `Quick
+            test_rule_nan_and_magic;
+          Alcotest.test_case "handled Hashtbl.find" `Quick
+            test_rule_hashtbl_find;
+          Alcotest.test_case "missing mli" `Quick test_rule_missing_mli;
+        ] );
+      ( "typed-dead-export",
+        [ Alcotest.test_case "four units" `Quick test_dead_export ] );
       ( "whitelist",
         [
           Alcotest.test_case "duplicates are errors" `Quick
@@ -630,6 +721,8 @@ let () =
           Alcotest.test_case "handle store vs timer re-arm" `Quick
             test_allocpass_barrier_handle_store;
           Alcotest.test_case "missing root" `Quick test_allocpass_missing_root;
+          Alcotest.test_case "handled Hashtbl.find" `Quick
+            test_allocpass_handled_find;
         ] );
       ( "bench-check",
         [ Alcotest.test_case "json extraction" `Quick test_bench_cross_check ]
