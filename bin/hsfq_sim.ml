@@ -371,6 +371,12 @@ let torture_run seed seeds ops audit_period max_leaves max_spawns prepopulate
     prerr_endline "hsfq_sim: --prepopulate must not exceed --max-leaves";
     exit Cmd.Exit.cli_error
   end;
+  (* Seeds run [seed, seed + seeds - 1]; the last one must not wrap. *)
+  if seed > max_int - (seeds - 1) then begin
+    Printf.eprintf "hsfq_sim: --seeds %d from --seed %d runs past the largest seed %d\n"
+      seeds seed max_int;
+    exit Cmd.Exit.cli_error
+  end;
   let seed_array = Array.init seeds (fun i -> seed + i) in
   let cfg =
     T.config ~ops ~audit_period ~max_leaves ~max_spawns ~prepopulate ~cpus seed

@@ -280,11 +280,10 @@ let mknod t ~name ~parent ~weight kind =
       p.children <- nid :: p.children;
       Hashtbl.replace (names_of p) name nid;
       install_remap t n;
-      (* Pre-register the child in the parent's SFQ (arrive + block) so
-         weight administration works before the node first runs. *)
+      (* Pre-register the child in the parent's SFQ, blocked, so weight
+         administration works before the node first runs. *)
       let psfq = sfq_of p in
-      Sfq.arrive psfq ~id:nid ~weight;
-      Sfq.block psfq ~id:nid;
+      Sfq.admit psfq ~id:nid ~weight;
       n.pslot <- Sfq.slot_of_id psfq ~id:nid;
       audited t ~node:parent ~event:"mknod";
       (match t.obs with

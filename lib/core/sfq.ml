@@ -13,12 +13,12 @@ let algorithm_name = "sfq"
    packed and halved (see [compact]). That keeps retained memory O(live
    clients) under sustained arrive/depart churn and frees the caller to
    use arbitrary non-negative ids (they no longer size the table). The
-   id -> slot map is a hashtable touched only by the id-keyed entry
-   points; slot-keyed twins ([arrive_slot], [block_slot],
-   [charge_slot]) let callers that cache their slot — the
-   hierarchy caches one per child node — keep every transition
-   hash-free. Owners that hold slots across operations subscribe to
-   compaction moves with [set_on_remap]. *)
+   id -> slot map is a flat open-addressed index of slots (see
+   [slot_lookup]); slot-keyed twins ([arrive_slot], [block_slot],
+   [charge_slot]) let callers that cache their slot — the hierarchy
+   caches one per child node — skip even that probe. Owners that hold
+   slots across operations subscribe to compaction moves with
+   [set_on_remap]. *)
 
 (* Per-client lifecycle, one byte per client. *)
 let st_absent = '\000'
@@ -41,9 +41,12 @@ type t = {
   mutable statev : Bytes.t; (* st_absent / st_blocked / st_runnable *)
   mutable genv : int array; (* generation of the queued heap entry *)
   mutable idv : int array; (* slot -> client id; -1 = free slot *)
-  mutable slot_of : (int, int) Hashtbl.t;
-      (* id -> slot; rebuilt at compaction (a Hashtbl never shrinks its
-         bucket array on remove) and sized to occupancy *)
+  mutable index : int array;
+      (* id -> slot, open-addressed: a cell holds a live slot or -1, and
+         the cell's key is that slot's [idv] entry, so the index stores
+         slots only. A power of two at least twice the live count,
+         rebuilt at compaction. *)
+  mutable ishift : int; (* 63 - log2 (length index): the hash's shift *)
   mutable top : int; (* slots [0, top) are allocated or on the free list *)
   mutable freev : int array; (* stack of free slots below [top] *)
   mutable nfree : int;
@@ -82,6 +85,10 @@ type t = {
          drag v(t) backwards) *)
 }
 
+(* The id index never shrinks below 16 cells. *)
+let index_min_bits = 4
+let index_min = 1 lsl index_min_bits
+
 let create ?rng:_ ?quantum_hint:_ () =
   let t =
     {
@@ -94,7 +101,8 @@ let create ?rng:_ ?quantum_hint:_ () =
       statev = Bytes.empty;
       genv = [||];
       idv = [||];
-      slot_of = Hashtbl.create 16;
+      index = Array.make index_min (-1);
+      ishift = 63 - index_min_bits;
       top = 0;
       freev = [||];
       nfree = 0;
@@ -159,14 +167,65 @@ let set_servers t n =
 
 let servers t = t.servers
 
-(* id -> slot, -1 if unknown. [Hashtbl.find] on an int key neither
-   hashes through a closure nor allocates on a hit (unlike [find_opt]'s
-   [Some] box); it is constant-time, but listed "cold" for the typed
-   lint because Hashtbl.* is a banned prefix on hot paths — the
-   slot-keyed entry points below exist precisely so per-decision callers
-   never reach it. *)
-let slot_lookup t id =
-  match Hashtbl.find t.slot_of id with s -> s | exception Not_found -> -1
+(* The id index: linear probing from a multiplicative (Fibonacci) hash,
+   the top bits of [id * 2^63/phi]. At most half the cells are full, so
+   a probe reads ~1.5 cells on a hit and ~2.5 on a miss; each is an int
+   load plus an [idv] compare — no hashing closure, no boxing, no
+   allocation. *)
+let[@inline] home t id = (id * 0x4F1BBCDCBFA53E0B) lsr t.ishift
+
+let rec probe t id i =
+  let s = t.index.(i) in
+  if s < 0 then -1
+  else if t.idv.(s) = id then s
+  else probe t id ((i + 1) land (Array.length t.index - 1))
+
+(* id -> slot, -1 if unknown. *)
+let slot_lookup t id = probe t id (home t id)
+
+let rec place t slot i =
+  if t.index.(i) < 0 then t.index.(i) <- slot
+  else place t slot ((i + 1) land (Array.length t.index - 1))
+
+(* Rebuild the index at [2^bits] cells from the live slots: on growth,
+   and at compaction, where slots move and the live count has fallen. *)
+let reindex t bits =
+  t.index <- Array.make (1 lsl bits) (-1);
+  t.ishift <- 63 - bits;
+  for s = 0 to t.top - 1 do
+    if t.idv.(s) >= 0 then place t s (home t t.idv.(s))
+  done
+
+let rec bits_above b n = if 1 lsl b >= n then b else bits_above (b + 1) n
+
+(* Insert a new client's slot, keeping the load <= 1/2. Its [idv] is
+   set and it lies below [top], so a doubling rebuild places it too. *)
+let index_add t slot =
+  if 2 * (t.nlive + 1) > Array.length t.index then reindex t (64 - t.ishift)
+  else place t slot (home t t.idv.(slot))
+
+(* Backward-shift deletion: walk the run after the emptied cell and
+   move back every entry whose home does not lie cyclically in
+   (hole, j], so no probe run is ever broken by a hole. *)
+let rec close_gap t hole j =
+  let m = Array.length t.index - 1 in
+  let j = (j + 1) land m in
+  let s = t.index.(j) in
+  if s < 0 then t.index.(hole) <- -1
+  else if (j - home t t.idv.(s)) land m >= (j - hole) land m then begin
+    t.index.(hole) <- s;
+    close_gap t j j
+  end
+  else close_gap t hole j
+
+let rec cell_of t slot i =
+  if t.index.(i) = slot then i
+  else cell_of t slot ((i + 1) land (Array.length t.index - 1))
+
+(* Remove a live slot (its [idv] still set) from the index. *)
+let index_remove t slot =
+  let c = cell_of t slot (home t t.idv.(slot)) in
+  close_gap t c c
 
 let slot_of_id t ~id = if id < 0 then -1 else slot_lookup t id
 let id_of_slot t ~slot = if slot >= 0 && slot < t.cap then t.idv.(slot) else -1
@@ -282,11 +341,7 @@ let compact t =
     if Array.length t.freev > ncap then t.freev <- [||];
     t.cap <- ncap
   end;
-  let m = Hashtbl.create (Int.max 16 live) in
-  for s = 0 to live - 1 do
-    Hashtbl.replace m t.idv.(s) s
-  done;
-  t.slot_of <- m;
+  reindex t (bits_above index_min_bits (2 * live));
   for i = 0 to t.nsvc - 1 do
     t.svc.(i) <- map.(t.svc.(i))
   done;
@@ -300,15 +355,15 @@ let compact t =
 
 let maybe_compact t = if t.cap > 64 && 4 * t.nlive < t.cap then compact t
 
-(* First arrival of an unknown id: allocate a slot (recycling the free
-   list before extending the high-water mark) and seed the client's
-   tags. Out-of-line: once per client lifetime, keeping [arrive]'s hot
-   body hash- and alloc-free. *)
+(* A new id becomes a blocked client with [F = 0] and no remainder:
+   allocate a slot (recycling the free list before extending the
+   high-water mark) and index it. Its first wake then takes
+   [S = max(v(t), 0) = v(t)] — rule 1 with j = 1. Out-of-line: once per
+   client lifetime, keeping the wake body alloc-free. *)
 let register t ~id ~weight =
   if t.nlive >= max_clients then
     invalid_arg
-      (Printf.sprintf "Sfq.arrive: %d live clients exceeds the table limit"
-         t.nlive);
+      (Printf.sprintf "Sfq: %d live clients exceeds the table limit" t.nlive);
   let slot =
     if t.nfree > 0 then begin
       t.nfree <- t.nfree - 1;
@@ -322,26 +377,28 @@ let register t ~id ~weight =
     end
   in
   t.idv.(slot) <- id;
-  Hashtbl.replace t.slot_of id slot;
+  index_add t slot;
   t.nlive <- t.nlive + 1;
   t.weightv.(slot) <- weight;
   t.donatedv.(slot) <- 0;
-  (* F_0 = 0, so S_1 = max(v(t), 0) = v(t) — rule 1 with j = 1. *)
   t.startv.(slot) <- t.vt;
   t.finishv.(slot) <- 0;
   t.remv.(slot) <- 0;
-  Bytes.set t.statev slot st_runnable;
-  t.nrun <- t.nrun + 1;
-  enqueue t slot
+  Bytes.set t.statev slot st_blocked;
+  slot
 
-(* Shared blocked -> runnable transition (rule 1: S = max(v, F)). A
-   start tag taken from v(t) restarts the client's tag stream, so its
-   remainder is dropped with the forgiven lag. *)
-let rewake t slot ~weight =
-  (* A blocked client may return with a different share (e.g. its class
-     weight was re-administered while it slept): the new weight governs
-     the quantum it is about to request. *)
-  t.weightv.(slot) <- weight;
+let admit t ~id ~weight =
+  if weight <= 0 then invalid_arg "Sfq.admit: weight <= 0";
+  if id < 0 then invalid_arg "Sfq.admit: negative client id";
+  if slot_lookup t id >= 0 then
+    invalid_arg (Printf.sprintf "Sfq.admit: client %d already known" id);
+  ignore (register t ~id ~weight : int)
+
+(* The one blocked -> runnable transition (rule 1: S = max(v, F)), at
+   the slot's stored weight. A start tag taken from v(t) restarts the
+   client's tag stream, so its remainder is dropped with the forgiven
+   lag. *)
+let rewake t slot =
   if t.vt > t.finishv.(slot) then begin
     t.startv.(slot) <- t.vt;
     t.remv.(slot) <- 0
@@ -355,16 +412,28 @@ let arrive t ~id ~weight =
   if weight <= 0 then invalid_arg "Sfq.arrive: weight <= 0";
   if id < 0 then invalid_arg "Sfq.arrive: negative client id";
   let slot = slot_lookup t id in
-  if slot < 0 then register t ~id ~weight
-  else if Char.equal (Bytes.get t.statev slot) st_blocked then
-    rewake t slot ~weight
-(* already runnable: idempotent, the weight argument is ignored *)
+  let slot = if slot < 0 then register t ~id ~weight else slot in
+  (* A blocked client may return with a different share (e.g. its class
+     weight was re-administered while it slept): the new weight governs
+     the quantum it is about to request. Already runnable: idempotent,
+     the weight argument is ignored. *)
+  if Char.equal (Bytes.get t.statev slot) st_blocked then begin
+    t.weightv.(slot) <- weight;
+    rewake t slot
+  end
 
 let arrive_slot t ~slot ~weight =
   if slot < 0 || slot >= t.cap || t.idv.(slot) < 0 then
     invalid_arg "Sfq.arrive_slot: no client at slot";
   if weight <= 0 then invalid_arg "Sfq.arrive: weight <= 0";
-  if Char.equal (Bytes.get t.statev slot) st_blocked then rewake t slot ~weight
+  if Char.equal (Bytes.get t.statev slot) st_blocked then begin
+    t.weightv.(slot) <- weight;
+    rewake t slot
+  end
+
+let wake t ~id =
+  let slot = slot_checked t id in
+  if Char.equal (Bytes.get t.statev slot) st_blocked then rewake t slot
 
 let revoke t ~blocked =
   match Hashtbl.find_opt t.donations blocked with
@@ -393,9 +462,9 @@ let depart t ~id =
       (fun b (r, _) acc -> if r = id then b :: acc else acc)
       t.donations []
     |> List.iter (fun b -> revoke t ~blocked:b);
+    index_remove t slot;
     Bytes.set t.statev slot st_absent;
     t.idv.(slot) <- -1;
-    Hashtbl.remove t.slot_of id;
     free_slot t slot;
     t.nlive <- t.nlive - 1;
     note_idle t;
@@ -595,15 +664,13 @@ let donations t =
 let capacity t = t.cap
 let live_clients t = t.nlive
 
-(* Deterministic retained-words accounting (array lengths and bucket
-   counts, not GC sampling): 7 int columns, the state bytes,
-   the free stack, the id map, and the ready queue. *)
+(* Deterministic retained-words accounting (array lengths, not GC
+   sampling): 7 int columns, the state bytes, the free stack, the id
+   index, and the ready queue. *)
 let footprint_words t =
-  let stats = Hashtbl.stats t.slot_of in
   (7 * t.cap)
   + ((t.cap + 7) / 8)
   + Array.length t.svc
   + Array.length t.freev
-  + stats.Hashtbl.num_buckets
-  + (3 * stats.Hashtbl.num_bindings)
+  + Array.length t.index
   + Keyed_heap.footprint_words t.queue

@@ -45,10 +45,10 @@ include Hsfq_sched.Scheduler_intf.FAIR
     rejected in every case. Weights are {!Hsfq_sched.Vtime} units.
 
     Client state lives in a dense flat table indexed by *slot* (ids are
-    mapped to slots on arrival), so a scheduling decision performs no
-    hashing and no allocation. Ids may be arbitrary non-negative
-    integers — they no longer size the table; the number of {e live}
-    clients is bounded at 2^22. Slots are recycled on [depart], and when
+    mapped to slots on arrival, through a flat open-addressed index), so
+    a scheduling decision performs no hashing and no allocation. Ids may
+    be arbitrary non-negative integers — they do not size the table; the
+    number of {e live} clients is bounded at 2^22. Slots are recycled on [depart], and when
     live clients fall below a quarter of the table capacity the columns
     are packed and released, so retained memory stays O(live clients)
     under sustained arrive/depart churn. Callers that cache slots (see
@@ -82,14 +82,26 @@ val set_servers : t -> int -> unit
 val servers : t -> int
 (** Current claim capacity (1 unless {!set_servers} raised it). *)
 
+val admit : t -> id:int -> weight:int -> unit
+(** Register a new client {e blocked}, with weight [weight] and finish
+    tag 0, so its weight is known (and administrable, donatable) before
+    it first runs. Its first {!wake} or [arrive] then starts it at
+    [S = v(t)], exactly as a first [arrive] would. Raises if [id] is
+    negative or already known, or [weight <= 0]. *)
+
+val wake : t -> id:int -> unit
+(** [arrive] at the client's stored weight: a blocked client becomes
+    runnable with [S = max(v, F)]; a runnable one is untouched. One
+    index probe, no allocation. Raises if the client is unknown. *)
+
 (** {1 Slot-keyed entry points}
 
-    [arrive]/[block]/[charge] by id pay one hashtable lookup to find the
-    client's slot (allocation-free, but a hash nonetheless). Callers on
-    a per-decision path — the hierarchy caches one slot per child node —
+    [arrive]/[block]/[wake] by id pay one probe of the id index to find
+    the client's slot (a few int loads, no allocation). Callers on a
+    per-decision path — the hierarchy caches one slot per child node —
     look the slot up once ({!slot_of_id}), keep it fresh across
-    compactions via {!set_on_remap}, and use these twins to make every
-    transition hash-free. *)
+    compactions via {!set_on_remap}, and use these twins to skip even
+    that. *)
 
 val slot_of_id : t -> id:int -> int
 (** The client's current slot, or [-1] if unknown. Valid until the next
@@ -113,7 +125,7 @@ val block_slot : t -> slot:int -> unit
     client). *)
 
 val charge_slot : t -> slot:int -> service:int -> runnable:bool -> unit
-(** [charge] by slot. (The id-keyed [charge] needs no hash lookup
+(** [charge] by slot. (The id-keyed [charge] needs no index probe
     either: the in-service slot knows its id.) *)
 
 val block : t -> id:int -> unit
@@ -202,6 +214,6 @@ val live_clients : t -> int
 (** Known clients (runnable + blocked). *)
 
 val footprint_words : t -> int
-(** Approximate retained heap words of the client table, id map, and
-    ready queue — deterministic (array lengths and hashtable bucket
-    counts, not GC sampling), for the scale benches' footprint gate. *)
+(** Approximate retained heap words of the client table, id index, and
+    ready queue — deterministic (array lengths, not GC sampling), for
+    the scale benches' footprint gate. *)

@@ -3,15 +3,13 @@
     A self-contained SplitMix64 generator. Every stochastic element of the
     simulator draws from an explicitly passed [Prng.t], so that (a) a run is
     fully determined by its seeds and (b) independent subsystems can use
-    [split] streams without interfering with each other. *)
+    {!stream}s without interfering with each other. The state is held
+    unboxed: a draw allocates nothing. *)
 
 type t
 
 val create : int -> t
 (** [create seed] makes a fresh generator. Equal seeds give equal streams. *)
-
-val split : t -> t
-(** [split t] derives an independent generator and advances [t]. *)
 
 val stream : t -> int -> t
 (** [stream t i] derives the [i]-th of a family of independent generators
@@ -21,20 +19,11 @@ val stream : t -> int -> t
     stream regardless of how much randomness their siblings consume
     (e.g. the torture driver's structure / op / workload streams). *)
 
-val copy : t -> t
-
-val next_int64 : t -> int64
-(** Raw 64-bit output of SplitMix64. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
 
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform in [\[lo, hi\]] inclusive. *)
-
-val float : t -> float -> float
-(** [float t bound] is uniform in [\[0, bound)]. *)
-
 
 val bool : t -> bool
 
@@ -46,12 +35,3 @@ val exponential : t -> mean:float -> float
 
 val gaussian : t -> mu:float -> sigma:float -> float
 (** Normally distributed (Box–Muller; one draw per call). *)
-
-val pareto : t -> shape:float -> scale:float -> float
-(** Pareto distributed: [scale * U^(-1/shape)]. *)
-
-val choice : t -> 'a array -> 'a
-(** Uniform pick from a non-empty array. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)

@@ -6,22 +6,14 @@
 
 type t
 
-val create : ?name:string -> unit -> t
-val name : t -> string
+val create : unit -> t
 val add : t -> Time.t -> float -> unit
-val length : t -> int
 val times : t -> Time.t array
 val values : t -> float array
-val last : t -> (Time.t * float) option
 
 val bucket_sum : t -> width:Time.span -> until:Time.t -> float array
 (** [bucket_sum s ~width ~until] sums samples into consecutive windows
     [\[0,w), \[w,2w), ...] covering [\[0, until)]. *)
-
-val bucket_mean : t -> width:Time.span -> until:Time.t -> float array
-
-val cumulative : t -> float array
-(** Running sum of values, aligned with [times]. *)
 
 val value_at : t -> Time.t -> float
 (** Cumulative sum of all samples with timestamp <= the given time.

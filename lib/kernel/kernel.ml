@@ -987,7 +987,7 @@ let create ?(config = default_config) ?(cpus = 1) sim hier =
       next_device = 1;
       next_tid = 1;
       cpu_set = [||];
-      wseries = Series.create ~name:"kernel-work" ();
+      wseries = Series.create ();
       trace = None;
       obs = None;
     }
@@ -1022,9 +1022,9 @@ let spawn t ~name ~leaf workload =
       running_on = -1;
       total_cpu = 0;
       dispatches = 0;
-      cpu = Series.create ~name ();
+      cpu = Series.create ();
       latency = Stats.create ();
-      lat_series = Series.create ~name:(name ^ "-latency") ();
+      lat_series = Series.create ();
     }
   in
   Hashtbl.replace t.threads tid th;

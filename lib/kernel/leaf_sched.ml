@@ -25,31 +25,23 @@ let quantum_ns = function Some q -> q | None -> -1
 
 (* The SFQ leaf's per-event bodies, at top level so the typed analyzer's
    hot-root scan (lib/staticlint/allocpass.ml) reaches them: a wake is
-   one weight lookup plus [Sfq.arrive], a dispatch [Sfq.select_id] plus
-   [Sfq.charge], all on ints. [Hashtbl.find] rather than [find_opt]: the
-   [Some] wrapper would be a wake's only allocation. *)
-let member_weight weights tid =
-  try Hashtbl.find weights tid
-  with Not_found ->
-    invalid_arg (Printf.sprintf "Sfq_leaf: unregistered thread %d" tid)
-
-let sfq_enqueue sfq weights tid =
-  Hsfq_core.Sfq.arrive sfq ~id:tid ~weight:(member_weight weights tid)
+   [Sfq.wake] (one index probe, at the weight the SFQ stores), a
+   dispatch [Sfq.select_id] plus [Sfq.charge], all on ints. *)
+let sfq_enqueue sfq tid = Hsfq_core.Sfq.wake sfq ~id:tid
 
 let sfq_charge sfq tid ~service ~runnable =
   Hsfq_core.Sfq.charge sfq ~id:tid ~service ~runnable
 
 module Sfq_leaf = struct
+  (* Members are SFQ clients from [add] on, so the SFQ's weight column
+     is the only copy of their weights. *)
   type handle = {
     sfq : Hsfq_core.Sfq.t;
-    weights : (int, int) Hashtbl.t; (* Vtime units *)
     audit :
       (Hsfq_check.Invariant.sink * string * Hsfq_check.Sfq_rules.snapshot) option;
         (* sink, node label, and the pre-state buffer every guarded
            operation refills *)
   }
-
-  let weight_of h tid = member_weight h.weights tid
 
   (* Run [f] on the SFQ; when auditing, capture the pre-state and check
      the transition semantics of [ev f-result] afterwards. *)
@@ -67,7 +59,6 @@ module Sfq_leaf = struct
     let h =
       {
         sfq;
-        weights = Hashtbl.create 8;
         audit =
           Option.map
             (fun sink -> (sink, audit_label, Hsfq_check.Sfq_rules.snapshot sfq))
@@ -76,23 +67,20 @@ module Sfq_leaf = struct
     in
     let module R = Hsfq_check.Sfq_rules in
     let audited = match h.audit with Some _ -> true | None -> false in
-    let arrive tid =
-      let weight = weight_of h tid in
+    let wake tid =
       guarded h
-        (fun () -> R.Arrive { id = tid; weight })
-        (fun s -> Hsfq_core.Sfq.arrive s ~id:tid ~weight)
-    in
-    let block tid =
-      guarded h (fun () -> R.Block tid) (fun s -> Hsfq_core.Sfq.block s ~id:tid)
+        (fun () -> R.Arrive { id = tid; weight = Hsfq_core.Sfq.weight h.sfq ~id:tid })
+        (fun s -> Hsfq_core.Sfq.wake s ~id:tid)
     in
     let qns = quantum_ns quantum in
     let lf =
       {
         name = "sfq";
         enqueue =
+          (fun ~now:_ tid -> if audited then wake tid else sfq_enqueue h.sfq tid);
+        dequeue =
           (fun ~now:_ tid ->
-            if audited then arrive tid else sfq_enqueue h.sfq h.weights tid);
-        dequeue = (fun ~now:_ tid -> block tid);
+            guarded h (fun () -> R.Block tid) (fun s -> Hsfq_core.Sfq.block s ~id:tid));
         select_id =
           (fun ~now:_ ->
             if audited then
@@ -112,22 +100,10 @@ module Sfq_leaf = struct
           (fun tid ->
             guarded h
               (fun () -> R.Depart tid)
-              (fun s -> Hsfq_core.Sfq.depart s ~id:tid);
-            Hashtbl.remove h.weights tid);
+              (fun s -> Hsfq_core.Sfq.depart s ~id:tid));
         second_tick = (fun () -> ());
         donate =
           (fun ~blocked ~recipient ->
-            (* A thread may block on a mutex before its first quantum, in
-               which case the SFQ has no record of it yet: register it
-               (blocked) so its weight is known for the transfer. *)
-            let ensure tid =
-              if not (Hsfq_core.Sfq.mem h.sfq ~id:tid) then begin
-                arrive tid;
-                block tid
-              end
-            in
-            ensure blocked;
-            ensure recipient;
             guarded h
               (fun () -> R.Donate { blocked; recipient })
               (fun s -> Hsfq_core.Sfq.donate s ~blocked ~recipient));
@@ -142,17 +118,11 @@ module Sfq_leaf = struct
     (lf, h)
 
   let add h ~tid ~weight =
-    Hashtbl.replace h.weights tid (Hsfq_sched.Vtime.weight_of_float weight)
+    Hsfq_core.Sfq.admit h.sfq ~id:tid ~weight:(Hsfq_sched.Vtime.weight_of_float weight)
 
   let set_weight h ~tid ~weight =
-    let weight = Hsfq_sched.Vtime.weight_of_float weight in
-    Hashtbl.replace h.weights tid weight;
-    if Hsfq_core.Sfq.is_runnable h.sfq ~id:tid then
-      Hsfq_core.Sfq.set_weight h.sfq ~id:tid ~weight
-    else
-      (* Not currently known to the SFQ or blocked: the new weight takes
-         effect at the next enqueue. Update if the client exists. *)
-      (try Hsfq_core.Sfq.set_weight h.sfq ~id:tid ~weight with Invalid_argument _ -> ())
+    Hsfq_core.Sfq.set_weight h.sfq ~id:tid
+      ~weight:(Hsfq_sched.Vtime.weight_of_float weight)
 
   let donate h ~blocked ~recipient = Hsfq_core.Sfq.donate h.sfq ~blocked ~recipient
   let revoke h ~blocked = Hsfq_core.Sfq.revoke h.sfq ~blocked

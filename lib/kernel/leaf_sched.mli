@@ -62,10 +62,14 @@ module Sfq_leaf : sig
       omitting [?audit] leaves the fast path untouched. *)
 
   val add : handle -> tid:int -> weight:float -> unit
-  (** Register a member thread. [weight] is converted once, by
-      {!Hsfq_sched.Vtime.weight_of_float} (which also rejects it). *)
+  (** Register a member thread: it becomes a blocked SFQ client at once
+      ({!Hsfq_core.Sfq.admit}), so its weight can be administered or
+      donated before it first runs. [weight] is converted once, by
+      {!Hsfq_sched.Vtime.weight_of_float} (which also rejects it).
+      Raises if the thread is already a member. *)
 
   val set_weight : handle -> tid:int -> weight:float -> unit
+  (** Re-weight a member; a runnable member's next charge uses it. *)
 
   val donate : handle -> blocked:int -> recipient:int -> unit
   (** Weight transfer between member threads (priority-inversion

@@ -61,7 +61,7 @@ let attach_flow t ~leaf ~flow ~weight =
       leaf;
       weight = Hsfq_sched.Vtime.weight_of_float weight;
       queue = Queue.create ();
-      delivered = Series.create ~name:(Printf.sprintf "flow%d" flow) ();
+      delivered = Series.create ();
       delay = Stats.create ();
       dropped = 0;
     }

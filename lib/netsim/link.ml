@@ -63,7 +63,7 @@ let add_flow t ~id ~weight =
     {
       weight = Hsfq_sched.Vtime.weight_of_float weight;
       queue = Queue.create ();
-      delivered = Series.create ~name:(Printf.sprintf "flow%d" id) ();
+      delivered = Series.create ();
       delay = Stats.create ();
       delay_list = [];
       completion_list = [];

@@ -39,22 +39,20 @@ type config = {
 
 let configs =
   [
-    (* The zero-alloc contract is on [select_id]/[charge] and the
-       slot-keyed entries. Tags, weights and v(t) are ints, so
+    (* The zero-alloc contract is on [select_id]/[charge], the wake
+       and the slot-keyed entries. Tags, weights and v(t) are ints, so
        tl-float-box on these roots proves no float reaches a scheduling
-       decision. *)
-    (* [slot_lookup] (the id->slot hash of the id-keyed entries) and
-       [register] (first arrival: slot allocation + table insert) are
-       once-per-transition or once-per-lifetime, not per-decision; the
-       hierarchy's walks use the slot-keyed twins and never reach
-       either. [compact]/[free_slot] are the amortized-O(1) shrink
-       machinery on the depart path. *)
+       decision; the id index's probe is on the walk too. [register]
+       (first arrival: slot allocation + index insert, which may rebuild
+       the index) is once per lifetime, not per decision.
+       [compact]/[free_slot] are the amortized-O(1) shrink machinery on
+       the depart path. *)
     {
       source = "lib/core/sfq.ml";
       roots =
         [ "select_id"; "charge"; "charge_slot"; "arrive"; "arrive_slot";
-          "block_slot" ];
-      cold = [ "grow"; "slot_lookup"; "register"; "compact"; "free_slot" ];
+          "wake"; "block_slot" ];
+      cold = [ "grow"; "register"; "compact"; "free_slot" ];
       barrier_free = [];
     };
     (* Same shape one level up: the kernel dispatch loop runs on
@@ -66,12 +64,11 @@ let configs =
       barrier_free = [];
     };
     (* The SFQ leaf adapter's per-event bodies (the kernel reaches them
-       through the leaf record's closures). [member_weight] is the
-       once-per-wake member lookup, cold like sfq's [slot_lookup]. *)
+       through the leaf record's closures). *)
     {
       source = "lib/kernel/leaf_sched.ml";
       roots = [ "sfq_enqueue"; "sfq_charge" ];
-      cold = [ "member_weight" ];
+      cold = [];
       barrier_free = [];
     };
     (* The columns hold ints only: the sifts, the hole's fill

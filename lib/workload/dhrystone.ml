@@ -4,7 +4,7 @@ type counter = { mutable count : int; samples : Series.t }
 
 let make ~loop_cost () =
   if loop_cost <= 0 then invalid_arg "Dhrystone.make: loop_cost <= 0";
-  let c = { count = 0; samples = Series.create ~name:"dhrystone" () } in
+  let c = { count = 0; samples = Series.create () } in
   let started = ref false in
   let compute = Hsfq_kernel.Workload_intf.Compute loop_cost in
   let next ~now =

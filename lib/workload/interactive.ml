@@ -4,7 +4,7 @@ type counter = { mutable n : int; stats : Stats.t; s : Series.t }
 
 let make ~mean_think ~burst ?(seed = 11) ?requests () =
   if mean_think <= 0 || burst <= 0 then invalid_arg "Interactive.make: bad parameters";
-  let c = { n = 0; stats = Stats.create (); s = Series.create ~name:"response" () } in
+  let c = { n = 0; stats = Stats.create (); s = Series.create () } in
   let rng = Prng.create seed in
   let requested_at = ref Time.zero in
   let state = ref `Thinking in

@@ -74,7 +74,7 @@ type counter = {
 
 let decoder p ?(paced = false) ?frames () =
   let stream = cost_stream p in
-  let c = { count = 0; samples = Series.create ~name:"mpeg" (); late = 0 } in
+  let c = { count = 0; samples = Series.create (); late = 0 } in
   let frame_period = Time.of_seconds_float (1. /. p.fps) in
   let state = ref `Start in
   (* Playback is anchored at the thread's first activation, so a decoder
@@ -123,7 +123,7 @@ let decoder_of_costs costs ~fps ?(paced = false) ?(loop = true) () =
   if Array.length costs = 0 then invalid_arg "Mpeg.decoder_of_costs: empty trace";
   Array.iter (fun c -> if c <= 0 then invalid_arg "Mpeg.decoder_of_costs: bad cost") costs;
   let n = Array.length costs in
-  let c = { count = 0; samples = Series.create ~name:"mpeg-trace" (); late = 0 } in
+  let c = { count = 0; samples = Series.create (); late = 0 } in
   let frame_period = Time.of_seconds_float (1. /. fps) in
   let state = ref `Start in
   let epoch = ref Time.zero in

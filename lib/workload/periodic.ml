@@ -15,7 +15,7 @@ let make ~period ~cost ?(phase = 0) ?deadline ?rounds () =
       completed = 0;
       misses = 0;
       slack = Stats.create ();
-      slack_s = Series.create ~name:"slack" ();
+      slack_s = Series.create ();
     }
   in
   let next_release = ref phase in

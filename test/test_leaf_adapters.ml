@@ -175,9 +175,50 @@ let test_three_heterogeneous_leaves () =
   check_int "svr4 quarter" (Time.seconds 1) c2;
   check_int "edf quarter" (Time.seconds 1) c3
 
+(* ------------------------------- SFQ ---------------------------------- *)
+
+(* A member is an SFQ client from [add] on, so its weight can be
+   re-administered before it first runs, and the first wake charges at
+   the new weight: F = S + l·unit/w with S = v = 0. *)
+let test_sfq_leaf_set_weight_before_first_run () =
+  let lf, h = Leaf_sched.Sfq_leaf.make () in
+  Leaf_sched.Sfq_leaf.add h ~tid:7 ~weight:1.0;
+  Leaf_sched.Sfq_leaf.set_weight h ~tid:7 ~weight:2.0;
+  let sfq = Leaf_sched.Sfq_leaf.sfq h in
+  check_bool "admitted blocked" false (Sfq.is_runnable sfq ~id:7);
+  lf.enqueue ~now:0 7;
+  check_int "selected" 7 (lf.select_id ~now:0);
+  lf.charge ~now:0 7 ~service:(Time.milliseconds 10) ~runnable:false;
+  check_int "weight 2.0" (2 * Hsfq_sched.Vtime.unit) (Sfq.weight sfq ~id:7);
+  check_int "finish tag at weight 2.0" (Time.milliseconds 5) (Sfq.finish_tag sfq ~id:7)
+
+(* The leaf holds no weights of its own: a detached member is gone from
+   the SFQ, and a second [add] re-admits it. *)
+let test_sfq_leaf_detach_readmit () =
+  let lf, h = Leaf_sched.Sfq_leaf.make () in
+  let sfq = Leaf_sched.Sfq_leaf.sfq h in
+  Leaf_sched.Sfq_leaf.add h ~tid:3 ~weight:1.0;
+  Alcotest.check_raises "duplicate add"
+    (Invalid_argument "Sfq.admit: client 3 already known") (fun () ->
+      Leaf_sched.Sfq_leaf.add h ~tid:3 ~weight:1.0);
+  lf.detach 3;
+  check_bool "departed" false (Sfq.mem sfq ~id:3);
+  Alcotest.check_raises "wake after detach" (Invalid_argument "Sfq: unknown client 3")
+    (fun () -> lf.enqueue ~now:0 3);
+  Leaf_sched.Sfq_leaf.add h ~tid:3 ~weight:4.0;
+  lf.enqueue ~now:0 3;
+  check_int "backlogged" 1 (lf.backlogged ());
+  check_int "re-admitted weight" (4 * Hsfq_sched.Vtime.unit) (Sfq.weight sfq ~id:3)
+
 let () =
   Alcotest.run "leaf-adapters"
     [
+      ( "sfq",
+        [
+          Alcotest.test_case "set_weight before the first run" `Quick
+            test_sfq_leaf_set_weight_before_first_run;
+          Alcotest.test_case "detach and re-admit" `Quick test_sfq_leaf_detach_readmit;
+        ] );
       ( "svr4",
         [
           Alcotest.test_case "TS threads share" `Quick test_svr4_leaf_runs_ts_threads;

@@ -288,9 +288,8 @@ let prop_link_fairness_bound =
         (* Both flows are backlogged only while both have queued packets;
            restrict the interval to the earlier drain point. *)
         let last_busy flow =
-          match Series.last (Link.delivered_series link ~flow) with
-          | Some (t, _) -> t
-          | None -> 0
+          let ts = Series.times (Link.delivered_series link ~flow) in
+          if Array.length ts = 0 then 0 else ts.(Array.length ts - 1)
         in
         let until = Int.min (last_busy 1) (last_busy 2) in
         let lag =

@@ -93,7 +93,7 @@ let test_sweep_seeded_jobs_invariant () =
   (* Each task draws from its own Prng substream, so the drawn values
      must not depend on which domain ran the task. *)
   let tasks = Array.init 40 (fun i -> i) in
-  let f ~rng i = (i, Prng.int rng 1_000_000, Prng.float rng 1.) in
+  let f ~rng i = (i, Prng.int rng 1_000_000, Prng.exponential rng ~mean:1.) in
   let run jobs = Par.sweep_seeded ~jobs ~rng:(Prng.create 9) ~tasks f
   in
   let serial = run 1 in

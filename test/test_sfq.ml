@@ -721,6 +721,126 @@ let prop_slot_protocol_matches_naive_reference =
       list_of_size (Gen.int_range 1 150) (pair (int_bound 5) (int_bound 4)))
     slot_differential_agrees
 
+(* The flat id index under churn. The id pool mixes three families:
+   dense small ids; ids whose Fibonacci hash (the one [Sfq] uses, the
+   top bits of [id * 2^63/phi]) lands on the last cell of every table up
+   to 1024 cells, so their probe runs collide and wrap past cell 0; and
+   ids next to [max_int], where the multiply wraps. Ops arrive, admit,
+   wake, block, depart, re-weight and dispatch, and a burst/purge pair
+   grows the table past 64 slots and drains it so compaction rebuilds
+   the index. After every op the Sfq must agree with the naive reference
+   on tags and with a naive membership/weight map on every id, and
+   [slot_of_id]/[id_of_slot] must round-trip. *)
+let id_pool =
+  let colliding =
+    let hits = ref [] and id = ref 1_000 in
+    while List.length !hits < 64 do
+      if (!id * 0x4F1BBCDCBFA53E0B) lsr 53 = 1023 then hits := !id :: !hits;
+      incr id
+    done;
+    List.rev !hits
+  in
+  Array.of_list
+    (List.init 64 Fun.id @ colliding @ List.init 64 (fun k -> max_int - k))
+
+let index_churn_agrees ops =
+  let module R = Hsfq_check.Sfq_reference in
+  let s = Sfq.create () and r = R.create () in
+  let known : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let weight_for id = (1 + (abs id mod 5)) * u / 3 in
+  let arrive id =
+    (* The weight applies unless the client is already runnable. *)
+    let weight = weight_for id in
+    if not (Hashtbl.mem known id && R.is_runnable r ~id) then
+      Hashtbl.replace known id weight;
+    Sfq.arrive s ~id ~weight;
+    R.arrive r ~id ~weight
+  in
+  let depart id =
+    Sfq.depart s ~id;
+    R.depart r ~id;
+    Hashtbl.remove known id
+  in
+  let agree () =
+    Sfq.live_clients s = Hashtbl.length known
+    && Sfq.backlogged s = R.backlogged r
+    && Sfq.virtual_time s = R.virtual_time r
+    && Array.for_all
+         (fun id ->
+           let slot = Sfq.slot_of_id s ~id in
+           match Hashtbl.find_opt known id with
+           | None -> slot = -1 && (not (Sfq.mem s ~id)) && not (R.mem r ~id)
+           | Some w ->
+             slot >= 0
+             && Sfq.id_of_slot s ~slot = id
+             && Sfq.weight s ~id = w
+             && R.mem r ~id
+             && Sfq.start_tag s ~id = R.start_tag r ~id
+             && Sfq.finish_tag s ~id = R.finish_tag r ~id
+             && Sfq.is_runnable s ~id = R.is_runnable r ~id)
+         id_pool
+  in
+  List.for_all
+    (fun (op, i) ->
+      let id = id_pool.(i mod Array.length id_pool) in
+      let is_known = Hashtbl.mem known id in
+      (match op with
+      | 0 -> arrive id
+      | 1 ->
+        if not is_known then begin
+          let weight = weight_for id in
+          Sfq.admit s ~id ~weight;
+          R.arrive r ~id ~weight;
+          R.block r ~id;
+          Hashtbl.replace known id weight
+        end
+      | 2 -> (
+        match Hashtbl.find_opt known id with
+        | Some weight ->
+          Sfq.wake s ~id;
+          R.arrive r ~id ~weight
+        | None -> ())
+      | 3 ->
+        if is_known then begin
+          Sfq.block s ~id;
+          R.block r ~id
+        end
+      | 4 -> if is_known then depart id
+      | 5 ->
+        if is_known then begin
+          let weight = 1 + (i * u / 7) in
+          Sfq.set_weight s ~id ~weight;
+          R.set_weight r ~id ~weight;
+          Hashtbl.replace known id weight
+        end
+      | 6 -> (
+        match (Sfq.select_id s, R.select r) with
+        | -1, None -> ()
+        | a, Some b when a = b ->
+          Sfq.charge s ~id:a ~service:(1 + i) ~runnable:(i mod 2 = 0);
+          R.charge r ~id:b ~service:(1 + i) ~runnable:(i mod 2 = 0)
+        | _ -> Hashtbl.replace known (-1) 0 (* diverged: fails [agree] *))
+      | 7 ->
+        (* Burst: admit 96 pool ids from [i] on. *)
+        for k = 0 to 95 do
+          let id = id_pool.((i + k) mod Array.length id_pool) in
+          if not (Hashtbl.mem known id) then arrive id
+        done
+      | _ ->
+        (* Purge down to at most four clients. *)
+        let ids = Hashtbl.fold (fun id _ acc -> id :: acc) known [] in
+        List.iteri (fun k id -> if k >= 4 then depart id) (List.sort Int.compare ids));
+      agree ())
+    ops
+
+let prop_id_index_churn =
+  QCheck.Test.make
+    ~name:"id index under churn: colliding and near-max_int ids, compaction"
+    ~count:150
+    QCheck.(
+      list_of_size (Gen.int_range 1 200) (pair (int_bound 8) (int_bound 191)))
+    index_churn_agrees
+
 (* The same differential driven as a seeded batch through the domain
    pool: each task's op sequence comes from its own Prng substream, so
    every verdict is a pure function of (seed, task index) — jobs=1 and
@@ -951,6 +1071,7 @@ let () =
           qc prop_audited_never_trips;
           qc prop_matches_naive_reference;
           qc prop_slot_protocol_matches_naive_reference;
+          qc prop_id_index_churn;
           Alcotest.test_case "differential batch across domains" `Quick
             test_differential_parallel_batch;
           qc prop_churn_storm_matches_reference;
