@@ -107,19 +107,21 @@ end
 module Sfq = struct
   module S = Hsfq_core.Sfq
 
-  (* [pre] is the pre-state buffer every guarded call refills. *)
+  (* Every call refills [pre] with what its rules read, performs the
+     transition and asks the clean path; only a transition that fails
+     it builds its event, for the report path. *)
   type t = {
     s : S.t;
     node : string;
     sink : Invariant.sink;
-    pre : Sfq_rules.snapshot;
+    pre : Sfq_rules.pre_state;
   }
 
   let wrap ?(node = "sfq") ?sink s =
     {
       s;
       node;
-      pre = Sfq_rules.snapshot s;
+      pre = Sfq_rules.buffer ();
       sink =
         (match sink with
         | Some k -> k
@@ -129,43 +131,59 @@ module Sfq = struct
   let create ?node ?sink () = wrap ?node ?sink (S.create ())
   let inner t = t.s
   let sink t = t.sink
-
-  let guarded t ev f =
-    let pre = Sfq_rules.snapshot ~into:t.pre t.s in
-    let r = f t.s in
-    Sfq_rules.check_transition ~node:t.node t.sink ~pre t.s (ev r);
-    r
+  let report t ev = Sfq_rules.report ~node:t.node t.sink ~pre:t.pre t.s ev
 
   let arrive t ~id ~weight =
-    guarded t (fun () -> Sfq_rules.Arrive { id; weight })
-      (fun s -> S.arrive s ~id ~weight)
+    Sfq_rules.capture t.pre t.s ~id;
+    S.arrive t.s ~id ~weight;
+    if not (Sfq_rules.arrive_ok t.pre t.s ~id ~weight) then
+      report t (Sfq_rules.Arrive { id; weight })
+
+  let wake t ~id =
+    Sfq_rules.capture t.pre t.s ~id;
+    S.wake t.s ~id;
+    let weight = S.weight t.s ~id in
+    if not (Sfq_rules.arrive_ok t.pre t.s ~id ~weight) then
+      report t (Sfq_rules.Arrive { id; weight })
 
   let depart t ~id =
-    guarded t (fun () -> Sfq_rules.Depart id) (fun s -> S.depart s ~id)
+    Sfq_rules.capture t.pre t.s ~id;
+    S.depart t.s ~id;
+    if not (Sfq_rules.depart_ok t.pre t.s ~id) then report t (Sfq_rules.Depart id)
 
   let set_weight t ~id ~weight =
-    guarded t
-      (fun () -> Sfq_rules.Set_weight { id; weight })
-      (fun s -> S.set_weight s ~id ~weight)
+    Sfq_rules.capture t.pre t.s ~id;
+    S.set_weight t.s ~id ~weight;
+    if not (Sfq_rules.set_weight_ok t.pre t.s ~id ~weight) then
+      report t (Sfq_rules.Set_weight { id; weight })
 
-  let select_id t = guarded t (fun r -> Sfq_rules.Select r) S.select_id
+  let select_id t =
+    Sfq_rules.capture_ready t.pre t.s;
+    let id = S.select_id t.s in
+    if not (Sfq_rules.select_ok t.pre t.s id) then report t (Sfq_rules.Select id);
+    id
 
   let charge t ~id ~service ~runnable =
-    guarded t
-      (fun () -> Sfq_rules.Charge { id; service; runnable })
-      (fun s -> S.charge s ~id ~service ~runnable)
+    Sfq_rules.capture t.pre t.s ~id;
+    S.charge t.s ~id ~service ~runnable;
+    if not (Sfq_rules.charge_ok t.pre t.s ~id ~service ~runnable) then
+      report t (Sfq_rules.Charge { id; service; runnable })
 
   let block t ~id =
-    guarded t (fun () -> Sfq_rules.Block id) (fun s -> S.block s ~id)
+    Sfq_rules.capture t.pre t.s ~id;
+    S.block t.s ~id;
+    if not (Sfq_rules.block_ok t.pre t.s ~id) then report t (Sfq_rules.Block id)
 
   let donate t ~blocked ~recipient =
-    guarded t
-      (fun () -> Sfq_rules.Donate { blocked; recipient })
-      (fun s -> S.donate s ~blocked ~recipient)
+    Sfq_rules.capture t.pre t.s ~id:blocked;
+    S.donate t.s ~blocked ~recipient;
+    if not (Sfq_rules.donate_ok t.pre t.s ~blocked ~recipient) then
+      report t (Sfq_rules.Donate { blocked; recipient })
 
   let revoke t ~blocked =
-    guarded t (fun () -> Sfq_rules.Revoke blocked)
-      (fun s -> S.revoke s ~blocked)
+    Sfq_rules.capture t.pre t.s ~id:blocked;
+    S.revoke t.s ~blocked;
+    if not (Sfq_rules.revoke_ok t.pre t.s ~blocked) then report t (Sfq_rules.Revoke blocked)
 
   let backlogged t = S.backlogged t.s
   let virtual_time t = S.virtual_time t.s

@@ -33,9 +33,11 @@ end
     "+audit"]. *)
 
 (** The paper's SFQ under the full {!Sfq_rules} audit. Mirrors the
-    {!Hsfq_core.Sfq} API (including [block]/[donate]/[revoke]); every
-    call snapshots the pre-state, performs the transition on the wrapped
-    instance, and checks the step semantics plus all state invariants. *)
+    {!Hsfq_core.Sfq} API (including [wake]/[block]/[donate]/[revoke]);
+    every call captures the pre-state its rules read, performs the
+    transition on the wrapped instance, and checks the step semantics
+    plus all state invariants — on the clean path, which allocates
+    nothing, unless some rule fails and the report path runs. *)
 module Sfq : sig
   type t
 
@@ -45,6 +47,11 @@ module Sfq : sig
   val sink : t -> Invariant.sink
 
   val arrive : t -> id:int -> weight:int -> unit
+
+  val wake : t -> id:int -> unit
+  (** {!Hsfq_core.Sfq.wake}, checked as an [arrive] at the stored
+      weight. *)
+
   val depart : t -> id:int -> unit
   val set_weight : t -> id:int -> weight:int -> unit
   val select_id : t -> int

@@ -2,20 +2,21 @@
 
     Two granularities:
 
-    - {!check_state} scans one SFQ instance and verifies every invariant
-      expressible on a state snapshot (tag discipline, virtual-time
-      bounds, ready-count consistency, donation conservation);
-    - {!check_transition} additionally verifies the step semantics of a
-      single [arrive]/[select]/[charge]/[block]/[depart]/[donate]/[revoke]
-      against the pre-state captured with {!snapshot}.
+    - the state rules hold on one SFQ instance at any time (tag
+      discipline, virtual-time bounds, ready-count consistency, donation
+      conservation);
+    - the step rules of a single [arrive]/[select]/[charge]/[block]/
+      [depart]/[set_weight]/[donate]/[revoke] hold against the
+      pre-state captured just before it ({!capture}, {!capture_ready}).
 
-    Both scan the SFQ's flat slot columns ({!Hsfq_core.Sfq.slot_bound}
-    and the slot probes) and build no list or view per client, so with
-    every probe an int read, a passing check allocates a bounded handful
-    of words whatever the client count, in dev and release alike. Every
-    comparison is exact ([=], [<=] on ints — no epsilon). A violation's
-    location, event label and evidence are built only when a rule
-    fails.
+    Each rule is written once, as one bit of a fault mask, and read by
+    two paths (see [doc/INVARIANTS.md]). The clean path ({!state_clean}
+    and the [*_ok] predicates) asks whether the masks are 0: one pass
+    over the SFQ's flat slot columns that formats nothing and — while
+    no donation is outstanding — allocates nothing. The report path
+    ({!check_state}, {!report}) computes the same masks and reports one
+    record per set bit; callers run it only when the clean path says
+    no. Every comparison is exact ([=], [<=] on ints — no epsilon).
 
     Rule identifiers reported to the sink (see [doc/INVARIANTS.md]):
     ["vt-monotone"], ["tag-discipline"], ["select-min-start"],
@@ -24,18 +25,26 @@
 
 open Hsfq_core
 
-type snapshot
-(** The observable SFQ state a transition is judged against: virtual
-    time, max finish tag, ready count, in-service client, donations, and
-    per slot the client's id, tags, effective weight and runnable flag. *)
+type pre_state
+(** What a transition's rules read of the state before it: virtual
+    time, max finish tag, backlog, the in-service client, outstanding
+    donations, and either the target client's row (tags, remainder,
+    effective weight, runnable flag) or, before a selection, the ready
+    set. A reusable buffer. *)
 
-val snapshot : ?into:snapshot -> Sfq.t -> snapshot
-(** Capture the state. With [into], refill that buffer (growing its
-    columns only when the SFQ's slot bound outgrows them) and return it,
-    so a guard that keeps one buffer snapshots every operation without
-    allocating. *)
+val buffer : unit -> pre_state
 
-(** The transition just performed, for {!check_transition}. *)
+val capture : pre_state -> Sfq.t -> id:int -> unit
+(** Refill the buffer before a transition that targets client [id] (the
+    blocked client of a donate or revoke): the scalars plus that
+    client's row, found through the id index. *)
+
+val capture_ready : pre_state -> Sfq.t -> unit
+(** Refill the buffer before a selection: the scalars plus the ids and
+    start tags of the runnable clients. The buffer's columns grow only
+    when the SFQ's slot bound outgrows them. *)
+
+(** A transition, for {!report}. *)
 type event =
   | Arrive of { id : int; weight : int }
   | Select of int  (** the selection result; [-1] = none *)
@@ -46,18 +55,42 @@ type event =
   | Donate of { blocked : int; recipient : int }
   | Revoke of int
 
+(** {1 Clean path} *)
+
+val state_clean : Sfq.t -> bool
+(** Whether every state rule holds: one sweep of the slot columns plus
+    the claim set, read in place. *)
+
+val arrive_ok : pre_state -> Sfq.t -> id:int -> weight:int -> bool
+(** Whether the step rules of [Arrive {id; weight}], the clock rules and
+    every state rule hold after the transition. Likewise below. *)
+
+val select_ok : pre_state -> Sfq.t -> int -> bool
+val charge_ok :
+  pre_state -> Sfq.t -> id:int -> service:int -> runnable:bool -> bool
+val block_ok : pre_state -> Sfq.t -> id:int -> bool
+val depart_ok : pre_state -> Sfq.t -> id:int -> bool
+val set_weight_ok : pre_state -> Sfq.t -> id:int -> weight:int -> bool
+
+val donate_ok : pre_state -> Sfq.t -> blocked:int -> recipient:int -> bool
+(** Reads the donation list (allocates), as does {!revoke_ok}. *)
+
+val revoke_ok : pre_state -> Sfq.t -> blocked:int -> bool
+
+(** {1 Report path} *)
+
 val check_state :
   Invariant.sink -> where:(unit -> string * string) -> Sfq.t -> unit
-(** Verify all snapshot invariants of the SFQ, reporting into the sink.
-    [where ()] gives the [(node, event)] labels of a report; it is called
-    only when a rule fails, so a caller can pass a thunk that builds a
-    node path or an event label without paying for it on every check. *)
+(** Evaluate every state rule and report each broken one. [where ()]
+    gives the [(node, event)] labels of a report; it is called only when
+    a rule fails. *)
 
-val check_transition :
-  ?node:string -> Invariant.sink -> pre:snapshot -> Sfq.t -> event -> unit
-(** Verify the step semantics of [event] given the pre-state, then run
-    {!check_state} on the post-state, labelling reports with [node]
-    (default ["sfq"]) and the event's name. *)
+val report :
+  node:string -> Invariant.sink -> pre:pre_state -> Sfq.t -> event -> unit
+(** Evaluate the step rules of [event] against [pre] (captured for that
+    event), then {!check_state} on the post-state, reporting each broken
+    rule labelled with [node] and the event's name. Adds nothing iff the
+    event's [*_ok] predicate holds. *)
 
 (** {1 Theorem 1 in integers}
 

@@ -384,12 +384,8 @@ let parent_of t id =
 
 let children_of t id = List.rev (node t id).children
 
-let iter_children t id f =
-  let rec creation_order = function
-    | [] -> ()
-    | c :: older -> creation_order older; f c
-  in
-  creation_order (node t id).children
+let children_newest_first t id = (node t id).children
+let parent_slot t id = (node t id).pslot
 
 let depth t id =
   let rec up n acc =

@@ -77,9 +77,14 @@ val parent_of : t -> id -> id option
 val children_of : t -> id -> id list
 (** In creation order. *)
 
-val iter_children : t -> id -> (id -> unit) -> unit
-(** [List.iter f (children_of t id)] without building the list (the
-    per-transition audit's walk). *)
+val children_newest_first : t -> id -> id list
+(** {!children_of} in reverse: the list the node stores, so reading it
+    allocates nothing (the per-transition audit's walk). *)
+
+val parent_slot : t -> id -> int
+(** The node's slot in its parent's SFQ as the node caches it ([-1] for
+    the root). The walks trust it, so the audit checks it against
+    {!Sfq.slot_of_id}. *)
 
 val depth : t -> id -> int
 (** Root has depth 0. *)

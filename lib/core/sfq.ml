@@ -636,6 +636,7 @@ let slot_start t ~slot = t.startv.(slot)
 let slot_finish t ~slot = t.finishv.(slot)
 let slot_remainder t ~slot = t.remv.(slot)
 let[@inline] slot_runnable t ~slot = Char.equal (Bytes.get t.statev slot) st_runnable
+let slot_live t ~slot = not (Char.equal (Bytes.get t.statev slot) st_absent)
 
 let weight t ~id =
   let slot = slot_checked t id in
@@ -647,14 +648,12 @@ let effective_weight_of t ~id =
 
 let in_service t = if t.nsvc = 0 then -1 else t.idv.(t.svc.(t.nsvc - 1))
 
-let in_service_ids t =
-  let acc = ref [] in
-  for i = t.nsvc - 1 downto 0 do
-    acc := t.idv.(t.svc.(i)) :: !acc
-  done;
-  !acc
+let claim_count t = t.nsvc
+let claim_id t i = t.idv.(t.svc.(i))
 
 let max_finish_tag t = t.max_finish
+
+let donation_count t = Hashtbl.length t.donations
 
 let donations t =
   Hashtbl.fold

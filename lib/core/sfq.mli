@@ -185,6 +185,10 @@ val slot_remainder : t -> slot:int -> int
 
 val slot_runnable : t -> slot:int -> bool
 
+val slot_live : t -> slot:int -> bool
+(** Whether the slot's state is runnable or blocked — what {!mem} reads
+    once the index has found the slot. *)
+
 val weight : t -> id:int -> int
 (** The client's own (administered) weight, excluding donations. *)
 
@@ -195,13 +199,20 @@ val in_service : t -> int
 (** The client selected but not yet charged, or [-1] if none — with
     several claims outstanding (see {!set_servers}), one of them. *)
 
-val in_service_ids : t -> int list
-(** Every client selected but not yet charged (at most {!servers};
-    audit probe — allocates). *)
+val claim_count : t -> int
+(** How many selections are outstanding (at most {!servers}). *)
+
+val claim_id : t -> int -> int
+(** [claim_id t i], for [0 <= i < claim_count t]: the client of the
+    [i]-th outstanding selection, oldest first. *)
 
 val max_finish_tag : t -> int
 (** Largest finish tag ever assigned (the idle-transition value of
     [v(t)], §3 rule 2). *)
+
+val donation_count : t -> int
+(** Outstanding donations, read in place (the audits' clean path skips
+    the donation rules' list walk when it is 0). *)
 
 val donations : t -> (int * int * int) list
 (** Outstanding donations as [(blocked, recipient, amount)] triples. *)

@@ -33,86 +33,67 @@ let sfq_charge sfq tid ~service ~runnable =
   Hsfq_core.Sfq.charge sfq ~id:tid ~service ~runnable
 
 module Sfq_leaf = struct
+  module A = Hsfq_check.Audited.Sfq
+
   (* Members are SFQ clients from [add] on, so the SFQ's weight column
      is the only copy of their weights. *)
   type handle = {
     sfq : Hsfq_core.Sfq.t;
-    audit :
-      (Hsfq_check.Invariant.sink * string * Hsfq_check.Sfq_rules.snapshot) option;
-        (* sink, node label, and the pre-state buffer every guarded
-           operation refills *)
+    audited : A.t option; (* shares [sfq]; checks every transition *)
   }
-
-  (* Run [f] on the SFQ; when auditing, capture the pre-state and check
-     the transition semantics of [ev f-result] afterwards. *)
-  let guarded h ev f =
-    match h.audit with
-    | None -> f h.sfq
-    | Some (sink, node, into) ->
-      let pre = Hsfq_check.Sfq_rules.snapshot ~into h.sfq in
-      let r = f h.sfq in
-      Hsfq_check.Sfq_rules.check_transition ~node sink ~pre h.sfq (ev r);
-      r
 
   let make ?quantum ?audit ?(audit_label = "sfq-leaf") () =
     let sfq = Hsfq_core.Sfq.create () in
     let h =
       {
         sfq;
-        audit =
-          Option.map
-            (fun sink -> (sink, audit_label, Hsfq_check.Sfq_rules.snapshot sfq))
-            audit;
+        audited = Option.map (fun sink -> A.wrap ~node:audit_label ~sink sfq) audit;
       }
-    in
-    let module R = Hsfq_check.Sfq_rules in
-    let audited = match h.audit with Some _ -> true | None -> false in
-    let wake tid =
-      guarded h
-        (fun () -> R.Arrive { id = tid; weight = Hsfq_core.Sfq.weight h.sfq ~id:tid })
-        (fun s -> Hsfq_core.Sfq.wake s ~id:tid)
     in
     let qns = quantum_ns quantum in
     let lf =
       {
         name = "sfq";
         enqueue =
-          (fun ~now:_ tid -> if audited then wake tid else sfq_enqueue h.sfq tid);
+          (fun ~now:_ tid ->
+            match h.audited with
+            | Some a -> A.wake a ~id:tid
+            | None -> sfq_enqueue sfq tid);
         dequeue =
           (fun ~now:_ tid ->
-            guarded h (fun () -> R.Block tid) (fun s -> Hsfq_core.Sfq.block s ~id:tid));
+            match h.audited with
+            | Some a -> A.block a ~id:tid
+            | None -> Hsfq_core.Sfq.block sfq ~id:tid);
         select_id =
           (fun ~now:_ ->
-            if audited then
-              guarded h (fun r -> R.Select r) Hsfq_core.Sfq.select_id
-            else Hsfq_core.Sfq.select_id h.sfq);
+            match h.audited with
+            | Some a -> A.select_id a
+            | None -> Hsfq_core.Sfq.select_id sfq);
         charge =
           (fun ~now:_ tid ~service ~runnable ->
-            if audited then
-              guarded h
-                (fun () -> R.Charge { id = tid; service; runnable })
-                (fun s -> Hsfq_core.Sfq.charge s ~id:tid ~service ~runnable)
-            else sfq_charge h.sfq tid ~service ~runnable);
+            match h.audited with
+            | Some a -> A.charge a ~id:tid ~service ~runnable
+            | None -> sfq_charge sfq tid ~service ~runnable);
         quantum_ns_of = (fun _ -> qns);
         preempts = (fun ~waker:_ ~running:_ -> false);
-        backlogged = (fun () -> Hsfq_core.Sfq.backlogged h.sfq);
+        backlogged = (fun () -> Hsfq_core.Sfq.backlogged sfq);
         detach =
           (fun tid ->
-            guarded h
-              (fun () -> R.Depart tid)
-              (fun s -> Hsfq_core.Sfq.depart s ~id:tid));
+            match h.audited with
+            | Some a -> A.depart a ~id:tid
+            | None -> Hsfq_core.Sfq.depart sfq ~id:tid);
         second_tick = (fun () -> ());
         donate =
           (fun ~blocked ~recipient ->
-            guarded h
-              (fun () -> R.Donate { blocked; recipient })
-              (fun s -> Hsfq_core.Sfq.donate s ~blocked ~recipient));
+            match h.audited with
+            | Some a -> A.donate a ~blocked ~recipient
+            | None -> Hsfq_core.Sfq.donate sfq ~blocked ~recipient);
         revoke =
           (fun ~blocked ->
-            guarded h
-              (fun () -> R.Revoke blocked)
-              (fun s -> Hsfq_core.Sfq.revoke s ~blocked));
-        sfq_probe = Some h.sfq;
+            match h.audited with
+            | Some a -> A.revoke a ~blocked
+            | None -> Hsfq_core.Sfq.revoke sfq ~blocked);
+        sfq_probe = Some sfq;
       }
     in
     (lf, h)

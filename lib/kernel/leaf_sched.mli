@@ -55,8 +55,9 @@ module Sfq_leaf : sig
     ?audit_label:string ->
     unit ->
     t * handle
-  (** [?audit] turns on the full {!Hsfq_check.Sfq_rules} transition audit:
-      every enqueue/dequeue/select/charge/detach/donate/revoke is verified
+  (** [?audit] wraps the SFQ in {!Hsfq_check.Audited.Sfq}, the full
+      {!Hsfq_check.Sfq_rules} transition audit: every
+      enqueue/dequeue/select/charge/detach/donate/revoke is verified
       against the pre-state and reported into the sink, labelled
       [audit_label] (default ["sfq-leaf"]). Auditing is pay-per-use —
       omitting [?audit] leaves the fast path untouched. *)

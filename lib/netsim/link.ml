@@ -7,8 +7,12 @@ type flow = {
   queue : packet Queue.t;
   delivered : Series.t;
   delay : Stats.t;
-  mutable delay_list : float list; (* reverse completion order *)
-  mutable completion_list : (float * float * float) list;
+  (* Per delivered packet, in completion order, [0, sent): three int
+     columns, from which [delays] and [completions] are derived. *)
+  mutable arrivals : Time.t array;
+  mutable finishes : Time.t array;
+  mutable sizes : int array;
+  mutable sent : int;
   mutable dropped : int;
 }
 
@@ -65,10 +69,33 @@ let add_flow t ~id ~weight =
       queue = Queue.create ();
       delivered = Series.create ();
       delay = Stats.create ();
-      delay_list = [];
-      completion_list = [];
+      arrivals = [||];
+      finishes = [||];
+      sizes = [||];
+      sent = 0;
       dropped = 0;
     }
+
+(* Doubling growth; the typed loop stores ints without the write
+   barrier a polymorphic blit into a major-heap array would run. *)
+let widened a n =
+  let b = Array.make n 0 in
+  for i = 0 to Array.length a - 1 do
+    b.(i) <- a.(i)
+  done;
+  b
+
+let record_sent f pkt now =
+  if f.sent >= Array.length f.sizes then begin
+    let n = Int.max 64 (2 * f.sent) in
+    f.arrivals <- widened f.arrivals n;
+    f.finishes <- widened f.finishes n;
+    f.sizes <- widened f.sizes n
+  end;
+  f.arrivals.(f.sent) <- pkt.arrived;
+  f.finishes.(f.sent) <- now;
+  f.sizes.(f.sent) <- pkt.bits;
+  f.sent <- f.sent + 1
 
 (* Transmit the head packet of the scheduler's chosen flow; on completion
    charge the actual length and continue while backlogged. *)
@@ -87,12 +114,8 @@ let rec start_transmission t =
       t.sched.s_charge ~id ~service:pkt.bits
         ~runnable:(not (Queue.is_empty f.queue));
       Series.add f.delivered now (float_of_int pkt.bits);
-      let d = float_of_int (Time.diff now pkt.arrived) in
-      Stats.add f.delay d;
-      f.delay_list <- d :: f.delay_list;
-      f.completion_list <-
-        (float_of_int pkt.arrived, float_of_int now, float_of_int pkt.bits)
-        :: f.completion_list;
+      Stats.add f.delay (float_of_int (Time.diff now pkt.arrived));
+      record_sent f pkt now;
       start_transmission t)
 
 let enqueue t ~flow ~bits =
@@ -113,8 +136,19 @@ let delivered_bits t ~flow =
 
 let delivered_series t ~flow = (get t flow).delivered
 let delay_stats t ~flow = (get t flow).delay
-let delays t ~flow = Array.of_list (List.rev (get t flow).delay_list)
-let completions t ~flow = Array.of_list (List.rev (get t flow).completion_list)
+
+let delays t ~flow =
+  let f = get t flow in
+  Array.init f.sent (fun i ->
+      float_of_int (Time.diff f.finishes.(i) f.arrivals.(i)))
+
+let completions t ~flow =
+  let f = get t flow in
+  Array.init f.sent (fun i ->
+      ( float_of_int f.arrivals.(i),
+        float_of_int f.finishes.(i),
+        float_of_int f.sizes.(i) ))
+
 let drops t ~flow = (get t flow).dropped
 let queue_length t ~flow = Queue.length (get t flow).queue
 let busy t = t.transmitting

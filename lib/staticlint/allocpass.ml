@@ -63,6 +63,27 @@ let configs =
       cold = [];
       barrier_free = [];
     };
+    (* The audits' clean path: the pre-state capture, one sweep of the
+       SFQ's columns and the per-transition predicates. Cold: the ready
+       buffer's growth, and the donation list, built only while a
+       donation is outstanding. The report path is not reachable from
+       these roots. *)
+    {
+      source = "lib/check/sfq_rules.ml";
+      roots =
+        [ "capture"; "capture_ready"; "state_clean"; "arrive_ok"; "select_ok";
+          "charge_ok"; "block_ok"; "depart_ok"; "set_weight_ok" ];
+      cold = [ "grow_ready"; "outstanding_donations" ];
+      barrier_free = [];
+    };
+    (* The hierarchy hook: the node's sweep and one slot probe per
+       child. [report_node] builds paths and closures for a report. *)
+    {
+      source = "lib/check/hierarchy_audit.ml";
+      roots = [ "check_node" ];
+      cold = [ "report_node" ];
+      barrier_free = [];
+    };
     (* The SFQ leaf adapter's per-event bodies (the kernel reaches them
        through the leaf record's closures). *)
     {

@@ -55,6 +55,9 @@ let bench_budgets =
        findings + whitelist *)
     ("sfq/Q=512", per_decision, 1.0); (* select_id/charge: ~0 measured *)
     ("hierarchy/depth=16", per_decision, 2.0); (* schedule_id/update_ns: ~0 measured *)
+    (* The same decision under the always-on audit: the clean path
+       (Sfq_rules, Hierarchy_audit) allocates nothing; ~0 measured. *)
+    ("hierarchy-audited/depth=4", per_decision, 1.0);
     ("keyed-heap/push+pop n=256", per_decision, 1.0); (* zero-alloc contract *)
     ("event-queue/churn n=256", per_decision, 1.0); (* timers store ints only: ~0 measured *)
     (* The FAIR baselines' select_id/charge: ~0 measured (lottery's

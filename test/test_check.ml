@@ -117,8 +117,10 @@ let test_fabricated_transition_caught () =
   let sink = Invariant.create () in
   let s = Sfq.create () in
   Sfq.arrive s ~id:1 ~weight:u;
-  let pre = Sfq_rules.snapshot s in
-  Sfq_rules.check_transition ~node:"t" sink ~pre s (Sfq_rules.Depart 1);
+  let pre = Sfq_rules.buffer () in
+  Sfq_rules.capture pre s ~id:1;
+  check_bool "clean path says no" false (Sfq_rules.depart_ok pre s ~id:1);
+  Sfq_rules.report ~node:"t" sink ~pre s (Sfq_rules.Depart 1);
   check_bool "violation reported" true (Invariant.count sink > 0);
   match Invariant.violations sink with
   | v :: _ -> check_string "rule" "nrun-consistent" v.Invariant.invariant
@@ -247,9 +249,43 @@ let drained_sfq ~service =
   | id -> Sfq.charge s ~id ~service ~runnable:false);
   s
 
+(* The pre-state goes through the capture the decorators use: the
+   target client's row, or the ready set before a selection. *)
+let capture_for ev s =
+  let p = Sfq_rules.buffer () in
+  (match ev with
+  | Sfq_rules.Select _ -> Sfq_rules.capture_ready p s
+  | Arrive { id; _ }
+  | Charge { id; _ }
+  | Set_weight { id; _ }
+  | Block id
+  | Depart id
+  | Revoke id
+  | Donate { blocked = id; _ } -> Sfq_rules.capture p s ~id);
+  p
+
+(* The clean path's verdict on [ev], as a decorator asks it. *)
+let clean_verdict ~pre s = function
+  | Sfq_rules.Arrive { id; weight } -> Sfq_rules.arrive_ok pre s ~id ~weight
+  | Select id -> Sfq_rules.select_ok pre s id
+  | Charge { id; service; runnable } ->
+    Sfq_rules.charge_ok pre s ~id ~service ~runnable
+  | Block id -> Sfq_rules.block_ok pre s ~id
+  | Depart id -> Sfq_rules.depart_ok pre s ~id
+  | Set_weight { id; weight } -> Sfq_rules.set_weight_ok pre s ~id ~weight
+  | Donate { blocked; recipient } ->
+    Sfq_rules.donate_ok pre s ~blocked ~recipient
+  | Revoke blocked -> Sfq_rules.revoke_ok pre s ~blocked
+
+(* The report path's records for [ev] judged against [pre]'s state; the
+   clean path must say no exactly when there are some. *)
 let fabricate ev ~pre s =
   let sink = Invariant.create () in
-  Sfq_rules.check_transition ~node:"t" sink ~pre:(Sfq_rules.snapshot pre) s ev;
+  let pre = capture_for ev pre in
+  Sfq_rules.report ~node:"t" sink ~pre s ev;
+  check_bool "clean verdict iff no reports"
+    (Invariant.count sink = 0)
+    (clean_verdict ~pre s ev);
   sink
 
 let test_golden_clock_rules () =
@@ -523,15 +559,135 @@ let test_golden_hierarchy_runnability () =
     ]
     sink
 
+(* A child whose cached slot went stale: the parent SFQ's remap
+   subscription is dropped, then siblings are removed until the SFQ
+   compacts. 65 children fill slots 0..64 (capacity 128); removing
+   /p/c30../p/c63 leaves 31 live, under a quarter, so the SFQ packs its
+   slots and /p/c64 moves from slot 64 to slot 30 without being told. *)
+let test_golden_slot_cache () =
+  let h = Hierarchy.create () in
+  let p = mknod_exn h ~name:"p" ~parent:Hierarchy.root ~weight:1. Hierarchy.Internal in
+  let c =
+    Array.init 65 (fun i ->
+        mknod_exn h ~name:(Printf.sprintf "c%d" i) ~parent:p ~weight:1.
+          Hierarchy.Leaf)
+  in
+  Sfq.set_on_remap (Hierarchy.internal_sfq h p) None;
+  for i = 30 to 63 do
+    match Hierarchy.rmnod h c.(i) with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "rmnod: %s" e
+  done;
+  let sink = Invariant.create () in
+  Hierarchy_audit.check_all sink h;
+  check_violations "stale cached slot"
+    [
+      v "slot-cache" "/p" "sweep"
+        "child /p/c64 caches slot 64 but the SFQ holds it at 30";
+    ]
+    sink
+
+(* -------------------- clean path vs report path --------------------- *)
+
+(* Random op sequences on a bare SFQ at one or two servers. Every op is
+   judged twice: against the pre-state captured just before it, where
+   the two paths must agree (and, at one server, say clean); and
+   against a pre-state captured one op earlier, which often breaks a
+   rule, where the clean verdict must be yes exactly when the report
+   path adds nothing to a fresh sink. Ops the SFQ rejects are skipped. *)
+let claimed_id s a =
+  let n = Sfq.claim_count s in
+  if n = 0 then -1 else Sfq.claim_id s (a mod n)
+
+let capture_op p s (k, (a, _, _)) =
+  match k with
+  | 1 -> Sfq_rules.capture_ready p s
+  | 2 -> Sfq_rules.capture p s ~id:(claimed_id s a)
+  | _ -> Sfq_rules.capture p s ~id:a
+
+let perform s (k, (a, b, c)) =
+  let weight = (b + 1) * 333_337 in
+  match k with
+  | 0 ->
+    Sfq.arrive s ~id:a ~weight;
+    Some (Sfq_rules.Arrive { id = a; weight })
+  | 1 -> Some (Sfq_rules.Select (Sfq.select_id s))
+  | 2 ->
+    let id = claimed_id s a and runnable = b mod 2 = 0 in
+    if id < 0 then None
+    else begin
+      Sfq.charge s ~id ~service:c ~runnable;
+      Some (Sfq_rules.Charge { id; service = c; runnable })
+    end
+  | 3 ->
+    Sfq.block s ~id:a;
+    Some (Sfq_rules.Block a)
+  | 4 ->
+    Sfq.donate s ~blocked:a ~recipient:b;
+    Some (Sfq_rules.Donate { blocked = a; recipient = b })
+  | 5 ->
+    Sfq.revoke s ~blocked:a;
+    Some (Sfq_rules.Revoke a)
+  | 6 ->
+    Sfq.depart s ~id:a;
+    Some (Sfq_rules.Depart a)
+  | 7 ->
+    Sfq.set_weight s ~id:a ~weight;
+    Some (Sfq_rules.Set_weight { id = a; weight })
+  | _ ->
+    Sfq.wake s ~id:a;
+    Some (Sfq_rules.Arrive { id = a; weight = Sfq.weight s ~id:a })
+
+let reports ~pre s ev =
+  let sink = Invariant.create () in
+  Sfq_rules.report ~node:"q" sink ~pre s ev;
+  Invariant.count sink
+
+let paths_agree ~servers ops =
+  let s = Sfq.create () in
+  Sfq.set_servers s servers;
+  let ops = Array.of_list ops in
+  let pre = Sfq_rules.buffer () in
+  let stale = ref (Sfq_rules.buffer ()) and next = ref (Sfq_rules.buffer ()) in
+  let ok = ref true in
+  Array.iteri
+    (fun i op ->
+      capture_op pre s op;
+      if i + 1 < Array.length ops then capture_op !next s ops.(i + 1);
+      (match perform s op with
+      | exception Invalid_argument _ -> ()
+      | None -> ()
+      | Some ev ->
+        let fresh = clean_verdict ~pre s ev in
+        if fresh <> (reports ~pre s ev = 0) then ok := false;
+        if servers = 1 && not fresh then ok := false;
+        if i > 0 then begin
+          let pre = !stale in
+          if clean_verdict ~pre s ev <> (reports ~pre s ev = 0) then
+            ok := false
+        end);
+      let t = !stale in
+      stale := !next;
+      next := t)
+    ops;
+  !ok
+
+let prop_clean_matches_report =
+  QCheck.Test.make ~name:"clean verdict iff the report path adds nothing"
+    ~count:300
+    QCheck.(
+      list_of_size (Gen.int_range 1 200)
+        (pair (int_bound 8)
+           (triple (int_bound 5) (int_bound 5) (int_range 1 3_000))))
+    (fun ops -> paths_agree ~servers:1 ops && paths_agree ~servers:2 ops)
+
 (* ------------------- audited steady-state allocation ------------------ *)
 
-(* An audited transition scans the SFQ's flat columns into a reused
-   buffer and formats nothing unless a rule fails. Every probe is an
-   int read, so the figures do not grow with the clients scanned (see
-   the O(1) test below); the ceilings are 1.5x the dev figures measured
-   on these shapes (118 and 85 words). Checkers that build a client
-   list, a view record per client or an event label per transition
-   allocate thousands of words per decision here and fail them. *)
+(* A clean audited transition reads the SFQ's flat columns in place
+   and builds no list, closure, event record or label, so it allocates
+   nothing: 0 words measured on both shapes, in dev. The ceilings leave
+   a word for the measuring loop; a checker that allocates on the clean
+   path fails them. *)
 let words_per_decision ~decisions step =
   for _ = 1 to 1_000 do
     step ()
@@ -542,8 +698,8 @@ let words_per_decision ~decisions step =
   done;
   (Gc.minor_words () -. w0) /. float_of_int decisions
 
-let audited_hierarchy_words_ceiling = 177.
-let audited_leaf_words_ceiling = 127.5
+let audited_hierarchy_words_ceiling = 1.
+let audited_leaf_words_ceiling = 1.
 
 let test_audited_hierarchy_words () =
   let sink = Invariant.create ~policy:Raise () in
@@ -663,6 +819,8 @@ let () =
             test_golden_hierarchy_weights;
           Alcotest.test_case "hierarchy runnability" `Quick
             test_golden_hierarchy_runnability;
+          Alcotest.test_case "slot cache" `Quick test_golden_slot_cache;
+          QCheck_alcotest.to_alcotest prop_clean_matches_report;
         ] );
       ( "alloc",
         [
