@@ -29,36 +29,37 @@ bench:
 bench-smoke:
 	dune build @bench-smoke
 
-# Perf-regression gate: fresh micro timings diffed against the
-# committed BENCH_sched.json.  Micro and sim-speed timings outside ±25%
-# are advisory (timing noise can't fail the build), but sim-speed
-# minor words/event (deterministic per profile) and the "sweeps"
-# section are hard-gated: words/event moving, any parallel sweep at <1x
-# over serial, or a >25% speedup regression, exits non-zero.  Re-run `make bench` to
-# refresh the baseline when a change is real.
+# Perf-regression gate: a fresh --micro-only run diffed against the
+# committed BENCH_sched.json by bench/hsfq_bench_diff over the gate
+# table in bench/bench_rows.ml.  Timing drift outside [0.75, 1.33] is
+# advisory (timing noise can't fail the build); deterministic counters
+# (events, minor words, footprints, migrations) that move, a lost row,
+# or a structural bound broken in either file (sweeps at or below 1x,
+# scale log-slope and reclaim, smp migrations and cost) exit non-zero.
+# Re-run `make bench` to refresh the baseline when a change is real.
 bench-diff:
 	dune build @bench-diff
 
-# End-to-end throughput sanity: shrunk sim-speed workloads through the
-# full dispatch path, asserting events fire and each scenario stays
-# under its minor-words/event ceiling (the zero-alloc dispatch
-# contract).
+# End-to-end dispatch sanity: shrunk sim-speed workloads through the
+# full dispatch path against the gate table: events fire and each
+# scenario stays under its minor-words/event ceiling (the zero-alloc
+# dispatch contract).
 sim-speed-smoke:
 	dune build @sim-speed-smoke
 
 # Churn/compaction sanity: the scale mixes (steady / arrival-heavy /
-# departure-heavy) at a toy Q with hard asserts that compaction fires
+# departure-heavy) at a toy Q against the gate table: compaction fires
 # and reclaims.  The full sweep at Q = 10^4..10^6 runs in `make bench`
 # and lands in BENCH_sched.json's "scale" section, which
-# `make bench-diff` hard-gates (log-slope + footprint drift).
+# `make bench-diff` gates with the same rules plus exact footprints.
 scale-smoke:
 	dune build @scale-smoke
 
-# Multiprocessor dispatch sanity: shrunk P = 1/2/4/8 workloads with
-# hard asserts — P=1 never migrates, P>1 storms do, and per-event cost
+# Multiprocessor dispatch sanity: shrunk P = 1/2/4/8 workloads against
+# the gate table — P=1 never migrates, P>1 storms do, and per-event cost
 # stays flat in P.  The full rows live in BENCH_sched.json's "smp"
-# section, hard-gated by `make bench-diff` (deterministic event and
-# migration counts).
+# section, which `make bench-diff` gates with the same rules plus exact
+# event and migration counts.
 smp-smoke:
 	dune build @smp-smoke
 

@@ -14,17 +14,20 @@
 
    Part 3 times the parallel sweep (Par.sweep on the domain pool)
    against the serial run on multi-second fan-outs — two torture seed
-   sweeps and the full experiment suite — and records serial/parallel
-   wall-clock under the JSON's "sweeps" section.  The verdicts of every run are compared on
-   the spot: a speedup that changed the answer is a bug, not a result.
-   Only rows with a measured speedup above 1.0x are written to the JSON
-   (hsfq_bench_diff hard-gates the sweeps section, higher-is-better);
-   losing configurations are printed and dropped, and the full story
-   lives in doc/PERFORMANCE.md.
+   sweeps and the full experiment suite.  The verdicts of every run are
+   compared on the spot: a speedup that changed the answer is a bug, not
+   a result.  A configuration that does not beat serial is printed and
+   left out of the JSON (the sweeps gate would fail on it); the full
+   story lives in doc/PERFORMANCE.md.
 
-   Results are emitted to BENCH_sched.json (override with --json PATH)
-   so the performance trajectory is recorded across PRs; the before/after
-   history lives in doc/PERFORMANCE.md.
+   Parts 4-6 drive the full dispatch path (sim_speed), the churn scaling
+   of the core structures (scale) and the CPU-set kernel (smp).
+
+   Every part yields rows of Bench_rows' one schema, written to
+   BENCH_sched.json (override with --json PATH) and gated by
+   hsfq_bench_diff; the smokes check their toy-size rows against the
+   same gate table.  The before/after history lives in
+   doc/PERFORMANCE.md.
 
    Modes:
      (default)      figures + Bechamel micro-benchmarks + sweeps + JSON
@@ -33,7 +36,9 @@
                     determinism check — the @bench-smoke dune alias runs
                     this so the harness cannot bit-rot
      --micro-only   skip Parts 1 and 3 (used when iterating on the hot
-                    path) *)
+                    path, and by @bench-diff)
+     --sim-speed-smoke / --scale-smoke / --smp-smoke
+                    Parts 4 / 5 / 6 at toy size against the gate table *)
 
 open Bechamel
 open Toolkit
@@ -44,15 +49,37 @@ module Engine = Hsfq_engine
 module Par = Hsfq_par.Par
 module T = Hsfq_torture.Torture
 module Obs = Hsfq_obs
+module Rows = Bench_rows
+
+let banner title =
+  print_endline "\n==================================================================";
+  Printf.printf " %s\n" title;
+  print_endline "=================================================================="
+
+(* One part of the full run: its banner, its rows, their table. *)
+let part title measure =
+  banner title;
+  let rows = measure () in
+  Rows.print rows;
+  rows
+
+(* A smoke: toy-size rows against the same gate table the diff runs. *)
+let gate_smoke label rows =
+  Rows.print rows;
+  match Rows.violations rows with
+  | [] -> Printf.printf "%s smoke PASSED.\n" label
+  | fs ->
+    List.iter (fun f -> prerr_endline ("FAIL " ^ Rows.describe f)) fs;
+    exit 1
+
+let row section name counters samples = { Rows.section; name; counters; samples }
 
 (* ------------------------------------------------------------------ *)
 (* Part 1: figure regeneration                                         *)
 (* ------------------------------------------------------------------ *)
 
 let regenerate_figures () =
-  print_endline "==================================================================";
-  print_endline " Part 1: regeneration of every figure in the paper's evaluation";
-  print_endline "==================================================================";
+  banner "Part 1: regeneration of every figure in the paper's evaluation";
   let failures = ref [] in
   List.iter
     (fun (e : E.Registry.entry) ->
@@ -391,15 +418,6 @@ let all_micros () =
 (* Part 3: serial vs domain-pool wall-clock on the big fan-outs.        *)
 (* ------------------------------------------------------------------ *)
 
-type sweep_row = {
-  sweep_name : string;
-  jobs : int;
-  serial_s : float;
-  parallel_s : float;
-  serial_minor_gcs : int;
-  parallel_minor_gcs : int;
-}
-
 (* Per-worker nursery size for the parallel runs (words): the measured
    sweet spot for allocation-heavy torture sweeps on this box — fewer
    minor collections buys more than the extra cache footprint costs.
@@ -429,22 +447,22 @@ let measure ?minor_heap ~jobs ~tasks f =
 
 (* Measure [f] over [tasks] once serially (runtime-default nursery, no
    pool) and once on the domain pool at [jobs] workers with
-   [sweep_minor_heap]-word nurseries, comparing results with [equal]. *)
+   [sweep_minor_heap]-word nurseries, comparing results with [equal].
+   Two rows, "NAME/serial" and "NAME/parallel", one wall-clock sample
+   each. *)
 let measure_sweep ~name ~jobs ~tasks ~equal f =
-  let serial, serial_s, serial_minor_gcs = measure ~jobs:1 ~tasks f in
-  let par, parallel_s, parallel_minor_gcs =
+  let serial, serial_s, serial_gcs = measure ~jobs:1 ~tasks f in
+  let par, parallel_s, parallel_gcs =
     measure ~minor_heap:sweep_minor_heap ~jobs ~tasks f
   in
   if not (equal serial par) then
     failwith (Printf.sprintf "bench: %s verdicts differ on the domain pool" name);
-  {
-    sweep_name = name;
-    jobs;
-    serial_s;
-    parallel_s;
-    serial_minor_gcs;
-    parallel_minor_gcs;
-  }
+  let run leaf jobs s gcs =
+    row "sweeps" (name ^ "/" ^ leaf)
+      [ ("jobs", float_of_int jobs); ("minor_collections", float_of_int gcs) ]
+      [ s ]
+  in
+  [ run "serial" 1 serial_s serial_gcs; run "parallel" jobs parallel_s parallel_gcs ]
 
 (* Torture seed sweep: [seeds] independent lifecycle-stress runs.  Many
    short seeds rather than a few long ones: fan-out wins come from
@@ -472,29 +490,8 @@ let experiments_sweep ~jobs =
     ~equal:(Array.for_all2 Bool.equal)
     (fun (e : E.Registry.entry) -> E.Common.all_ok (e.compute ()).checks)
 
-let print_sweeps rows =
-  let t =
-    Engine.Table.create
-      [ "sweep"; "jobs"; "serial s"; "parallel s"; "speedup"; "minor GCs (s/p)" ]
-  in
-  List.iter
-    (fun r ->
-      Engine.Table.row t
-        [
-          r.sweep_name;
-          string_of_int r.jobs;
-          Printf.sprintf "%.2f" r.serial_s;
-          Printf.sprintf "%.2f" r.parallel_s;
-          Printf.sprintf "%.2fx" (r.serial_s /. r.parallel_s);
-          Printf.sprintf "%d/%d" r.serial_minor_gcs r.parallel_minor_gcs;
-        ])
-    rows;
-  Engine.Table.print t
-
 let run_sweeps () =
-  print_endline "\n==================================================================";
-  print_endline " Part 3: parallel sweeps, serial vs the domain pool";
-  print_endline "==================================================================";
+  part "Part 3: parallel sweeps, serial vs the domain pool" @@ fun () ->
   (* At least two workers, even on a single-core box: a 1-vs-1 "sweep"
      would measure nothing.  On one core the pool is expected to lose
      (oversubscription + stop-the-world rendezvous); the JSON keeps only
@@ -503,34 +500,34 @@ let run_sweeps () =
   (* Two torture shapes: breadth (10k+ short seeds, the scale ROADMAP
      asks the rig to sustain) and depth (few long seeds, where
      per-worker nursery sizing pays). *)
-  let torture_breadth = torture_sweep ~jobs ~seeds:10_240 ~ops:120 in
-  let torture_depth = torture_sweep ~jobs ~seeds:16 ~ops:20_000 in
-  let rows = [ torture_breadth; torture_depth; experiments_sweep ~jobs ] in
-  print_sweeps rows;
-  rows
+  let rows =
+    List.concat
+      [
+        torture_sweep ~jobs ~seeds:10_240 ~ops:120;
+        torture_sweep ~jobs ~seeds:16 ~ops:20_000;
+        experiments_sweep ~jobs;
+      ]
+  in
+  let losers =
+    List.concat_map (fun (f : Rows.failure) -> f.names) (Rows.violations rows)
+  in
+  List.iter
+    (Printf.printf "note: dropping sweep row %S (parallel did not beat serial)\n")
+    losers;
+  List.filter
+    (fun (r : Rows.row) -> not (List.exists (String.equal r.name) losers))
+    rows
 
 (* ------------------------------------------------------------------ *)
-(* Part 4: end-to-end sim-speed — events/sec through the full dispatch *)
-(* path (Kernel quantum loop -> Hierarchy -> Sfq -> Event_queue).      *)
+(* Part 4: end-to-end sim-speed — the full dispatch path (Kernel       *)
+(* quantum loop -> Hierarchy -> Sfq -> Event_queue).  Its counters     *)
+(* only: perfbench/ makes the end-to-end timing claim.                 *)
 (* ------------------------------------------------------------------ *)
 
 module K = Hsfq_kernel.Kernel
 module LS = Hsfq_kernel.Leaf_sched
 module IS = Hsfq_kernel.Interrupt_source
 module W = Hsfq_workload
-
-type sim_speed_row = {
-  ss_name : string;
-  events : int;
-  ss_wall_s : float;
-  events_per_sec : float;
-  words_per_event : float;
-  ss_minor_gcs : int;
-}
-
-(* Allocation ceiling asserted by --smp-smoke, in minor words per fired
-   event. *)
-let smp_words_budget = 48.
 
 let interactive_thread (sys : E.Common.sys) ~leaf ~sfq ~name ~mean_think ~burst
     ~seed =
@@ -617,104 +614,52 @@ let ss_churn ~slice_ms () =
        { period = Engine.Time.milliseconds 1; cost = Engine.Time.microseconds 20 });
   slice_runner sys ~slice_ms
 
-(* Per-scenario slice sizes chosen so ten measured slices run long
-   enough (~10^5 events each) for a stable events/sec estimate; the
-   [scale] divisor shrinks them for the smoke pass.
-
-   The third field is the --sim-speed-smoke ceiling in minor words per
-   fired event: about 1.2x the value the smoke measures in the default
-   (dev, -opaque) profile, where it is 11.49 / 5.12 / 9.09.  Minor-word
-   counts are deterministic for a given build, so the ceiling can be
-   tight: per-wake closures in the kernel cycle (+7 words/event on
-   timer-churn) fail it.  What remains is the workloads' own actions
-   and samples, float boxing at -opaque call boundaries, and sample
-   series growth that a smoke-sized run does not amortize.  The release
-   profile measures lower and passes the same ceilings. *)
+(* Per-scenario slice sizes chosen so each of ten measured slices runs
+   ~10^5 events; the [scale] divisor shrinks them for the smoke pass. *)
 let sim_speed_scenarios ~scale =
   let ms base = Int.max 1 (base / scale) in
   [
-    ("mpeg+interactive", ss_mpeg ~slice_ms:(ms 60_000), 13.8);
-    ("svr4-ts+irq", ss_ts ~slice_ms:(ms 12_000), 6.2);
-    ("timer-churn", ss_churn ~slice_ms:(ms 3_000), 10.9);
+    ("mpeg+interactive", ss_mpeg ~slice_ms:(ms 60_000));
+    ("svr4-ts+irq", ss_ts ~slice_ms:(ms 12_000));
+    ("timer-churn", ss_churn ~slice_ms:(ms 3_000));
   ]
 
-(* Simulated event counts are deterministic (seeded workloads), so only
-   the wall clock is noisy.  The first slice warms the system (arrays
-   grown, free lists filled, workload state reached) and is excluded;
-   the measured region is [slices] further slices of simulated time. *)
-let measure_sim_speed ~slices (name, setup, _) =
-  let run = setup () in
+let minor_collections () = (Gc.quick_stat ()).Gc.minor_collections
+
+(* The measured-slice helper behind the sim_speed and smp rows.  [run]
+   advances the simulation one slice and returns the cumulative event
+   count.  The first slice warms the system (arrays grown, free lists
+   filled, workload state reached) and is excluded; each of the
+   [slices] further slices gives one ns/event sample.  Event counts are
+   deterministic (seeded workloads); minor words are read around each
+   slice only, so the timer's own boxed floats never count. *)
+let measure_slices ~slices run =
   let e0 = run () in
+  let samples = Array.make slices 0. and words = Array.make 1 0. in
+  let e = ref e0 in
   Gc.full_major ();
-  let c0 = (Gc.quick_stat ()).Gc.minor_collections in
-  let w0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  let e1 = ref e0 in
-  for _ = 1 to slices do
-    e1 := run ()
+  let c0 = minor_collections () in
+  for i = 0 to slices - 1 do
+    let t0 = Unix.gettimeofday () in
+    let w0 = Gc.minor_words () in
+    let e1 = run () in
+    words.(0) <- words.(0) +. (Gc.minor_words () -. w0);
+    samples.(i) <- (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int (e1 - !e);
+    e := e1
   done;
-  let dt = Unix.gettimeofday () -. t0 in
-  let words = Gc.minor_words () -. w0 in
-  let c1 = (Gc.quick_stat ()).Gc.minor_collections in
-  let events = !e1 - e0 in
-  {
-    ss_name = name;
-    events;
-    ss_wall_s = dt;
-    events_per_sec = float_of_int events /. dt;
-    words_per_event = words /. float_of_int events;
-    ss_minor_gcs = c1 - c0;
-  }
+  let events = float_of_int (!e - e0) in
+  ( [
+      ("events", events);
+      ("minor_words_per_event", words.(0) /. events);
+      ("minor_collections", float_of_int (minor_collections () - c0));
+    ],
+    Array.to_list samples )
 
-let print_sim_speed rows =
-  let t =
-    Engine.Table.create
-      [ "workload"; "events"; "wall s"; "events/sec"; "words/event"; "minor GCs" ]
-  in
-  List.iter
-    (fun r ->
-      Engine.Table.row t
-        [
-          r.ss_name;
-          string_of_int r.events;
-          Printf.sprintf "%.3f" r.ss_wall_s;
-          Printf.sprintf "%.0f" r.events_per_sec;
-          Printf.sprintf "%.3f" r.words_per_event;
-          string_of_int r.ss_minor_gcs;
-        ])
-    rows;
-  Engine.Table.print t
-
-let run_sim_speed () =
-  print_endline "\n==================================================================";
-  print_endline " Part 4: end-to-end sim-speed (events/sec, full dispatch path)";
-  print_endline "==================================================================";
-  let rows =
-    List.map (measure_sim_speed ~slices:10) (sim_speed_scenarios ~scale:1)
-  in
-  print_sim_speed rows;
-  rows
-
-(* --sim-speed-smoke: tiny workloads, hard assertions — events actually
-   fire and the dispatch path holds its steady-state allocation budget.
-   Part of `make check`, so a regression that reintroduces per-event
-   allocation fails CI rather than only drifting a number. *)
-let run_sim_speed_smoke () =
-  let scenarios = sim_speed_scenarios ~scale:100 in
-  let rows = List.map (measure_sim_speed ~slices:2) scenarios in
-  print_sim_speed rows;
-  List.iter2
-    (fun (_, _, ceiling) r ->
-      if r.events <= 0 || not (r.events_per_sec > 0.) then
-        failwith (Printf.sprintf "sim-speed smoke: %s fired no events" r.ss_name);
-      if r.words_per_event > ceiling then
-        failwith
-          (Printf.sprintf
-             "sim-speed smoke: %s allocates %.2f minor words/event, over its \
-              %.1f-word ceiling"
-             r.ss_name r.words_per_event ceiling))
-    scenarios rows;
-  print_endline "sim-speed smoke PASSED."
+let sim_speed_rows ~scale ~slices () =
+  List.map
+    (fun (name, setup) ->
+      row "sim_speed" name (fst (measure_slices ~slices (setup ()))) [])
+    (sim_speed_scenarios ~scale)
 
 (* ------------------------------------------------------------------ *)
 (* Part 5: scale — churn scaling of the core scheduling structures at  *)
@@ -735,35 +680,44 @@ let run_sim_speed_smoke () =
                 below cap/4) and provably release the columns, the id
                 map, and the ready heap.
 
-   hsfq_bench_diff hard-gates the resulting JSON section: steady
-   ns/decision across consecutive decades must grow no faster than a
-   generous log2 bound, every mix's peak footprint must stay within 2x
-   of the steady-state footprint at the same Q, and the departure row's
-   end footprint must come in well below steady (the reclaim proof).
+   Bench_rows' gate table states what the rows must show: steady
+   ns/decision across consecutive decades grows no faster than a
+   generous log2 bound, every mix's peak footprint stays within 2x of
+   the steady-state footprint at the same Q, and the departure row's
+   end footprint comes in well below steady (the reclaim proof).
    Timings are hand-rolled rather than Bechamel: one Gc.full_major and
-   a single measured loop keeps a Q=10^6 row affordable. *)
-
-type scale_row = {
-  sc_name : string;
-  sc_live : int;  (* live clients while decisions were timed *)
-  sc_ns : float;
-  sc_words : float;
-  sc_peak_words : int;  (* max footprint observed at phase boundaries *)
-  sc_end_words : int;  (* footprint after churn + decision phases *)
-}
+   a few measured chunks keep a Q=10^6 row affordable. *)
 
 let scale_decisions = 100_000
 
+(* [n] decisions in five timed chunks: five ns/decision samples, and
+   minor words per decision read around the chunks only. *)
 let time_decisions ~n fn =
+  let chunks = 5 in
+  let samples = Array.make chunks 0. and words = Array.make 1 0. in
   Gc.full_major ();
-  let w0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to n do
-    fn ()
+  for c = 0 to chunks - 1 do
+    let t0 = Unix.gettimeofday () in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n / chunks do
+      fn ()
+    done;
+    words.(0) <- words.(0) +. (Gc.minor_words () -. w0);
+    samples.(c) <- (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int (n / chunks)
   done;
-  let dt = Unix.gettimeofday () -. t0 in
-  let words = Gc.minor_words () -. w0 in
-  (dt *. 1e9 /. float_of_int n, words /. float_of_int n)
+  (Array.to_list samples, words.(0) /. float_of_int n)
+
+(* [peak]: the max footprint observed at phase boundaries; [end_words]:
+   the footprint after the churn and decision phases. *)
+let scale_row name ~live ~peak ~end_words (samples, words) =
+  row "scale" name
+    [
+      ("live", float_of_int live);
+      ("minor_words_per_decision", words);
+      ("peak_footprint_words", float_of_int peak);
+      ("end_footprint_words", float_of_int end_words);
+    ]
+    samples
 
 let sfq_scale_row ~q ~decisions mix =
   let t = Core.Sfq.create () in
@@ -804,7 +758,7 @@ let sfq_scale_row ~q ~decisions mix =
       sample ();
       ("departure", keep)
   in
-  let ns, words =
+  let timed =
     time_decisions ~n:decisions (fun () ->
         let id = Core.Sfq.select_id t in
         if id < 0 then invalid_arg "scale: empty ready set";
@@ -812,14 +766,7 @@ let sfq_scale_row ~q ~decisions mix =
   in
   let end_words = Core.Sfq.footprint_words t in
   sample ();
-  {
-    sc_name = Printf.sprintf "sfq-%s/Q=%d" mix_name q;
-    sc_live = live;
-    sc_ns = ns;
-    sc_words = words;
-    sc_peak_words = !peak;
-    sc_end_words = end_words;
-  }
+  scale_row (Printf.sprintf "sfq-%s/Q=%d" mix_name q) ~live ~peak:!peak ~end_words timed
 
 (* Hierarchy churn at N total nodes: a two-level tree (N/1024 groups,
    leaves spread round-robin), retire-and-recreate 7/8 of the leaves —
@@ -871,7 +818,7 @@ let hierarchy_scale_row ~n ~decisions =
          Core.Hierarchy.Leaf)
   done;
   sample ();
-  let ns, words =
+  let timed =
     time_decisions ~n:decisions (fun () ->
         let leaf = Core.Hierarchy.schedule_id h in
         if leaf < 0 then invalid_arg "scale: no runnable leaf";
@@ -880,14 +827,7 @@ let hierarchy_scale_row ~n ~decisions =
   in
   let end_words = Core.Hierarchy.footprint_words h in
   sample ();
-  {
-    sc_name = Printf.sprintf "hierarchy-churn/N=%d" n;
-    sc_live = n;
-    sc_ns = ns;
-    sc_words = words;
-    sc_peak_words = !peak;
-    sc_end_words = end_words;
-  }
+  scale_row (Printf.sprintf "hierarchy-churn/N=%d" n) ~live:n ~peak:!peak ~end_words timed
 
 let scale_rows ~qs ~hierarchy_ns ~decisions () =
   List.concat
@@ -900,37 +840,6 @@ let scale_rows ~qs ~hierarchy_ns ~decisions () =
         qs;
       List.map (fun n -> hierarchy_scale_row ~n ~decisions) hierarchy_ns;
     ]
-
-let print_scale rows =
-  let t =
-    Engine.Table.create
-      [ "scale row"; "live"; "ns/decision"; "words/dec"; "peak words"; "end words" ]
-  in
-  List.iter
-    (fun r ->
-      Engine.Table.row t
-        [
-          r.sc_name;
-          string_of_int r.sc_live;
-          Printf.sprintf "%.1f" r.sc_ns;
-          Printf.sprintf "%.2f" r.sc_words;
-          string_of_int r.sc_peak_words;
-          string_of_int r.sc_end_words;
-        ])
-    rows;
-  Engine.Table.print t
-
-let run_scale () =
-  print_endline "\n==================================================================";
-  print_endline " Part 5: scale — churn mixes at Q = 10^4 / 10^5 / 10^6";
-  print_endline "==================================================================";
-  let rows =
-    scale_rows
-      ~qs:[ 10_000; 100_000; 1_000_000 ]
-      ~hierarchy_ns:[ 10_000; 100_000 ] ~decisions:scale_decisions ()
-  in
-  print_scale rows;
-  rows
 
 (* Inter-group move churn at scale: a prepopulated 100k-leaf hierarchy
    (leaves spread across all groups), a few dozen running threads, then
@@ -992,51 +901,14 @@ let run_move_storm_smoke () =
     "move storm ok: %d leaves, %d moves, footprint %d -> %d words\n" leaves
     moves base.T.footprint_words stormed.T.footprint_words
 
-(* --scale-smoke: the same mixes at a toy Q with hard assertions — the
+(* --scale-smoke: the same mixes at a toy Q against the gate table — the
    compaction machinery must actually fire and reclaim.  Part of
    `make check` via the @scale-smoke alias, so a change that silently
    stops releasing memory under departure churn fails CI rather than
    only drifting a committed number. *)
 let run_scale_smoke () =
-  let q = 4096 in
-  let rows =
-    scale_rows ~qs:[ q ] ~hierarchy_ns:[ 2048 ] ~decisions:2_000 ()
-  in
-  print_scale rows;
-  let find name =
-    match List.find_opt (fun r -> String.equal r.sc_name name) rows with
-    | Some r -> r
-    | None -> failwith (Printf.sprintf "scale smoke: missing row %s" name)
-  in
-  let steady = find (Printf.sprintf "sfq-steady/Q=%d" q) in
-  let departure = find (Printf.sprintf "sfq-departure/Q=%d" q) in
-  List.iter
-    (fun r ->
-      if not (r.sc_ns > 0.) then
-        failwith (Printf.sprintf "scale smoke: %s timed nothing" r.sc_name);
-      if r.sc_words > 16. then
-        failwith
-          (Printf.sprintf
-             "scale smoke: %s allocates %.1f minor words/decision on the \
-              steady decision path"
-             r.sc_name r.sc_words);
-      if String.length r.sc_name >= 4 && String.equal (String.sub r.sc_name 0 4) "sfq-"
-         && r.sc_peak_words > 2 * steady.sc_end_words
-      then
-        failwith
-          (Printf.sprintf
-             "scale smoke: %s peak footprint %d words exceeds 2x the \
-              steady-state %d"
-             r.sc_name r.sc_peak_words steady.sc_end_words))
-    rows;
-  if 4 * departure.sc_end_words > 3 * steady.sc_end_words then
-    failwith
-      (Printf.sprintf
-         "scale smoke: departure-heavy footprint %d words not reclaimed \
-          (steady is %d — compaction should have released the columns)"
-         departure.sc_end_words steady.sc_end_words);
   run_move_storm_smoke ();
-  print_endline "scale smoke PASSED."
+  gate_smoke "scale" (scale_rows ~qs:[ 4096 ] ~hierarchy_ns:[ 2048 ] ~decisions:2_000 ())
 
 (* ------------------------------------------------------------------ *)
 (* Part 6: smp — the dispatch engine on a simulated CPU set.           *)
@@ -1047,18 +919,8 @@ let run_scale_smoke () =
    classes constantly wake into it, so the idle-claim / migration path
    runs on a large fraction of dispatches.  The simulated event and
    migration counts are deterministic (seeded workloads, fixed
-   migration cost), which is what lets hsfq_bench_diff hard-gate them;
-   only the wall clock is machine noise. *)
-type smp_row = {
-  smp_name : string;
-  smp_cpus : int;
-  smp_events : int;  (* deterministic *)
-  smp_wall_s : float;
-  smp_ns_per_event : float;
-  smp_words_per_event : float;
-  smp_migrations : int;  (* deterministic *)
-}
-
+   migration cost), which is what lets hsfq_bench_diff gate them
+   exactly; only the wall clock is machine noise. *)
 let smp_cpu_counts = [ 1; 2; 4; 8 ]
 
 let smp_setup ~cpus ~slice_ms () =
@@ -1084,97 +946,16 @@ let smp_setup ~cpus ~slice_ms () =
   done;
   (sys, slice_runner sys ~slice_ms)
 
-let measure_smp ~slices ~slice_ms cpus =
-  let sys, run = smp_setup ~cpus ~slice_ms () in
-  let e0 = run () in
-  Gc.full_major ();
-  let w0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  let e1 = ref e0 in
-  for _ = 1 to slices do
-    e1 := run ()
-  done;
-  let dt = Unix.gettimeofday () -. t0 in
-  let words = Gc.minor_words () -. w0 in
-  let events = !e1 - e0 in
-  {
-    smp_name = Printf.sprintf "smp-dispatch/P=%d" cpus;
-    smp_cpus = cpus;
-    smp_events = events;
-    smp_wall_s = dt;
-    smp_ns_per_event = dt *. 1e9 /. float_of_int events;
-    smp_words_per_event = words /. float_of_int events;
-    smp_migrations = K.migrations sys.k;
-  }
-
-let print_smp rows =
-  let t =
-    Engine.Table.create
-      [ "workload"; "cpus"; "events"; "wall s"; "ns/event"; "words/event"; "migrations" ]
-  in
-  List.iter
-    (fun r ->
-      Engine.Table.row t
-        [
-          r.smp_name;
-          string_of_int r.smp_cpus;
-          string_of_int r.smp_events;
-          Printf.sprintf "%.3f" r.smp_wall_s;
-          Printf.sprintf "%.1f" r.smp_ns_per_event;
-          Printf.sprintf "%.2f" r.smp_words_per_event;
-          string_of_int r.smp_migrations;
-        ])
-    rows;
-  Engine.Table.print t
-
-let run_smp () =
-  print_endline "\n==================================================================";
-  print_endline " Part 6: smp — per-CPU dispatch over P = 1 / 2 / 4 / 8";
-  print_endline "==================================================================";
-  let rows = List.map (measure_smp ~slices:5 ~slice_ms:400) smp_cpu_counts in
-  print_smp rows;
-  rows
-
-(* --smp-smoke: the same workloads shrunk, with the structural claims
-   as hard assertions — P=1 never migrates, P>1 storms actually
-   migrate, per-event cost does not blow up with P, and the dispatch
-   path holds the allocation budget on every CPU count.  Part of
-   `make check` via the @smp-smoke dune alias. *)
-let run_smp_smoke () =
-  let rows = List.map (measure_smp ~slices:2 ~slice_ms:40) smp_cpu_counts in
-  print_smp rows;
-  let find p = List.find (fun r -> r.smp_cpus = p) rows in
-  let p1 = find 1 in
-  if p1.smp_migrations <> 0 then
-    failwith
-      (Printf.sprintf "smp smoke: P=1 recorded %d migrations (must be 0)"
-         p1.smp_migrations);
-  List.iter
-    (fun r ->
-      if r.smp_events <= 0 then
-        failwith (Printf.sprintf "smp smoke: %s fired no events" r.smp_name);
-      if r.smp_cpus > 1 && r.smp_migrations <= 0 then
-        failwith
-          (Printf.sprintf
-             "smp smoke: %s never migrated — the idle-claim path is dead"
-             r.smp_name);
-      if r.smp_words_per_event > smp_words_budget then
-        failwith
-          (Printf.sprintf
-             "smp smoke: %s allocates %.1f minor words/event, over the \
-              %.0f-word budget"
-             r.smp_name r.smp_words_per_event smp_words_budget);
-      (* Machine-relative: P-CPU bookkeeping may not multiply the
-         per-event dispatch cost.  3x leaves headroom for the extra
-         per-CPU accounting while catching an accidental O(P) scan. *)
-      if r.smp_ns_per_event > 3. *. p1.smp_ns_per_event then
-        failwith
-          (Printf.sprintf
-             "smp smoke: %s costs %.0f ns/event vs %.0f at P=1 — per-CPU \
-              dispatch must not blow up the per-event cost"
-             r.smp_name r.smp_ns_per_event p1.smp_ns_per_event))
-    rows;
-  print_endline "smp smoke PASSED."
+let smp_rows ~slices ~slice_ms () =
+  List.map
+    (fun cpus ->
+      let sys, run = smp_setup ~cpus ~slice_ms () in
+      let counters, samples = measure_slices ~slices run in
+      row "smp"
+        (Printf.sprintf "smp-dispatch/P=%d" cpus)
+        (counters @ [ ("migrations", float_of_int (K.migrations sys.k)) ])
+        samples)
+    smp_cpu_counts
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel run: ns/decision and minor words/decision per benchmark.   *)
@@ -1243,170 +1024,30 @@ let display_name name =
     | None -> name
     | Some j -> String.sub name (j + 1) (String.length name - j - 1))
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let write_json ~path ~sweeps ~sim_speed ~scale ~smp rows =
-  let n = List.length rows in
-  (* The sweeps section is a hard gate in hsfq_bench_diff (speedup < 1x
-     fails the diff), so only configurations that actually beat serial
-     are recorded; losing ones are reported here and documented in
-     doc/PERFORMANCE.md rather than committed as a standing failure. *)
-  let losers, sweeps =
-    List.partition (fun r -> r.serial_s /. r.parallel_s <= 1.0) sweeps
-  in
-  List.iter
-    (fun r ->
-      Printf.printf
-        "note: dropping sweep row %S (%.2fx <= 1x — slower than serial, \
-         not committed to the gated sweeps section)\n"
-        r.sweep_name (r.serial_s /. r.parallel_s))
-    losers;
-  let nsweeps = List.length sweeps in
-  let nspeed = List.length sim_speed in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Printf.fprintf oc "{\n";
-      Printf.fprintf oc "  \"schema\": \"hsfq-bench/1\",\n";
-      Printf.fprintf oc "  \"unit\": { \"time\": \"ns/decision\", \"alloc\": \"minor words/decision\" },\n";
-      Printf.fprintf oc "  \"benchmarks\": {\n";
-      List.iteri
-        (fun i (name, ns, words) ->
-          Printf.fprintf oc
-            "    \"%s\": { \"ns_per_decision\": %.3f, \"minor_words_per_decision\": %.3f }%s\n"
-            (json_escape name) ns words
-            (if i = n - 1 then "" else ","))
-        rows;
-      Printf.fprintf oc "  },\n";
-      (* End-to-end throughput of the full dispatch path; field names
-         are disjoint from "benchmarks" so hsfq_bench_diff's line
-         parser can tell the sections apart without nesting state. *)
-      Printf.fprintf oc "  \"sim_speed\": {\n";
-      List.iteri
-        (fun i r ->
-          Printf.fprintf oc
-            "    \"%s\": { \"events\": %d, \"wall_s\": %.3f, \
-             \"events_per_sec\": %.0f, \"minor_words_per_event\": %.3f, \
-             \"minor_collections\": %d }%s\n"
-            (json_escape r.ss_name) r.events r.ss_wall_s r.events_per_sec
-            r.words_per_event r.ss_minor_gcs
-            (if i = nspeed - 1 then "" else ","))
-        sim_speed;
-      Printf.fprintf oc "  },\n";
-      (* Churn-scaling rows; every field carries a "scale_" prefix so
-         hsfq_bench_diff's line parser (which matches `"key":` with the
-         leading quote) can never mistake one for a micro row. The
-         footprints are deterministic, which is what lets the diff tool
-         hard-gate them. *)
-      let nscale = List.length scale in
-      Printf.fprintf oc "  \"scale\": {\n";
-      List.iteri
-        (fun i r ->
-          Printf.fprintf oc
-            "    \"%s\": { \"scale_live\": %d, \"scale_ns_per_decision\": \
-             %.3f, \"scale_minor_words_per_decision\": %.3f, \
-             \"scale_peak_footprint_words\": %d, \
-             \"scale_end_footprint_words\": %d }%s\n"
-            (json_escape r.sc_name) r.sc_live r.sc_ns r.sc_words
-            r.sc_peak_words r.sc_end_words
-            (if i = nscale - 1 then "" else ","))
-        scale;
-      Printf.fprintf oc "  },\n";
-      (* Multiprocessor dispatch rows; the "smp_" prefix keeps the line
-         parser honest, as with "scale_".  Event and migration counts
-         are deterministic (seeded workloads over simulated time), so
-         hsfq_bench_diff hard-gates them; ns/event is machine noise and
-         only gated relative to the same file's P=1 row. *)
-      let nsmp = List.length smp in
-      Printf.fprintf oc "  \"smp\": {\n";
-      List.iteri
-        (fun i r ->
-          Printf.fprintf oc
-            "    \"%s\": { \"smp_cpus\": %d, \"smp_events\": %d, \
-             \"smp_wall_s\": %.3f, \"smp_ns_per_event\": %.3f, \
-             \"smp_minor_words_per_event\": %.3f, \"smp_migrations\": %d }%s\n"
-            (json_escape r.smp_name) r.smp_cpus r.smp_events r.smp_wall_s
-            r.smp_ns_per_event r.smp_words_per_event r.smp_migrations
-            (if i = nsmp - 1 then "" else ","))
-        smp;
-      Printf.fprintf oc "  },\n";
-      (* Wall-clock of the Par.sweep fan-outs; key names deliberately
-         share no fields with "benchmarks" so hsfq_bench_diff's line
-         parser never mistakes a sweep row for a micro-benchmark. *)
-      Printf.fprintf oc "  \"sweeps\": {\n";
-      List.iteri
-        (fun i r ->
-          Printf.fprintf oc
-            "    \"%s\": { \"jobs\": %d, \"serial_wall_s\": %.3f, \
-             \"parallel_wall_s\": %.3f, \"speedup\": %.3f, \
-             \"serial_minor_collections\": %d, \
-             \"parallel_minor_collections\": %d }%s\n"
-            (json_escape r.sweep_name) r.jobs r.serial_s r.parallel_s
-            (r.serial_s /. r.parallel_s)
-            r.serial_minor_gcs r.parallel_minor_gcs
-            (if i = nsweeps - 1 then "" else ","))
-        sweeps;
-      Printf.fprintf oc "  }\n";
-      Printf.fprintf oc "}\n");
-  Printf.printf
-    "\nwrote %s (%d benchmarks, %d sim-speed rows, %d scale rows, %d smp rows, \
-     %d sweeps)\n"
-    path n nspeed (List.length scale) (List.length smp) nsweeps
-
-let run_micro ~json_path ~sweeps ~sim_speed ~scale ~smp =
-  print_endline "\n==================================================================";
-  print_endline " Part 2: micro-benchmarks (ns and minor words per decision)";
-  print_endline "==================================================================";
-  let micros = all_micros () in
+let run_micro () =
+  part "Part 2: micro-benchmarks (ns and minor words per decision)" @@ fun () ->
   (* A 0.25 s quota leaves ~10% run-to-run jitter on this box, enough to
      swamp the 5% traced-off acceptance gate; 1 s keeps the OLS fit
      within a couple of percent across runs. *)
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 1.0) ~kde:None () in
   let instances = [ Instance.monotonic_clock; minor_words ] in
-  let raw = Benchmark.all cfg instances (micro_tests micros) in
-  let ns = estimates_of Instance.monotonic_clock raw in
+  let raw = Benchmark.all cfg instances (micro_tests (all_micros ())) in
   let words = estimates_of minor_words raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name est ->
+  Hashtbl.fold
+    (fun name est acc ->
       let w =
         match Hashtbl.find_opt words name with Some w -> w | None -> 0.
       in
-      rows := (display_name name, est, w) :: !rows)
-    ns;
-  let rows =
-    List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) !rows
-  in
-  let t =
-    Engine.Table.create [ "benchmark"; "ns/decision"; "minor words/decision" ]
-  in
-  List.iter
-    (fun (name, est, w) ->
-      Engine.Table.row t
-        [ name; Printf.sprintf "%.1f" est; Printf.sprintf "%.2f" w ])
-    rows;
-  Engine.Table.print t;
-  write_json ~path:json_path ~sweeps ~sim_speed ~scale ~smp rows
+      row "benchmarks" (display_name name) [ ("minor_words_per_decision", w) ] [ est ]
+      :: acc)
+    (estimates_of Instance.monotonic_clock raw)
+    []
+  |> List.sort (fun (a : Rows.row) b -> String.compare a.name b.name)
 
 (* --smoke: every micro closure must run without raising — one iteration,
    no Bechamel quota, so `make check` can afford it. *)
 let run_smoke () =
-  print_endline "\n==================================================================";
-  print_endline " Part 2 (smoke): one iteration of every micro-benchmark";
-  print_endline "==================================================================";
+  banner "Part 2 (smoke): one iteration of every micro-benchmark";
   List.iter
     (fun m ->
       m.fn ();
@@ -1422,7 +1063,6 @@ let () =
   let smoke = ref false in
   let micro_only = ref false in
   let sim_speed_smoke = ref false in
-  let sim_speed_only = ref false in
   let scale_smoke = ref false in
   let smp_smoke = ref false in
   let json_path = ref "BENCH_sched.json" in
@@ -1432,16 +1072,13 @@ let () =
       ("--micro-only", Arg.Set micro_only, " skip figure regeneration");
       ( "--sim-speed-smoke",
         Arg.Set sim_speed_smoke,
-        " tiny end-to-end workloads with hard events/sec + allocation asserts" );
-      ( "--sim-speed-only",
-        Arg.Set sim_speed_only,
-        " run only the full-size sim-speed workloads (no JSON)" );
+        " tiny end-to-end workloads against the event + allocation gates" );
       ( "--scale-smoke",
         Arg.Set scale_smoke,
-        " toy-Q churn mixes with hard compaction/footprint asserts" );
+        " toy-Q churn mixes against the compaction/footprint gates" );
       ( "--smp-smoke",
         Arg.Set smp_smoke,
-        " shrunk P=1..8 dispatch workloads with hard migration/cost asserts" );
+        " shrunk P=1..8 dispatch workloads against the migration/cost gates" );
       ( "--json",
         Arg.Set_string json_path,
         "PATH output path for benchmark estimates (default BENCH_sched.json)" );
@@ -1451,22 +1088,33 @@ let () =
     (fun a -> raise (Arg.Bad (Printf.sprintf "unexpected argument %S" a)))
     "bench/main.exe [--smoke] [--sim-speed-smoke] [--scale-smoke] \
      [--smp-smoke] [--micro-only] [--json PATH]";
-  if !sim_speed_smoke then run_sim_speed_smoke ()
-  else if !sim_speed_only then ignore (run_sim_speed ())
+  if !sim_speed_smoke then gate_smoke "sim-speed" (sim_speed_rows ~scale:100 ~slices:2 ())
   else if !scale_smoke then run_scale_smoke ()
-  else if !smp_smoke then run_smp_smoke ()
+  else if !smp_smoke then gate_smoke "smp" (smp_rows ~slices:2 ~slice_ms:40 ())
   else begin
     let ok = if !micro_only then true else regenerate_figures () in
     if !smoke then run_smoke ()
     else begin
       let sweeps = if !micro_only then [] else run_sweeps () in
-      let sim_speed = run_sim_speed () in
-      (* The scale and smp rows ride along on --micro-only too: their
-         footprints / event counts are deterministic, so the @bench-diff
-         fresh run can hard-gate them against the committed baseline. *)
-      let scale = run_scale () in
-      let smp = run_smp () in
-      run_micro ~json_path:!json_path ~sweeps ~sim_speed ~scale ~smp
+      (* The sim_speed, scale and smp rows ride along on --micro-only
+         too: their counters are deterministic, so the @bench-diff fresh
+         run can gate them against the committed baseline. *)
+      let sim_speed =
+        part "Part 4: end-to-end sim-speed (full dispatch path)"
+          (sim_speed_rows ~scale:1 ~slices:10)
+      in
+      let scale =
+        part "Part 5: scale — churn mixes at Q = 10^4 / 10^5 / 10^6"
+          (scale_rows
+             ~qs:[ 10_000; 100_000; 1_000_000 ]
+             ~hierarchy_ns:[ 10_000; 100_000 ] ~decisions:scale_decisions)
+      in
+      let smp =
+        part "Part 6: smp — per-CPU dispatch over P = 1 / 2 / 4 / 8"
+          (smp_rows ~slices:5 ~slice_ms:400)
+      in
+      let micros = run_micro () in
+      Rows.write !json_path (micros @ sim_speed @ scale @ smp @ sweeps)
     end;
     if not ok then exit 1
   end

@@ -45,13 +45,14 @@ let analyze index =
 (* BENCH_sched.json cross-check: the alloc pass proving "no allocation
    sites on the sfq decision path" only means something if the measured
    minor-words number agrees.  A tiny substring scanner is enough for
-   the bench tool's stable output shape. *)
+   the bench tool's stable output shape (one flat row object per line);
+   this library cannot depend on bench/'s reader. *)
 
 let per_decision = "minor_words_per_decision"
 
 let bench_budgets =
   [
-    (* name, measured key, max value consistent with the typed pass's
+    (* row name, counter, max value consistent with the typed pass's
        findings + whitelist *)
     ("sfq/Q=512", per_decision, 1.0); (* select_id/charge: ~0 measured *)
     ("hierarchy/depth=16", per_decision, 2.0); (* schedule_id/update_ns: ~0 measured *)
@@ -77,80 +78,57 @@ let bench_budgets =
     ("timer-churn", "minor_words_per_event", 10.0);
   ]
 
-let find_number src ~benchmark ~key =
-  let quoted = "\"" ^ benchmark ^ "\"" in
+(* The number after ["key":] inside the row object that follows
+   ["row":], or [None] when the row or its key is absent. *)
+let find_number src ~row ~key =
   let n = String.length src in
-  let index_from_opt start sub =
+  let rec index_from i sub =
     let ls = String.length sub in
-    let rec go i =
-      if i + ls > n then None
-      else if String.equal (String.sub src i ls) sub then Some i
-      else go (i + 1)
-    in
-    go start
+    if i + ls > n then n
+    else if String.equal (String.sub src i ls) sub then i
+    else index_from (i + 1) sub
   in
-  match index_from_opt 0 quoted with
-  | None -> None
-  | Some bpos -> (
-    match index_from_opt (bpos + String.length quoted) ("\"" ^ key ^ "\"") with
-    | None -> None
-    | Some kpos -> (
-      let i = ref (kpos + String.length key + 2) in
-      while
-        !i < n
-        && (Char.equal src.[!i] ':' || Char.equal src.[!i] ' '
-          || Char.equal src.[!i] '\t')
-      do
-        incr i
-      done;
-      let start = !i in
-      while
-        !i < n
-        &&
-        let c = src.[!i] in
-        (c >= '0' && c <= '9')
-        || Char.equal c '.' || Char.equal c '-' || Char.equal c '+'
-        || Char.equal c 'e' || Char.equal c 'E'
-      do
-        incr i
-      done;
-      if !i = start then None
-      else float_of_string_opt (String.sub src start (!i - start))))
+  let start = index_from 0 ("\"" ^ row ^ "\":") in
+  let close = if start >= n then n else index_from start "}" in
+  let k = index_from start ("\"" ^ key ^ "\":") + String.length key + 3 in
+  if k > close then None
+  else
+    let skip c = Char.equal c ' ' || Char.equal c '\t' in
+    let digit c = (c >= '0' && c <= '9') || String.contains ".-+eE" c in
+    let i = ref k in
+    while !i < n && skip src.[!i] do
+      incr i
+    done;
+    let j = ref !i in
+    while !j < n && digit src.[!j] do
+      incr j
+    done;
+    float_of_string_opt (String.sub src !i (!j - !i))
 
-let bench_check ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e ->
-    ([], [ Printf.sprintf "cannot read bench results %s: %s" path e ])
-  | src ->
-    List.fold_left
-      (fun (findings, warnings) (benchmark, key, budget) ->
-        match find_number src ~benchmark ~key with
-        | None ->
-          ( findings,
-            Printf.sprintf
-              "benchmark %S has no %s in %s — rerun [make bench] to refresh \
-               the cross-check"
-              benchmark key path
-            :: warnings )
-        | Some words when words > budget ->
-          ( Finding.make ~rule:"tl-bench-budget" ~file:(Filename.basename path)
-              ~line:1
-              ~msg:
-                (Printf.sprintf
-                   "%s measures %s %.3f, over the %.1f budget implied by the \
-                    hot-path allocation contract — either a new allocation \
-                    crept in or the budget table in \
-                    lib/staticlint/typedlint.ml needs a justified bump"
-                   benchmark key words budget)
-            :: findings,
-            warnings )
-        | Some _ -> (findings, warnings))
-      ([], []) bench_budgets
+let bench_findings ~file src =
+  List.filter_map
+    (fun (row, key, budget) ->
+      let finding msg =
+        Some (Finding.make ~rule:"tl-bench-budget" ~file ~line:1 ~msg)
+      in
+      match find_number src ~row ~key with
+      | None ->
+        finding
+          (Printf.sprintf
+             "row %S has no %s: a renamed row or counter leaves its \
+              allocation budget unchecked — rerun [make bench], or rename \
+              the row in the budget table in lib/staticlint/typedlint.ml"
+             row key)
+      | Some v when v > budget ->
+        finding
+          (Printf.sprintf
+             "%s measures %s %.3f, over the %.1f budget implied by the \
+              hot-path allocation contract — either a new allocation crept \
+              in or the budget table in lib/staticlint/typedlint.ml needs a \
+              justified bump"
+             row key v budget)
+      | Some _ -> None)
+    bench_budgets
 
 (* ------------------------------------------------------------------ *)
 
@@ -172,12 +150,14 @@ let run opts =
   end
   else begin
     let entries, findings, test_only = analyze index in
-    let bench_findings, bench_warnings =
+    let bench =
       match opts.bench_path with
-      | Some path -> bench_check ~path
-      | None -> ([], [])
+      | None -> Ok []
+      | Some path -> (
+        match In_channel.with_open_bin path In_channel.input_all with
+        | src -> Ok (bench_findings ~file:(Filename.basename path) src)
+        | exception Sys_error e -> Error ("cannot read bench results: " ^ e))
     in
-    List.iter (Printf.eprintf "hsfq_tlint: warning: %s\n") bench_warnings;
     if opts.show_inventory then
       List.iter
         (fun (e : Inventory.entry) ->
@@ -193,11 +173,11 @@ let run opts =
       | None -> Ok Whitelist.empty
       | Some path -> Whitelist.load path
     in
-    match wl with
-    | Error msg ->
+    match (wl, bench) with
+    | Error msg, _ | _, Error msg ->
       Printf.eprintf "hsfq_tlint: %s\n" msg;
       2
-    | Ok wl ->
+    | Ok wl, Ok bench_findings ->
       if test_only <> [] then begin
         Printf.printf
           "hsfq_tlint: %d export(s) used only by tests (listed, not \

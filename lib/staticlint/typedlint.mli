@@ -8,9 +8,10 @@
 val analyze :
   Cmt_index.t -> Inventory.entry list * Finding.t list * Deadexport.export list
 
-(** Extract ["key": <number>] following ["benchmark"] in a JSON blob
-    (exposed for tests). *)
-val find_number : string -> benchmark:string -> key:string -> float option
+(** [bench_findings ~file src]: the [tl-bench-budget] findings for the
+    BENCH_sched.json text [src], one per budget row whose counter is over
+    its budget or absent from its row (exposed for tests). *)
+val bench_findings : file:string -> string -> Finding.t list
 
 type options = {
   whitelist_path : string option;

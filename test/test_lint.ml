@@ -636,21 +636,54 @@ let test_dead_export () =
          if String.equal e.unit_name "Fixlib__A" then Some e.name else None)
        test_only)
 
-let test_bench_cross_check () =
-  let json =
-    "{\n  \"benchmarks\": {\n    \"sfq/Q=512\": {\n      \
-     \"ns_per_decision\": 120.5,\n      \"minor_words_per_decision\": \
-     2.002\n    },\n    \"other\": { \"minor_words_per_decision\": 99.0 }\n  \
-     }\n}\n"
+let bench_msgs json =
+  List.map
+    (fun (f : Finding.t) -> f.msg)
+    (Typedlint.bench_findings ~file:"BENCH_sched.json" json)
+
+let mentions sub msg =
+  let ls = String.length sub in
+  let rec go i =
+    i + ls <= String.length msg
+    && (String.equal (String.sub msg i ls) sub || go (i + 1))
   in
-  Alcotest.(check (option (float 0.0001)))
-    "number extracted after the right benchmark" (Some 2.002)
-    (Typedlint.find_number json ~benchmark:"sfq/Q=512"
-       ~key:"minor_words_per_decision");
-  Alcotest.(check (option (float 0.0001)))
-    "missing benchmark is None" None
-    (Typedlint.find_number json ~benchmark:"absent"
-       ~key:"minor_words_per_decision")
+  go 0
+
+let bench_json rows =
+  "{\n  \"benchmarks\": {\n"
+  ^ String.concat ",\n"
+      (List.map
+         (fun (name, v) ->
+           Printf.sprintf
+             "    \"%s\": { \"minor_words_per_decision\": %s, \"samples\": \
+              [120.5] }"
+             name v)
+         rows)
+  ^ "\n  }\n}\n"
+
+let test_bench_cross_check () =
+  let absent = bench_msgs (bench_json []) in
+  let over = bench_msgs (bench_json [ ("sfq/Q=512", "2.002"); ("other", "99.0") ]) in
+  Alcotest.(check int)
+    "an over-budget row replaces its missing-row finding" (List.length absent)
+    (List.length over);
+  check_bool "number extracted from the right row" true
+    (List.exists (mentions "sfq/Q=512 measures minor_words_per_decision 2.002") over);
+  Alcotest.(check int)
+    "a row within budget is no finding"
+    (List.length absent - 1)
+    (List.length (bench_msgs (bench_json [ ("sfq/Q=512", "0.5") ])))
+
+let test_bench_missing_row () =
+  let absent = bench_msgs "{}" in
+  check_bool "every budget row absent from the file is a finding" true
+    ((not (List.is_empty absent)) && List.for_all (mentions "has no") absent);
+  let json =
+    "{ \"benchmarks\": {\n    \"sfq/Q=512\": { \"samples\": [1.0] },\n    \
+     \"other\": { \"minor_words_per_decision\": 0.1 }\n} }"
+  in
+  check_bool "a row without the counter does not borrow the next row's" true
+    (List.exists (mentions "row \"sfq/Q=512\" has no") (bench_msgs json))
 
 (* ------------------------------------------------------------------ *)
 
@@ -725,6 +758,9 @@ let () =
             test_allocpass_handled_find;
         ] );
       ( "bench-check",
-        [ Alcotest.test_case "json extraction" `Quick test_bench_cross_check ]
-      );
+        [
+          Alcotest.test_case "json extraction" `Quick test_bench_cross_check;
+          Alcotest.test_case "missing row is a finding" `Quick
+            test_bench_missing_row;
+        ] );
     ]
