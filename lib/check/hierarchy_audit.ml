@@ -11,7 +11,7 @@ let path hier nid =
    holds at every hook firing — unlike the node's *own* flag, which is
    written by the *next* step of the walk and is only checked in
    {!check_all}. Each child's rules as a bit set (0 = all hold), from
-   one slot probe. *)
+   one slot probe and one read of the child's node. *)
 let unregistered = 1 and weight_differs = 2 and flag_differs = 4
 and slot_differs = 8
 
@@ -19,17 +19,15 @@ let child_faults hier sfq child =
   let slot = Sfq.slot_of_id sfq ~id:child in
   if slot < 0 || not (Sfq.slot_live sfq ~slot) then unregistered
   else
-    (if Hierarchy.weight hier child = Sfq.slot_weight sfq ~slot then 0
+    let n = Hierarchy.node hier child in
+    (if Hierarchy.node_weight n = Sfq.slot_weight sfq ~slot then 0
      else weight_differs)
-    lor (if
-           Bool.equal
-             (Hierarchy.is_runnable hier child)
-             (Sfq.slot_runnable sfq ~slot)
+    lor (if Bool.equal (Hierarchy.node_runnable n) (Sfq.slot_runnable sfq ~slot)
          then 0
          else flag_differs)
     (* The setrun/sleep/update walks address the parent's SFQ through
        the cached slot alone. *)
-    lor if Hierarchy.parent_slot hier child = slot then 0 else slot_differs
+    lor if Hierarchy.node_slot n = slot then 0 else slot_differs
 
 let rec children_faults hier sfq acc = function
   | [] -> acc
@@ -62,7 +60,7 @@ let report_node sink hier nid ~event sfq =
       if mask land slot_differs <> 0 then
         fail "slot-cache" "child %s caches slot %d but the SFQ holds it at %d"
           (path hier child)
-          (Hierarchy.parent_slot hier child)
+          (Hierarchy.node_slot (Hierarchy.node hier child))
           slot)
     (Hierarchy.children_of hier nid)
 

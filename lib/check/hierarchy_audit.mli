@@ -12,7 +12,7 @@
     - ["weight-conservation"]: every child's administered weight equals
       its registration in the parent's SFQ;
     - ["slot-cache"]: every child's cached slot in the parent's SFQ
-      ({!Hsfq_core.Hierarchy.parent_slot}) is where the SFQ holds it;
+      ({!Hsfq_core.Hierarchy.node_slot}) is where the SFQ holds it;
     - ["runnability"]: an internal node is runnable iff its SFQ has
       backlogged children (§4 — a node is runnable iff some leaf of its
       subtree is runnable, maintained by the setrun/sleep walks). *)

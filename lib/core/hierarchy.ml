@@ -172,7 +172,10 @@ let create () =
 
 let unknown id = invalid_arg (Printf.sprintf "Hierarchy: unknown node %d" id)
 
-let node t id =
+(* [node] and the one-field accessors below are inlined (in the release
+   profile), so such a read from another module is a bounds check and
+   loads, not a call. *)
+let[@inline] node t id =
   if id >= 0 && id < Array.length t.nodes then
     match t.nodes.(id) with Some n -> n | None -> unknown id
   else unknown id
@@ -376,16 +379,18 @@ let set_weight t id w =
   Sfq.set_weight (sfq_of p) ~id ~weight:w;
   audited t ~node:p.nid ~event:"set_weight"
 
-let weight t id = (node t id).weight
-let kind_of t id = (node t id).kind
+let[@inline] weight t id = (node t id).weight
+let[@inline] kind_of t id = (node t id).kind
 
 let parent_of t id =
   match (node t id).parent with None -> None | Some p -> Some p.nid
 
 let children_of t id = List.rev (node t id).children
 
-let children_newest_first t id = (node t id).children
-let parent_slot t id = (node t id).pslot
+let[@inline] children_newest_first t id = (node t id).children
+let[@inline] node_weight n = n.weight
+let[@inline] node_runnable n = n.runnable
+let[@inline] node_slot n = n.pslot
 
 let depth t id =
   let rec up n acc =
@@ -412,9 +417,9 @@ let render_tree t =
   walk root 0;
   Buffer.contents buf
 
-let is_runnable t id = (node t id).runnable
+let[@inline] is_runnable t id = (node t id).runnable
 let virtual_time_of t id = Sfq.virtual_time (sfq_of (node t id))
-let internal_sfq t id = sfq_of (node t id)
+let[@inline] internal_sfq t id = sfq_of (node t id)
 
 let start_tag_of t id =
   let n = node t id in

@@ -81,7 +81,20 @@ val children_newest_first : t -> id -> id list
 (** {!children_of} in reverse: the list the node stores, so reading it
     allocates nothing (the per-transition audit's walk). *)
 
-val parent_slot : t -> id -> int
+type node
+(** A node's record, for a reader of several of its fields: one lookup
+    by id, then a load per field (the per-child audit check). *)
+
+val node : t -> id -> node
+(** Raises [Invalid_argument] on an unknown id. *)
+
+val node_weight : node -> int
+(** {!weight} of the node. *)
+
+val node_runnable : node -> bool
+(** {!is_runnable} of the node. *)
+
+val node_slot : node -> int
 (** The node's slot in its parent's SFQ as the node caches it ([-1] for
     the root). The walks trust it, so the audit checks it against
     {!Sfq.slot_of_id}. *)

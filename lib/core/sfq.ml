@@ -165,7 +165,7 @@ let set_servers t n =
   end;
   t.servers <- n
 
-let servers t = t.servers
+let[@inline] servers t = t.servers
 
 (* The id index: linear probing from a multiplicative (Fibonacci) hash,
    the top bits of [id * 2^63/phi]. At most half the cells are full, so
@@ -181,7 +181,7 @@ let rec probe t id i =
   else probe t id ((i + 1) land (Array.length t.index - 1))
 
 (* id -> slot, -1 if unknown. *)
-let slot_lookup t id = probe t id (home t id)
+let[@inline] slot_lookup t id = probe t id (home t id)
 
 let rec place t slot i =
   if t.index.(i) < 0 then t.index.(i) <- slot
@@ -227,8 +227,8 @@ let index_remove t slot =
   let c = cell_of t slot (home t t.idv.(slot)) in
   close_gap t c c
 
-let slot_of_id t ~id = if id < 0 then -1 else slot_lookup t id
-let id_of_slot t ~slot = if slot >= 0 && slot < t.cap then t.idv.(slot) else -1
+let[@inline] slot_of_id t ~id = if id < 0 then -1 else slot_lookup t id
+let[@inline] id_of_slot t ~slot = if slot >= 0 && slot < t.cap then t.idv.(slot) else -1
 
 let state t id =
   let s = slot_of_id t ~id in
@@ -297,6 +297,10 @@ let free_slot t slot =
    tell everyone holding a slot where it went — queued heap entries via
    [Keyed_heap.remap_ids] (keys/seqs untouched, so dispatch order and
    FIFO tie-breaks are byte-identical), the caller via [on_remap]. The
+   heap then drops its dead entries (the departed clients', and any
+   other stale one) and re-heapifies, so after a departure-heavy
+   compaction it holds exactly the runnable clients: the first pops
+   discard nothing, and no push runs a whole-heap compaction. The
    2x gap between the trigger (live < cap/4) and post-compaction
    occupancy (live = ncap/2) gives the same no-thrash hysteresis as the
    keyed heap's release. O(cap), amortized O(1) per depart. *)
@@ -346,6 +350,7 @@ let compact t =
     t.svc.(i) <- map.(t.svc.(i))
   done;
   Keyed_heap.remap_ids t.queue map;
+  Keyed_heap.compact t.queue;
   match t.on_remap with
   | None -> ()
   | Some f ->
@@ -615,8 +620,8 @@ let is_runnable t ~id =
   let slot = slot_checked t id in
   Char.equal (Bytes.get t.statev slot) st_runnable
 
-let backlogged t = t.nrun
-let virtual_time t = t.vt
+let[@inline] backlogged t = t.nrun
+let[@inline] virtual_time t = t.vt
 
 (* ------- diagnostics / audit probes (lib/check, doc/INVARIANTS.md) ------- *)
 
@@ -628,15 +633,17 @@ let clients t =
   List.sort Int.compare !acc
 
 (* Slot probes for the audit's scan: int reads, so they allocate
-   nothing in any profile. *)
-let slot_bound t = t.top
-let slot_weight t ~slot = t.weightv.(slot)
-let slot_effective_weight t ~slot = effective_weight t slot
-let slot_start t ~slot = t.startv.(slot)
-let slot_finish t ~slot = t.finishv.(slot)
-let slot_remainder t ~slot = t.remv.(slot)
+   nothing in any profile. They and the scalar probes above and below
+   are inlined (in the release profile), so each of the scan's reads is
+   a load, not a call. *)
+let[@inline] slot_bound t = t.top
+let[@inline] slot_weight t ~slot = t.weightv.(slot)
+let[@inline] slot_effective_weight t ~slot = effective_weight t slot
+let[@inline] slot_start t ~slot = t.startv.(slot)
+let[@inline] slot_finish t ~slot = t.finishv.(slot)
+let[@inline] slot_remainder t ~slot = t.remv.(slot)
 let[@inline] slot_runnable t ~slot = Char.equal (Bytes.get t.statev slot) st_runnable
-let slot_live t ~slot = not (Char.equal (Bytes.get t.statev slot) st_absent)
+let[@inline] slot_live t ~slot = not (Char.equal (Bytes.get t.statev slot) st_absent)
 
 let weight t ~id =
   let slot = slot_checked t id in
@@ -648,12 +655,12 @@ let effective_weight_of t ~id =
 
 let in_service t = if t.nsvc = 0 then -1 else t.idv.(t.svc.(t.nsvc - 1))
 
-let claim_count t = t.nsvc
-let claim_id t i = t.idv.(t.svc.(i))
+let[@inline] claim_count t = t.nsvc
+let[@inline] claim_id t i = t.idv.(t.svc.(i))
 
-let max_finish_tag t = t.max_finish
+let[@inline] max_finish_tag t = t.max_finish
 
-let donation_count t = Hashtbl.length t.donations
+let[@inline] donation_count t = Hashtbl.length t.donations
 
 let donations t =
   Hashtbl.fold
@@ -662,6 +669,7 @@ let donations t =
 
 let capacity t = t.cap
 let live_clients t = t.nlive
+let queued t = Keyed_heap.size t.queue
 
 (* Deterministic retained-words accounting (array lengths, not GC
    sampling): 7 int columns, the state bytes, the free stack, the id

@@ -224,6 +224,10 @@ val capacity : t -> int
 val live_clients : t -> int
 (** Known clients (runnable + blocked). *)
 
+val queued : t -> int
+(** Entries in the ready heap, stale ones included. A compaction drops
+    every stale one, so right after it this equals {!backlogged}. *)
+
 val footprint_words : t -> int
 (** Approximate retained heap words of the client table, id index, and
     ready queue — deterministic (array lengths, not GC sampling), for

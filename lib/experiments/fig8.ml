@@ -49,8 +49,8 @@ let run_a ?(seed = 51) ~seconds () =
     let merged = Series.create () in
     Array.iter
       (fun c ->
-        let ts = Series.times (Dhrystone.series c)
-        and vs = Series.values (Dhrystone.series c) in
+        let s = Dhrystone.series c in
+        let ts = Series.times s and vs = Series.values s in
         Array.iteri (fun i t -> Series.add merged t vs.(i)) ts)
       counters;
     Series.bucket_sum merged ~width:(Time.seconds 1) ~until

@@ -92,6 +92,14 @@ let configs =
       cold = [];
       barrier_free = [];
     };
+    (* The Dhrystone loop: a completion extends the open run or files
+       it. Cold: the run storage's chunk growth. *)
+    {
+      source = "lib/workload/dhrystone.ml";
+      roots = [ "next" ];
+      cold = [ "grow" ];
+      barrier_free = [];
+    };
     (* The columns hold ints only: the sifts, the hole's fill
        ([push]) and close ([close_hole]) never run the write barrier. *)
     {

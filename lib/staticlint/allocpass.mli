@@ -19,6 +19,7 @@ val scan_unit : config -> Cmt_index.unit_info -> Finding.t list
 (** Scan the repo's hot-path contract: sfq select_id/charge, hierarchy
     schedule/update/setrun/sleep, keyed_heap and event_queue minus their
     grow/compact slow paths, the sim driver, the kernel cycle, the
-    select_id/charge of every FAIR baseline and svr4, and the lib/obs
-    record path; plus the event queue's barrier-free heap moves. *)
+    select_id/charge of every FAIR baseline and svr4, the lib/obs
+    record path and the Dhrystone loop; plus the event queue's
+    barrier-free heap moves. *)
 val scan : Cmt_index.t -> Finding.t list

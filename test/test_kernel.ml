@@ -1748,6 +1748,153 @@ let prop_split_run_agrees =
       outcomes k threads = outcomes k' threads'
       && Sim.steps (Kernel.sim k) = Sim.steps (Kernel.sim k'))
 
+(* ----------------------- the Dhrystone run record --------------------- *)
+
+(* [Dhrystone] keeps its completed loops as runs and builds the per-loop
+   series on demand. A naive recorder wrapped around the same workload
+   logs every [now] it is called with; all but the first mark a
+   completed loop. Under periodic and Poisson interrupts, quantum
+   expiry, suspend/resume and (optionally) wake preemption on 1, 2 or 4
+   CPUs, the two agree sample for sample. *)
+type record_case = {
+  rcpus : int;
+  wake_preempts : bool;
+  rquantum_ms : int; (* 1..20 *)
+  loop_us : int list; (* one Dhrystone thread per loop cost *)
+  wakers : int; (* Interactive threads: wakes to preempt on *)
+  rperiodic_us : int * int; (* period, cost *)
+  rpoisson : int * int; (* rate in Hz, mean cost in us *)
+  pauses : (int * int * int) list; (* thread index, suspend at, resume after (us) *)
+}
+
+let show_record_case c =
+  Printf.sprintf
+    "P=%d %s q=%dms loops=[%s] wakers=%d periodic=%d/%dus poisson=%dHz/%dus \
+     pauses=[%s]"
+    c.rcpus
+    (if c.wake_preempts then "preempt-on-wake" else "quantum-boundary")
+    c.rquantum_ms
+    (String.concat "; " (List.map string_of_int c.loop_us))
+    c.wakers (fst c.rperiodic_us) (snd c.rperiodic_us) (fst c.rpoisson)
+    (snd c.rpoisson)
+    (String.concat "; "
+       (List.map (fun (i, at, d) -> Printf.sprintf "%d@%d+%d" i at d) c.pauses))
+
+let gen_record_case =
+  QCheck.Gen.(
+    map
+      (fun ((rcpus, wake_preempts, rquantum_ms, loop_us),
+            (wakers, rperiodic_us, rpoisson, pauses)) ->
+        { rcpus; wake_preempts; rquantum_ms; loop_us; wakers; rperiodic_us;
+          rpoisson; pauses })
+      (pair
+         (quad (oneofl [ 1; 2; 4 ]) bool (int_range 1 20)
+            (list_size (int_range 1 5) (int_range 20 3_000)))
+         (quad (int_bound 3)
+            (pair (int_range 500 20_000) (int_range 5 300))
+            (pair (int_range 10 800) (int_range 5 200))
+            (list_size (int_bound 6)
+               (triple (int_bound 4) (int_bound 300_000) (int_range 1 50_000))))))
+
+let record_horizon = Time.milliseconds 300
+
+let run_record_agrees c =
+  let sim = Sim.create () in
+  let hier = Hierarchy.create () in
+  let config =
+    {
+      Kernel.default_config with
+      default_quantum = Time.milliseconds c.rquantum_ms;
+      preemption =
+        (if c.wake_preempts then Kernel.Preempt_on_wake
+         else Kernel.Quantum_boundary);
+    }
+  in
+  let k = Kernel.create ~config ~cpus:c.rcpus sim hier in
+  (* Two leaves, so a wake in one may preempt a thread of the other. *)
+  let leaf name weight =
+    match
+      Hierarchy.mknod hier ~name ~parent:Hierarchy.root ~weight Hierarchy.Leaf
+    with
+    | Ok id ->
+      let lf, sfq = Leaf_sched.Sfq_leaf.make () in
+      Kernel.install_leaf k id lf;
+      (id, sfq)
+    | Error e -> failwith e
+  in
+  let leaves = [| leaf "a" 1.; leaf "b" 2. |] in
+  let spawn i name wl =
+    let id, sfq = leaves.(i mod 2) in
+    let tid = Kernel.spawn k ~name ~leaf:id wl in
+    Leaf_sched.Sfq_leaf.add sfq ~tid ~weight:1.;
+    Kernel.start k tid;
+    tid
+  in
+  let hogs =
+    List.mapi
+      (fun i cost ->
+        let wl, counter =
+          Hsfq_workload.Dhrystone.make ~loop_cost:(Time.microseconds cost) ()
+        in
+        let calls = ref [] in
+        let logged ~now =
+          calls := now :: !calls;
+          wl ~now
+        in
+        (spawn i (Printf.sprintf "hog%d" i) logged, counter, calls))
+      c.loop_us
+  in
+  for i = 0 to c.wakers - 1 do
+    ignore
+      (spawn (i + 1)
+         (Printf.sprintf "waker%d" i)
+         (fst
+            (Hsfq_workload.Interactive.make
+               ~mean_think:(Time.milliseconds (2 + (7 * i)))
+               ~burst:(Time.microseconds (300 + (400 * i)))
+               ~seed:(i + 1) ()))
+        : Kernel.tid)
+  done;
+  Kernel.add_interrupt_source k
+    (Interrupt_source.Periodic
+       {
+         period = Time.microseconds (fst c.rperiodic_us);
+         cost = Time.microseconds (snd c.rperiodic_us);
+       });
+  Kernel.add_interrupt_source k ~cpu:(c.rcpus - 1)
+    (Interrupt_source.Poisson
+       {
+         rate_hz = float_of_int (fst c.rpoisson);
+         mean_cost = Time.microseconds (snd c.rpoisson);
+         seed = fst c.rpoisson;
+       });
+  List.iter
+    (fun (i, at, d) ->
+      let tid, _, _ = List.nth hogs (i mod List.length hogs) in
+      let at = Time.microseconds at in
+      Sim.at sim at (fun () -> Kernel.suspend k tid);
+      Sim.at sim (at + Time.microseconds d) (fun () -> Kernel.resume k tid))
+    c.pauses;
+  Kernel.run_until k record_horizon;
+  List.for_all
+    (fun (_, counter, calls) ->
+      (* The first call starts loop 1; every later one completes one. *)
+      let naive =
+        match List.rev !calls with [] -> [||] | _ :: done_ -> Array.of_list done_
+      in
+      let s = Hsfq_workload.Dhrystone.series counter in
+      let times = Series.times s and values = Series.values s in
+      if times <> naive then QCheck.Test.fail_report "loop times differ";
+      Array.for_all (fun v -> Float.equal v 1.0) values
+      && Hsfq_workload.Dhrystone.loops counter = Array.length naive)
+    hogs
+
+let prop_run_record_matches_naive =
+  QCheck.Test.make
+    ~name:"Dhrystone.series equals a naive per-loop recorder" ~count:150
+    (QCheck.make ~print:show_record_case gen_record_case)
+    run_record_agrees
+
 (* One thread computing [n] segments of 1 ns in one dispatch, then
    exiting: a chain of completions with nothing else pending before
    the housekeeping tick at 1 s. Also returns the instant of the
@@ -1980,6 +2127,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_noop_timer_changes_nothing;
           QCheck_alcotest.to_alcotest prop_split_run_agrees;
         ] );
+      ( "dhrystone run record",
+        [ QCheck_alcotest.to_alcotest prop_run_record_matches_naive ] );
       ( "allocation",
         [
           Alcotest.test_case "steady P=1 cycle minor words" `Quick

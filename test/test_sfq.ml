@@ -1014,6 +1014,61 @@ let test_remap_keeps_slots_dispatchable () =
   done;
   check_int "no invariant violations" 0 (Hsfq_check.Invariant.count sink)
 
+(* A compaction drops the departed clients' ready-heap entries, and
+   every other stale one, so the first decisions after a departure storm
+   pop no dead entry. 504 clients (capacity 512) lose 7/8: compactions
+   fire at 127 live clients (to capacity 256) and at the last departure
+   (63 live, capacity 128). Blocked clients leave stale entries on live
+   slots too. After each compaction the heap holds exactly the runnable
+   clients, and the selections match the naive reference throughout. *)
+let test_compaction_drops_dead_entries () =
+  let module R = Hsfq_check.Sfq_reference in
+  let s = Sfq.create () and r = R.create () in
+  let n = 504 in
+  let decide k =
+    for _ = 1 to k do
+      match (Sfq.select_id s, R.select r) with
+      | -1, None -> ()
+      | a, Some b when a = b ->
+        let service = 1 + (a mod 7) in
+        Sfq.charge s ~id:a ~service ~runnable:true;
+        R.charge r ~id:b ~service ~runnable:true
+      | a, b ->
+        Alcotest.failf "selection %d, reference %s" a
+          (match b with Some b -> string_of_int b | None -> "none")
+    done
+  in
+  for id = 0 to n - 1 do
+    let weight = (1 + (id mod 5)) * u / 2 in
+    Sfq.arrive s ~id ~weight;
+    R.arrive r ~id ~weight
+  done;
+  decide 1000;
+  for id = 0 to n - 1 do
+    if id mod 8 = 3 then begin
+      Sfq.block s ~id;
+      R.block r ~id
+    end
+  done;
+  let compactions = ref 0 in
+  for id = 0 to n - 1 do
+    if id mod 8 <> 0 then begin
+      let cap = Sfq.capacity s in
+      Sfq.depart s ~id;
+      R.depart r ~id;
+      if Sfq.capacity s < cap then begin
+        incr compactions;
+        check_int "heap holds exactly the runnable clients" (Sfq.backlogged s)
+          (Sfq.queued s)
+      end
+    end
+  done;
+  check_int "two compactions" 2 !compactions;
+  check_int "live after the storm" (n / 8) (Sfq.live_clients s);
+  check_int "runnable after the storm" (n / 8) (Sfq.queued s);
+  decide 2000;
+  check_int "virtual time" (R.virtual_time r) (Sfq.virtual_time s)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "sfq"
@@ -1058,6 +1113,8 @@ let () =
             test_capacity_tracks_churn;
           Alcotest.test_case "remapped slots stay dispatchable" `Quick
             test_remap_keeps_slots_dispatchable;
+          Alcotest.test_case "compaction drops dead heap entries" `Quick
+            test_compaction_drops_dead_entries;
         ] );
       ( "properties",
         [
