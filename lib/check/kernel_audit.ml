@@ -30,11 +30,19 @@ type leaf_view = {
   leaf_runnable : bool;
 }
 
+type cpu_view = {
+  cpu : int;
+  slice_end : int option;
+  completion_armed : bool;
+  arrivals : int list;
+}
+
 type view = {
   threads : thread_view list;
   mutexes : mutex_view list;
   leaves : leaf_view list;
   running : (int * int) list; (* (cpu, tid) of each live dispatch *)
+  cpus : cpu_view list;
 }
 
 type ctx = { sink : Invariant.sink; last_vt : (string, int) Hashtbl.t }
@@ -81,6 +89,24 @@ let check_threads sink ~event v lookup =
         | None -> false)
         "thread %d dispatched on cpu %d is not in state Running" r cpu)
     v.running
+
+(* A running slice ends by its armed completion or by an arrival that
+   pauses it first; a CPU without one arms no completion. *)
+let check_slices sink ~event v =
+  List.iter
+    (fun cv ->
+      let chk inv = Invariant.check sink ~invariant:inv ~node:"kernel" ~event in
+      match cv.slice_end with
+      | Some e ->
+        chk "slice-end"
+          (cv.completion_armed || List.exists (fun a -> a <= e) cv.arrivals)
+          "cpu %d: the slice ending at %d has no armed completion and no \
+           pending interrupt arrival at or before its end"
+          cv.cpu e
+      | None ->
+        chk "slice-end" (not cv.completion_armed)
+          "cpu %d arms a completion but runs no slice" cv.cpu)
+    v.cpus
 
 let check_mutexes sink ~event v lookup =
   List.iter
@@ -227,6 +253,7 @@ let check ?(event = "kernel-audit") ctx v =
   List.iter (fun tv -> Hashtbl.replace threads tv.tid tv) v.threads;
   let lookup tid = Hashtbl.find_opt threads tid in
   check_threads ctx.sink ~event v lookup;
+  check_slices ctx.sink ~event v;
   check_mutexes ctx.sink ~event v lookup;
   let expected = expected_donations v lookup in
   List.iter (fun lv -> check_leaf ctx ~event v lookup expected lv) v.leaves

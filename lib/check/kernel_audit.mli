@@ -26,6 +26,11 @@
       bypasses its thread's lifecycle state; every dispatched thread is
       Running, every Running thread is dispatched on some CPU, no CPU
       holds two dispatches, and no thread runs on two CPUs at once.
+    - [slice-end]: every running, unpaused slice ends either by its
+      CPU's armed completion or by a pending arrival of one of that
+      CPU's positive-cost interrupt sources at or before the slice's
+      end (the arrival pauses the slice first); a CPU running no such
+      slice has no completion armed.
     - [vt-monotone]: each leaf SFQ's virtual time never recedes between
       audits (tracked in the {!ctx}).
 
@@ -60,6 +65,18 @@ type leaf_view = {
   leaf_runnable : bool;  (** the hierarchy's runnable flag for the leaf *)
 }
 
+type cpu_view = {
+  cpu : int;
+  slice_end : int option;
+      (** the instant the CPU's running slice ends, its overhead and
+          work left run from its resume instant; [None] when the CPU
+          runs no thread or an interrupt has paused it *)
+  completion_armed : bool;  (** the CPU's slice-completion timer is armed *)
+  arrivals : int list;
+      (** the pending next arrivals of the CPU's positive-cost
+          interrupt sources *)
+}
+
 type view = {
   threads : thread_view list;
   mutexes : mutex_view list;
@@ -68,6 +85,7 @@ type view = {
       (** the live dispatches as [(cpu, tid)] pairs — at most one per
           CPU, empty when every CPU is idle. Single-CPU kernels report
           [[(0, tid)]] or [[]]. *)
+  cpus : cpu_view list;  (** one per CPU, by cid *)
 }
 
 type ctx

@@ -31,10 +31,6 @@ val arm : t -> Event_queue.timer -> Time.t -> unit
     replacing any pending arming. A timer is disarmed as it fires, so
     its thunk may re-arm it. *)
 
-val arm_after : t -> Event_queue.timer -> Time.span -> unit
-(** [arm_after t tm d] arms [tm] for [now t + d] ([d >= 0]), saturating
-    like {!after}. *)
-
 val disarm : t -> Event_queue.timer -> unit
 (** The timer will not fire until armed again; a no-op if not armed. *)
 
@@ -66,9 +62,15 @@ val fire_in_place : t -> Time.t -> bool
 
     Call it only from the tail of an event's action, with nothing left
     to do in that action but the arming it replaces: code that runs
-    after it would run after the in-place event, out of order. The
-    comparison is strict because a pending event set for the same
-    instant was armed first, so it fires first.
+    after it would run after the in-place event, out of order. An
+    action that must also arm a timer of its own, for an instant later
+    than the in-place one, arms it first: it is then pending, so no
+    in-place firing that it starts can pass it. An interrupt source's
+    arrival does this with its next arrival ([Interrupt_source.start]).
+    A timer due no later would have to fire before the in-place event:
+    the action then fires nothing in place and arms afterwards. The comparison
+    is strict because a pending event set for the same instant was
+    armed first, so it fires first.
     @raise Invalid_argument if [time < now t]. *)
 
 val steps : t -> int

@@ -28,8 +28,7 @@ let add_interrupt_load sys =
 let buckets_of sys_until counters =
   Array.map
     (fun c ->
-      Series.bucket_sum (Dhrystone.series c) ~width:(Time.seconds 5)
-        ~until:sys_until)
+      Dhrystone.bucket_loops c ~width:(Time.seconds 5) ~until:sys_until)
     counters
 
 let run_ts ~seconds =

@@ -28,7 +28,27 @@ val fc_burstiness : spec -> Time.span
     outstanding burst. For [Poisson] there is no deterministic bound; a
     3-sigma-style estimate over one second is returned. *)
 
-val start : spec -> sim:Sim.t -> fire:(duration:Time.span -> unit) -> unit
-(** Begin generating: [fire ~duration] is invoked at each arrival instant
-    with the interrupt's processing cost (the kernel routes it to
-    top-priority execution). *)
+type t
+(** A started source. *)
+
+val start : spec -> sim:Sim.t -> fire:(t -> duration:Time.span -> unit) -> t
+(** Begin generating: [fire src ~duration] is invoked at each arrival
+    instant with the interrupt's processing cost (the kernel routes it to
+    top-priority execution).
+
+    Each arrival draws the interrupt's cost and then the gap to the
+    next arrival, in that order ([Poisson] from its own PRNG stream;
+    the first gap is drawn here), so {!next_arrival} is already the
+    next arrival's instant when [fire] runs. That arrival is armed
+    {e before} [fire] when the interrupt ends strictly before it
+    ([duration < gap]): {!pending} then reads [true] inside [fire],
+    and the interrupt's end may fire in place ({!Sim.fire_in_place}).
+    Otherwise it is armed as soon as [fire] returns, so an interrupt
+    end that [fire] arms for the arrival's own instant fires first. *)
+
+val next_arrival : t -> Time.t
+(** The instant of the source's next arrival. *)
+
+val pending : t -> bool
+(** The next arrival is armed: always, except inside a [fire] whose
+    interrupt does not end strictly before it. *)

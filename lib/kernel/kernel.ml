@@ -89,6 +89,11 @@ type cpu_state = {
   completion : Event_queue.timer; (* [complete_slice]: the slice ends *)
   irq : Event_queue.timer; (* [interrupts_done]; armed = in an interrupt *)
   mutable interrupt_until : Time.t;
+  (* The CPU's interrupt sources of positive cost, and the earliest of
+     their next arrivals ([max_int] without one): each such arrival
+     pauses a running slice. *)
+  mutable sources : Interrupt_source.t array;
+  mutable next_irq : Time.t;
   (* Start of the current idle period; [not_idle] (simulated time is
      never negative) while the CPU runs a thread or an interrupt. *)
   mutable idle_since : Time.t;
@@ -314,6 +319,13 @@ let pause_dispatch t c now =
     trace_slice t th ~start:(Time.add d.resume_at d.overhead_left) ~stop:now
   end;
   d.paused <- true
+
+(* Arm [c]'s completion for [at], unless the CPU's next interrupt
+   arrives no later: that arrival pauses the slice first, and
+   [pause_dispatch] derives the slice's progress from the elapsed
+   time, so the completion would only be disarmed. At a tie the arrival
+   fires first: it was armed before any slice that it can cut. *)
+let arm_completion t c at = if at < c.next_irq then Sim.arm t.sim c.completion at
 
 (* The CPU scans of [make_runnable], from CPU [i] up; -1 when none
    qualifies. Top-level with explicit arguments: as local [let rec]s
@@ -608,11 +620,11 @@ and complete_slice t c =
 (* End [c]'s slice [span] from now, from the tail of an event's action.
    When nothing can fire before that instant, the completion fires in
    place: a tail call, so a chain of segments runs in constant stack.
-   Otherwise the completion timer is armed. *)
+   Otherwise the completion is armed ([arm_completion]). *)
 and continue_slice t c span =
-  if Sim.fire_in_place t.sim (Time.saturating_add (Sim.now t.sim) span) then
-    complete_slice t c
-  else Sim.arm_after t.sim c.completion span
+  let at = Time.saturating_add (Sim.now t.sim) span in
+  if Sim.fire_in_place t.sim at then complete_slice t c
+  else arm_completion t c at
 
 and dispatch_cpu t c =
   if cpu_free t c then begin
@@ -677,10 +689,10 @@ and dispatch_cpu t c =
       d.used <- 0;
       d.resume_at <- now;
       d.paused <- false;
-      (* Always armed, never [continue_slice]: a dispatch also runs
-         inside [start], [resume] or [move], called from user code
-         that may schedule more after it returns. *)
-      Sim.arm_after t.sim c.completion (overhead + seg);
+      (* Armed, never [continue_slice]: a dispatch also runs inside
+         [start], [resume] or [move], called from user code that may
+         schedule more after it returns. *)
+      arm_completion t c (Time.saturating_add now (overhead + seg));
       c.busy <- true;
       th.state <- Running;
       th.dispatches <- th.dispatches + 1;
@@ -938,7 +950,12 @@ let interrupts_done t c =
     else dispatch_cpu t c
   end
 
-let do_interrupt t c ~duration =
+(* [in_place]: called from a source's arrival whose next arrival is
+   armed already ([Interrupt_source.pending]), so nothing is left to arm
+   in that event and the interrupt's end may fire in place. Ad hoc
+   interrupts always arm it: they run inside user code that may
+   schedule more after they return. *)
+let do_interrupt t c ~duration ~in_place =
   if duration <= 0 then ()
   else begin
     let now = Sim.now t.sim in
@@ -951,10 +968,26 @@ let do_interrupt t c ~duration =
     else begin
       close_idle c now;
       if c.busy && not c.spare.paused then pause_dispatch t c now;
-      c.interrupt_until <- Time.add now duration;
-      Sim.arm t.sim c.irq c.interrupt_until
+      let until = Time.add now duration in
+      c.interrupt_until <- until;
+      if in_place && Sim.fire_in_place t.sim until then interrupts_done t c
+      else Sim.arm t.sim c.irq until
     end
   end
+
+let rec earliest_arrival sources i at =
+  if i = Array.length sources then at
+  else
+    earliest_arrival sources (i + 1)
+      (Int.min at (Interrupt_source.next_arrival sources.(i)))
+
+(* A source's arrival on [c]. Its next arrival is drawn already, so
+   [next_irq] is current before anything can arm a completion; it is
+   armed too when this interrupt ends first, and only then may the end
+   fire in place. *)
+let source_interrupt t c src ~duration =
+  c.next_irq <- earliest_arrival c.sources 0 max_int;
+  do_interrupt t c ~duration ~in_place:(Interrupt_source.pending src)
 
 let make_cpu t cid =
   {
@@ -974,6 +1007,8 @@ let make_cpu t cid =
     completion = Sim.timer t.sim (fun () -> complete_slice t t.cpu_set.(cid));
     irq = Sim.timer t.sim (fun () -> interrupts_done t t.cpu_set.(cid));
     interrupt_until = Time.zero;
+    sources = [||];
+    next_irq = max_int;
     (* Each CPU is idle until its first dispatch or interrupt. *)
     idle_since = Time.zero;
     idle_total = 0;
@@ -1052,13 +1087,19 @@ let spawn t ~name ~leaf workload =
   obs_emit t ~code:Hsfq_obs.Trace.ev_spawn ~a:tid ~b:leaf ~c:0 ~d:0;
   tid
 
-let interrupt t ~duration = do_interrupt t t.cpu_set.(0) ~duration
-let interrupt_on t ~cpu ~duration = do_interrupt t (nth_cpu t cpu) ~duration
+let interrupt t ~duration = do_interrupt t t.cpu_set.(0) ~duration ~in_place:false
+
+let interrupt_on t ~cpu ~duration =
+  do_interrupt t (nth_cpu t cpu) ~duration ~in_place:false
 
 let add_interrupt_source t ?(cpu = 0) spec =
   let c = nth_cpu t cpu in
-  Interrupt_source.start spec ~sim:t.sim ~fire:(fun ~duration ->
-      do_interrupt t c ~duration)
+  let src = Interrupt_source.start spec ~sim:t.sim ~fire:(source_interrupt t c) in
+  match spec with
+  | Interrupt_source.Periodic { cost = 0; _ } -> ()
+  | Interrupt_source.Periodic _ | Interrupt_source.Poisson _ ->
+    c.sources <- Array.append c.sources [| src |];
+    c.next_irq <- earliest_arrival c.sources 0 max_int
 
 let run_until t horizon = Sim.run_until t.sim horizon
 
@@ -1181,7 +1222,24 @@ let dump t =
     |> List.filter_map (fun c ->
            if c.busy then Some (c.cid, c.spare.d_tid) else None)
   in
-  { V.threads; mutexes; leaves; running }
+  let cpus =
+    Array.to_list t.cpu_set
+    |> List.map (fun c ->
+           let d = c.spare in
+           {
+             V.cpu = c.cid;
+             slice_end =
+               (if c.busy && not d.paused then
+                  Some (Time.saturating_add d.resume_at (d.overhead_left + d.seg_left))
+                else None);
+             completion_armed = Sim.armed t.sim c.completion;
+             arrivals =
+               Array.to_list c.sources
+               |> List.filter Interrupt_source.pending
+               |> List.map Interrupt_source.next_arrival;
+           })
+  in
+  { V.threads; mutexes; leaves; running; cpus }
 
 let render_summary t =
   let tbl =

@@ -131,7 +131,8 @@ val uninstall_leaf : t -> Hsfq_core.Hierarchy.id -> unit
 
 val dump : t -> Hsfq_check.Kernel_audit.view
 (** A structural snapshot — thread lifecycle states, mutex ownership and
-    wait queues, per-leaf scheduler probes — for
+    wait queues, per-leaf scheduler probes, each CPU's slice end,
+    completion timer and pending interrupt arrivals — for
     {!Hsfq_check.Kernel_audit.check}. *)
 
 (** {1 Mutexes and priority inversion (§4)} *)
@@ -179,7 +180,9 @@ val interrupt_on : t -> cpu:int -> duration:Time.span -> unit
     pauses; the others keep running. *)
 
 val add_interrupt_source : t -> ?cpu:int -> Interrupt_source.spec -> unit
-(** Attach a periodic/random interrupt source to a CPU (default 0). *)
+(** Attach a periodic/random interrupt source to a CPU (default 0).
+    While a source of positive cost is attached, a slice that the CPU's
+    next arrival will pause arms no completion timer. *)
 
 (** {1 Running} *)
 

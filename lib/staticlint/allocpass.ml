@@ -100,6 +100,17 @@ let configs =
       cold = [ "grow" ];
       barrier_free = [];
     };
+    (* An interrupt source's arrival: the draws, the next arrival's
+       arming and the firing store immediates only. Cold: the Poisson
+       draws, whose exponential samples cross into [Prng] and [Time] as
+       floats; they box under -opaque, once per Poisson arrival, and
+       allocate nothing in release, where [Prng.exponential] inlines. *)
+    {
+      source = "lib/kernel/interrupt_source.ml";
+      roots = [ "tick" ];
+      cold = [ "poisson_cost"; "poisson_gap" ];
+      barrier_free = [ "tick" ];
+    };
     (* The columns hold ints only: the sifts, the hole's fill
        ([push]) and close ([close_hole]) never run the write barrier. *)
     {
@@ -155,8 +166,8 @@ let configs =
       source = "lib/kernel/kernel.ml";
       roots =
         [ "dispatch_cpu"; "make_runnable"; "activate"; "do_wake"; "end_dispatch";
-          "complete_slice"; "continue_slice"; "pause_dispatch"; "do_interrupt";
-          "interrupts_done" ];
+          "complete_slice"; "continue_slice"; "arm_completion"; "pause_dispatch";
+          "do_interrupt"; "interrupts_done"; "source_interrupt" ];
       cold =
         [ "acquire_or_wait"; "enqueue_mutex_waiter"; "unlock_mutex"; "hand_off";
           "grant_wake"; "release_mutex_links"; "submit_io"; "io_complete" ];

@@ -73,21 +73,46 @@ let make ~loop_cost () =
 
 let loops c = c.filed + c.len
 
-let series c =
-  let s = Series.create () in
-  let add_run first len =
-    for i = 0 to len - 1 do
-      Series.add s (first + (i * c.cost)) 1.0
-    done
-  in
-  let add_chunk (firsts, lens) n =
+(* [f first len] on every run, oldest first: loops in time order. *)
+let each_run c f =
+  let chunk firsts lens n =
     for j = 0 to n - 1 do
-      add_run firsts.(j) lens.(j)
+      f firsts.(j) lens.(j)
     done
   in
   List.iter
-    (fun ((firsts, _) as chunk) -> add_chunk chunk (Array.length firsts))
+    (fun (firsts, lens) -> chunk firsts lens (Array.length firsts))
     (List.rev c.full);
-  add_chunk (c.firsts, c.lens) c.k;
-  add_run c.first c.len;
+  chunk c.firsts c.lens c.k;
+  f c.first c.len
+
+let series c =
+  let s = Series.create () in
+  each_run c (fun first len ->
+      for i = 0 to len - 1 do
+        Series.add s (first + (i * c.cost)) 1.0
+      done);
   s
+
+(* A run covers the windows it spans by arithmetic: from loop [i] of
+   the run [first, len], the loops completing before the end of [i]'s
+   window go into it at once. Integer counts sum exactly as floats, so
+   the sums equal those of [Series.bucket_sum] over {!series}, bit for
+   bit. Top-level, so a run costs no closure. *)
+let rec fill_windows out ~width ~nb ~cost first len i =
+  if i < len then begin
+    let at = first + (i * cost) in
+    let b = at / width in
+    if b < nb then begin
+      let n = Int.min (len - i) ((((b + 1) * width) - at + cost - 1) / cost) in
+      out.(b) <- out.(b) +. float_of_int n;
+      fill_windows out ~width ~nb ~cost first len (i + n)
+    end
+  end
+
+let bucket_loops c ~width ~until =
+  if width <= 0 then invalid_arg "Dhrystone.bucket_loops: width <= 0";
+  let nb = (until + width - 1) / width in
+  let out = Array.make (Int.max nb 0) 0. in
+  each_run c (fun first len -> fill_windows out ~width ~nb ~cost:c.cost first len 0);
+  out

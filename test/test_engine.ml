@@ -911,9 +911,9 @@ let test_sim_timer_rearms_itself () =
   let ticks = ref [] in
   let rec tick () =
     ticks := Sim.now sim :: !ticks;
-    if List.length !ticks < 4 then Sim.arm_after sim (Lazy.force tm) 10
+    if List.length !ticks < 4 then Sim.arm sim (Lazy.force tm) (Sim.now sim + 10)
   and tm = lazy (Sim.timer sim tick) in
-  Sim.arm_after sim (Lazy.force tm) 10;
+  Sim.arm sim (Lazy.force tm) 10;
   Sim.run sim;
   Alcotest.(check (list int)) "re-armed from its thunk" [ 10; 20; 30; 40 ]
     (List.rev !ticks);

@@ -1621,7 +1621,10 @@ let gen_system =
    every completed loop. *)
 type outcome = int * int * int array * float array * int array
 
-let build s =
+(* [interrupts k us] installs the interrupt load, [us] putting a span
+   in microseconds on the system's grid; [obs] records every tracepoint
+   of the kernel and the hierarchy. *)
+let build_with ?obs s ~interrupts =
   let sim = Sim.create () in
   let hier = Hierarchy.create () in
   let base =
@@ -1632,6 +1635,12 @@ let build s =
   (* On the grid in a coarse system. *)
   let us n = Time.microseconds (if s.coarse then 100 * (1 + (n / 100)) else n) in
   let k = Kernel.create ~config ~cpus:s.cpus sim hier in
+  Option.iter
+    (fun tr ->
+      let sys = Hsfq_obs.Trace.register_sys tr ~label:"sys" in
+      Hierarchy.attach_obs hier (Some sys);
+      Kernel.set_obs k (Some sys))
+    obs;
   let leaf name weight =
     let id =
       match
@@ -1678,20 +1687,24 @@ let build s =
         (tid, loops))
       s.threads
   in
-  Kernel.add_interrupt_source k
-    (Interrupt_source.Periodic
-       {
-         period = us (fst s.periodic_us);
-         cost = us (snd s.periodic_us);
-       });
-  Kernel.add_interrupt_source k ~cpu:(s.cpus - 1)
-    (Interrupt_source.Poisson
-       {
-         rate_hz = float_of_int (fst s.poisson);
-         mean_cost = Time.microseconds (snd s.poisson);
-         seed = fst s.poisson;
-       });
+  interrupts k us;
   (k, threads)
+
+let build s =
+  build_with s ~interrupts:(fun k us ->
+      Kernel.add_interrupt_source k
+        (Interrupt_source.Periodic
+           {
+             period = us (fst s.periodic_us);
+             cost = us (snd s.periodic_us);
+           });
+      Kernel.add_interrupt_source k ~cpu:(s.cpus - 1)
+        (Interrupt_source.Poisson
+           {
+             rate_hz = float_of_int (fst s.poisson);
+             mean_cost = Time.microseconds (snd s.poisson);
+             seed = fst s.poisson;
+           }))
 
 let outcomes k threads : outcome list =
   List.map
@@ -1748,6 +1761,126 @@ let prop_split_run_agrees =
       outcomes k threads = outcomes k' threads'
       && Sim.steps (Kernel.sim k) = Sim.steps (Kernel.sim k'))
 
+(* ----------------------- run-ahead interrupts ------------------------ *)
+
+(* A source's arrival arms the next one first when its interrupt ends
+   strictly before it, so that the end fires in place, and a slice that
+   its CPU's next arrival will cut arms no completion. The oracle is
+   the armed path: a replica delivering the same load through
+   [Sim.repeat] and [Kernel.interrupt_on], with the same PRNG formulas
+   and draw order, so every interrupt end and every slice completion is
+   queued. Nothing may tell the two apart but the queue. *)
+
+type irq =
+  | Periodic_irq of int * int (* period, cost (us) *)
+  | Poisson_irq of int * int (* rate in Hz, mean cost in us *)
+
+(* The threads of a [system]; its own two sources are not used. *)
+type irq_case = { isys : system; sources : (int * irq) list (* cpu, load *) }
+
+let show_irq_case c =
+  Printf.sprintf "%s sources=[%s]" (show_system c.isys)
+    (String.concat "; "
+       (List.map
+          (fun (cpu, irq) ->
+            match irq with
+            | Periodic_irq (p, q) -> Printf.sprintf "cpu%d periodic %d/%dus" cpu p q
+            | Poisson_irq (r, m) -> Printf.sprintf "cpu%d poisson %dHz/%dus" cpu r m)
+          c.sources))
+
+(* Periodic costs are often 0 or exactly the period (on the grid too),
+   and sometimes above it; one to three sources, so a CPU often has
+   two. *)
+let gen_irq_case =
+  QCheck.Gen.(
+    let periodic =
+      int_range 100 5_000 >>= fun period ->
+      map
+        (fun cost -> Periodic_irq (period, cost))
+        (oneof
+           [
+             return 0;
+             return period;
+             int_range 5 period;
+             int_range period (period + 300);
+           ])
+    in
+    let poisson =
+      map2 (fun r m -> Poisson_irq (r, m)) (int_range 10 3_000) (int_range 5 400)
+    in
+    map2
+      (fun isys cpus_of ->
+        { isys; sources = List.map (fun (c, irq) -> (c mod isys.cpus, irq)) cpus_of })
+      gen_system
+      (list_size (int_range 1 3) (pair (int_bound 1) (oneof [ periodic; poisson ]))))
+
+let spec_of us = function
+  | Periodic_irq (p, q) ->
+    Interrupt_source.Periodic { period = us p; cost = (if q = 0 then 0 else us q) }
+  | Poisson_irq (r, m) ->
+    Interrupt_source.Poisson
+      { rate_hz = float_of_int r; mean_cost = Time.microseconds m; seed = r + m }
+
+let replica k ~cpu spec =
+  let sim = Kernel.sim k in
+  match spec with
+  | Interrupt_source.Periodic { period; cost } ->
+    Sim.repeat sim period (fun () ->
+        Kernel.interrupt_on k ~cpu ~duration:cost;
+        period)
+  | Interrupt_source.Poisson { rate_hz; mean_cost; seed } ->
+    let rng = Prng.create seed in
+    let gap () =
+      Int.max 1 (Time.of_seconds_float (Prng.exponential rng ~mean:(1. /. rate_hz)))
+    in
+    Sim.repeat sim (gap ()) (fun () ->
+        let cost =
+          Int.max 1 (int_of_float (Prng.exponential rng ~mean:(float_of_int mean_cost)))
+        in
+        Kernel.interrupt_on k ~cpu ~duration:cost;
+        gap ())
+
+(* The whole tracepoint stream: a case that overflows the ring fails. *)
+let ring_records tr =
+  let r = Hsfq_obs.Trace.ring tr in
+  if Hsfq_obs.Ring.total r > Hsfq_obs.Ring.capacity r then
+    QCheck.Test.fail_reportf "%d tracepoints overflow the ring" (Hsfq_obs.Ring.total r);
+  ( Hsfq_obs.Ring.total r,
+    Array.init (Hsfq_obs.Ring.length r) (fun i ->
+        Hsfq_obs.Ring.
+          [| code r i; time r i; pid r i; a r i; b r i; c r i; d r i; x r i; y r i |]) )
+
+let irq_horizon = Time.milliseconds 300
+
+(* Everything observable of one run: thread outcomes, per-CPU
+   interrupt time, the tracepoint stream and the number of events. *)
+let irq_run c ~install =
+  let tr = Hsfq_obs.Trace.create ~capacity:(1 lsl 15) ~enabled:true () in
+  let k, threads =
+    build_with ~obs:tr c.isys ~interrupts:(fun k us ->
+        List.iter (fun (cpu, irq) -> install k ~cpu (spec_of us irq)) c.sources)
+  in
+  Kernel.run_until k irq_horizon;
+  ( outcomes k threads,
+    List.init (Kernel.cpus k) (Kernel.cpu_interrupt_time k),
+    ring_records tr,
+    Sim.steps (Kernel.sim k) )
+
+let prop_run_ahead_interrupts_match_armed =
+  QCheck.Test.make ~name:"run-ahead interrupts equal the armed path" ~count:120
+    (QCheck.make ~print:show_irq_case gen_irq_case)
+    (fun c ->
+      let out, irq, (total, ring), steps =
+        irq_run c ~install:(fun k ~cpu spec -> Kernel.add_interrupt_source k ~cpu spec)
+      and out', irq', (total', ring'), steps' = irq_run c ~install:replica in
+      if out <> out' then QCheck.Test.fail_report "thread outcomes differ";
+      if irq <> irq' then QCheck.Test.fail_report "per-CPU interrupt time differs";
+      if total <> total' || ring <> ring' then
+        QCheck.Test.fail_report "tracepoint streams differ";
+      if steps <> steps' then
+        QCheck.Test.fail_reportf "%d events against %d armed" steps steps';
+      true)
+
 (* ----------------------- the Dhrystone run record --------------------- *)
 
 (* [Dhrystone] keeps its completed loops as runs and builds the per-loop
@@ -1798,7 +1931,9 @@ let gen_record_case =
 
 let record_horizon = Time.milliseconds 300
 
-let run_record_agrees c =
+(* The case run to [record_horizon]: each hog's tid, loop counter and
+   logged calls, latest first. *)
+let record_run c =
   let sim = Sim.create () in
   let hier = Hierarchy.create () in
   let config =
@@ -1876,6 +2011,9 @@ let run_record_agrees c =
       Sim.at sim (at + Time.microseconds d) (fun () -> Kernel.resume k tid))
     c.pauses;
   Kernel.run_until k record_horizon;
+  hogs
+
+let run_record_agrees c =
   List.for_all
     (fun (_, counter, calls) ->
       (* The first call starts loop 1; every later one completes one. *)
@@ -1887,13 +2025,45 @@ let run_record_agrees c =
       if times <> naive then QCheck.Test.fail_report "loop times differ";
       Array.for_all (fun v -> Float.equal v 1.0) values
       && Hsfq_workload.Dhrystone.loops counter = Array.length naive)
-    hogs
+    (record_run c)
 
 let prop_run_record_matches_naive =
   QCheck.Test.make
     ~name:"Dhrystone.series equals a naive per-loop recorder" ~count:150
     (QCheck.make ~print:show_record_case gen_record_case)
     run_record_agrees
+
+(* Windows finer than a loop, near a loop's length, coarser than a
+   run, misaligned with the horizon, past it, and empty. *)
+let bucket_windows =
+  [
+    (Time.microseconds 1, record_horizon);
+    (Time.microseconds 137, record_horizon);
+    (Time.milliseconds 1, record_horizon);
+    (Time.milliseconds 7, Time.milliseconds 123);
+    (Time.milliseconds 100, record_horizon + Time.milliseconds 1);
+    (Time.seconds 1, Time.seconds 1);
+    (Time.milliseconds 5, 0);
+  ]
+
+let prop_bucket_loops_matches_series =
+  QCheck.Test.make
+    ~name:"Dhrystone.bucket_loops equals bucketing its series" ~count:100
+    (QCheck.make ~print:show_record_case gen_record_case)
+    (fun c ->
+      List.for_all
+        (fun (_, counter, _) ->
+          let s = Hsfq_workload.Dhrystone.series counter in
+          List.for_all
+            (fun (width, until) ->
+              let runs = Hsfq_workload.Dhrystone.bucket_loops counter ~width ~until
+              and naive = Series.bucket_sum s ~width ~until in
+              Array.length runs = Array.length naive
+              && Array.for_all2 Float.equal runs naive
+              || QCheck.Test.fail_reportf "width %d until %d: the sums differ" width
+                   until)
+            bucket_windows)
+        (record_run c))
 
 (* One thread computing [n] segments of 1 ns in one dispatch, then
    exiting: a chain of completions with nothing else pending before
@@ -2127,8 +2297,13 @@ let () =
           QCheck_alcotest.to_alcotest prop_noop_timer_changes_nothing;
           QCheck_alcotest.to_alcotest prop_split_run_agrees;
         ] );
+      ( "run-ahead interrupts",
+        [ QCheck_alcotest.to_alcotest prop_run_ahead_interrupts_match_armed ] );
       ( "dhrystone run record",
-        [ QCheck_alcotest.to_alcotest prop_run_record_matches_naive ] );
+        [
+          QCheck_alcotest.to_alcotest prop_run_record_matches_naive;
+          QCheck_alcotest.to_alcotest prop_bucket_loops_matches_series;
+        ] );
       ( "allocation",
         [
           Alcotest.test_case "steady P=1 cycle minor words" `Quick

@@ -887,13 +887,23 @@ let test_interrupt_source_fires () =
   let open Hsfq_engine in
   let sim = Sim.create () in
   let count = ref 0 and total = ref 0 in
-  Hsfq_kernel.Interrupt_source.start
-    (Hsfq_kernel.Interrupt_source.Periodic
-       { period = Time.milliseconds 10; cost = Time.microseconds 200 })
-    ~sim
-    ~fire:(fun ~duration ->
-      incr count;
-      total := !total + duration);
+  let src =
+    Hsfq_kernel.Interrupt_source.start
+      (Hsfq_kernel.Interrupt_source.Periodic
+         { period = Time.milliseconds 10; cost = Time.microseconds 200 })
+      ~sim
+      ~fire:(fun src ~duration ->
+        incr count;
+        total := !total + duration;
+        (* The interrupt ends first, so the next arrival is armed. *)
+        check_bool "next arrival armed before the interrupt" true
+          (Hsfq_kernel.Interrupt_source.pending src);
+        check_int "next arrival one period on"
+          (Sim.now sim + Time.milliseconds 10)
+          (Hsfq_kernel.Interrupt_source.next_arrival src))
+  in
+  check_int "first arrival one period on" (Time.milliseconds 10)
+    (Hsfq_kernel.Interrupt_source.next_arrival src);
   Sim.run_until sim (Time.milliseconds 100);
   check_int "ten arrivals in 100 ms" 10 !count;
   check_int "costs accumulate" (Time.milliseconds 2) !total
